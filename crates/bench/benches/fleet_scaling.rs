@@ -1,8 +1,9 @@
 //! Scaling benchmark for the work-stealing fleet engine: serial vs a sweep
 //! of thread counts at increasing fleet sizes, with a bit-identity check
 //! between serial and every threaded run, plus the streaming ladder —
-//! 1k/100k/1M-node runs at a short simulated span whose nodes/sec and
-//! peak-RSS rows quantify the engine's O(workers) live state.
+//! 1k/100k/1M-node runs at a short simulated span whose nodes/sec,
+//! offered-packet and per-rung peak-RSS rows quantify the engine's
+//! O(workers) live state.
 //!
 //! Emits `BENCH_fleet.json` in the workspace root. Run with
 //! `cargo bench -p picocube-bench --bench fleet_scaling`. Flags:
@@ -29,8 +30,10 @@
 //!   fails. Machines that cannot demonstrate parallelism skip the gate.
 //! - The pre-overhaul 256-node serial time is embedded as `baseline` so
 //!   the before/after comparison travels with the numbers.
+//! - Every ladder rung must put packets on the air; a rung that offers
+//!   none measured an idle fleet, and the bench exits nonzero.
 
-use picocube_bench::rss::{fmt_bytes, max_rss_bytes};
+use picocube_bench::rss::{fmt_bytes, max_rss_bytes, reset_peak_rss};
 use picocube_bench::timing::{time_best, time_once};
 use picocube_node::{run_fleet_with_stats, FleetConfig, Parallelism};
 use picocube_sim::SimDuration;
@@ -46,7 +49,7 @@ const SEED: u64 = 42;
 const PRE_OVERHAUL_SERIAL_256_S: f64 = 0.169428406;
 
 /// 256-node serial wall time recorded immediately before the pre-decoded
-/// translation cache + batched sleep integration layer (DESIGN.md §16),
+/// translation cache layer (DESIGN.md §16),
 /// kept alongside the pre-overhaul time so each layer's contribution to
 /// the before/after comparison travels with the report.
 const PRE_TRANSLATION_SERIAL_256_S: f64 = 0.088132198;
@@ -102,15 +105,15 @@ impl SizeRow {
 
 /// One rung of the streaming ladder: a short-duration run at a fleet size
 /// the materialize-then-merge engine could not hold in memory, with the
-/// process's peak RSS sampled after the run. The high-water mark is
-/// monotonic, so each row reports the largest fleet streamed *so far* —
-/// run the rungs smallest-first and the flat curve is the O(workers)
-/// memory claim.
+/// packets it offered and the process's peak RSS over that rung alone
+/// (the high-water mark is reset before each rung; `None` where the reset
+/// or procfs is unavailable).
 struct LadderRow {
     nodes: usize,
     threads: usize,
     wall_s: f64,
     nodes_per_s: f64,
+    offered: usize,
     max_rss_bytes: Option<u64>,
 }
 
@@ -121,6 +124,7 @@ impl LadderRow {
             ("threads".into(), self.threads.to_json()),
             ("wall_s".into(), self.wall_s.to_json()),
             ("nodes_per_s".into(), self.nodes_per_s.to_json()),
+            ("offered".into(), self.offered.to_json()),
             (
                 "max_rss_bytes".into(),
                 self.max_rss_bytes.map_or(Json::Null, |b| b.to_json()),
@@ -248,20 +252,21 @@ fn main() {
     }
 
     // The streaming ladder: million-node scale at a short simulated span.
-    // One TPMS report cycle (6 s) is enough simulated time for every node
-    // to wake, sample and transmit, so nodes/sec here measures the
-    // engine's streaming throughput, not the firmware's duty cycle.
+    // A node's first SP12 wake lands at 6 s plus its power-up offset in
+    // [0, 6) s, so 12 s is the shortest span in which every node wakes,
+    // samples and transmits once; nodes/sec here measures the engine's
+    // streaming throughput, not the firmware's duty cycle.
     let ladder_sizes: &[usize] = if args.short {
         &[1_000, 100_000]
     } else {
         &[1_000, 100_000, 1_000_000]
     };
     let ladder_threads = hardware_threads.unwrap_or(4).clamp(2, 16);
-    let ladder_duration_s = 6u64;
+    let ladder_duration_s = 12u64;
     println!("\nstreaming ladder: {ladder_duration_s} s simulated, {ladder_threads} threads");
     println!(
-        "{:>9} {:>10} {:>13} {:>12}",
-        "nodes", "wall", "nodes/sec", "peak RSS"
+        "{:>9} {:>10} {:>13} {:>9} {:>12}",
+        "nodes", "wall", "nodes/sec", "offered", "peak RSS"
     );
     let mut ladder = Vec::new();
     for &nodes in ladder_sizes {
@@ -272,11 +277,13 @@ fn main() {
             .parallelism(Parallelism::Threads(ladder_threads))
             .build()
             .expect("valid ladder configuration");
-        let (wall_s, _) = time_once(|| run_fleet_with_stats(&config, &mut NullRecorder));
-        let hwm = max_rss_bytes();
+        let reset = reset_peak_rss();
+        let (wall_s, (out, _, _)) = time_once(|| run_fleet_with_stats(&config, &mut NullRecorder));
+        let hwm = max_rss_bytes().filter(|_| reset);
         println!(
-            "{nodes:>9} {wall_s:>9.2}s {:>13.0} {:>12}",
+            "{nodes:>9} {wall_s:>9.2}s {:>13.0} {:>9} {:>12}",
             nodes as f64 / wall_s,
+            out.offered,
             hwm.map_or("n/a".to_string(), fmt_bytes),
         );
         ladder.push(LadderRow {
@@ -284,6 +291,7 @@ fn main() {
             threads: ladder_threads,
             wall_s,
             nodes_per_s: nodes as f64 / wall_s,
+            offered: out.offered,
             max_rss_bytes: hwm,
         });
     }
@@ -370,6 +378,13 @@ fn main() {
         all_identical,
         "serial and threaded outcomes diverged (see `identical` column)"
     );
+    for rung in &ladder {
+        assert!(
+            rung.offered > 0,
+            "ladder rung of {} nodes offered no packets in {ladder_duration_s} s",
+            rung.nodes
+        );
+    }
 
     // Regression gate: with real parallelism on hand, a multi-worker run
     // slower than serial means the engine lost its scaling, so CI should

@@ -8,11 +8,20 @@
 /// The process's peak resident set size in bytes (`VmHWM` from
 /// `/proc/self/status`), or `None` where procfs is unavailable.
 ///
-/// The high-water mark is monotonic for the process lifetime: sample it
-/// after each run and the largest fleet dominates the reading.
+/// The high-water mark is monotonic until [`reset_peak_rss`]: without a
+/// reset, the largest run so far dominates every later reading.
 pub fn max_rss_bytes() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     parse_vm_hwm(&status)
+}
+
+/// Resets the process's `VmHWM` to its current resident set (writes `5`
+/// to `/proc/self/clear_refs`), so the next [`max_rss_bytes`] reading is
+/// the peak of what ran in between. Returns `false` where the kernel does
+/// not support the reset; the high-water mark is then still the process
+/// lifetime's.
+pub fn reset_peak_rss() -> bool {
+    std::fs::write("/proc/self/clear_refs", "5").is_ok()
 }
 
 fn parse_vm_hwm(status: &str) -> Option<u64> {
@@ -52,6 +61,20 @@ mod tests {
         if std::path::Path::new("/proc/self/status").exists() {
             let hwm = max_rss_bytes().expect("procfs present but VmHWM missing");
             assert!(hwm > 0);
+        }
+    }
+
+    #[test]
+    fn reset_drops_the_high_water_mark_to_the_current_set() {
+        let before = max_rss_bytes();
+        // Touch 32 MiB, then free it: the high-water mark keeps the peak.
+        drop(std::hint::black_box(vec![1u8; 32 << 20]));
+        let peak = max_rss_bytes();
+        if reset_peak_rss() {
+            let after = max_rss_bytes().expect("reset succeeded without procfs");
+            assert!(peak.is_some_and(|p| after < p), "{after} vs {peak:?}");
+        } else {
+            assert!(before <= peak);
         }
     }
 

@@ -27,8 +27,8 @@
 
 use super::accumulator::{FleetAccumulator, NodeCounts, PacketRecord};
 use super::{
-    build_fleet_node, finalize_fleet, fleet_node_config, node_setup_rng, probe_build, stream_nodes,
-    FleetApp, FleetConfig, FleetConfigError, FleetOutcome,
+    build_fleet_node, derive_node_config, finalize_fleet, probe_build, stream_nodes, FleetApp,
+    FleetConfig, FleetConfigError, FleetOutcome,
 };
 use crate::node::{BuildError, NodeConfig, PicoCube};
 use picocube_sim::{SimDuration, SimTime};
@@ -46,7 +46,7 @@ pub enum CheckpointError {
     Mismatch(&'static str),
     /// The serialized checkpoint failed to parse.
     Json(JsonError),
-    /// The checkpointed node no longer builds.
+    /// The fleet's base config, or a checkpointed node, does not build.
     Build(BuildError),
 }
 
@@ -56,7 +56,7 @@ impl core::fmt::Display for CheckpointError {
             Self::Config(e) => write!(f, "degenerate fleet config: {e}"),
             Self::Mismatch(what) => f.write_str(what),
             Self::Json(e) => write!(f, "malformed checkpoint: {e}"),
-            Self::Build(e) => write!(f, "checkpointed node no longer builds: {e}"),
+            Self::Build(e) => write!(f, "node does not build: {e}"),
         }
     }
 }
@@ -288,11 +288,12 @@ impl FromJson for FleetCheckpoint {
 /// must match `recorder.wants_events()` of the recorder eventually handed
 /// to [`run_fleet_resumable`].
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if a node fails to build (same contract as
-/// [`run_fleet`](super::run_fleet); the base config is probe-built before
-/// any worker thread starts).
+/// Returns [`CheckpointError::Build`] when the base config does not build
+/// (it is probe-built before any worker thread starts), and the other
+/// [`CheckpointError`]s for a degenerate config or a mismatched
+/// checkpoint.
 pub fn run_fleet_partial(
     config: &FleetConfig,
     resume: Option<&FleetCheckpoint>,
@@ -303,7 +304,7 @@ pub fn run_fleet_partial(
     let mut acc = match resume {
         Some(checkpoint) => checkpoint.restore(config, record_events)?,
         None => {
-            probe_build(config);
+            probe_build(config).map_err(CheckpointError::Build)?;
             FleetAccumulator::new(record_events, config.per_node_stats)
         }
     };
@@ -325,10 +326,9 @@ pub fn run_fleet_partial(
 /// modes), the final outcome, metric registry and event stream are
 /// identical to a single uninterrupted `run_fleet_with` call.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if a node fails to build, as [`run_fleet`](super::run_fleet)
-/// does.
+/// As [`run_fleet_partial`].
 pub fn run_fleet_resumable(
     config: &FleetConfig,
     resume: Option<&FleetCheckpoint>,
@@ -338,7 +338,7 @@ pub fn run_fleet_resumable(
     let mut acc = match resume {
         Some(checkpoint) => checkpoint.restore(config, recorder.wants_events())?,
         None => {
-            probe_build(config);
+            probe_build(config).map_err(CheckpointError::Build)?;
             FleetAccumulator::new(recorder.wants_events(), config.per_node_stats)
         }
     };
@@ -384,9 +384,10 @@ impl StackCheckpoint {
         elapsed: SimDuration,
         record_events: bool,
     ) -> Self {
-        let mut setup = node_setup_rng(config.seed, index);
+        let (node_config, _) =
+            derive_node_config(&config.base, config.seed, config.wake_ppm_range, index);
         Self {
-            config: fleet_node_config(config, index, &mut setup),
+            config: node_config,
             app: config.app,
             elapsed,
             record_events,
@@ -538,6 +539,18 @@ mod tests {
         assert!(matches!(
             run_fleet_resumable(&cfg, None, &mut NullRecorder),
             Err(CheckpointError::Config(FleetConfigError::ZeroNodes))
+        ));
+
+        // A base config that does not build fails the probe, typed.
+        let mut cfg = config(false);
+        cfg.base.initial_soc = 2.0;
+        assert!(matches!(
+            run_fleet_partial(&cfg, None, 1, false),
+            Err(CheckpointError::Build(BuildError::InvalidConfig(_)))
+        ));
+        assert!(matches!(
+            run_fleet_resumable(&cfg, None, &mut NullRecorder),
+            Err(CheckpointError::Build(BuildError::InvalidConfig(_)))
         ));
     }
 }

@@ -37,13 +37,13 @@
 //! one machine sweep million-node fleets. A bounded reorder window keeps
 //! fast workers from buffering unboundedly ahead of the in-order fold.
 //!
-//! [`FleetConfig::parallelism`] selects serial or threaded execution of
-//! phase 1; both paths produce bit-identical [`FleetOutcome`]s. The fold
-//! can also be cut and serialized mid-run: see [`FleetCheckpoint`] and
+//! [`FleetConfig::parallelism`] sets how many workers run phase 1's one
+//! work-stealing loop; [`Parallelism::Serial`] is the one-worker case, so
+//! every mode produces bit-identical [`FleetOutcome`]s. The fold can also
+//! be cut and serialized mid-run: see [`FleetCheckpoint`] and
 //! [`run_fleet_resumable`], which are bit-identical to uninterrupted runs.
 
 mod accumulator;
-mod batch;
 mod checkpoint;
 
 pub(crate) use accumulator::NodeCounts;
@@ -54,7 +54,7 @@ pub use checkpoint::{
 
 use crate::bus::TransmittedPacket;
 use crate::node::{BuildError, NodeConfig, PicoCube};
-use crate::stack::{AppBoard, NodeFault, RunOutcome, StackBuilder};
+use crate::stack::{AppBoard, NodeFault, StackBuilder};
 use accumulator::{FleetAccumulator, NodeYield, PacketRecord};
 use picocube_radio::{Channel, Link, PatchAntenna, SuperRegenReceiver};
 use picocube_sensors::MotionScenario;
@@ -67,7 +67,8 @@ use std::sync::{Condvar, Mutex};
 /// How fleet phase 1 (per-node simulation) is executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Parallelism {
-    /// Simulate nodes one after another on the calling thread.
+    /// One worker: the work-stealing scheduler's one-worker case,
+    /// simulating nodes one after another in node order.
     Serial,
     /// Shard nodes across this many worker threads.
     Threads(usize),
@@ -523,32 +524,38 @@ const _: () = {
 /// uses the reserved stream [`MERGE_STREAM`]. Each stream depends only on
 /// `(master, index)`, so no node's draws shift when another node's
 /// consumption changes — the invariant the parallel engine relies on.
-pub(crate) fn node_sim_seed(master: u64, node: usize) -> u64 {
+fn node_sim_seed(master: u64, node: usize) -> u64 {
     SimRng::stream_seed(master, 2 * node as u64)
 }
 
-pub(crate) fn node_setup_rng(master: u64, node: usize) -> SimRng {
+fn node_setup_rng(master: u64, node: usize) -> SimRng {
     SimRng::stream(master, 2 * node as u64 + 1)
 }
 
-/// The concrete [`NodeConfig`] for fleet node `index`: the shared base plus
-/// per-node identity, seed stream and deployment jitter drawn from `setup`.
-pub(crate) fn fleet_node_config(
-    config: &FleetConfig,
+/// The concrete [`NodeConfig`] for node `index` of a fleet or mesh seeded
+/// `master`: the shared `base` plus per-node identity, seed stream and
+/// deployment jitter. Also returns the node's setup stream, positioned
+/// after the jitter draws; the fleet draws the deployment distance from it
+/// once the node has run.
+pub(crate) fn derive_node_config(
+    base: &NodeConfig,
+    master: u64,
+    wake_ppm_range: f64,
     index: usize,
-    setup: &mut SimRng,
-) -> NodeConfig {
+) -> (NodeConfig, SimRng) {
+    let mut setup = node_setup_rng(master, index);
     let period_ms = 6_000u64;
-    NodeConfig {
+    let config = NodeConfig {
         node_id: (index & 0xFF) as u8,
-        seed: node_sim_seed(config.seed, index),
+        seed: node_sim_seed(master, index),
         first_wake_offset_ms: setup.next_u64() % period_ms,
         // Scaled after the draw so the draw count/order is fixed; at the
         // default 500 ppm the factor is exactly 1.0 and the product is
         // bit-identical to the unscaled historical draw.
-        wake_interval_ppm: setup.uniform(-500.0, 500.0) * (config.wake_ppm_range / 500.0),
-        ..config.base.clone()
-    }
+        wake_interval_ppm: setup.uniform(-500.0, 500.0) * (wake_ppm_range / 500.0),
+        ..base.clone()
+    };
+    (config, setup)
 }
 
 /// Reserved stream index for the merge phase's channel trials. Odd, and
@@ -588,46 +595,19 @@ pub fn simulate_node_instrumented(
     index: usize,
     record_events: bool,
 ) -> NodeOnAir {
-    let (mut node, setup) = build_node(config, index, record_events);
-    let outcome = node.run_for(config.duration);
-    package_node(config, index, node, setup, outcome)
-}
-
-/// Builds fleet node `index` ready to run, alongside its setup RNG (still
-/// needed after the run for the deployment-distance draw).
-///
-/// # Panics
-///
-/// Panics if the node fails to build.
-pub(crate) fn build_node(
-    config: &FleetConfig,
-    index: usize,
-    record_events: bool,
-) -> (PicoCube, SimRng) {
-    let mut setup = node_setup_rng(config.seed, index);
+    let (node_config, mut setup) =
+        derive_node_config(&config.base, config.seed, config.wake_ppm_range, index);
     // Per-node fields (id, seed, offsets) cannot invalidate a base config
-    // that builds, and `run_fleet_with` probe-builds the base up front.
-    let mut node = build_fleet_node(fleet_node_config(config, index, &mut setup), config.app)
+    // that builds, and the fleet entry points probe-build the base up front.
+    let mut node = build_fleet_node(node_config, config.app)
         // picocube-lint: allow(L2) documented `# Panics`; base pre-validated by the fleet probe
         .expect("fleet node builds");
     node.set_event_recording(record_events);
-    (node, setup)
-}
-
-/// Reduces a finished node to its plain-data [`NodeOnAir`]: drains and
-/// attributes telemetry, draws the deployment distance (the setup stream's
-/// post-run draw — order is part of the RNG contract), and converts the
-/// packet log to on-air intervals. Consumes the stack: phase 1 streams,
-/// node state never outlives its chunk.
-pub(crate) fn package_node(
-    config: &FleetConfig,
-    index: usize,
-    mut node: PicoCube,
-    mut setup: SimRng,
-    outcome: RunOutcome,
-) -> NodeOnAir {
+    let outcome = node.run_for(config.duration);
     let mut telemetry = node.drain_telemetry();
     telemetry.attribute_to(index as u32);
+    // The setup stream's post-run draw: its order is part of the RNG
+    // contract.
     let distance = setup.uniform(config.distance_range.0, config.distance_range.1);
     let link = link_for_fleet();
     let rx_dbm = link.budget(Meters::new(distance)).received;
@@ -668,7 +648,8 @@ pub(crate) fn package_node(
 const STEAL_CHUNK: usize = 4;
 
 /// How phase 1's work was divided across workers — the scheduler's shape,
-/// as observed on the wall clock.
+/// as observed on the wall clock. Serial runs report the same shape as
+/// `Threads(1)`: one worker claiming every chunk.
 ///
 /// Which worker claimed which chunk depends on OS scheduling, so these
 /// numbers (unlike everything in [`FleetOutcome`] and the merged
@@ -679,10 +660,9 @@ const STEAL_CHUNK: usize = 4;
 /// [`FleetSchedStats::export_metrics`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetSchedStats {
-    /// Worker threads phase 1 ran on (1 = serial on the caller).
+    /// Worker threads phase 1 ran on (1 for [`Parallelism::Serial`]).
     pub workers: usize,
-    /// Nodes per claimed chunk (`STEAL_CHUNK`, or the whole range when
-    /// serial).
+    /// Nodes per claimed chunk.
     pub chunk_size: usize,
     /// Chunks the node range was divided into.
     pub chunks: usize,
@@ -691,15 +671,6 @@ pub struct FleetSchedStats {
 }
 
 impl FleetSchedStats {
-    fn serial(nodes: usize) -> Self {
-        Self {
-            workers: 1,
-            chunk_size: nodes,
-            chunks: usize::from(nodes > 0),
-            claims: vec![u64::from(nodes > 0)],
-        }
-    }
-
     /// Chunks claimed beyond each worker's even share — work that a static
     /// contiguous sharding would have left stranded on a slow worker.
     pub fn steals(&self) -> u64 {
@@ -719,9 +690,9 @@ impl FleetSchedStats {
     }
 }
 
-/// Shared scheduler state for the streaming threaded path, behind one
-/// mutex: the chunk-claim cursor, the fold frontier, and the bounded
-/// reorder buffer of finished-but-not-yet-foldable chunks.
+/// Shared scheduler state for the streaming phase 1, behind one mutex:
+/// the chunk-claim cursor, the fold frontier, and the bounded reorder
+/// buffer of finished-but-not-yet-foldable chunks.
 struct StreamState<'acc> {
     /// Next chunk index to hand to a claiming worker.
     next_chunk: usize,
@@ -733,33 +704,18 @@ struct StreamState<'acc> {
     acc: &'acc mut FleetAccumulator,
 }
 
-/// Runs phase 1 for nodes `[acc.nodes_done(), upto)`, honoring
-/// `config.parallelism`, folding every node's yield into `acc` in node
-/// order the moment it can. Live state is O(workers): each worker holds at
-/// most one in-flight chunk of stacks-then-yields, and the bounded reorder
-/// window below keeps fast workers from buffering unboundedly ahead of the
-/// in-order fold.
+/// Runs phase 1 for nodes `[acc.nodes_done(), upto)` on
+/// `config.parallelism` workers (one for [`Parallelism::Serial`]), folding
+/// every node's yield into `acc` in node order the moment it can. Live
+/// state is O(workers): each worker holds one node stack at a time plus
+/// its in-flight chunk of yields, and the bounded reorder window below
+/// keeps fast workers from buffering unboundedly ahead of the in-order
+/// fold.
 fn stream_nodes(config: &FleetConfig, acc: &mut FleetAccumulator, upto: usize) -> FleetSchedStats {
     let record_events = acc.record_events();
     let first = acc.nodes_done();
     let remaining = upto.saturating_sub(first);
     let workers = config.parallelism.workers().min(remaining).max(1);
-    if workers == 1 {
-        // Serial runs chunk through the batched sleep driver: a few stacks
-        // live at once, their inter-wake sleep spans integrated in one
-        // struct-of-arrays ledger pass per round. Behaviorally identical
-        // to the per-node loop (see `fleet::batch`); live state grows from
-        // one stack to `SLEEP_CHUNK`.
-        let mut lo = first;
-        while lo < upto {
-            let hi = (lo + batch::SLEEP_CHUNK).min(upto);
-            for on_air in batch::simulate_chunk(config, lo..hi, record_events) {
-                acc.absorb(on_air.into_yield());
-            }
-            lo = hi;
-        }
-        return FleetSchedStats::serial(remaining);
-    }
     // Work stealing over a chunk-claim cursor: the node range is cut into
     // fixed chunks and every worker loops claiming the next unclaimed
     // chunk. Which worker simulates which node is scheduling-dependent,
@@ -820,14 +776,13 @@ fn stream_nodes(config: &FleetConfig, acc: &mut FleetAccumulator, upto: usize) -
                             let lo = first + chunk * STEAL_CHUNK;
                             let hi = (lo + STEAL_CHUNK).min(upto);
                             // Simulate outside the lock; this is where the
-                            // wall-clock time goes. The claimed chunk runs
-                            // through the batched sleep driver, same as
-                            // serial.
-                            let yields: Vec<NodeYield> =
-                                batch::simulate_chunk(config, lo..hi, record_events)
-                                    .into_iter()
-                                    .map(NodeOnAir::into_yield)
-                                    .collect();
+                            // wall-clock time goes.
+                            let yields: Vec<NodeYield> = (lo..hi)
+                                .map(|i| {
+                                    simulate_node_instrumented(config, i, record_events)
+                                        .into_yield()
+                                })
+                                .collect();
                             let mut guard = match state.lock() {
                                 Ok(guard) => guard,
                                 Err(poisoned) => poisoned.into_inner(),
@@ -1217,7 +1172,10 @@ pub fn run_fleet_with_stats(
         // picocube-lint: allow(L2) documented `# Panics`; struct-literal configs bypass the builder's typed rejection
         panic!("degenerate fleet config: {error}");
     }
-    probe_build(config);
+    if let Err(error) = probe_build(config) {
+        // picocube-lint: allow(L2) documented `# Panics`; the checkpoint and scenario entry points return this error typed
+        panic!("fleet base config does not build: {error:?}");
+    }
     let mut acc = FleetAccumulator::new(recorder.wants_events(), config.per_node_stats);
     let sched_stats = stream_nodes(config, &mut acc, config.nodes);
     let (outcome, metrics) = finalize_fleet(config, acc, recorder);
@@ -1227,16 +1185,9 @@ pub fn run_fleet_with_stats(
 /// Probe-builds node 0 before any worker threads exist, so an invalid base
 /// config fails here with its typed build error rather than as a panic
 /// inside a worker thread.
-pub(crate) fn probe_build(config: &FleetConfig) {
-    let probe = build_fleet_node(
-        fleet_node_config(config, 0, &mut node_setup_rng(config.seed, 0)),
-        config.app,
-    );
-    assert!(
-        probe.is_ok(),
-        "fleet base config does not build: {:?}",
-        probe.as_ref().err()
-    );
+pub(crate) fn probe_build(config: &FleetConfig) -> Result<(), BuildError> {
+    let (node_config, _) = derive_node_config(&config.base, config.seed, config.wake_ppm_range, 0);
+    build_fleet_node(node_config, config.app).map(drop)
 }
 
 /// The run's tail: canonicalizes the fully-fed accumulator's event
@@ -1707,12 +1658,12 @@ mod tests {
     }
 
     #[test]
-    fn batched_chunks_match_per_node_exact_path() {
-        // The serial engine now runs chunks through the batched sleep
-        // driver (`fleet::batch`); the per-node `simulate_node_instrumented`
-        // loop is the exact reference it must reproduce bit-for-bit —
-        // outcome and full metric registry. 11 nodes: one full SLEEP_CHUNK
-        // plus a ragged tail.
+    fn streamed_engine_matches_per_node_reference() {
+        // The streamed engine (claim, simulate, fold in node order) at one
+        // and at three workers must reproduce the plain per-node reference
+        // — `simulate_node_instrumented` over every index, then one merge —
+        // bit-for-bit in outcome and full metric registry. 11 nodes: two
+        // full STEAL_CHUNKs plus a ragged tail.
         for (app, duration) in [
             (FleetApp::Tpms, SimDuration::from_secs(30)),
             (
@@ -1732,8 +1683,6 @@ mod tests {
                 app,
                 ..FleetConfig::default()
             };
-            let (batched_out, batched_metrics) = run_fleet_with(&cfg, &mut NullRecorder);
-
             let mut nodes: Vec<NodeOnAir> = (0..cfg.nodes)
                 .map(|i| simulate_node_instrumented(&cfg, i, false))
                 .collect();
@@ -1741,15 +1690,55 @@ mod tests {
             for node in &mut nodes {
                 telemetry.absorb(std::mem::take(&mut node.telemetry));
             }
-            let exact_out = merge_fleet_impl(&cfg, nodes, &mut telemetry);
+            let reference_out = merge_fleet_impl(&cfg, nodes, &mut telemetry);
+            let reference_json = telemetry.metrics.to_json().to_string();
 
-            assert_eq!(batched_out, exact_out, "{app:?}: outcome diverged");
-            assert_eq!(
-                batched_metrics.to_json().to_string(),
-                telemetry.metrics.to_json().to_string(),
-                "{app:?}: metric registries diverged"
-            );
+            for parallelism in [Parallelism::Serial, Parallelism::Threads(3)] {
+                let (out, metrics) = run_fleet_with(
+                    &FleetConfig {
+                        parallelism,
+                        ..cfg.clone()
+                    },
+                    &mut NullRecorder,
+                );
+                assert_eq!(
+                    out, reference_out,
+                    "{app:?} {parallelism:?}: outcome diverged"
+                );
+                assert_eq!(
+                    metrics.to_json().to_string(),
+                    reference_json,
+                    "{app:?} {parallelism:?}: metric registries diverged"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn serial_is_the_one_worker_scheduler() {
+        // 10 nodes: two full STEAL_CHUNKs plus a ragged tail.
+        let config = |parallelism| FleetConfig {
+            nodes: 10,
+            duration: SimDuration::from_secs(20),
+            seed: 13,
+            parallelism,
+            ..FleetConfig::default()
+        };
+        let (serial_out, serial_metrics, stats) =
+            run_fleet_with_stats(&config(Parallelism::Serial), &mut NullRecorder);
+        assert_eq!(stats.workers, 1);
+        assert_eq!(stats.chunk_size, STEAL_CHUNK);
+        assert_eq!(stats.chunks, 10usize.div_ceil(STEAL_CHUNK));
+        assert_eq!(stats.claims, vec![stats.chunks as u64]);
+
+        let (one_out, one_metrics, one_stats) =
+            run_fleet_with_stats(&config(Parallelism::Threads(1)), &mut NullRecorder);
+        assert_eq!(one_stats, stats);
+        assert_eq!(one_out, serial_out);
+        assert_eq!(
+            one_metrics.to_json().to_string(),
+            serial_metrics.to_json().to_string()
+        );
     }
 
     #[test]

@@ -33,8 +33,8 @@
 //! scheduling.
 
 use crate::fleet::{
-    capture_sweep, link_for_fleet, node_setup_rng, node_sim_seed, AirSlot, FleetApp,
-    FleetConfigError, FleetOutcome, NodeCounts, Parallelism, RX_DBM_BOUNDS,
+    capture_sweep, derive_node_config, link_for_fleet, AirSlot, FleetApp, FleetConfigError,
+    FleetOutcome, NodeCounts, Parallelism, RX_DBM_BOUNDS,
 };
 use crate::node::NodeConfig;
 use crate::stack::Stack;
@@ -360,22 +360,6 @@ impl Geometry {
     }
 }
 
-/// The concrete [`NodeConfig`] for mesh node `index`: the fleet's
-/// per-node identity/jitter discipline over the mesh base.
-fn mesh_node_config(config: &MeshConfig, index: usize) -> NodeConfig {
-    let mut setup = node_setup_rng(config.seed, index);
-    let period_ms = 6_000u64;
-    NodeConfig {
-        node_id: (index & 0xFF) as u8,
-        seed: node_sim_seed(config.seed, index),
-        first_wake_offset_ms: setup.next_u64() % period_ms,
-        // Scaled after the draw so the draw count/order is fixed; the
-        // default 500 ppm factor is exactly 1.0 (bit-identical).
-        wake_interval_ppm: setup.uniform(-500.0, 500.0) * (config.wake_ppm_range / 500.0),
-        ..config.base.clone()
-    }
-}
-
 /// Builds and arms one mesh node: the configured application stack with
 /// the mesh receive path fitted and event recording set.
 fn build_mesh_node(
@@ -383,8 +367,10 @@ fn build_mesh_node(
     index: usize,
     record_events: bool,
 ) -> Result<Stack, String> {
-    let mut stack = crate::fleet::build_fleet_node(mesh_node_config(config, index), config.app)
-        .map_err(|e| format!("{e:?}"))?;
+    let (node_config, _) =
+        derive_node_config(&config.base, config.seed, config.wake_ppm_range, index);
+    let mut stack =
+        crate::fleet::build_fleet_node(node_config, config.app).map_err(|e| format!("{e:?}"))?;
     stack.set_event_recording(record_events);
     stack
         .fit_mesh_rx(config.detector)

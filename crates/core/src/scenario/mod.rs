@@ -29,8 +29,7 @@ pub use campaign::SurvivalCurve;
 pub use spec::{Campaign, ChaosPlan, FleetSpec, MeshSpec, Scenario, Sweep, SweepKnob};
 
 use crate::fleet::{
-    build_fleet_node, fleet_node_config, node_setup_rng, run_fleet_with, FleetConfig,
-    FleetConfigError, FleetOutcome, Parallelism,
+    probe_build, run_fleet_with, FleetConfig, FleetConfigError, FleetOutcome, Parallelism,
 };
 use crate::mesh::{run_mesh_with, MeshConfig, MeshConfigError};
 use crate::node::{BuildError, NodeConfig};
@@ -342,13 +341,10 @@ fn run_once(
         Ok((summary, metrics))
     } else {
         let config = spec.fleet_config(parallelism)?;
-        // `run_fleet_with` asserts its probe build; run the same probe
-        // through the Result path first so a bad spec (e.g. an unphysical
-        // harvester trace from JSON) comes back typed instead of panicking.
-        build_fleet_node(
-            fleet_node_config(&config, 0, &mut node_setup_rng(config.seed, 0)),
-            config.app,
-        )?;
+        // `run_fleet_with` panics when its probe build fails; probe first
+        // so a bad spec (e.g. an unphysical harvester trace from JSON)
+        // comes back typed instead.
+        probe_build(&config)?;
         let (outcome, metrics) = run_fleet_with(&config, recorder);
         let summary = RunSummary::from_fleet(spec.seed, knob_value, &outcome, &metrics);
         Ok((summary, metrics))
@@ -459,14 +455,9 @@ fn run_campaign(
         let (summary, metrics) = match &mut lowered {
             LoweredCampaign::Fleet(config) => {
                 config.seed = seed;
-                // `run_fleet_with` asserts its probe build; run the same
-                // probe through the Result path first (per seed — the
-                // probe's setup draws are seed-dependent) so a bad spec
-                // comes back typed instead of panicking.
-                build_fleet_node(
-                    fleet_node_config(config, 0, &mut node_setup_rng(config.seed, 0)),
-                    config.app,
-                )?;
+                // Probed per seed: the probe's setup draws are
+                // seed-dependent.
+                probe_build(config)?;
                 let (outcome, metrics) = run_fleet_with(config, &mut tracker);
                 (
                     RunSummary::from_fleet(seed, None, &outcome, &metrics),

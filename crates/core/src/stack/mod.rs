@@ -17,10 +17,10 @@
 //! | radio (FBAR OOK TX)    | [`RadioBoard`]                             |
 //!
 //! A [`StackBuilder`] assembles a stack from a [`NodeConfig`] plus an
-//! application-board selection, replacing the old `tpms`/`motion`/
-//! `beacon` constructor triplication; those constructors survive as thin
-//! compatibility wrappers and produce bit-identical results (pinned by
-//! `tests/stack_compat.rs` against pre-refactor golden traces).
+//! [`AppBoard`] selection. The `Stack::{tpms, motion, beacon}`
+//! constructors are thin wrappers over it and produce bit-identical
+//! results (pinned by `tests/stack_compat.rs` against pre-refactor golden
+//! traces).
 //!
 //! Faults (an illegal firmware instruction, a stuck active loop, an
 //! unsolvable power-chain operating point) no longer panic: the
@@ -44,9 +44,7 @@ use picocube_mcu::firmware::{self, PIN_RADIO_SPI};
 use picocube_mcu::{Mcu, OperatingMode, SegmentStop};
 use picocube_radio::OokTransmitter;
 use picocube_sensors::{MotionScenario, Sca3000, Sp12};
-use picocube_sim::{
-    LoadId, PowerLedger, PowerTrace, RailId, ScalarTrace, SimDuration, SimTime, SleepBatch,
-};
+use picocube_sim::{LoadId, PowerLedger, PowerTrace, RailId, ScalarTrace, SimDuration, SimTime};
 use picocube_telemetry::{keys, EventKind, Metrics, TelemetryBuffer};
 use picocube_units::{Amps, Celsius, Seconds, Volts, Watts};
 use std::cell::{Cell, RefCell};
@@ -151,24 +149,6 @@ impl RunOutcome {
     pub fn is_completed(&self) -> bool {
         matches!(self, Self::Completed)
     }
-}
-
-/// Where [`Stack::next_park`] left the node — the scheduler's resumable
-/// phase boundary, used by both the single-node loop and the fleet's
-/// batched sleep driver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Park {
-    /// Reached the end of the requested span (or a terminal zero-length
-    /// supervisor-hold chunk).
-    Done,
-    /// Supervisor brown-out hold: wants to advance one supervisor-poll
-    /// chunk to `wake` and settle. Divergent state — the fleet driver
-    /// keeps held nodes on the exact path.
-    Held { wake: SimTime },
-    /// Parked in an LPM with nothing pending: wants to sleep toward
-    /// `wake` (the event horizon clamped to the run end). The batchable
-    /// case.
-    Asleep { wake: SimTime },
 }
 
 /// A board's standing current demand, split by the rail it loads.
@@ -283,8 +263,7 @@ pub trait Board {
 ///
 /// This is the typed surface the declarative scenario layer lowers onto:
 /// one enum value selects the firmware image and the sensor board, and
-/// [`StackBuilder::app`] slots it. The former
-/// `tpms`/`motion`/`beacon` builder methods remain as deprecated shims.
+/// [`StackBuilder::app`] slots it.
 #[derive(Clone)]
 pub enum AppBoard {
     /// SP12 TPMS board with the tire-pressure firmware.
@@ -343,45 +322,10 @@ impl StackBuilder {
     }
 
     /// Slots the given application board (firmware + sensor pairing).
-    ///
-    /// This is the single entry point the three former per-application
-    /// builder methods collapsed into; the `Scenario` spec layer lowers
-    /// its `app` field here.
+    /// The `Scenario` spec layer lowers its `app` field here.
     pub fn app(mut self, app: AppBoard) -> Self {
         self.app = Some(app);
         self
-    }
-
-    /// Slots the SP12 TPMS sensor board and its firmware.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `StackBuilder::app(AppBoard::Tpms)`; this shim will be removed \
-                once the scenario layer is the only spec surface"
-    )]
-    pub fn tpms(self) -> Self {
-        self.app(AppBoard::Tpms)
-    }
-
-    /// Slots the SCA3000 motion board with interrupt-driven firmware.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `StackBuilder::app(AppBoard::Motion { scenario })`; this shim \
-                will be removed once the scenario layer is the only spec surface"
-    )]
-    pub fn motion(self, scenario: MotionScenario) -> Self {
-        self.app(AppBoard::Motion { scenario })
-    }
-
-    /// Slots the SCA3000 board with timer-paced beacon firmware
-    /// (`period_s` seconds per beacon).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `StackBuilder::app(AppBoard::Beacon { scenario, period_s })`; \
-                this shim will be removed once the scenario layer is the only spec \
-                surface"
-    )]
-    pub fn beacon(self, scenario: MotionScenario, period_s: u16) -> Self {
-        self.app(AppBoard::Beacon { scenario, period_s })
     }
 
     /// The SCA3000 accelerometer board shared by the motion and beacon
@@ -956,8 +900,13 @@ impl Stack {
             return RunOutcome::Faulted(fault);
         }
         let end = self.now() + duration;
-        match self.run_until(end) {
-            Ok(()) => self.finish_run(end),
+        let finished = self.run_until(end).and_then(|()| {
+            self.ledger.advance_to(end.max(self.ledger.now()));
+            self.settle_battery()?;
+            self.update_currents(true)
+        });
+        match finished {
+            Ok(()) => RunOutcome::Completed,
             Err(fault) => self.latch(fault),
         }
     }
@@ -975,38 +924,9 @@ impl Stack {
 
     /// The shared scheduler loop: one pass over sleep-skip, board events,
     /// controller steps and supervisor holds until `end`.
-    ///
-    /// Built from the same resumable phases the fleet's batched sleep
-    /// driver uses ([`Stack::next_park`] / [`Stack::sleep_clock`] /
-    /// [`Stack::finish_park`]), with the ledger advanced inline — the
-    /// single-node exact path is the three phases run back to back.
     fn run_until(&mut self, end: SimTime) -> Result<(), NodeFault> {
         // Guard against a stuck simulation (firmware fault).
         let mut fault_guard: u64 = 0;
-        loop {
-            let park = self.next_park(end, &mut fault_guard)?;
-            if matches!(park, Park::Done) {
-                return Ok(());
-            }
-            self.sleep_clock(park);
-            self.ledger.advance_to(self.now());
-            self.finish_park(park, end)?;
-        }
-    }
-
-    /// Phase boundary: runs held/zero-gap/active scheduling until the node
-    /// either reaches `end` or wants to integrate a sleep span — the point
-    /// where the fleet's batch driver can group it with its chunk-mates.
-    ///
-    /// Returning [`Park::Held`]/[`Park::Asleep`] leaves the node *before*
-    /// its clock or ledger move: the caller must run [`Stack::sleep_clock`],
-    /// integrate the ledger to [`Stack::now`] (directly or via a
-    /// [`SleepBatch`] span), then [`Stack::finish_park`], in that order.
-    pub(crate) fn next_park(
-        &mut self,
-        end: SimTime,
-        fault_guard: &mut u64,
-    ) -> Result<Park, NodeFault> {
         while self.now() < end {
             if self.storage.held() {
                 // Held in reset: advance in supervisor-poll chunks, letting
@@ -1019,7 +939,11 @@ impl Stack {
                 if gap.is_zero() {
                     break;
                 }
-                return Ok(Park::Held { wake: next });
+                self.mcu.sleep(gap.as_nanos() / 1_000);
+                self.slept += gap;
+                self.ledger.advance_to(self.now());
+                self.settle_battery()?;
+                continue;
             }
             let asleep = self.mcu.mode() != OperatingMode::Active && !self.mcu.has_pending_irq();
             if asleep {
@@ -1028,11 +952,14 @@ impl Stack {
                     .checked_duration_since(self.now())
                     .unwrap_or(SimDuration::ZERO);
                 if !gap.is_zero() {
-                    return Ok(Park::Asleep { wake: next });
+                    // `Mcu::sleep` returns early the moment an interrupt
+                    // latches (a timer tick during the span), so the ledger
+                    // integrates to the actual post-sleep clock, not `next`.
+                    let cycles = gap.as_nanos() / 1_000; // 1 µs per cycle
+                    self.mcu.sleep(cycles.max(1));
+                    self.slept += gap;
+                    self.ledger.advance_to(self.now());
                 }
-                // Zero gap: a board event is due right now. Settle and
-                // fire in place — the exact path; there is no span to
-                // batch.
                 self.settle_battery()?;
                 if self.now() >= end {
                     break;
@@ -1056,7 +983,7 @@ impl Stack {
                 let limit_cycles = end.as_nanos().div_ceil(1_000);
                 // Cap instructions so the stuck guard trips on exactly the
                 // same instruction as the old one-check-per-step loop.
-                let max_insns = usize::try_from(200_000_001 - *fault_guard).unwrap_or(usize::MAX);
+                let max_insns = usize::try_from(200_000_001 - fault_guard).unwrap_or(usize::MAX);
                 self.seg_deltas.clear();
                 let stop = self
                     .mcu
@@ -1064,7 +991,7 @@ impl Stack {
                 // Replay the segment's per-instruction advances through the
                 // ledger in one pass (bit-identical to per-step advance_to).
                 self.ledger.advance_deltas(&self.seg_deltas);
-                *fault_guard += self.seg_deltas.len() as u64;
+                fault_guard += self.seg_deltas.len() as u64;
                 match stop {
                     SegmentStop::Fault { word, at } => {
                         // As before: a faulting fetch is reported without
@@ -1073,7 +1000,7 @@ impl Stack {
                     }
                     // The old loop counted a sleep-reporting `step` like any
                     // other poll of the core.
-                    SegmentStop::Sleeping(_) => *fault_guard += 1,
+                    SegmentStop::Sleeping(_) => fault_guard += 1,
                     SegmentStop::Budget | SegmentStop::Observable => {}
                 }
                 // Mirror pins for the bus mux; boards watch the edges.
@@ -1104,96 +1031,12 @@ impl Stack {
                     self.draw_sig = Some(sig);
                     self.update_currents(false)?;
                 }
-                if *fault_guard > 200_000_000 {
-                    return Err(NodeFault::Stuck {
-                        steps: *fault_guard,
-                    });
+                if fault_guard > 200_000_000 {
+                    return Err(NodeFault::Stuck { steps: fault_guard });
                 }
             }
         }
-        Ok(Park::Done)
-    }
-
-    /// Phase 1 of a park: advances the node's time base (the MCU cycle
-    /// counter) toward the park's wake time and books the span as slept.
-    /// The ledger still sits at the pre-sleep instant afterwards; the
-    /// caller integrates it to [`Stack::now`] before [`Stack::finish_park`].
-    ///
-    /// The clock may stop short of `wake`: [`Mcu::sleep`] returns early the
-    /// moment an interrupt latches (a timer tick during the span), which is
-    /// why the ledger pass targets the *actual* post-sleep `now`.
-    pub(crate) fn sleep_clock(&mut self, park: Park) {
-        match park {
-            Park::Done => {}
-            Park::Held { wake } => {
-                let gap = wake
-                    .checked_duration_since(self.now())
-                    .unwrap_or(SimDuration::ZERO);
-                self.mcu.sleep(gap.as_nanos() / 1_000);
-                self.slept += gap;
-            }
-            Park::Asleep { wake } => {
-                let gap = wake
-                    .checked_duration_since(self.now())
-                    .unwrap_or(SimDuration::ZERO);
-                let cycles = gap.as_nanos() / 1_000; // 1 µs per cycle
-                self.mcu.sleep(cycles.max(1));
-                self.slept += gap;
-            }
-        }
-    }
-
-    /// Phase 3 of a park: settles the battery over the integrated span and
-    /// — for a regular sleep that woke before `end` with the supervisor
-    /// happy — fires the board events the node slept toward.
-    pub(crate) fn finish_park(&mut self, park: Park, end: SimTime) -> Result<(), NodeFault> {
-        self.settle_battery()?;
-        if matches!(park, Park::Asleep { .. }) && self.now() < end && !self.storage.held() {
-            self.fire_due_events()?;
-        }
         Ok(())
-    }
-
-    /// The inline (exact-path) sleep integration: advances the ledger to
-    /// the post-[`Stack::sleep_clock`] clock. Equivalent to staging and
-    /// committing a one-span batch.
-    pub(crate) fn integrate_sleep_now(&mut self) {
-        self.ledger.advance_to(self.now());
-    }
-
-    /// Stages this node's pending sleep integration (ledger time up to
-    /// [`Stack::now`]) into a cross-node [`SleepBatch`], returning the span
-    /// handle for [`Stack::commit_sleep_span`].
-    pub(crate) fn stage_sleep_span(&mut self, batch: &mut SleepBatch) -> usize {
-        self.ledger.stage_sleep(self.now(), batch)
-    }
-
-    /// Commits this node's span of an integrated [`SleepBatch`] — the
-    /// batched equivalent of the inline `ledger.advance_to(now)`.
-    pub(crate) fn commit_sleep_span(&mut self, batch: &SleepBatch, span: usize) {
-        self.ledger.commit_sleep(batch, span);
-    }
-
-    /// Latches `fault` exactly as [`Stack::run_for`] would (telemetry event
-    /// plus frozen state); the fleet's batch driver reports faults through
-    /// this so a batched node's record matches the exact path's.
-    pub(crate) fn latch_fault(&mut self, fault: NodeFault) -> RunOutcome {
-        self.latch(fault)
-    }
-
-    /// The end-of-run epilogue shared by [`Stack::run_for`] and the batch
-    /// driver: integrates the tail of the span, settles, and re-derives
-    /// currents.
-    pub(crate) fn finish_run(&mut self, end: SimTime) -> RunOutcome {
-        let finished = (|| {
-            self.ledger.advance_to(end.max(self.ledger.now()));
-            self.settle_battery()?;
-            self.update_currents(true)
-        })();
-        match finished {
-            Ok(()) => RunOutcome::Completed,
-            Err(fault) => self.latch(fault),
-        }
     }
 
     /// Produces the run summary.

@@ -456,7 +456,7 @@ impl PowerLedger {
     /// Writes an integrated [`SleepBatch`] span back into this ledger:
     /// per-load energies, the grand total, and the clock. Must be called on
     /// the same ledger that staged `span`, with the hot list untouched
-    /// since; a stale or foreign handle is a driver bug and trips the
+    /// since; a stale or foreign handle is a caller bug and trips the
     /// sanitizer (release builds write back whatever was staged).
     pub fn commit_sleep(&mut self, batch: &SleepBatch, span: usize) {
         let Some(span) = batch.spans.get(span) else {
@@ -623,7 +623,7 @@ struct SleepSpan {
     total: f64,
 }
 
-/// Struct-of-arrays batch integrator for a fleet's sleep path.
+/// Struct-of-arrays batch integrator for many ledgers' sleep spans.
 ///
 /// Many ledgers stage their pending sleep advance
 /// ([`PowerLedger::stage_sleep`]) into one pair of flat `watts`/`energy`
@@ -646,7 +646,7 @@ pub struct SleepBatch {
 }
 
 impl SleepBatch {
-    /// Creates an empty batch. Reuse one per worker: `clear` keeps the
+    /// Creates an empty batch. Reuse it across passes: `clear` keeps the
     /// allocations.
     pub fn new() -> Self {
         Self::default()
