@@ -18,23 +18,27 @@
 //!
 //! Honesty rules baked into the report:
 //!
-//! - The serial reference is the best of `reps` runs (least scheduler
-//!   noise); every run of a config produces bit-identical outcomes, so
-//!   repetition only tightens the timing.
-//! - `speedup` is always the measured `serial / threaded` ratio — on a
-//!   single-hardware-thread machine it will honestly sit at or below 1.0
-//!   (every worker serializes), and the report's `hardware_threads` field
-//!   says how to read it.
-//! - With ≥ 4 hardware threads, a threaded run slower than serial is an
-//!   engine regression, not an artifact: the bench exits nonzero so CI
-//!   fails. Machines that cannot demonstrate parallelism skip the gate.
+//! - Serial and every threaded config are timed the same way: `reps`
+//!   rounds, interleaved (serial, then each thread count, then the next
+//!   round), so no config gets all the warm caches. Each row records the
+//!   min and the median of its runs. Every run of a config produces
+//!   bit-identical outcomes, so repetition only tightens the timing.
+//! - `speedup` is always the measured `serial / threaded` ratio of the
+//!   mins (`speedup_median` of the medians) — on a single-hardware-thread
+//!   machine it will honestly sit at or below 1.0 (every worker
+//!   serializes), and the report's `hardware_threads` field says how to
+//!   read it.
+//! - With ≥ 2 hardware threads, a run on 2..=hardware threads whose min
+//!   is slower than serial's is an engine regression, not an artifact:
+//!   the bench exits nonzero so CI fails. Single-thread machines cannot
+//!   demonstrate parallelism and skip the gate.
 //! - The pre-overhaul 256-node serial time is embedded as `baseline` so
 //!   the before/after comparison travels with the numbers.
 //! - Every ladder rung must put packets on the air; a rung that offers
 //!   none measured an idle fleet, and the bench exits nonzero.
 
 use picocube_bench::rss::{fmt_bytes, max_rss_bytes, reset_peak_rss};
-use picocube_bench::timing::{time_best, time_once};
+use picocube_bench::timing::{time_interleaved, time_once, Spread};
 use picocube_node::{run_fleet_with_stats, FleetConfig, Parallelism};
 use picocube_sim::SimDuration;
 use picocube_telemetry::{summary_table, JsonlRecorder, Metrics, NullRecorder, Recorder};
@@ -56,12 +60,14 @@ const PRE_TRANSLATION_SERIAL_256_S: f64 = 0.088132198;
 
 struct ThreadRow {
     threads: usize,
-    threaded_s: f64,
+    threaded: Spread,
     nodes_per_s: f64,
-    /// Measured `serial / threaded` ratio, always recorded. Read it
-    /// against the report's `hardware_threads`: a single-thread machine
-    /// honestly shows ≤ 1.0 because every worker serializes.
+    /// Measured `serial / threaded` ratio of the mins, always recorded.
+    /// Read it against the report's `hardware_threads`: a single-thread
+    /// machine honestly shows ≤ 1.0 because every worker serializes.
     speedup: f64,
+    /// The same ratio of the medians.
+    speedup_median: f64,
     steals: u64,
     identical: bool,
 }
@@ -70,9 +76,11 @@ impl ThreadRow {
     fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("threads".into(), self.threads.to_json()),
-            ("threaded_s".into(), self.threaded_s.to_json()),
+            ("threaded_s".into(), self.threaded.min_s.to_json()),
+            ("threaded_median_s".into(), self.threaded.median_s.to_json()),
             ("nodes_per_s".into(), self.nodes_per_s.to_json()),
             ("speedup".into(), self.speedup.to_json()),
+            ("speedup_median".into(), self.speedup_median.to_json()),
             ("steals".into(), self.steals.to_json()),
             ("identical".into(), self.identical.to_json()),
         ])
@@ -81,7 +89,7 @@ impl ThreadRow {
 
 struct SizeRow {
     nodes: usize,
-    serial_s: f64,
+    serial: Spread,
     serial_nodes_per_s: f64,
     sweep: Vec<ThreadRow>,
 }
@@ -90,7 +98,8 @@ impl SizeRow {
     fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("nodes".into(), self.nodes.to_json()),
-            ("serial_s".into(), self.serial_s.to_json()),
+            ("serial_s".into(), self.serial.min_s.to_json()),
+            ("serial_median_s".into(), self.serial.median_s.to_json()),
             (
                 "serial_nodes_per_s".into(),
                 self.serial_nodes_per_s.to_json(),
@@ -163,16 +172,20 @@ fn main() {
     // so only a known count of 1 suppresses the speedup column.
     let hardware_threads: Option<usize> =
         std::thread::available_parallelism().ok().map(|n| n.get());
+    // The smoke sweep simulates 12 s, the shortest span in which every
+    // node wakes and transmits (see the ladder below), so the gated
+    // speedups time real work rather than fleet set-up alone.
     let (sizes, duration_s, reps, sweep): (&[usize], u64, u32, &[usize]) = if args.short {
-        (&[16, 64], 5, 2, &[2, 4])
+        (&[16, 64], 12, 5, &[2, 4])
     } else {
-        (&[16, 64, 256], 30, 3, &[1, 2, 4, 8])
+        (&[16, 64, 256], 30, 7, &[1, 2, 4, 8])
     };
 
     let threads_shown = hardware_threads.map_or("unknown".to_string(), |n| n.to_string());
     println!(
         "fleet scaling: {duration_s} s simulated, seed {SEED}, \
-         {threads_shown} hardware threads, serial = best of {reps}"
+         {threads_shown} hardware threads, every config timed {reps}x interleaved \
+         (min / median)"
     );
     if hardware_threads == Some(1) {
         eprintln!(
@@ -182,8 +195,8 @@ fn main() {
         );
     }
     println!(
-        "{:>6} {:>8} {:>12} {:>12} {:>8} {:>8} {:>10}",
-        "nodes", "threads", "serial", "threaded", "speedup", "steals", "identical"
+        "{:>6} {:>8} {:>17} {:>17} {:>8} {:>8} {:>10}",
+        "nodes", "threads", "serial min/med", "threaded min/med", "speedup", "steals", "identical"
     );
 
     let mut jsonl = args.telemetry.as_deref().map(|path| {
@@ -203,50 +216,64 @@ fn main() {
                 .build()
                 .expect("valid bench configuration")
         };
-        let (serial_s, (serial_out, serial_metrics, serial_stats)) = time_best(reps, || {
-            run_fleet_with_stats(&config(Parallelism::Serial), &mut NullRecorder)
-        });
+        // Case 0 is serial, case i the sweep's (i-1)th thread count.
+        let parallelism = |case: usize| match case.checked_sub(1).and_then(|i| sweep.get(i)) {
+            Some(&threads) => Parallelism::Threads(threads),
+            None => Parallelism::Serial,
+        };
+        let mut timed = time_interleaved(reps, 1 + sweep.len(), |case| {
+            run_fleet_with_stats(&config(parallelism(case)), &mut NullRecorder)
+        })
+        .into_iter();
+        let (serial, (serial_out, serial_metrics, serial_stats)) =
+            timed.next().expect("reps > 0 timed the serial case");
         let serial_json = serial_metrics.to_json().to_string();
         serial_stats.export_metrics(&mut sched_registry);
 
         let mut sweep_rows = Vec::new();
-        for (i, &threads) in sweep.iter().enumerate() {
-            let widest = i + 1 == sweep.len();
-            let run = |recorder: &mut dyn Recorder| {
-                run_fleet_with_stats(&config(Parallelism::Threads(threads)), recorder)
-            };
-            let (threaded_s, (out, metrics, stats)) = match jsonl.as_mut() {
-                // Stream events for the widest sweep entry only; one
-                // instrumented run per fleet size keeps the log readable.
-                Some(recorder) if widest => time_once(|| run(recorder)),
-                _ => time_once(|| run(&mut NullRecorder)),
-            };
+        for (&threads, (threaded, (out, metrics, stats))) in sweep.iter().zip(timed) {
             let identical = out == serial_out && metrics.to_json().to_string() == serial_json;
             all_identical &= identical;
-            if widest {
-                merged.merge_from(&metrics);
-            }
             stats.export_metrics(&mut sched_registry);
-            let speedup = serial_s / threaded_s;
-            let shown = format!("{speedup:.2}x");
+            let speedup = serial.min_s / threaded.min_s;
             println!(
-                "{nodes:>6} {threads:>8} {serial_s:>11.3}s {threaded_s:>11.3}s {shown:>8} \
+                "{nodes:>6} {threads:>8} {:>7.4}/{:<7.4}s {:>7.4}/{:<7.4}s {:>7.2}x \
                  {:>8} {identical:>10}",
+                serial.min_s,
+                serial.median_s,
+                threaded.min_s,
+                threaded.median_s,
+                speedup,
                 stats.steals(),
             );
             sweep_rows.push(ThreadRow {
                 threads,
-                threaded_s,
-                nodes_per_s: nodes as f64 / threaded_s,
+                threaded,
+                nodes_per_s: nodes as f64 / threaded.min_s,
                 speedup,
+                speedup_median: serial.median_s / threaded.median_s,
                 steals: stats.steals(),
                 identical,
             });
         }
+        // One untimed instrumented run per fleet size at the widest sweep
+        // entry, so streaming events never distorts a timed run.
+        if let Some(&widest) = sweep.last() {
+            let (_, metrics, _) = match jsonl.as_mut() {
+                Some(recorder) => {
+                    run_fleet_with_stats(&config(Parallelism::Threads(widest)), recorder)
+                }
+                None => {
+                    run_fleet_with_stats(&config(Parallelism::Threads(widest)), &mut NullRecorder)
+                }
+            };
+            all_identical &= metrics.to_json().to_string() == serial_json;
+            merged.merge_from(&metrics);
+        }
         rows.push(SizeRow {
             nodes,
-            serial_s,
-            serial_nodes_per_s: nodes as f64 / serial_s,
+            serial,
+            serial_nodes_per_s: nodes as f64 / serial.min_s,
             sweep: sweep_rows,
         });
     }
@@ -311,11 +338,11 @@ fn main() {
                 ),
                 (
                     "serial_improvement".into(),
-                    (PRE_OVERHAUL_SERIAL_256_S / r.serial_s).to_json(),
+                    (PRE_OVERHAUL_SERIAL_256_S / r.serial.min_s).to_json(),
                 ),
                 (
                     "translation_improvement".into(),
-                    (PRE_TRANSLATION_SERIAL_256_S / r.serial_s).to_json(),
+                    (PRE_TRANSLATION_SERIAL_256_S / r.serial.min_s).to_json(),
                 ),
             ])
         })
@@ -329,7 +356,11 @@ fn main() {
             "hardware_threads".into(),
             hardware_threads.map_or(Json::Null, |n| n.to_json()),
         ),
-        ("serial_reps".into(), reps.to_json()),
+        ("reps".into(), reps.to_json()),
+        (
+            "timing".into(),
+            Json::Str("serial and threaded configs interleaved, min and median of reps".into()),
+        ),
         ("baseline".into(), baseline),
         (
             "results".into(),
@@ -390,8 +421,9 @@ fn main() {
     // slower than serial means the engine lost its scaling, so CI should
     // fail. Only rows that the machine can actually parallelize are held
     // to it (2..=hardware threads); oversubscribed rows measure scheduler
-    // overhead by design, and 1-thread machines cannot arm the gate.
-    if let Some(hw) = hardware_threads.filter(|&hw| hw >= 4) {
+    // overhead by design, and 1-thread machines cannot arm the gate. Both
+    // sides are mins over the same interleaved rounds.
+    if let Some(hw) = hardware_threads.filter(|&hw| hw >= 2) {
         for row in &rows {
             for t in &row.sweep {
                 assert!(

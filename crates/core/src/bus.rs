@@ -224,17 +224,35 @@ impl core::fmt::Debug for BusMux {
 
 impl SpiDevice for BusMux {
     fn transfer(&mut self, mosi: u8) -> u8 {
+        self.transfer_observed(mosi).0
+    }
+
+    /// Reports a change only when the selected sensor's supply draw moved
+    /// (an SP12 conversion starting or being read out). Radio bytes only
+    /// fill the frame buffer, which no draw depends on, and an unselected
+    /// transfer touches nothing.
+    fn transfer_observed(&mut self, mosi: u8) -> (u8, bool) {
         if self.p2.get() & PIN_SENSOR_CS != 0 {
             match &self.sensor {
-                BusSensor::Sp12(s) => s.borrow_mut().spi(mosi),
-                BusSensor::Sca3000(s) => s.borrow_mut().spi(mosi),
+                BusSensor::Sp12(s) => {
+                    let mut s = s.borrow_mut();
+                    let before = s.current_draw();
+                    let miso = s.spi(mosi);
+                    (miso, s.current_draw() != before)
+                }
+                BusSensor::Sca3000(s) => {
+                    let mut s = s.borrow_mut();
+                    let before = s.current_draw();
+                    let miso = s.spi(mosi);
+                    (miso, s.current_draw() != before)
+                }
             }
         } else if self.p1.get() & PIN_RADIO_SPI != 0 {
             self.radio.borrow_mut().feed(mosi);
-            0x00
+            (0x00, false)
         } else {
             // Nothing selected: the bus floats high.
-            0xFF
+            (0xFF, false)
         }
     }
 }
@@ -302,6 +320,44 @@ mod tests {
         p2.set(PIN_SENSOR_CS);
         mux.transfer(0xF0);
         assert!(!radio.borrow().window_open());
+    }
+
+    #[test]
+    fn only_sensor_draw_changes_are_reported() {
+        let (mut mux, p1, p2, radio) = mux_with_sp12();
+        p2.set(PIN_SENSOR_CS);
+        // Starting a conversion switches the SP12's analog bias on.
+        assert_eq!(mux.transfer_observed(0xA0), (0x00, true), "convert");
+        // Polling status and reading the high byte leave it on.
+        assert!(!mux.transfer_observed(0xF0).1, "status poll");
+        assert!(!mux.transfer_observed(0xF1).1, "read-hi");
+        // Reading the low byte ends the conversion.
+        assert!(mux.transfer_observed(0xF2).1, "read-lo");
+        assert!(!mux.transfer_observed(0xF2).1, "read-lo while idle");
+        // Radio bytes only fill the frame buffer, even a convert byte.
+        p2.set(0);
+        p1.set(PIN_RADIO_SPI);
+        assert_eq!(mux.transfer_observed(0xA1), (0x00, false), "radio byte");
+        assert!(radio.borrow().window_open());
+        // Nothing selected: nothing changes.
+        p1.set(0);
+        assert_eq!(mux.transfer_observed(0xA2), (0xFF, false), "unselected");
+        // An SCA3000 read never moves the part's draw.
+        let mut sca = BusMux {
+            p1: p1.clone(),
+            p2: p2.clone(),
+            sensor: BusSensor::Sca3000(Rc::new(RefCell::new(Sca3000::new()))),
+            radio: radio.clone(),
+        };
+        p2.set(PIN_SENSOR_CS);
+        assert!(!sca.transfer_observed(0x10).1, "axis read");
+        assert!(!sca.transfer_observed(0xF2).1, "axis read-lo");
+    }
+
+    #[test]
+    fn closure_devices_report_every_completion() {
+        let mut echo = |mosi: u8| mosi;
+        assert_eq!(SpiDevice::transfer_observed(&mut echo, 0x5A), (0x5A, true));
     }
 
     #[test]

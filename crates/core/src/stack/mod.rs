@@ -44,7 +44,9 @@ use picocube_mcu::firmware::{self, PIN_RADIO_SPI};
 use picocube_mcu::{Mcu, OperatingMode, SegmentStop};
 use picocube_radio::OokTransmitter;
 use picocube_sensors::{MotionScenario, Sca3000, Sp12};
-use picocube_sim::{LoadId, PowerLedger, PowerTrace, RailId, ScalarTrace, SimDuration, SimTime};
+use picocube_sim::{
+    CycleLog, LoadId, PowerLedger, PowerTrace, RailId, ScalarTrace, SimDuration, SimTime,
+};
 use picocube_telemetry::{keys, EventKind, Metrics, TelemetryBuffer};
 use picocube_units::{Amps, Celsius, Seconds, Volts, Watts};
 use std::cell::{Cell, RefCell};
@@ -439,17 +441,18 @@ pub struct Stack {
     /// so those are the sole invalidation points.
     horizon: Option<SimTime>,
     horizon_valid: bool,
-    /// Draw signature of the last active step: `(mode, P1, P2, SPI busy)`.
-    /// Every input to the `last_inputs` guard in [`Stack::update_currents`]
-    /// is a function of these (plus sensor device state, which only changes
-    /// on an SPI completion — a `SPI busy` edge — or in `fire_event`, which
-    /// poisons this to `None`). While the signature is unchanged the old
+    /// Draw signature of the last active step: `(mode, P1, P2, SPI draw
+    /// epoch)`. Every input to the `last_inputs` guard in
+    /// [`Stack::update_currents`] is a function of these plus the sensor's
+    /// draw. That draw changes only on an SPI completion the bus mux
+    /// reports as a draw change (an epoch bump) or in `fire_event`, which
+    /// poisons this to `None`. While the signature is unchanged the old
     /// per-step `update_currents` call would have early-returned, so
     /// skipping it is bit-invisible.
-    draw_sig: Option<(OperatingMode, u8, u8, bool)>,
-    /// Reusable per-instruction cycle-delta buffer for the segmented
-    /// active path (scratch; contents never outlive one segment).
-    seg_deltas: Vec<u32>,
+    draw_sig: Option<(OperatingMode, u8, u8, u32)>,
+    /// Reusable run-length cycle log for the segmented active path
+    /// (scratch; contents never outlive one segment).
+    seg_log: CycleLog,
     fault: Option<NodeFault>,
 }
 
@@ -535,7 +538,7 @@ impl Stack {
             horizon: None,
             horizon_valid: false,
             draw_sig: None,
-            seg_deltas: Vec::new(),
+            seg_log: CycleLog::new(),
             fault: None,
         };
         node.soc_trace.record(SimTime::ZERO, node.storage.soc());
@@ -972,9 +975,9 @@ impl Stack {
                 // call, then integrate power and re-sample the world once at
                 // its boundary. `run_segment` stops after the first
                 // instruction that changes anything a board can see (GPIO
-                // outputs, SPI activity, operating mode), so deferring the
-                // pin mirror / draw-signature epilogue to the boundary is
-                // bit-identical to running it per instruction: for every
+                // outputs, the SPI draw epoch, operating mode), so deferring
+                // the pin mirror / draw-signature epilogue to the boundary
+                // is bit-identical to running it per instruction: for every
                 // interior instruction it was a no-op by construction.
                 let p1_before = self.p1.get();
                 debug_assert_eq!(self.ledger.now(), self.now());
@@ -983,15 +986,15 @@ impl Stack {
                 let limit_cycles = end.as_nanos().div_ceil(1_000);
                 // Cap instructions so the stuck guard trips on exactly the
                 // same instruction as the old one-check-per-step loop.
-                let max_insns = usize::try_from(200_000_001 - fault_guard).unwrap_or(usize::MAX);
-                self.seg_deltas.clear();
+                let max_insns = 200_000_001 - fault_guard;
+                self.seg_log.clear();
                 let stop = self
                     .mcu
-                    .run_segment(limit_cycles, max_insns, &mut self.seg_deltas);
+                    .run_segment(limit_cycles, max_insns, &mut self.seg_log);
                 // Replay the segment's per-instruction advances through the
                 // ledger in one pass (bit-identical to per-step advance_to).
-                self.ledger.advance_deltas(&self.seg_deltas);
-                fault_guard += self.seg_deltas.len() as u64;
+                self.ledger.advance_log(&self.seg_log);
+                fault_guard += self.seg_log.insns();
                 match stop {
                     SegmentStop::Fault { word, at } => {
                         // As before: a faulting fetch is reported without
@@ -1026,7 +1029,7 @@ impl Stack {
                 // is a function of this signature (see the `draw_sig` field
                 // docs), so an unchanged signature means the call would have
                 // early-returned — skip it.
-                let sig = (self.mcu.mode(), p1_now, p2_now, self.mcu.spi_busy());
+                let sig = (self.mcu.mode(), p1_now, p2_now, self.mcu.spi_draw_epoch());
                 if self.draw_sig != Some(sig) {
                     self.draw_sig = Some(sig);
                     self.update_currents(false)?;

@@ -4,6 +4,9 @@ use crate::isa::{Condition, Format1Op, Format2Op};
 use crate::memory::{FlatMemory, Image};
 use crate::peripherals::{Irq, Peripherals, SpiDevice};
 use crate::power_model::{McuPowerModel, OperatingMode};
+use crate::uops::CodeSpan;
+use core::ops::ControlFlow;
+use picocube_sim::CycleLog;
 
 /// Carry flag bit in `SR`.
 pub const FLAG_C: u16 = 0x0001;
@@ -27,6 +30,10 @@ pub const FLAG_V: u16 = 0x0100;
 const PC: usize = 0;
 const SP: usize = 1;
 const SR: usize = 2;
+
+/// What a board can see between instructions: P1 and P2 output pins, the
+/// SPI draw epoch, and the operating mode.
+type Observables = (u8, u8, u32, OperatingMode);
 
 /// What one [`Mcu::step`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,15 +61,15 @@ pub enum StepResult {
 pub enum SegmentStop {
     /// The cycle or instruction budget ran out.
     Budget,
-    /// A board-observable output changed — GPIO output pins, SPI engine
-    /// activity, or the operating mode — so the caller must re-sample the
+    /// A board-observable output changed — GPIO output pins, the SPI draw
+    /// epoch, or the operating mode — so the caller must re-sample the
     /// world before executing further.
     Observable,
     /// The core is parked in a low-power mode with no serviceable
     /// interrupt (the [`StepResult::Sleeping`] condition).
     Sleeping(OperatingMode),
-    /// The core latched an illegal-instruction fault. Cycle deltas for
-    /// instructions that ran before the fault are still recorded.
+    /// The core latched an illegal-instruction fault. Cycle costs of
+    /// instructions that ran before the fault are still logged.
     Fault {
         /// The undecodable word.
         word: u16,
@@ -85,6 +92,10 @@ pub struct Mcu {
     /// Pre-decoded micro-op stream for the loaded image, shared across
     /// cores running identical firmware.
     uops: Option<std::sync::Arc<crate::uops::UopCache>>,
+    /// The flash span `uops` was decoded from, kept here so the
+    /// self-modifying-code guard works while the cache is moved out for a
+    /// decoded stream.
+    uop_span: CodeSpan,
     /// Whether the decoded path may be used. Cleared on any write into
     /// the cached flash span (self-modifying code falls back to the
     /// interpreter for the rest of the run).
@@ -121,6 +132,7 @@ impl Mcu {
             pending: 0,
             halted_on_fault: false,
             uops: None,
+            uop_span: CodeSpan::default(),
             uops_on: false,
             flash_dirty: false,
         }
@@ -133,7 +145,9 @@ impl Mcu {
         self.mem.load(image);
         // Every decoded instruction lies wholly inside the image's segments,
         // which this load just (re)wrote, so any earlier dirtying is moot.
-        self.uops = Some(crate::uops::cache_for(image));
+        let cache = crate::uops::cache_for(image);
+        self.uop_span = cache.span();
+        self.uops = Some(cache);
         self.uops_on = true;
         self.flash_dirty = false;
     }
@@ -221,7 +235,7 @@ impl Mcu {
     /// the interpreter (which reads memory as written).
     #[inline]
     fn invalidate_uops(&mut self, addr: u16) {
-        if self.uops_on && self.uops.as_ref().is_some_and(|c| c.covers(addr)) {
+        if self.uops_on && self.uop_span.covers(addr) {
             self.uops_on = false;
             self.flash_dirty = true;
         }
@@ -251,9 +265,12 @@ impl Mcu {
         &self.power
     }
 
-    /// Whether the SPI engine is mid-transfer (board-side visibility).
-    pub fn spi_busy(&self) -> bool {
-        self.periph.spi_busy()
+    /// The SPI draw epoch: advances once per completed transfer whose
+    /// slave reported a board-visible change
+    /// ([`SpiDevice::transfer_observed`]), so a board that saw the same
+    /// epoch twice knows no SPI traffic in between changed its draws.
+    pub fn spi_draw_epoch(&self) -> u32 {
+        self.periph.spi_draw_epoch()
     }
 
     /// Board-side GPIO: port 1 output pins.
@@ -356,9 +373,10 @@ impl Mcu {
                 let sr = self.regs[SR];
                 let mut gie = sr & FLAG_GIE != 0;
                 if sr & FLAG_CPUOFF == 0 && (!gie || self.pending == 0) {
-                    let cache = self.uops.clone();
-                    let mut advanced = false;
-                    if let Some(cache) = cache {
+                    // Moved out for the stream and back after it: a move
+                    // costs no reference-count traffic, unlike a clone.
+                    if let Some(cache) = self.uops.take() {
+                        let mut advanced = false;
                         while self.uops_on && self.cycles - start < max_cycles {
                             let Some(u) = cache.lookup(self.regs[PC]) else {
                                 break;
@@ -383,9 +401,10 @@ impl Mcu {
                                 }
                             }
                         }
-                    }
-                    if advanced {
-                        continue;
+                        self.uops = Some(cache);
+                        if advanced {
+                            continue;
+                        }
                     }
                 }
             }
@@ -397,46 +416,53 @@ impl Mcu {
         self.cycles - start
     }
 
-    /// Externally observable state: GPIO output pins, SPI engine activity,
+    /// Externally observable state: GPIO output pins, the SPI draw epoch,
     /// and the operating mode — everything a board can react to between
     /// instructions.
     #[inline]
-    fn observables(&self) -> (u8, u8, bool, OperatingMode) {
+    fn observables(&self) -> Observables {
         (
             self.periph.p1_output(),
             self.periph.p2_output(),
-            self.periph.spi_busy(),
+            self.periph.spi_draw_epoch(),
             self.mode(),
         )
     }
 
     /// Runs a *segment*: a maximal run of instructions across which nothing
     /// board-observable changes, recording each instruction's cycle cost in
-    /// `deltas`.
+    /// `log`.
     ///
     /// Semantically this is exactly a sequence of [`Mcu::step`] calls — same
     /// interrupt dispatch, same decoded-path/interpreter split, same fault
     /// latching — stopping *after* the first step that changes an observable
-    /// (GPIO output pins, SPI activity, operating mode — the
+    /// (GPIO output pins, the SPI draw epoch, operating mode — the
     /// [`SegmentStop::Observable`] set), *before* a step that would exceed the
     /// budget, or when the core reports sleep or faults. The caller can
-    /// therefore integrate power over the whole segment from `deltas` and
-    /// re-inspect pins/SPI/mode once at the boundary instead of after every
+    /// therefore integrate power over the whole segment from `log` and
+    /// re-inspect pins/mode once at the boundary instead of after every
     /// instruction.
+    ///
+    /// An SPI transfer starting or finishing is not itself observable: the
+    /// draw epoch ([`Mcu::spi_draw_epoch`]) moves only when the slave
+    /// reports that a completed transfer changed board-visible state. So
+    /// a busy-wait whose transfer changes nothing runs on through its
+    /// completion inside one segment, and its event-free iterations are
+    /// logged as one repeated `(poll, jump)` record.
     ///
     /// `limit_cycles` is an *absolute* cycle count: no instruction starts
     /// once `self.cycles() >= limit_cycles` (matching a caller loop of the
     /// form `while cycles < limit { step() }`). `max_insns` bounds how many
-    /// entries are appended to `deltas`.
+    /// instructions `log` holds ([`CycleLog::insns`]).
     pub fn run_segment(
         &mut self,
         limit_cycles: u64,
-        max_insns: usize,
-        deltas: &mut Vec<u32>,
+        max_insns: u64,
+        log: &mut CycleLog,
     ) -> SegmentStop {
         let base = self.observables();
         loop {
-            if self.cycles >= limit_cycles || deltas.len() >= max_insns {
+            if self.cycles >= limit_cycles || log.insns() >= max_insns {
                 return SegmentStop::Budget;
             }
             if self.halted_on_fault {
@@ -452,7 +478,7 @@ impl Mcu {
                         self.pending &= !irq.mask();
                         let cycles = self.enter_interrupt(irq);
                         self.tick_peripherals(cycles);
-                        deltas.push(cycles);
+                        log.push(cycles);
                         break;
                     }
                 }
@@ -468,46 +494,59 @@ impl Mcu {
             // Unlike [`Mcu::run`]'s per-block streaming this continues
             // straight through basic-block boundaries, re-reading SR at each
             // one (only SR-writing instructions end blocks, so between
-            // boundaries the hoisted GIE/CPUOFF state cannot go stale).
+            // boundaries the hoisted GIE/CPUOFF state cannot go stale). The
+            // cache is moved out and back, as in [`Mcu::run`].
             if self.uops_on {
-                let cache = self.uops.clone();
-                if let Some(cache) = cache {
+                if let Some(cache) = self.uops.take() {
                     let mut gie = sr & FLAG_GIE != 0;
-                    let mut advanced = false;
-                    while self.uops_on && self.cycles < limit_cycles && deltas.len() < max_insns {
-                        let Some(u) = cache.lookup(self.regs[PC]) else {
-                            break;
-                        };
-                        if u.spin_spi && self.periph.spi_busy() {
-                            advanced = true;
-                            match self.exec_spi_spin(&u, limit_cycles, max_insns, deltas, gie) {
-                                Some(stop) => return stop,
-                                None => break, // re-check through the outer loop
-                            }
-                        }
-                        let cycles = self.exec_uop(u);
-                        self.tick_peripherals(cycles);
-                        deltas.push(cycles);
-                        advanced = true;
-                        if self.observables() != base {
-                            return SegmentStop::Observable;
-                        }
-                        if gie && self.pending != 0 {
-                            break; // dispatch through the outer loop
-                        }
-                        if u.ends_block {
-                            let sr = self.regs[SR];
-                            if sr & FLAG_CPUOFF != 0 {
-                                break; // sleeping: outer loop reports it
-                            }
-                            gie = sr & FLAG_GIE != 0;
-                            if gie && self.pending != 0 {
+                    let streamed = 'stream: {
+                        let mut advanced = false;
+                        while self.uops_on && self.cycles < limit_cycles && log.insns() < max_insns
+                        {
+                            let Some(u) = cache.lookup(self.regs[PC]) else {
                                 break;
+                            };
+                            if u.spin_spi && self.periph.spi_busy() {
+                                break 'stream match self.exec_spi_spin(
+                                    &u,
+                                    limit_cycles,
+                                    max_insns,
+                                    log,
+                                    gie,
+                                ) {
+                                    Some(stop) => ControlFlow::Break(stop),
+                                    // Re-check through the outer loop.
+                                    None => ControlFlow::Continue(true),
+                                };
+                            }
+                            let cycles = self.exec_uop(u);
+                            self.tick_peripherals(cycles);
+                            log.push(cycles);
+                            advanced = true;
+                            if self.observables() != base {
+                                break 'stream ControlFlow::Break(SegmentStop::Observable);
+                            }
+                            if gie && self.pending != 0 {
+                                break; // dispatch through the outer loop
+                            }
+                            if u.ends_block {
+                                let sr = self.regs[SR];
+                                if sr & FLAG_CPUOFF != 0 {
+                                    break; // sleeping: outer loop reports it
+                                }
+                                gie = sr & FLAG_GIE != 0;
+                                if gie && self.pending != 0 {
+                                    break;
+                                }
                             }
                         }
-                    }
-                    if advanced {
-                        continue;
+                        ControlFlow::Continue(advanced)
+                    };
+                    self.uops = Some(cache);
+                    match streamed {
+                        ControlFlow::Break(stop) => return stop,
+                        ControlFlow::Continue(true) => continue,
+                        ControlFlow::Continue(false) => {}
                     }
                 }
             }
@@ -518,7 +557,7 @@ impl Mcu {
             match self.execute(word) {
                 Some(c) => {
                     self.tick_peripherals(c);
-                    deltas.push(c);
+                    log.push(c);
                     if self.observables() != base {
                         return SegmentStop::Observable;
                     }
@@ -541,24 +580,31 @@ impl Mcu {
     /// cycles, the constant [`UOp::Jump`] cost.
     ///
     /// Called only while the engine is busy. Nothing observable can change
-    /// mid-spin except the SPI completion itself (no memory writes, no SR
-    /// mode bits, GPIO untouched), so the per-instruction observable check
-    /// reduces to "did `spi_busy` flip". Returns `Some(stop)` to end the
-    /// segment, or `None` when a freshly latched enabled interrupt needs
-    /// the outer dispatch loop. The PC is always left exactly where the
-    /// unfused loop would have left it.
+    /// mid-spin except through the SPI completion (no memory writes, no SR
+    /// mode bits, GPIO untouched). At the completion the fast path ends:
+    /// it ends the segment when the draw epoch moved, and otherwise hands
+    /// the rest of the loop (the poll that now reads 0, the `jnz` that
+    /// falls through) back to the generic path by returning `None` — as it
+    /// also does when a freshly latched enabled interrupt needs the outer
+    /// dispatch loop. The PC is always left exactly where the unfused loop
+    /// would have left it.
+    ///
+    /// [`UOp::Jump`]: crate::uops::UOp::Jump
     fn exec_spi_spin(
         &mut self,
         u: &crate::uops::UInsn,
         limit_cycles: u64,
-        max_insns: usize,
-        deltas: &mut Vec<u32>,
+        max_insns: u64,
+        log: &mut CycleLog,
         gie: bool,
     ) -> Option<SegmentStop> {
         let spin_pc = self.regs[PC];
+        let epoch = self.periph.spi_draw_epoch();
+        let completed =
+            |m: &Self| (m.periph.spi_draw_epoch() != epoch).then_some(SegmentStop::Observable);
         loop {
             // --- bit.b #1, &SPISTAT (engine busy: reads 1) ---
-            if self.cycles >= limit_cycles || deltas.len() >= max_insns {
+            if self.cycles >= limit_cycles || log.insns() >= max_insns {
                 return Some(SegmentStop::Budget);
             }
             if !self.periph.spi_busy() {
@@ -568,11 +614,11 @@ impl Mcu {
             }
             // Bulk fast-forward: `k` whole iterations are event-free when
             // the engine stays busy past them (completion is the only
-            // observable), every stepwise budget check inside them passes,
-            // and — under GIE — no enabled timer fire lands inside the
-            // span. The flag write is idempotent, the peripheral
+            // possible change), every stepwise budget check inside them
+            // passes, and — under GIE — no enabled timer fire lands inside
+            // the span. The flag write is idempotent, the peripheral
             // arithmetic is a plain sum, and PC ends back at the spin
-            // head, so one bulk tick plus the same per-instruction deltas
+            // head, so one bulk tick plus one `(poll, jump) × k` log record
             // reproduces the stepwise loop exactly; the boundary
             // iterations then run stepwise below.
             const LPM4_BITS: u16 = FLAG_CPUOFF | FLAG_OSCOFF;
@@ -580,7 +626,7 @@ impl Mcu {
             let per = u64::from(u.cycles) + 2;
             let mut k = (u64::from(self.periph.spi_busy_remaining()) - 1) / per;
             k = k.min(limit_cycles.saturating_sub(self.cycles) / per);
-            k = k.min(((max_insns - deltas.len()) / 2) as u64);
+            k = k.min((max_insns - log.insns()) / 2);
             if gie {
                 if let Some(fire) = self.periph.cycles_until_timer_fire(aclk_alive) {
                     k = k.min(fire.saturating_sub(1) / per);
@@ -593,31 +639,29 @@ impl Mcu {
                 if let Some(irq) = self.periph.tick_bulk(total, aclk_alive) {
                     self.raise(irq);
                 }
-                for _ in 0..k {
-                    deltas.push(u.cycles);
-                    deltas.push(2);
-                }
+                // k < the engine's remaining busy cycles, a u32.
+                log.push_repeated(u.cycles, 2, k as u32);
                 continue;
             }
             self.regs[PC] = u.next_pc;
             self.set_flags_logic(1, true, false);
             self.tick_peripherals(u.cycles);
-            deltas.push(u.cycles);
+            log.push(u.cycles);
             if !self.periph.spi_busy() {
-                return Some(SegmentStop::Observable);
+                return completed(self);
             }
             if gie && self.pending != 0 {
                 return None;
             }
             // --- jnz back to the poll (Z clear: always taken) ---
-            if self.cycles >= limit_cycles || deltas.len() >= max_insns {
+            if self.cycles >= limit_cycles || log.insns() >= max_insns {
                 return Some(SegmentStop::Budget);
             }
             self.regs[PC] = spin_pc;
             self.tick_peripherals(2);
-            deltas.push(2);
+            log.push(2);
             if !self.periph.spi_busy() {
-                return Some(SegmentStop::Observable);
+                return completed(self);
             }
             if gie && self.pending != 0 {
                 return None;

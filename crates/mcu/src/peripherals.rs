@@ -46,6 +46,14 @@ impl Irq {
 pub trait SpiDevice {
     /// Performs one full-duplex byte exchange.
     fn transfer(&mut self, mosi: u8) -> u8;
+
+    /// Performs one exchange and reports whether it changed state the
+    /// board can observe, such as a sensor's supply draw. The MCU advances
+    /// its SPI draw epoch only on `true`. The default cannot tell, so it
+    /// counts every transfer as a change.
+    fn transfer_observed(&mut self, mosi: u8) -> (u8, bool) {
+        (self.transfer(mosi), true)
+    }
 }
 
 /// Blanket impl so closures can serve as simple test devices.
@@ -73,6 +81,9 @@ pub struct Peripherals {
     spi_pending_mosi: Option<u8>,
     spi_ctl: u8,
     spi_ifg: bool,
+    /// Completed transfers the slave reported as board-visible changes
+    /// (wrapping count).
+    spi_draw_epoch: u32,
     timer_ctl: u8,
     timer_ccr0: u16,
     timer_count: u16,
@@ -104,6 +115,7 @@ impl Peripherals {
             spi_pending_mosi: None,
             spi_ctl: 0,
             spi_ifg: false,
+            spi_draw_epoch: 0,
             timer_ctl: 0,
             timer_ccr0: 0,
             timer_count: 0,
@@ -202,7 +214,16 @@ impl Peripherals {
             self.spi_busy_cycles = self.spi_busy_cycles.saturating_sub(cycles);
             if self.spi_busy_cycles == 0 {
                 if let Some(mosi) = self.spi_pending_mosi.take() {
-                    self.spi_rx = self.device.as_mut().map_or(0xFF, |d| d.transfer(mosi));
+                    // With no slave attached the bus floats high and
+                    // nothing on the board changes.
+                    let (rx, changed) = self
+                        .device
+                        .as_mut()
+                        .map_or((0xFF, false), |d| d.transfer_observed(mosi));
+                    self.spi_rx = rx;
+                    if changed {
+                        self.spi_draw_epoch = self.spi_draw_epoch.wrapping_add(1);
+                    }
                 }
                 if self.spi_ctl & 0x08 != 0 {
                     self.spi_ifg = true;
@@ -340,6 +361,13 @@ impl Peripherals {
         self.spi_busy_cycles > 0
     }
 
+    /// The SPI draw epoch: advances once per completed transfer whose
+    /// slave reported a board-visible change
+    /// ([`SpiDevice::transfer_observed`]).
+    pub fn spi_draw_epoch(&self) -> u32 {
+        self.spi_draw_epoch
+    }
+
     /// Clears the SPI transfer-complete flag (read by the ISR).
     pub fn clear_spi_ifg(&mut self) {
         self.spi_ifg = false;
@@ -386,6 +414,37 @@ mod tests {
         assert_eq!(p.tick(8, true), None); // interrupt not enabled
         assert!(!p.spi_busy());
         assert_eq!(p.read(io::SPIRX), 0x42);
+    }
+
+    #[test]
+    fn draw_epoch_counts_reported_changes_only() {
+        struct EvenChanges;
+        impl SpiDevice for EvenChanges {
+            fn transfer(&mut self, mosi: u8) -> u8 {
+                mosi
+            }
+            fn transfer_observed(&mut self, mosi: u8) -> (u8, bool) {
+                (mosi, mosi.is_multiple_of(2))
+            }
+        }
+        let mut p = Peripherals::new();
+        p.write(io::SPITX, 0x01);
+        p.tick(8, true);
+        assert_eq!(p.spi_draw_epoch(), 0, "no slave: nothing changes");
+        p.attach_spi(Box::new(EvenChanges));
+        let mut epoch = 0;
+        for mosi in 1..=4u8 {
+            p.write(io::SPITX, mosi);
+            assert_eq!(p.spi_draw_epoch(), epoch, "a start is not a change");
+            p.tick(8, true);
+            epoch += u32::from(mosi.is_multiple_of(2));
+            assert_eq!(p.spi_draw_epoch(), epoch, "after {mosi:#04x}");
+        }
+        // A closure cannot tell, so every completion counts.
+        p.attach_spi(Box::new(|mosi: u8| mosi));
+        p.write(io::SPITX, 0x01);
+        p.tick(8, true);
+        assert_eq!(p.spi_draw_epoch(), 3);
     }
 
     #[test]

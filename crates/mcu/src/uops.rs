@@ -26,8 +26,10 @@
 //! a process-wide registry deduplicates caches by image content, so a
 //! million-node fleet running 256 distinct firmware variants builds 256
 //! caches, not a million. Self-modifying code is handled in the CPU layer:
-//! any write landing in [`UopCache::covers`] permanently drops that core
-//! back to the interpreter (the shared cache itself is immutable).
+//! any write landing in [`CodeSpan::covers`] permanently drops that core
+//! back to the interpreter (the shared cache itself is immutable). The
+//! CPU keeps a copy of that [`CodeSpan`], so the guard never needs the
+//! shared cache.
 //!
 //! No JIT, no `unsafe`: this is still the same interpreter, minus the
 //! per-execution fetch/decode — behavior (cycles, flags, interrupt points,
@@ -135,6 +137,24 @@ pub(crate) struct UInsn {
     pub spin_spi: bool,
 }
 
+/// The bytes a [`UopCache`] was decoded from. A plain copy of the cache's
+/// bounds, so the CPU can run the self-modifying-code guard without
+/// touching the shared cache.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct CodeSpan {
+    base: u16,
+    len: usize,
+}
+
+impl CodeSpan {
+    /// Whether a write to `addr` can alias bytes any cached instruction
+    /// was decoded from (the self-modifying-code guard's test).
+    #[inline]
+    pub(crate) fn covers(self, addr: u16) -> bool {
+        usize::from(addr.wrapping_sub(self.base)) < self.len
+    }
+}
+
 /// The pre-decoded micro-op table for one image: a PC-indexed slot per
 /// word-aligned address in the covered flash span.
 #[derive(Debug)]
@@ -157,11 +177,12 @@ impl UopCache {
         self.slots.get(usize::from(off >> 1)).copied().flatten()
     }
 
-    /// Whether a write to `addr` can alias bytes any cached instruction
-    /// was decoded from (the self-modifying-code guard's test).
-    #[inline]
-    pub(crate) fn covers(&self, addr: u16) -> bool {
-        usize::from(addr.wrapping_sub(self.base)) < self.slots.len() * 2
+    /// The flash span the table was decoded from.
+    pub(crate) fn span(&self) -> CodeSpan {
+        CodeSpan {
+            base: self.base,
+            len: self.slots.len() * 2,
+        }
     }
 
     /// Number of decoded instructions (diagnostics / tests).
@@ -589,10 +610,11 @@ mod tests {
     #[test]
     fn covers_spans_segments_with_padding() {
         let img = image(".org 0xF000\nmov #1, r4\n");
-        let cache = UopCache::build(&img);
-        assert!(cache.covers(0xF000));
-        assert!(cache.covers(0xF003)); // inside the 4-byte pad
-        assert!(!cache.covers(0xEFFE));
+        let span = UopCache::build(&img).span();
+        assert!(span.covers(0xF000));
+        assert!(span.covers(0xF003)); // inside the 4-byte pad
+        assert!(!span.covers(0xEFFE));
+        assert!(!CodeSpan::default().covers(0x0000), "no image, no span");
     }
 
     #[test]

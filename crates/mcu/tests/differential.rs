@@ -14,7 +14,8 @@
 //! PCs, undecodable words, interrupt storms).
 
 use picocube_mcu::firmware;
-use picocube_mcu::{asm, Image, Irq, Mcu, SegmentStop, StepResult};
+use picocube_mcu::{asm, Image, Irq, Mcu, SegmentStop, SpiDevice, StepResult};
+use picocube_sim::CycleLog;
 use proptest::prelude::*;
 
 /// A decoded/interpreter pair over one image.
@@ -38,6 +39,11 @@ impl Pair {
     fn attach_echo_spi(&mut self) {
         self.dec.attach_spi(Box::new(|mosi: u8| mosi ^ 0xA5));
         self.int.attach_spi(Box::new(|mosi: u8| mosi ^ 0xA5));
+    }
+
+    fn attach_sp12_like_spi(&mut self) {
+        self.dec.attach_spi(Box::new(Sp12Like::default()));
+        self.int.attach_spi(Box::new(Sp12Like::default()));
     }
 
     /// Applies one mirrored stimulus to both cores.
@@ -88,6 +94,47 @@ impl Pair {
         let b = self.int.sleep(cycles);
         assert_eq!(a, b, "step {step}: slept cycle counts diverged");
         self.assert_registers(step);
+    }
+}
+
+/// An SP12-like slave. A conversion command (`0xA0`–`0xA3`) starts a
+/// conversion that reads ready on the sixth status poll (`0xF0`), and
+/// reading the low byte (`0xF2`) ends it. Like the real part behind the
+/// node's bus mux, it reports a draw change exactly where its supply
+/// current moves: at the conversion start and at the low-byte read.
+/// Status polls, the high byte and every other byte change nothing, so
+/// their busy-waits run through the completion without ending a segment.
+#[derive(Debug, Default)]
+struct Sp12Like {
+    converting: bool,
+    polls: u8,
+}
+
+impl SpiDevice for Sp12Like {
+    fn transfer(&mut self, mosi: u8) -> u8 {
+        self.transfer_observed(mosi).0
+    }
+
+    fn transfer_observed(&mut self, mosi: u8) -> (u8, bool) {
+        match mosi {
+            0xA0..=0xA3 => {
+                let changed = !self.converting;
+                self.converting = true;
+                self.polls = 0;
+                (0x00, changed)
+            }
+            0xF0 => {
+                self.polls = self.polls.saturating_add(1);
+                (u8::from(!self.converting || self.polls >= 6), false)
+            }
+            0xF1 => (0x0A, false),
+            0xF2 => {
+                let changed = self.converting;
+                self.converting = false;
+                (0x5C, changed)
+            }
+            other => (other ^ 0xA5, false),
+        }
     }
 }
 
@@ -303,16 +350,16 @@ p2isr:  add #0x10, r8
 
 /// Reference implementation of the [`Mcu::run_segment`] contract written
 /// purely against the public single-step API: step until the budget is
-/// exhausted, an observable (GPIO outputs, SPI activity, operating mode)
-/// changes, or the core reports sleep/fault. `run_segment` documents
-/// itself as exactly this loop — here the claim is checked.
+/// exhausted, an observable (GPIO outputs, the SPI draw epoch, operating
+/// mode) changes, or the core reports sleep/fault. `run_segment`
+/// documents itself as exactly this loop — here the claim is checked.
 fn reference_segment(
     m: &mut Mcu,
     limit_cycles: u64,
     max_insns: usize,
     deltas: &mut Vec<u32>,
 ) -> SegmentStop {
-    let obs = |m: &Mcu| (m.p1_output(), m.p2_output(), m.spi_busy(), m.mode());
+    let obs = |m: &Mcu| (m.p1_output(), m.p2_output(), m.spi_draw_epoch(), m.mode());
     let base = obs(m);
     loop {
         if m.cycles() >= limit_cycles || deltas.len() >= max_insns {
@@ -336,48 +383,101 @@ fn run_segment_matches_single_stepping() {
     // The decoded core runs whole segments (block streaming plus the fused
     // SPI spin); the interpreter core single-steps through the reference
     // loop above. Ragged cycle/instruction budgets force segment splits at
-    // awkward points — including mid-spin — and every stop reason, delta
-    // list, register file, and memory image must agree.
+    // awkward points — including mid-spin — and every stop reason, expanded
+    // cycle log, register file, and memory image must agree. The echo slave
+    // reports every completion as a change; the SP12-like one only some, so
+    // spins also run through completions inside a segment.
     let images: Vec<(&str, Image)> = vec![
         ("tpms", firmware::tpms_app(0x42).expect("tpms builds")),
         ("beacon", firmware::beacon_app(3, 2).expect("beacon builds")),
         ("motion", firmware::motion_app(7).expect("motion builds")),
     ];
     for (name, image) in &images {
-        let mut pair = Pair::boot(image);
-        pair.attach_echo_spi();
-        let (mut da, mut db) = (Vec::new(), Vec::new());
-        for seg in 0..4_000usize {
-            let limit = pair.dec.cycles() + 23 + (seg % 977) as u64;
-            let max_insns = 1 + seg % 63;
-            da.clear();
-            db.clear();
-            let a = pair.dec.run_segment(limit, max_insns, &mut da);
-            let b = reference_segment(&mut pair.int, limit, max_insns, &mut db);
-            assert_eq!(a, b, "{name} segment {seg}: stop reasons diverged");
-            assert_eq!(da, db, "{name} segment {seg}: cycle deltas diverged");
-            pair.assert_registers(seg);
-            if let SegmentStop::Sleeping(_) = a {
-                pair.sleep(997, seg);
-                if seg % 5 == 0 {
-                    pair.both(|m| {
-                        m.drive_p1(0, false);
-                        m.drive_p1(0, true);
-                    });
+        for sp12_like in [false, true] {
+            let mut pair = Pair::boot(image);
+            if sp12_like {
+                pair.attach_sp12_like_spi();
+            } else {
+                pair.attach_echo_spi();
+            }
+            let mut log = CycleLog::new();
+            let mut db = Vec::new();
+            let mut spun = 0;
+            for seg in 0..4_000usize {
+                let limit = pair.dec.cycles() + 23 + (seg % 977) as u64;
+                let max_insns = 1 + seg % 63;
+                log.clear();
+                db.clear();
+                let a = pair.dec.run_segment(limit, max_insns as u64, &mut log);
+                let b = reference_segment(&mut pair.int, limit, max_insns, &mut db);
+                let da: Vec<u32> = log.iter_insns().collect();
+                assert_eq!(a, b, "{name} segment {seg}: stop reasons diverged");
+                assert_eq!(da, db, "{name} segment {seg}: cycle logs diverged");
+                assert_eq!(log.insns(), db.len() as u64);
+                spun += log.runs().len();
+                pair.assert_registers(seg);
+                assert_eq!(pair.dec.spi_draw_epoch(), pair.int.spi_draw_epoch());
+                if let SegmentStop::Sleeping(_) = a {
+                    pair.sleep(997, seg);
+                    if seg % 5 == 0 {
+                        pair.both(|m| {
+                            m.drive_p1(0, false);
+                            m.drive_p1(0, true);
+                        });
+                    }
+                    if seg % 11 == 0 {
+                        pair.both(|m| {
+                            m.drive_p2(1, false);
+                            m.drive_p2(1, true);
+                        });
+                    }
                 }
-                if seg % 11 == 0 {
-                    pair.both(|m| {
-                        m.drive_p2(1, false);
-                        m.drive_p2(1, true);
-                    });
+                if seg % 64 == 0 {
+                    pair.both(|m| m.drive_p1(0, false));
                 }
             }
-            if seg % 64 == 0 {
-                pair.both(|m| m.drive_p1(0, false));
+            assert!(spun > 0, "{name}: no busy-wait was logged as a run");
+            pair.assert_memory("after segments");
+        }
+    }
+}
+
+#[test]
+fn tpms_wake_burst_runs_in_at_most_20_segments() {
+    // One wake of the TPMS firmware: four SP12 conversions (start, six
+    // status polls, two reads each) and a 13-byte frame to the radio. Only
+    // a conversion start, a low-byte read, the chip select, the radio
+    // power pins and the mode ends a segment; status polls and frame bytes
+    // run on through their completions.
+    let image = firmware::tpms_app(0x42).expect("tpms builds");
+    let mut mcu = Mcu::new();
+    mcu.load(&image);
+    mcu.reset();
+    mcu.attach_spi(Box::new(Sp12Like::default()));
+    let mut log = CycleLog::new();
+    let mut run_to_sleep = |mcu: &mut Mcu| {
+        let (mut segments, mut insns) = (0, 0);
+        loop {
+            log.clear();
+            let stop = mcu.run_segment(u64::MAX, u64::MAX, &mut log);
+            segments += 1;
+            insns += log.insns();
+            match stop {
+                SegmentStop::Sleeping(_) => return (segments, insns),
+                SegmentStop::Observable => {}
+                other => panic!("wake burst stopped on {other:?}"),
             }
         }
-        pair.assert_memory("after segments");
-    }
+    };
+    run_to_sleep(&mut mcu);
+    mcu.drive_p1(0, false);
+    mcu.drive_p1(0, true); // the SP12's wake line
+    let (segments, insns) = run_to_sleep(&mut mcu);
+    assert!(insns > 1_000, "the burst ran only {insns} instructions");
+    assert!(
+        segments <= 20,
+        "a TPMS wake took {segments} segments for {insns} instructions"
+    );
 }
 
 /// Strategy for one random instruction covering every addressing-mode

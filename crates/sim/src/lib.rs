@@ -38,12 +38,15 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod cycles;
+mod exact;
 mod power;
 mod queue;
 mod rng;
 mod time;
 mod trace;
 
+pub use cycles::{CycleLog, CycleRun};
 pub use power::{LedgerError, LoadId, PowerLedger, PowerReport, RailId, RailReport, SleepBatch};
 pub use queue::{EventQueue, QueueStats};
 pub use rng::SimRng;

@@ -8,6 +8,8 @@
 //! energies, which is what the paper's Fig. 6 profile and §6 power budget
 //! measure on the bench.
 
+use crate::cycles::{CycleLog, CycleRun};
+use crate::exact::repeat_add;
 use crate::{SimDuration, SimTime};
 use picocube_units::json::{field, FromJson, Json, JsonError, ToJson};
 use picocube_units::{Amps, Joules, Seconds, Volts, Watts};
@@ -106,13 +108,14 @@ pub struct PowerLedger {
     /// bit-identical to walking every load.
     hot: Vec<(usize, usize)>,
     hot_dirty: bool,
-    /// Scratch reused by [`advance_deltas`](Self::advance_deltas): the
-    /// per-hot-load × per-cycle-count energy-delta table and the per-load
-    /// energy accumulators. Pure caches — their contents never outlive one
-    /// call.
+    /// Scratch reused by [`advance_log`](Self::advance_log): the
+    /// per-hot-load × per-cycle-count energy-delta table, the per-load
+    /// energy accumulators and one repeated record's addend pattern. Pure
+    /// caches — their contents never outlive one call.
     scratch_table: Vec<f64>,
     scratch_energy: Vec<f64>,
     scratch_watts: Vec<Watts>,
+    scratch_pattern: Vec<f64>,
     /// Rows currently built in `scratch_table` (cycle counts `0..rows`).
     table_rows: usize,
     /// `draw_gen` value the table was built at; a mismatch means some
@@ -135,6 +138,7 @@ impl PowerLedger {
             scratch_table: Vec::new(),
             scratch_energy: Vec::new(),
             scratch_watts: Vec::new(),
+            scratch_pattern: Vec::new(),
             table_rows: 0,
             table_gen: 0,
             draw_gen: 1,
@@ -302,26 +306,45 @@ impl PowerLedger {
         self.hot_dirty = false;
     }
 
-    /// Integrates a run of per-instruction advances in one pass,
-    /// bit-identically to calling [`advance_to`](Self::advance_to) once
-    /// after each instruction with that instruction's cycle cost
-    /// (1 µs per cycle).
+    /// Integrates one MCU segment's run-length cycle log, bit-identically
+    /// to calling [`advance_to`](Self::advance_to) once after each
+    /// instruction with that instruction's cycle cost (1 µs per cycle).
     ///
-    /// Voltages and currents cannot change between instructions of a run
-    /// (nothing else executes), so each load contributes
+    /// Voltages and currents cannot change between instructions of a
+    /// segment (nothing else executes), so each load contributes
     /// `watts * dt(cycles)` per instruction, where `watts = voltage *
     /// current` is exactly the first product `advance_to`'s left-to-right
     /// `voltage * current * dt` forms. Instruction costs are tiny integers
     /// (1–6 cycles), so each product takes only a handful of distinct
     /// values per load: they are computed once into a table and replayed,
     /// which preserves the exact f64 value of every per-instruction add —
-    /// same operands, same operation, same accumulation order.
+    /// same operands, same operation, same accumulation order. A record
+    /// repeated `k` times is replayed in closed form (see `exact.rs`),
+    /// again bit-identically, both for each load's energy and for the
+    /// independently accumulated grand total. An empty log is a no-op.
+    pub fn advance_log(&mut self, log: &CycleLog) {
+        self.replay(&log.costs, &log.runs);
+    }
+
+    /// [`advance_log`](Self::advance_log) over a plain list of
+    /// per-instruction cycle costs (a log without repeated records).
     pub fn advance_deltas(&mut self, deltas: &[u32]) {
-        let Some(max) = deltas.iter().copied().max() else {
+        self.replay(deltas, &[]);
+    }
+
+    /// The replay loop of [`advance_log`](Self::advance_log): `costs` are
+    /// single instructions, and each of `runs` sits before `costs[run.at]`.
+    fn replay(&mut self, costs: &[u32], runs: &[CycleRun]) {
+        let run_max = runs.iter().flat_map(|run| run.pattern).max();
+        let Some(max) = costs.iter().copied().max().max(run_max) else {
             return;
         };
-        let nanos: u64 = deltas.iter().map(|&d| u64::from(d) * 1_000).sum();
-        let end = SimTime::from_nanos(self.now.as_nanos() + nanos);
+        let mut cycles: u64 = costs.iter().map(|&c| u64::from(c)).sum();
+        for run in runs {
+            let [first, second] = run.pattern.map(u64::from);
+            cycles += (first + second) * u64::from(run.reps);
+        }
+        let end = SimTime::from_nanos(self.now.as_nanos() + cycles * 1_000);
         if self.hot_dirty {
             self.rebuild_hot();
         }
@@ -329,6 +352,7 @@ impl PowerLedger {
         let mut table = core::mem::take(&mut self.scratch_table);
         let mut energy = core::mem::take(&mut self.scratch_energy);
         let mut watts_row = core::mem::take(&mut self.scratch_watts);
+        let mut pattern = core::mem::take(&mut self.scratch_pattern);
         energy.clear();
         for &(ri, li) in &self.hot {
             let Some(rail) = self.rails.get(ri) else {
@@ -370,23 +394,16 @@ impl PowerLedger {
             self.table_rows = rows;
             self.table_gen = self.draw_gen;
         }
-        let n = energy.len();
         let mut total = self.integrated_total.value();
-        for &d in deltas {
-            if d == 0 {
-                continue; // advance_to's `dt > 0` gate
-            }
-            // In-bounds by construction: `d <= max` so the slice ends at
-            // or before `stride * n`, the table's length.
-            let base = d as usize * n;
-            let Some(row) = table.get(base..base + n) else {
-                continue;
-            };
-            for (e, &delta) in energy.iter_mut().zip(row) {
-                *e += delta;
-                total += delta;
-            }
+        let mut done = 0;
+        for run in runs {
+            let before = costs.get(done..run.at).unwrap_or_default();
+            total = add_singles(before, &table, &mut energy, total);
+            done = run.at;
+            total = add_run(run, &table, &mut energy, total, &mut pattern);
         }
+        let rest = costs.get(done..).unwrap_or_default();
+        total = add_singles(rest, &table, &mut energy, total);
         for (&(ri, li), &e) in self.hot.iter().zip(&energy) {
             if let Some(load) = self.rails.get_mut(ri).and_then(|r| r.loads.get_mut(li)) {
                 load.energy = Joules::new(e);
@@ -397,6 +414,7 @@ impl PowerLedger {
         self.scratch_table = table;
         self.scratch_energy = energy;
         self.scratch_watts = watts_row;
+        self.scratch_pattern = pattern;
         self.debug_check_balance();
     }
 
@@ -599,6 +617,58 @@ impl PowerLedger {
                 .collect(),
         }
     }
+}
+
+/// Replays single instructions of a cycle log: for each cost `c`, adds
+/// row `c` of the delta-major product `table` to the per-load `energy`
+/// accumulators and to the grand total, which it returns.
+#[inline]
+fn add_singles(costs: &[u32], table: &[f64], energy: &mut [f64], mut total: f64) -> f64 {
+    let n = energy.len();
+    for &c in costs {
+        if c == 0 {
+            continue; // advance_to's `dt > 0` gate
+        }
+        // In-bounds by construction: every cost is at most the largest
+        // the table was built for, so a row ends within the table.
+        let base = c as usize * n;
+        let Some(row) = table.get(base..base + n) else {
+            continue;
+        };
+        for (e, &delta) in energy.iter_mut().zip(row) {
+            *e += delta;
+            total += delta;
+        }
+    }
+    total
+}
+
+/// Replays one repeated record of a cycle log in closed form (see
+/// `exact.rs`): each load adds its own delta once per instruction, and
+/// the grand total adds every load's, in hot-list order. Returns the
+/// grand total; `pattern` is scratch.
+#[inline(never)]
+fn add_run(
+    run: &CycleRun,
+    table: &[f64],
+    energy: &mut [f64],
+    total: f64,
+    pattern: &mut Vec<f64>,
+) -> f64 {
+    let n = energy.len();
+    let row = |c: u32| table.get(c as usize * n..(c as usize + 1) * n);
+    let reps = u64::from(run.reps);
+    let costs = run.pattern.iter().copied().filter(|&c| c != 0);
+    for (i, e) in energy.iter_mut().enumerate() {
+        pattern.clear();
+        pattern.extend(costs.clone().filter_map(|c| row(c)?.get(i).copied()));
+        *e = repeat_add(*e, pattern, reps);
+    }
+    pattern.clear();
+    for c in costs {
+        pattern.extend_from_slice(row(c).unwrap_or_default());
+    }
+    repeat_add(total, pattern, reps)
 }
 
 impl Default for PowerLedger {
@@ -881,6 +951,75 @@ mod tests {
         ledger.set_load_current(b, Amps::new(7.7e-6 / 9.0)).unwrap();
         ledger.set_load_current(z, Amps::ZERO).unwrap();
         (ledger, a, b)
+    }
+
+    /// Every load's energy, the grand total and the clock, as raw bits.
+    fn ledger_bits(ledger: &PowerLedger) -> (Vec<u64>, u64, SimTime) {
+        let loads = ledger
+            .rails
+            .iter()
+            .flat_map(|r| r.loads.iter())
+            .map(|l| l.energy.value().to_bits())
+            .collect();
+        (
+            loads,
+            ledger.integrated_total.value().to_bits(),
+            ledger.now(),
+        )
+    }
+
+    #[test]
+    fn run_log_replay_matches_per_instruction_advance_to() {
+        // Random segments of single instructions and repeated
+        // (poll, jump) records, with draw changes between segments (the
+        // first ones from all-zero energies), replayed three ways: the
+        // run log, its expansion through `advance_deltas`, and one
+        // `advance_to` per instruction. All must agree bit for bit.
+        let mut rng = crate::SimRng::seed_from(0x10c_1e55);
+        let (mut logged, a, b) = odd_ledger(1.0);
+        let mut expanded = logged.clone();
+        let mut stepped = logged.clone();
+        let mut log = CycleLog::new();
+        for segment in 0..200 {
+            if segment % 7 == 0 {
+                let scale = 0.5 + rng.uniform(0.0, 2.0);
+                for ledger in [&mut logged, &mut expanded, &mut stepped] {
+                    ledger
+                        .set_load_current(a, Amps::new(1.0e-3 / 3.0 * scale))
+                        .unwrap();
+                    ledger
+                        .set_load_current(b, Amps::new(scale * 1.0e-4))
+                        .unwrap();
+                }
+            }
+            log.clear();
+            for _ in 0..rng.index(12) {
+                if rng.bernoulli(0.3) {
+                    let longest = if rng.bernoulli(0.1) { 5_000 } else { 300 };
+                    let reps = 1 + rng.index(longest);
+                    log.push_repeated(1 + rng.index(6) as u32, 2, reps as u32);
+                } else {
+                    log.push(1 + rng.index(6) as u32);
+                }
+            }
+            logged.advance_log(&log);
+            let deltas: Vec<u32> = log.iter_insns().collect();
+            expanded.advance_deltas(&deltas);
+            for c in deltas {
+                let t = stepped.now() + SimDuration::from_micros(u64::from(c));
+                stepped.advance_to(t);
+            }
+            assert_eq!(
+                ledger_bits(&logged),
+                ledger_bits(&stepped),
+                "segment {segment}"
+            );
+            assert_eq!(
+                ledger_bits(&expanded),
+                ledger_bits(&stepped),
+                "segment {segment}"
+            );
+        }
     }
 
     #[test]
