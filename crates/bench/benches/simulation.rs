@@ -3,8 +3,8 @@
 //! are visible. Run with `cargo bench -p picocube-bench --bench simulation`.
 
 use picocube_bench::timing::bench;
-use picocube_mcu::{asm, Mcu, StepResult};
-use picocube_node::{NodeConfig, PicoCube};
+use picocube_mcu::{asm, FloatingBus, Mcu, StepResult};
+use picocube_node::{AppBoard, NodeConfig, StackBuilder};
 use picocube_power::sc::ScConverter;
 use picocube_radio::{Channel, Link, PatchAntenna};
 use picocube_sim::{EventQueue, SimDuration, SimRng, SimTime};
@@ -40,7 +40,7 @@ inner:  dec r4
     bench("mcu/emulator_100k_instructions", 10, || {
         mcu.reset();
         for _ in 0..100_000 {
-            match mcu.step() {
+            match mcu.step(&mut FloatingBus) {
                 StepResult::Ran { .. } => {}
                 other => panic!("unexpected {other:?}"),
             }
@@ -85,7 +85,10 @@ fn bench_channel() {
 
 fn bench_full_node() {
     bench("node/tpms_node_60_simulated_seconds", 3, || {
-        let mut node = PicoCube::tpms(NodeConfig::default()).unwrap();
+        let mut node = StackBuilder::new(NodeConfig::default())
+            .app(AppBoard::Tpms)
+            .build()
+            .unwrap();
         node.run_for(SimDuration::from_secs(60));
         node.report().wakes
     });

@@ -2,7 +2,7 @@
 //! depending on orientation of the antenna."
 
 use picocube_bench::{banner, bar};
-use picocube_node::{DemoStation, HarvesterKind, NodeConfig, PicoCube};
+use picocube_node::{AppBoard, DemoStation, HarvesterKind, NodeConfig, StackBuilder};
 use picocube_radio::packet::{encode, Checksum};
 use picocube_radio::{Channel, Link, PatchAntenna, SuperRegenReceiver};
 use picocube_sensors::MotionScenario;
@@ -75,8 +75,12 @@ fn main() {
         harvester: HarvesterKind::Bicycle,
         ..NodeConfig::default()
     };
-    let mut node =
-        PicoCube::motion(config, MotionScenario::retreat_table(2007)).expect("node builds");
+    let mut node = StackBuilder::new(config)
+        .app(AppBoard::Motion {
+            scenario: MotionScenario::retreat_table(2007),
+        })
+        .build()
+        .expect("node builds");
     node.run_for(SimDuration::from_secs(90));
     let mut station = DemoStation::demo_table(2007);
     let packets = node.packets();

@@ -3,7 +3,7 @@
 //! deployment."
 
 use picocube_bench::{banner, fmt_power};
-use picocube_node::{node_class_table, NodeConfig, PicoCube};
+use picocube_node::{node_class_table, AppBoard, NodeConfig, StackBuilder};
 use picocube_sim::SimDuration;
 use picocube_units::{CubicMillimeters, Seconds};
 
@@ -15,7 +15,10 @@ fn main() {
     );
 
     // Measure the PicoCube (don't just quote it).
-    let mut node = PicoCube::tpms(NodeConfig::default()).expect("node builds");
+    let mut node = StackBuilder::new(NodeConfig::default())
+        .app(AppBoard::Tpms)
+        .build()
+        .expect("node builds");
     node.run_for(SimDuration::from_secs(120));
     let cube_avg = node.report().average_power;
 

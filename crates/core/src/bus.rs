@@ -1,14 +1,12 @@
 //! The 18-signal bus: SPI multiplexing between sensor and radio, and the
 //! radio front-end that turns firmware SPI writes into on-air packets.
 
+use crate::stack::SensorBoard;
 use picocube_mcu::firmware::{PIN_RADIO_PA, PIN_RADIO_SPI, PIN_SENSOR_CS};
 use picocube_mcu::SpiDevice;
 use picocube_radio::packet::{self, Checksum};
 use picocube_radio::{OokTransmitter, Transmission};
-use picocube_sensors::{Sca3000, Sp12};
 use picocube_sim::{SimDuration, SimTime};
-use std::cell::{Cell, RefCell};
-use std::rc::Rc;
 
 /// A packet the node put on the air, with its RF accounting.
 #[derive(Debug, Clone, PartialEq)]
@@ -190,39 +188,21 @@ impl RadioFrontend {
     }
 }
 
-/// The sensor plugged into the bus.
-#[derive(Debug)]
-pub enum BusSensor {
-    /// SP12 TPMS board.
-    Sp12(Rc<RefCell<Sp12>>),
-    /// SCA3000 accelerometer board.
-    Sca3000(Rc<RefCell<Sca3000>>),
-}
-
 /// Routes the MCU's SPI transfers by the same GPIO lines the firmware
 /// drives: sensor when its chip select is high, radio when the radio SPI
-/// power is on.
-pub struct BusMux {
-    /// P1 output pins, mirrored from the MCU by the node after every step.
-    pub(crate) p1: Rc<Cell<u8>>,
-    /// P2 output pins, mirrored likewise.
-    pub(crate) p2: Rc<Cell<u8>>,
-    pub(crate) sensor: BusSensor,
-    pub(crate) radio: Rc<RefCell<RadioFrontend>>,
+/// power is on. The stack lends one to each MCU call, borrowing the
+/// sensor board and the radio front end from itself.
+pub(crate) struct BusMux<'a> {
+    /// P1 output pins when the MCU call began (a segment ends at the first
+    /// pin change).
+    pub(crate) p1: u8,
+    /// P2 output pins, likewise.
+    pub(crate) p2: u8,
+    pub(crate) sensor: &'a mut SensorBoard,
+    pub(crate) radio: &'a mut RadioFrontend,
 }
 
-impl core::fmt::Debug for BusMux {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(
-            f,
-            "BusMux(p1={:#04x}, p2={:#04x})",
-            self.p1.get(),
-            self.p2.get()
-        )
-    }
-}
-
-impl SpiDevice for BusMux {
+impl SpiDevice for BusMux<'_> {
     fn transfer(&mut self, mosi: u8) -> u8 {
         self.transfer_observed(mosi).0
     }
@@ -232,23 +212,10 @@ impl SpiDevice for BusMux {
     /// fill the frame buffer, which no draw depends on, and an unselected
     /// transfer touches nothing.
     fn transfer_observed(&mut self, mosi: u8) -> (u8, bool) {
-        if self.p2.get() & PIN_SENSOR_CS != 0 {
-            match &self.sensor {
-                BusSensor::Sp12(s) => {
-                    let mut s = s.borrow_mut();
-                    let before = s.current_draw();
-                    let miso = s.spi(mosi);
-                    (miso, s.current_draw() != before)
-                }
-                BusSensor::Sca3000(s) => {
-                    let mut s = s.borrow_mut();
-                    let before = s.current_draw();
-                    let miso = s.spi(mosi);
-                    (miso, s.current_draw() != before)
-                }
-            }
-        } else if self.p1.get() & PIN_RADIO_SPI != 0 {
-            self.radio.borrow_mut().feed(mosi);
+        if self.p2 & PIN_SENSOR_CS != 0 {
+            self.sensor.transfer_observed(mosi)
+        } else if self.p1 & PIN_RADIO_SPI != 0 {
+            self.radio.feed(mosi);
             (0x00, false)
         } else {
             // Nothing selected: the bus floats high.
@@ -265,93 +232,85 @@ pub(crate) fn pa_enabled(p1: u8) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use picocube_sensors::TireSample;
+    use picocube_sensors::{MotionScenario, Sp12, TireEnvironment};
 
-    type MuxParts = (
-        BusMux,
-        Rc<Cell<u8>>,
-        Rc<Cell<u8>>,
-        Rc<RefCell<RadioFrontend>>,
-    );
+    /// The boards a test mux borrows: an SP12 board and a radio.
+    struct Boards {
+        sensor: SensorBoard,
+        radio: RadioFrontend,
+    }
 
-    fn mux_with_sp12() -> MuxParts {
-        let p1 = Rc::new(Cell::new(0u8));
-        let p2 = Rc::new(Cell::new(0u8));
-        let sp12 = Rc::new(RefCell::new(Sp12::new()));
-        sp12.borrow_mut().set_sample(TireSample::parked());
-        let radio = Rc::new(RefCell::new(RadioFrontend::new(OokTransmitter::picocube())));
-        let mux = BusMux {
-            p1: p1.clone(),
-            p2: p2.clone(),
-            sensor: BusSensor::Sp12(sp12),
-            radio: radio.clone(),
-        };
-        (mux, p1, p2, radio)
+    impl Boards {
+        fn new() -> Self {
+            let env = TireEnvironment::passenger_car(picocube_harvest::DriveCycle::parked());
+            Self {
+                sensor: SensorBoard::sp12(Sp12::new(), env, SimTime::ZERO, 1.0),
+                radio: RadioFrontend::new(OokTransmitter::picocube()),
+            }
+        }
+
+        fn mux(&mut self, p1: u8, p2: u8) -> BusMux<'_> {
+            BusMux {
+                p1,
+                p2,
+                sensor: &mut self.sensor,
+                radio: &mut self.radio,
+            }
+        }
     }
 
     #[test]
     fn routes_to_sensor_when_selected() {
-        let (mut mux, _p1, p2, _) = mux_with_sp12();
-        p2.set(PIN_SENSOR_CS);
         // Idle status read: SP12 answers ready.
-        assert_eq!(mux.transfer(0xF0) & 1, 1);
+        assert_eq!(Boards::new().mux(0, PIN_SENSOR_CS).transfer(0xF0) & 1, 1);
     }
 
     #[test]
     fn routes_to_radio_when_powered() {
-        let (mut mux, p1, _p2, radio) = mux_with_sp12();
-        p1.set(PIN_RADIO_SPI);
+        let mut boards = Boards::new();
+        let mut mux = boards.mux(PIN_RADIO_SPI, 0);
         mux.transfer(0xAA);
         mux.transfer(0xD3);
-        assert!(radio.borrow().window_open());
+        assert!(boards.radio.window_open());
     }
 
     #[test]
     fn floats_high_when_nothing_selected() {
-        let (mut mux, ..) = mux_with_sp12();
-        assert_eq!(mux.transfer(0x55), 0xFF);
+        assert_eq!(Boards::new().mux(0, 0).transfer(0x55), 0xFF);
     }
 
     #[test]
     fn sensor_wins_over_radio() {
         // Firmware never enables both, but the mux must be deterministic.
-        let (mut mux, p1, p2, radio) = mux_with_sp12();
-        p1.set(PIN_RADIO_SPI);
-        p2.set(PIN_SENSOR_CS);
-        mux.transfer(0xF0);
-        assert!(!radio.borrow().window_open());
+        let mut boards = Boards::new();
+        boards.mux(PIN_RADIO_SPI, PIN_SENSOR_CS).transfer(0xF0);
+        assert!(!boards.radio.window_open());
     }
 
     #[test]
     fn only_sensor_draw_changes_are_reported() {
-        let (mut mux, p1, p2, radio) = mux_with_sp12();
-        p2.set(PIN_SENSOR_CS);
+        let mut boards = Boards::new();
+        let mut sensor = boards.mux(0, PIN_SENSOR_CS);
         // Starting a conversion switches the SP12's analog bias on.
-        assert_eq!(mux.transfer_observed(0xA0), (0x00, true), "convert");
+        assert_eq!(sensor.transfer_observed(0xA0), (0x00, true), "convert");
         // Polling status and reading the high byte leave it on.
-        assert!(!mux.transfer_observed(0xF0).1, "status poll");
-        assert!(!mux.transfer_observed(0xF1).1, "read-hi");
+        assert!(!sensor.transfer_observed(0xF0).1, "status poll");
+        assert!(!sensor.transfer_observed(0xF1).1, "read-hi");
         // Reading the low byte ends the conversion.
-        assert!(mux.transfer_observed(0xF2).1, "read-lo");
-        assert!(!mux.transfer_observed(0xF2).1, "read-lo while idle");
+        assert!(sensor.transfer_observed(0xF2).1, "read-lo");
+        assert!(!sensor.transfer_observed(0xF2).1, "read-lo while idle");
         // Radio bytes only fill the frame buffer, even a convert byte.
-        p2.set(0);
-        p1.set(PIN_RADIO_SPI);
-        assert_eq!(mux.transfer_observed(0xA1), (0x00, false), "radio byte");
-        assert!(radio.borrow().window_open());
+        let radio_byte = boards.mux(PIN_RADIO_SPI, 0).transfer_observed(0xA1);
+        assert_eq!(radio_byte, (0x00, false), "radio byte");
+        assert!(boards.radio.window_open());
         // Nothing selected: nothing changes.
-        p1.set(0);
-        assert_eq!(mux.transfer_observed(0xA2), (0xFF, false), "unselected");
+        let floating = boards.mux(0, 0).transfer_observed(0xA2);
+        assert_eq!(floating, (0xFF, false), "unselected");
         // An SCA3000 read never moves the part's draw.
-        let mut sca = BusMux {
-            p1: p1.clone(),
-            p2: p2.clone(),
-            sensor: BusSensor::Sca3000(Rc::new(RefCell::new(Sca3000::new()))),
-            radio: radio.clone(),
-        };
-        p2.set(PIN_SENSOR_CS);
-        assert!(!sca.transfer_observed(0x10).1, "axis read");
-        assert!(!sca.transfer_observed(0xF2).1, "axis read-lo");
+        boards.sensor = SensorBoard::sca3000(MotionScenario::retreat_table(1));
+        let mut sca3000 = boards.mux(0, PIN_SENSOR_CS);
+        assert!(!sca3000.transfer_observed(0x10).1, "axis read");
+        assert!(!sca3000.transfer_observed(0xF2).1, "axis read-lo");
     }
 
     #[test]

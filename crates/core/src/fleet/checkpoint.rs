@@ -30,7 +30,8 @@ use super::{
     build_fleet_node, derive_node_config, finalize_fleet, probe_build, stream_nodes, FleetApp,
     FleetConfig, FleetConfigError, FleetOutcome,
 };
-use crate::node::{BuildError, NodeConfig, PicoCube};
+use crate::node::{BuildError, NodeConfig};
+use crate::stack::Stack;
 use picocube_sim::{SimDuration, SimTime};
 use picocube_telemetry::{Event, Metrics, Recorder, TelemetryBuffer};
 use picocube_units::json::{field, FromJson, Json, JsonError, ToJson};
@@ -402,7 +403,7 @@ impl StackCheckpoint {
     /// Rebuilds the stack and replays it to the cut. The returned node is
     /// ready for `run_for(remaining)`; determinism makes the replayed
     /// prefix bit-identical to the original run's.
-    pub fn resume(&self) -> Result<PicoCube, CheckpointError> {
+    pub fn resume(&self) -> Result<Stack, CheckpointError> {
         let mut node =
             build_fleet_node(self.config.clone(), self.app).map_err(CheckpointError::Build)?;
         node.set_event_recording(self.record_events);

@@ -53,8 +53,8 @@ pub use checkpoint::{
 };
 
 use crate::bus::TransmittedPacket;
-use crate::node::{BuildError, NodeConfig, PicoCube};
-use crate::stack::{AppBoard, NodeFault, StackBuilder};
+use crate::node::{BuildError, NodeConfig};
+use crate::stack::{AppBoard, NodeFault, Stack, StackBuilder};
 use accumulator::{FleetAccumulator, NodeYield, PacketRecord};
 use picocube_radio::{Channel, Link, PatchAntenna, SuperRegenReceiver};
 use picocube_sensors::MotionScenario;
@@ -206,7 +206,7 @@ impl FleetApp {
 /// Builds one fleet/mesh node's stack: the per-node config (already
 /// specialized with its identity and seed stream) under the configured
 /// application board.
-pub(crate) fn build_fleet_node(config: NodeConfig, app: FleetApp) -> Result<PicoCube, BuildError> {
+pub(crate) fn build_fleet_node(config: NodeConfig, app: FleetApp) -> Result<Stack, BuildError> {
     let seed = config.seed;
     StackBuilder::new(config).app(app.board(seed)).build()
 }
@@ -516,6 +516,7 @@ const _: () = {
     assert_send::<NodeOnAir>();
     assert_send::<FleetConfig>();
     assert_send::<FleetOutcome>();
+    assert_send::<Stack>();
 };
 
 /// Seed-derivation domains (see `DESIGN.md`): node `i` draws its firmware
@@ -829,47 +830,6 @@ fn stream_nodes(config: &FleetConfig, acc: &mut FleetAccumulator, upto: usize) -
         chunks,
         claims,
     }
-}
-
-/// The pre-work-stealing phase-1 scheduler: contiguous static shards,
-/// thread `t` simulating nodes `[bounds[t], bounds[t+1])`. Kept as the
-/// differential reference for the scheduler bit-identity tests.
-#[cfg(test)]
-fn simulate_static_shards(
-    config: &FleetConfig,
-    workers: usize,
-    record_events: bool,
-) -> Vec<NodeOnAir> {
-    let workers = workers.min(config.nodes).max(1);
-    let per = config.nodes / workers;
-    let extra = config.nodes % workers;
-    let mut shards = Vec::with_capacity(workers);
-    let mut lo = 0usize;
-    for t in 0..workers {
-        let hi = lo + per + usize::from(t < extra);
-        shards.push((lo, hi));
-        lo = hi;
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .into_iter()
-            .map(|(lo, hi)| {
-                scope.spawn(move || {
-                    (lo..hi)
-                        .map(|i| simulate_node_instrumented(config, i, record_events))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        let mut all = Vec::with_capacity(config.nodes);
-        for handle in handles {
-            match handle.join() {
-                Ok(shard) => all.extend(shard),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        all
-    })
 }
 
 /// Phase 2: merges per-node packet lists, applies collision/capture and the
@@ -1604,8 +1564,9 @@ mod tests {
         // recharges past the restart threshold (~2 h), then runs actively
         // for the remainder. Brown-out holds make per-node cost wildly
         // uneven in time — the load shape the work-stealing scheduler
-        // exists for — and the three phase-1 schedulers must still be
-        // bit-identical in outcome AND telemetry.
+        // exists for — and every worker count must still match the serial
+        // run and the per-node reference bit for bit, in outcome AND
+        // telemetry.
         let config = |parallelism| FleetConfig {
             nodes: 6,
             base: NodeConfig {
@@ -1640,20 +1601,25 @@ mod tests {
             );
         }
 
-        // The pre-work-stealing static-shard scheduler, replayed through
-        // the same merge path, is the third reference.
+        // The per-node reference — `simulate_node_instrumented` over every
+        // index, then one merge — is the scheduler-free reference.
         let cfg = config(Parallelism::Serial);
-        let mut nodes = simulate_static_shards(&cfg, 3, false);
+        let mut nodes: Vec<NodeOnAir> = (0..cfg.nodes)
+            .map(|i| simulate_node_instrumented(&cfg, i, false))
+            .collect();
         let mut telemetry = TelemetryBuffer::new();
         for node in &mut nodes {
             telemetry.absorb(std::mem::take(&mut node.telemetry));
         }
-        let static_out = merge_fleet_impl(&cfg, nodes, &mut telemetry);
-        assert_eq!(static_out, serial_out, "static shards: outcome diverged");
+        let reference_out = merge_fleet_impl(&cfg, nodes, &mut telemetry);
+        assert_eq!(
+            reference_out, serial_out,
+            "per-node reference: outcome diverged"
+        );
         assert_eq!(
             telemetry.metrics.to_json().to_string(),
             serial_json,
-            "static shards: metric registries diverged"
+            "per-node reference: metric registries diverged"
         );
     }
 

@@ -14,10 +14,12 @@
 //! # Examples
 //!
 //! ```
-//! use picocube_node::{NodeConfig, PicoCube};
+//! use picocube_node::{AppBoard, NodeConfig, StackBuilder};
 //! use picocube_sim::SimDuration;
 //!
-//! let mut node = PicoCube::tpms(NodeConfig::default())?;
+//! let mut node = StackBuilder::new(NodeConfig::default())
+//!     .app(AppBoard::Tpms)
+//!     .build()?;
 //! node.run_for(SimDuration::from_secs(60));
 //! let report = node.report();
 //! assert!(report.average_power.micro() < 20.0);
@@ -49,8 +51,8 @@ pub use fleet::{
 };
 pub use mesh::{run_mesh, run_mesh_with, MeshConfig, MeshConfigError, MeshOutcome};
 pub use node::{
-    BuildError, HarvestDropout, HarvesterKind, NodeConfig, NodeReport, PicoCube, PowerChainKind,
-    SensorKind, StorageKind,
+    BuildError, HarvestDropout, HarvesterKind, NodeConfig, NodeReport, PowerChainKind, SensorKind,
+    StorageKind,
 };
 pub use packaging::{
     BoardSpec, BusAllocation, ElastomerSpec, PackagingError, StackDesign, StackReport,

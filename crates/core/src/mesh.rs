@@ -21,9 +21,10 @@
 //! *next* window or later, never in a stack's simulated past. Every
 //! cross-node interaction therefore happens in the single-threaded match
 //! phase between windows, and the engine is bit-identical across
-//! [`Parallelism::Serial`] and [`Parallelism::Threads`]: worker threads
-//! own static contiguous node shards (stacks hold `Rc` state and cannot
-//! migrate), two barriers bracket each match phase, and the match phase
+//! [`Parallelism::Serial`] and [`Parallelism::Threads`]: each node's
+//! stack lives in its window slot, worker threads claim nodes to advance
+//! from one shared cursor (so a stack may move between threads from window
+//! to window), two barriers bracket each match phase, and the match phase
 //! itself always runs on one thread over node-indexed data.
 //!
 //! Randomness follows the fleet's stream discipline: node `i` keeps its
@@ -44,7 +45,8 @@ use picocube_radio::{SuperRegenReceiver, WakeupReceiver};
 use picocube_sim::{SimDuration, SimRng, SimTime};
 use picocube_telemetry::{keys, EventKind, Metrics, NullRecorder, Recorder, TelemetryBuffer};
 use picocube_units::{Db, Dbm, Meters, Seconds};
-use std::sync::{Barrier, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 
 /// Reserved stream index for the sink's channel trials (the fleet merge
 /// uses `u64::MAX`; both are unreachable from any per-node stream).
@@ -266,7 +268,7 @@ struct PendingRelay {
     hops: u32,
 }
 
-/// Engine-side per-node state (the stacks themselves stay thread-pinned).
+/// Engine-side per-node state, beside the stack in its [`WindowSlot`].
 #[derive(Debug, Default)]
 struct NodeState {
     /// Origination counter.
@@ -291,15 +293,15 @@ impl NodeState {
     }
 }
 
-/// What one worker hands the match phase for one node and window, and
-/// what the match phase hands back.
+/// One node's stack, and what the worker that advanced it last hands the
+/// match phase.
 #[derive(Debug, Default)]
 struct WindowSlot {
+    /// `None` when the node failed to build.
+    stack: Option<Stack>,
     alive: bool,
     faulted: bool,
     new_packets: Vec<TransmittedPacket>,
-    injections: Vec<(SimTime, Vec<u8>)>,
-    telemetry: Option<TelemetryBuffer>,
 }
 
 /// Everything the single-threaded match phase accumulates over the run.
@@ -402,10 +404,25 @@ fn false_wake_times(config: &MeshConfig, index: usize) -> Vec<SimTime> {
 /// `Mutex` lock with poison recovery: a panicked worker already aborts
 /// the run via `resume_unwind`, so a poisoned lock here only means this
 /// thread is unwinding alongside it.
-fn lock(slot: &Mutex<WindowSlot>) -> MutexGuard<'_, WindowSlot> {
-    match slot.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
+fn lock<T>(cell: &Mutex<T>) -> MutexGuard<'_, T> {
+    cell.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Claims node indices from `cursor` until it passes the last slot,
+/// running `work` on each claimed node's slot. `Relaxed` suffices: the
+/// cursor only hands out indices, and the slot mutexes and the window
+/// barriers order the data.
+fn claim_nodes(
+    cursor: &AtomicUsize,
+    slots: &[Mutex<WindowSlot>],
+    work: impl Fn(usize, &mut WindowSlot),
+) {
+    loop {
+        let index = cursor.fetch_add(1, Ordering::Relaxed);
+        let Some(slot) = slots.get(index) else {
+            return;
+        };
+        work(index, &mut lock(slot));
     }
 }
 
@@ -420,7 +437,7 @@ struct Classified {
 /// The single-threaded match phase for one window: classify the window's
 /// transmissions, gate detection on the wakeup sensitivity, apply
 /// collision/capture and half-duplex at each receiver, dedup, hop-limit,
-/// and emit next-window injections into the slots.
+/// and inject next-window relays into the receivers' stacks.
 fn match_window(
     config: &MeshConfig,
     geometry: &Geometry,
@@ -595,7 +612,9 @@ fn match_window(
                 );
             }
             if let Some(slot) = slots.get(receiver) {
-                lock(slot).injections.push((relay_at, tx.bytes.clone()));
+                if let Some(node) = lock(slot).stack.as_mut() {
+                    node.inject_relay(relay_at, tx.bytes.clone());
+                }
             }
         }
     }
@@ -634,7 +653,7 @@ pub fn run_mesh_with(
     config.validate()?;
     let record_events = recorder.wants_events();
     // Probe-build node 0 before any worker threads exist, so an invalid
-    // base fails here with a typed error instead of inside a shard.
+    // base fails here with a typed error instead of inside a worker.
     build_mesh_node(config, 0, record_events).map_err(MeshConfigError::BaseConfig)?;
 
     let duration_ns = config.duration.as_nanos();
@@ -678,14 +697,14 @@ pub fn run_mesh_with(
 
     // Deterministic merge: node buffers in node order, then the engine's
     // own rx/relay events, then canonicalize the interleaving.
-    let mut shards = TelemetryBuffer::with_events(record_events);
+    let mut merged = TelemetryBuffer::with_events(record_events);
     for buffer in node_buffers {
-        shards.absorb(buffer);
+        merged.absorb(buffer);
     }
     let engine_events = std::mem::take(&mut state.telemetry);
-    shards.absorb(engine_events);
-    shards.sort_events();
-    engine.absorb(shards);
+    merged.absorb(engine_events);
+    merged.sort_events();
+    engine.absorb(merged);
     engine.record(
         duration_ns,
         EventKind::PhaseEnd {
@@ -711,8 +730,10 @@ pub fn run_mesh_with(
     Ok((outcome, engine.metrics))
 }
 
-/// The window loop: static node shards on `workers` threads, two barriers
-/// per window around the single-threaded match phase on worker 0.
+/// The window loop on `workers` threads. Workers build the nodes, then
+/// advance them one window at a time, claiming node indices from one
+/// shared cursor; two barriers per window bracket the single-threaded
+/// match phase on worker 0, which also rewinds the cursor.
 ///
 /// Returns the faulted-node count and each node's drained telemetry, in
 /// node order.
@@ -727,6 +748,7 @@ fn run_windows(
         .map(|_| Mutex::new(WindowSlot::default()))
         .collect();
     let barrier = Barrier::new(workers);
+    let cursor = AtomicUsize::new(0);
 
     // Window schedule: equal `turnaround` steps with a short tail.
     let mut steps: Vec<SimDuration> = Vec::new();
@@ -737,99 +759,55 @@ fn run_windows(
         remaining = remaining - step;
     }
 
-    // Contiguous static shards: `nodes = k * workers + extra` gives the
-    // first `extra` workers one node more. (Fleet phase 1 work-steals,
-    // but mesh stacks persist across windows and hold `Rc` state, so
-    // they stay pinned to the thread that builds them.)
-    let per = config.nodes / workers;
-    let extra = config.nodes % workers;
-    let mut bounds = Vec::with_capacity(workers + 1);
-    let mut lo = 0usize;
-    bounds.push(lo);
-    for t in 0..workers {
-        lo += per + usize::from(t < extra);
-        bounds.push(lo);
-    }
-
     let state_cell = Mutex::new(state);
     let steps = &steps;
     let slots_ref = &slots;
     let barrier = &barrier;
     let geometry = &geometry;
     let state_cell = &state_cell;
+    let cursor = &cursor;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = bounds
-            .windows(2)
-            .enumerate()
-            .map(|(worker, range)| {
-                let (lo, hi) = match *range {
-                    [lo, hi] => (lo, hi),
-                    _ => (0, 0),
-                };
+        let handles: Vec<_> = (0..workers)
+            .map(|worker| {
                 scope.spawn(move || {
-                    // Build this shard's stacks locally: they never leave
-                    // this thread. A node whose build fails (cannot
-                    // happen after the probe build, but stay total)
-                    // counts as faulted from the start.
-                    let mut stacks: Vec<Option<Stack>> = (lo..hi)
-                        .map(|i| build_mesh_node(config, i, record_events).ok())
-                        .collect();
-                    for step in steps {
-                        // Phase A: advance own nodes one window.
-                        for (offset, stack) in stacks.iter_mut().enumerate() {
-                            let Some(slot) = slots_ref.get(lo + offset) else {
-                                continue;
-                            };
-                            let mut slot = lock(slot);
-                            match stack {
-                                Some(node) => {
-                                    let before = node.packet_count();
-                                    let completed = node.run_for(*step).is_completed();
-                                    slot.alive = completed;
-                                    slot.faulted |= !completed;
-                                    slot.new_packets = node.packets_since(before);
-                                }
-                                None => {
-                                    slot.alive = false;
-                                    slot.faulted = true;
-                                }
-                            }
+                    // Waits out the phase, lets worker 0 run `between` and
+                    // rewind the cursor, and releases the next phase.
+                    let sync = |between: &dyn Fn()| {
+                        barrier.wait();
+                        if worker == 0 {
+                            between();
+                            cursor.store(0, Ordering::Relaxed);
                         }
                         barrier.wait();
-                        // Phase B: worker 0 matches the window while the
-                        // others pause at the second barrier.
-                        if worker == 0 {
-                            let mut engine = lock_state(state_cell);
+                    };
+                    // A node whose build fails (cannot happen after the
+                    // probe build, but stay total) counts as faulted from
+                    // the start.
+                    claim_nodes(cursor, slots_ref, |index, slot| {
+                        slot.stack = build_mesh_node(config, index, record_events).ok();
+                    });
+                    sync(&|| {});
+                    for step in steps {
+                        claim_nodes(cursor, slots_ref, |_, slot| match slot.stack.as_mut() {
+                            Some(node) => {
+                                let before = node.packet_count();
+                                let completed = node.run_for(*step).is_completed();
+                                slot.alive = completed;
+                                slot.faulted |= !completed;
+                                slot.new_packets = node.packets_since(before);
+                            }
+                            None => {
+                                slot.alive = false;
+                                slot.faulted = true;
+                            }
+                        });
+                        sync(&|| {
+                            let mut engine = lock(state_cell);
                             let prev = std::mem::take(&mut engine.prev_txs);
                             let window =
                                 match_window(config, geometry, &mut engine, slots_ref, &prev);
                             engine.prev_txs = window;
-                        }
-                        barrier.wait();
-                        // Phase C: owners apply the injections to their
-                        // own stacks (worker 0 cannot: stacks are !Send).
-                        for (offset, stack) in stacks.iter_mut().enumerate() {
-                            let Some(slot) = slots_ref.get(lo + offset) else {
-                                continue;
-                            };
-                            let injections = std::mem::take(&mut lock(slot).injections);
-                            if let Some(node) = stack {
-                                for (at, bytes) in injections {
-                                    node.inject_relay(at, bytes);
-                                }
-                            }
-                        }
-                    }
-                    // Drain telemetry; reassembled in node order below.
-                    for (offset, stack) in stacks.iter_mut().enumerate() {
-                        let Some(slot) = slots_ref.get(lo + offset) else {
-                            continue;
-                        };
-                        if let Some(node) = stack {
-                            let mut telemetry = node.drain_telemetry();
-                            telemetry.attribute_to((lo + offset) as u32);
-                            lock(slot).telemetry = Some(telemetry);
-                        }
+                        });
                     }
                 })
             })
@@ -843,22 +821,19 @@ fn run_windows(
 
     let mut faulted = 0usize;
     let mut buffers = Vec::with_capacity(config.nodes);
-    for slot in &slots {
-        let mut slot = lock(slot);
+    for (index, slot) in slots.into_iter().enumerate() {
+        let slot = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
         faulted += usize::from(slot.faulted);
-        buffers.push(slot.telemetry.take().unwrap_or_default());
+        buffers.push(
+            slot.stack
+                .map_or_else(TelemetryBuffer::default, |mut node| {
+                    let mut telemetry = node.drain_telemetry();
+                    telemetry.attribute_to(index as u32);
+                    telemetry
+                }),
+        );
     }
     (faulted, buffers)
-}
-
-/// Locks the engine-state cell. Worker 0 is its only contender (the
-/// barriers exclude everyone else during the match phase); the mutex
-/// exists to move the `&mut` into the scope soundly.
-fn lock_state<'a, 'b>(cell: &'a Mutex<&'b mut EngineState>) -> MutexGuard<'a, &'b mut EngineState> {
-    match cell.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
 }
 
 /// The sink phase: every transmission (originals and relayed copies)
@@ -1087,12 +1062,39 @@ mod tests {
 
     #[test]
     fn serial_and_threaded_runs_are_bit_identical() {
-        let serial = run_mesh(&tiny_config(5)).expect("serial mesh runs");
-        for workers in [2usize, 3, 5, 8] {
-            let mut config = tiny_config(5);
-            config.parallelism = Parallelism::Threads(workers);
-            let threaded = run_mesh(&config).expect("threaded mesh runs");
-            assert_eq!(serial, threaded, "{workers} workers diverged from serial");
+        // The second mesh starts on a nearly flat sliver of a cell with its
+        // harvesters mostly gated off, so the wakeup receivers' listen draw
+        // browns its nodes out mid-run: held nodes, relays injected into
+        // held nodes and uneven per-window cost, with stacks moving between
+        // workers.
+        let flat = MeshConfig {
+            base: NodeConfig {
+                initial_soc: 0.02,
+                battery_capacity_fraction: 0.001,
+                harvest_dropout: Some(crate::node::HarvestDropout {
+                    period_s: 300.0,
+                    off_s: 290.0,
+                }),
+                ..NodeConfig::default()
+            },
+            ..tiny_config(5)
+        };
+        for (config, browns_out) in [(tiny_config(5), false), (flat, true)] {
+            let (serial, metrics) =
+                run_mesh_with(&config, &mut NullRecorder).expect("serial mesh runs");
+            let brownouts = metrics.counter(keys::NODE_BROWNOUTS);
+            assert!(
+                !browns_out || brownouts > 0,
+                "the flat mesh never browned out"
+            );
+            for workers in [2usize, 3, 5, 8] {
+                let threaded = run_mesh(&MeshConfig {
+                    parallelism: Parallelism::Threads(workers),
+                    ..config.clone()
+                })
+                .expect("threaded mesh runs");
+                assert_eq!(serial, threaded, "{workers} workers diverged from serial");
+            }
         }
     }
 

@@ -1,16 +1,12 @@
-//! Node configuration, build errors, the run report — and the
-//! compatibility constructors for the board-stack engine.
+//! Node configuration, build errors and the run report.
 //!
-//! The simulation engine itself lives in [`crate::stack`]: [`PicoCube`]
-//! is an alias for [`Stack`], assembled from the five paper boards by a
-//! [`StackBuilder`]. The `tpms`/`motion`/`beacon` constructors here are
-//! thin wrappers kept for source compatibility; they produce bit-identical
-//! results (pinned by `tests/stack_compat.rs`).
+//! The simulation engine itself lives in [`crate::stack`]: a
+//! [`Stack`](crate::Stack), assembled from the five paper boards by a
+//! [`StackBuilder`](crate::StackBuilder).
 
 use crate::bus::TransmittedPacket;
-use crate::stack::{AppBoard, NodeFault, Stack, StackBuilder};
+use crate::stack::NodeFault;
 use picocube_harvest::{DriveCycle, IndoorLightTrace, Irradiance, PiezoDrive};
-use picocube_sensors::MotionScenario;
 use picocube_units::json::{field, FromJson, Json, JsonError, ToJson};
 use picocube_units::{Joules, Seconds, Watts};
 
@@ -507,65 +503,19 @@ impl FromJson for NodeReport {
     }
 }
 
-/// The simulated node — an alias for the board-stack [`Stack`].
-pub type PicoCube = Stack;
-
-impl Stack {
-    /// Builds the tire-pressure node (SP12 board, TPMS firmware).
-    ///
-    /// Compatibility wrapper over [`StackBuilder`], equivalent to
-    /// `StackBuilder::new(config).app(AppBoard::Tpms).build()`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildError`] for invalid configuration.
-    pub fn tpms(config: NodeConfig) -> Result<Self, BuildError> {
-        StackBuilder::new(config).app(AppBoard::Tpms).build()
-    }
-
-    /// Builds the §6 motion-demo node (SCA3000 board, motion firmware).
-    ///
-    /// Compatibility wrapper over [`StackBuilder`], equivalent to
-    /// `StackBuilder::new(config).app(AppBoard::Motion { scenario }).build()`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildError`] for invalid configuration.
-    pub fn motion(config: NodeConfig, scenario: MotionScenario) -> Result<Self, BuildError> {
-        StackBuilder::new(config)
-            .app(AppBoard::Motion { scenario })
-            .build()
-    }
-
-    /// Builds the timer-paced beacon node (SCA3000 board, beacon firmware):
-    /// no sensor interrupt line — the MSP430's Timer A paces sampling every
-    /// `period_s` seconds, the building-monitor configuration.
-    ///
-    /// Compatibility wrapper over [`StackBuilder`], equivalent to
-    /// `StackBuilder::new(config).app(AppBoard::Beacon { scenario, period_s }).build()`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildError`] for invalid configuration or a zero period.
-    pub fn beacon(
-        config: NodeConfig,
-        scenario: MotionScenario,
-        period_s: u16,
-    ) -> Result<Self, BuildError> {
-        StackBuilder::new(config)
-            .app(AppBoard::Beacon { scenario, period_s })
-            .build()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use picocube_sensors::Sp12;
+    use crate::stack::{AppBoard, Stack, StackBuilder};
+    use picocube_sensors::{MotionScenario, Sp12};
     use picocube_sim::{SimDuration, SimTime};
 
-    fn run_tpms_for(secs: u64, config: NodeConfig) -> (PicoCube, NodeReport) {
-        let mut node = PicoCube::tpms(config).expect("node builds");
+    fn tpms(config: NodeConfig) -> Result<Stack, BuildError> {
+        StackBuilder::new(config).app(AppBoard::Tpms).build()
+    }
+
+    fn run_tpms_for(secs: u64, config: NodeConfig) -> (Stack, NodeReport) {
+        let mut node = tpms(config).expect("node builds");
         node.run_for(SimDuration::from_secs(secs));
         let report = node.report();
         (node, report)
@@ -614,7 +564,7 @@ mod tests {
 
     #[test]
     fn event_recording_captures_wake_and_tx_events() {
-        let mut node = PicoCube::tpms(NodeConfig::default()).expect("node builds");
+        let mut node = tpms(NodeConfig::default()).expect("node builds");
         node.set_event_recording(true);
         node.run_for(SimDuration::from_secs(20));
         let telemetry = node.drain_telemetry();
@@ -722,8 +672,12 @@ mod tests {
             harvester: HarvesterKind::None,
             ..NodeConfig::default()
         };
-        let mut node =
-            PicoCube::motion(config, MotionScenario::retreat_table(9)).expect("node builds");
+        let mut node = StackBuilder::new(config)
+            .app(AppBoard::Motion {
+                scenario: MotionScenario::retreat_table(9),
+            })
+            .build()
+            .expect("node builds");
         // First 20 s are at-rest: no packets.
         node.run_for(SimDuration::from_secs(19));
         assert!(node.packets().is_empty());
@@ -768,7 +722,7 @@ mod tests {
             initial_soc: 0.009,
             ..NodeConfig::default()
         };
-        let mut node = PicoCube::tpms(config).expect("node builds");
+        let mut node = tpms(config).expect("node builds");
         node.run_for(SimDuration::from_secs(3 * 3_600));
         assert!(
             node.brownout_count() >= 1,
@@ -796,7 +750,7 @@ mod tests {
             initial_soc: 0.009, // below the 1.05 V threshold from the start
             ..NodeConfig::default()
         };
-        let mut node = PicoCube::tpms(config).expect("node builds");
+        let mut node = tpms(config).expect("node builds");
         node.run_for(SimDuration::from_secs(1_200));
         assert!(node.browned_out_at().is_some());
         let report = node.report();
@@ -825,7 +779,7 @@ mod tests {
             drive_cycle: picocube_harvest::DriveCycle::parked(),
             ..NodeConfig::default()
         };
-        let mut node = PicoCube::tpms(config).expect("node builds");
+        let mut node = tpms(config).expect("node builds");
         node.run_for(SimDuration::from_secs(1_201)); // 20 minutes
         let report = node.report();
         assert_eq!(report.wakes, 200);
@@ -876,10 +830,7 @@ mod tests {
             alarm_threshold_kpa: Some(900.0),
             ..NodeConfig::default()
         };
-        assert!(matches!(
-            PicoCube::tpms(bad),
-            Err(BuildError::InvalidConfig(_))
-        ));
+        assert!(matches!(tpms(bad), Err(BuildError::InvalidConfig(_))));
     }
 
     #[test]
@@ -888,7 +839,7 @@ mod tests {
             alarm_threshold_kpa: Some(180.0),
             ..NodeConfig::default()
         };
-        let mut node = PicoCube::tpms(config).expect("node builds");
+        let mut node = tpms(config).expect("node builds");
         node.run_for(SimDuration::from_secs(61));
         let report = node.report();
         assert_eq!(report.wakes, 10);
@@ -903,8 +854,13 @@ mod tests {
             harvester: HarvesterKind::None,
             ..NodeConfig::default()
         };
-        let mut node =
-            PicoCube::beacon(config, MotionScenario::retreat_table(5), 5).expect("node builds");
+        let mut node = StackBuilder::new(config)
+            .app(AppBoard::Beacon {
+                scenario: MotionScenario::retreat_table(5),
+                period_s: 5,
+            })
+            .build()
+            .expect("node builds");
         node.run_for(SimDuration::from_secs(31));
         let report = node.report();
         assert_eq!(report.packets.len(), 6, "timer beacons");
@@ -925,7 +881,12 @@ mod tests {
 
     #[test]
     fn beacon_rejects_zero_period() {
-        let r = PicoCube::beacon(NodeConfig::default(), MotionScenario::retreat_table(1), 0);
+        let r = StackBuilder::new(NodeConfig::default())
+            .app(AppBoard::Beacon {
+                scenario: MotionScenario::retreat_table(1),
+                period_s: 0,
+            })
+            .build();
         assert!(matches!(r, Err(BuildError::InvalidConfig(_))));
     }
 
@@ -959,10 +920,7 @@ mod tests {
             initial_soc: 1.5,
             ..NodeConfig::default()
         };
-        assert!(matches!(
-            PicoCube::tpms(bad),
-            Err(BuildError::InvalidConfig(_))
-        ));
+        assert!(matches!(tpms(bad), Err(BuildError::InvalidConfig(_))));
     }
 
     #[test]

@@ -17,10 +17,10 @@
 //! | radio (FBAR OOK TX)    | [`RadioBoard`]                             |
 //!
 //! A [`StackBuilder`] assembles a stack from a [`NodeConfig`] plus an
-//! [`AppBoard`] selection. The `Stack::{tpms, motion, beacon}`
-//! constructors are thin wrappers over it and produce bit-identical
-//! results (pinned by `tests/stack_compat.rs` against pre-refactor golden
-//! traces).
+//! [`AppBoard`] selection; `tests/stack_compat.rs` pins its results to
+//! pre-refactor golden traces. A stack is plain owned data (each board
+//! owns its devices and the MCU borrows the SPI bus per call), so it is
+//! `Send`.
 //!
 //! Faults (an illegal firmware instruction, a stuck active loop, an
 //! unsolvable power-chain operating point) no longer panic: the
@@ -38,19 +38,16 @@ pub use sensor::SensorBoard;
 pub use storage::{StorageBoard, SupervisorVerdict};
 pub use switch::{RailSolve, SwitchBoard};
 
-use crate::bus::{pa_enabled, BusMux, BusSensor, RadioFrontend, TransmittedPacket};
+use crate::bus::{pa_enabled, BusMux, TransmittedPacket};
 use crate::node::{BuildError, NodeConfig, NodeReport};
 use picocube_mcu::firmware::{self, PIN_RADIO_SPI};
 use picocube_mcu::{Mcu, OperatingMode, SegmentStop};
-use picocube_radio::OokTransmitter;
-use picocube_sensors::{MotionScenario, Sca3000, Sp12};
+use picocube_sensors::{MotionScenario, Sp12};
 use picocube_sim::{
     CycleLog, LoadId, PowerLedger, PowerTrace, RailId, ScalarTrace, SimDuration, SimTime,
 };
 use picocube_telemetry::{keys, EventKind, Metrics, TelemetryBuffer};
 use picocube_units::{Amps, Celsius, Seconds, Volts, Watts};
-use std::cell::{Cell, RefCell};
-use std::rc::Rc;
 
 /// Why a running node stopped making progress.
 ///
@@ -330,17 +327,6 @@ impl StackBuilder {
         self
     }
 
-    /// The SCA3000 accelerometer board shared by the motion and beacon
-    /// applications: one device model, slotted both as the stack's
-    /// sensor board and as the SPI bus endpoint.
-    fn sca3000_board(scenario: MotionScenario) -> (SensorBoard, BusSensor) {
-        let device = Rc::new(RefCell::new(Sca3000::new()));
-        (
-            SensorBoard::sca3000(device.clone(), scenario),
-            BusSensor::Sca3000(device),
-        )
-    }
-
     /// Builds the stack.
     ///
     /// # Errors
@@ -354,7 +340,7 @@ impl StackBuilder {
                 "no application board selected (tpms/motion/beacon)",
             ));
         };
-        let (image, sensor, bus_sensor) = match app {
+        let (image, sensor) = match app {
             AppBoard::Tpms => {
                 let image = match config.alarm_threshold_kpa {
                     Some(kpa) => {
@@ -380,18 +366,16 @@ impl StackBuilder {
                     }
                     sp12 = sp12.with_wake_interval(Seconds::new(period));
                 }
-                let device = Rc::new(RefCell::new(sp12));
-                let wake = SimTime::from_seconds(device.borrow().wake_interval())
+                let wake = SimTime::from_seconds(sp12.wake_interval())
                     + SimDuration::from_millis(config.first_wake_offset_ms);
                 let interval_scale = 1.0 + config.wake_interval_ppm * 1e-6;
-                let sensor = SensorBoard::sp12(device.clone(), env, wake, interval_scale);
-                (image, sensor, BusSensor::Sp12(device))
+                let sensor = SensorBoard::sp12(sp12, env, wake, interval_scale);
+                (image, sensor)
             }
-            AppBoard::Motion { scenario } => {
-                let image = firmware::motion_app(config.node_id)?;
-                let (sensor, bus) = Self::sca3000_board(scenario);
-                (image, sensor, bus)
-            }
+            AppBoard::Motion { scenario } => (
+                firmware::motion_app(config.node_id)?,
+                SensorBoard::sca3000(scenario),
+            ),
             AppBoard::Beacon { scenario, period_s } => {
                 if period_s == 0 {
                     return Err(BuildError::InvalidConfig(
@@ -399,24 +383,18 @@ impl StackBuilder {
                     ));
                 }
                 let image = firmware::beacon_app(config.node_id, period_s)?;
-                let (sensor, bus) = Self::sca3000_board(scenario);
-                (image, sensor, bus)
+                (image, SensorBoard::sca3000(scenario))
             }
         };
-        Stack::assemble(config, image, sensor, bus_sensor)
+        Stack::assemble(config, image, sensor)
     }
 }
 
 /// The assembled node: the controller board (emulated MSP430) plus the
-/// four swappable boards, run by one shared event scheduler.
-///
-/// `PicoCube` is a compatibility alias for this type; the
-/// `tpms`/`motion`/`beacon` constructors remain as thin wrappers over
+/// four swappable boards, run by one shared event scheduler. Built by
 /// [`StackBuilder`].
 pub struct Stack {
     mcu: Mcu,
-    p1: Rc<Cell<u8>>,
-    p2: Rc<Cell<u8>>,
     sensor: SensorBoard,
     radio: RadioBoard,
     switch: SwitchBoard,
@@ -458,7 +436,7 @@ pub struct Stack {
 
 impl core::fmt::Debug for Stack {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("PicoCube")
+        f.debug_struct("Stack")
             .field("now", &self.now())
             .field("wakes", &self.wakes)
             .field("soc", &self.storage.soc())
@@ -474,7 +452,6 @@ impl Stack {
         config: NodeConfig,
         image: picocube_mcu::Image,
         sensor: SensorBoard,
-        bus_sensor: BusSensor,
     ) -> Result<Self, BuildError> {
         if !(0.0..=1.0).contains(&config.initial_soc) {
             return Err(BuildError::InvalidConfig("initial_soc must be in [0, 1]"));
@@ -486,16 +463,6 @@ impl Stack {
         mcu.load(&image);
         mcu.reset();
 
-        let p1 = Rc::new(Cell::new(0u8));
-        let p2 = Rc::new(Cell::new(0u8));
-        let frontend = Rc::new(RefCell::new(RadioFrontend::new(OokTransmitter::picocube())));
-        mcu.attach_spi(Box::new(BusMux {
-            p1: p1.clone(),
-            p2: p2.clone(),
-            sensor: bus_sensor,
-            radio: frontend.clone(),
-        }));
-
         let cell = storage::StorageCell::for_config(&config)?;
 
         let switch = SwitchBoard::new(config.power_chain, config.ungated_rf_ldo);
@@ -503,7 +470,7 @@ impl Stack {
         let wakeup = config
             .wakeup_receiver
             .then(picocube_radio::WakeupReceiver::bwrc);
-        let radio = RadioBoard::new(frontend, wakeup, p1.clone());
+        let radio = RadioBoard::new(wakeup);
 
         let mut ledger = PowerLedger::new();
         let rail = ledger.add_rail("VBAT", storage.terminal_voltage());
@@ -515,8 +482,6 @@ impl Stack {
 
         let mut node = Self {
             mcu,
-            p1,
-            p2,
             sensor,
             radio,
             switch,
@@ -788,7 +753,7 @@ impl Stack {
         let i_mcu = self.mcu.current_draw();
         let sensor_draw = self.sensor.currents(self.vdd);
         let radio_draw = self.radio.currents(self.vdd);
-        let p1 = self.p1.get();
+        let p1 = self.mcu.p1_output();
         let spi_on = p1 & PIN_RADIO_SPI != 0;
         // The RF LDO is keyed by the firmware's PA pin or by an in-flight
         // mesh relay pulse (which transmits without waking the MCU).
@@ -942,7 +907,8 @@ impl Stack {
                 if gap.is_zero() {
                     break;
                 }
-                self.mcu.sleep(gap.as_nanos() / 1_000);
+                let mut bus = spi_bus(&self.mcu, &mut self.sensor, &mut self.radio);
+                self.mcu.sleep(gap.as_nanos() / 1_000, &mut bus);
                 self.slept += gap;
                 self.ledger.advance_to(self.now());
                 self.settle_battery()?;
@@ -959,7 +925,8 @@ impl Stack {
                     // latches (a timer tick during the span), so the ledger
                     // integrates to the actual post-sleep clock, not `next`.
                     let cycles = gap.as_nanos() / 1_000; // 1 µs per cycle
-                    self.mcu.sleep(cycles.max(1));
+                    let mut bus = spi_bus(&self.mcu, &mut self.sensor, &mut self.radio);
+                    self.mcu.sleep(cycles.max(1), &mut bus);
                     self.slept += gap;
                     self.ledger.advance_to(self.now());
                 }
@@ -976,10 +943,10 @@ impl Stack {
                 // its boundary. `run_segment` stops after the first
                 // instruction that changes anything a board can see (GPIO
                 // outputs, the SPI draw epoch, operating mode), so deferring
-                // the pin mirror / draw-signature epilogue to the boundary
+                // the `on_bus` / draw-signature epilogue to the boundary
                 // is bit-identical to running it per instruction: for every
                 // interior instruction it was a no-op by construction.
-                let p1_before = self.p1.get();
+                let p1_before = self.mcu.p1_output();
                 debug_assert_eq!(self.ledger.now(), self.now());
                 // The old per-step loop gate `now() < end`, in cycles: a
                 // step may start while `cycles * 1000 < end_ns`.
@@ -988,9 +955,10 @@ impl Stack {
                 // same instruction as the old one-check-per-step loop.
                 let max_insns = 200_000_001 - fault_guard;
                 self.seg_log.clear();
-                let stop = self
-                    .mcu
-                    .run_segment(limit_cycles, max_insns, &mut self.seg_log);
+                let mut bus = spi_bus(&self.mcu, &mut self.sensor, &mut self.radio);
+                let stop =
+                    self.mcu
+                        .run_segment(limit_cycles, max_insns, &mut self.seg_log, &mut bus);
                 // Replay the segment's per-instruction advances through the
                 // ledger in one pass (bit-identical to per-step advance_to).
                 self.ledger.advance_log(&self.seg_log);
@@ -1006,11 +974,9 @@ impl Stack {
                     SegmentStop::Sleeping(_) => fault_guard += 1,
                     SegmentStop::Budget | SegmentStop::Observable => {}
                 }
-                // Mirror pins for the bus mux; boards watch the edges.
+                // Boards watch the pin edges.
                 let p1_now = self.mcu.p1_output();
                 let p2_now = self.mcu.p2_output();
-                self.p1.set(p1_now);
-                self.p2.set(p2_now);
                 // `on_bus` is a pure P1 edge detector (the radio watches for
                 // its PA window closing), so a step that left P1 unchanged
                 // cannot have anything to deliver.
@@ -1058,5 +1024,16 @@ impl Stack {
             browned_out: self.storage.browned_out_at().is_some(),
             fault: self.fault,
         }
+    }
+}
+
+/// The SPI bus as the MCU drives it now: routed by its output pins to the
+/// sensor board's part or the radio board's front end.
+fn spi_bus<'a>(mcu: &Mcu, sensor: &'a mut SensorBoard, radio: &'a mut RadioBoard) -> BusMux<'a> {
+    BusMux {
+        p1: mcu.p1_output(),
+        p2: mcu.p2_output(),
+        sensor,
+        radio: radio.frontend_mut(),
     }
 }

@@ -7,12 +7,11 @@ use super::{Board, BoardDraw, StackCtx};
 use crate::bus::{pa_enabled, RadioFrontend, TransmittedPacket};
 use picocube_mcu::firmware::PIN_RADIO_SPI;
 use picocube_power::switches::LevelShifter;
+use picocube_radio::OokTransmitter;
 use picocube_radio::WakeupReceiver;
 use picocube_sim::{SimDuration, SimTime};
 use picocube_telemetry::{keys, EventKind, Metrics};
 use picocube_units::{Amps, Hertz, Volts};
-use std::cell::{Cell, RefCell};
-use std::rc::Rc;
 
 /// Receive-path state fitted by [`crate::Stack::fit_mesh_rx`]: the relay
 /// queue the wakeup detector feeds and its lifetime accounting.
@@ -37,16 +36,17 @@ struct MeshRx {
 /// windows, accounts its rail draws, and carries the optional always-on
 /// wakeup receiver (plus, in mesh deployments, the relay queue it feeds).
 pub struct RadioBoard {
-    frontend: Rc<RefCell<RadioFrontend>>,
+    frontend: RadioFrontend,
     wakeup: Option<WakeupReceiver>,
-    p1: Rc<Cell<u8>>,
+    /// The controller's P1 output pins as of the last [`Board::on_bus`].
+    p1: u8,
     rx: Option<MeshRx>,
 }
 
 impl core::fmt::Debug for RadioBoard {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("RadioBoard")
-            .field("packets", &self.frontend.borrow().packets().len())
+            .field("packets", &self.frontend.packets().len())
             .field("wakeup", &self.wakeup.is_some())
             .field("mesh_rx", &self.rx.is_some())
             .finish_non_exhaustive()
@@ -54,33 +54,33 @@ impl core::fmt::Debug for RadioBoard {
 }
 
 impl RadioBoard {
-    pub(super) fn new(
-        frontend: Rc<RefCell<RadioFrontend>>,
-        wakeup: Option<WakeupReceiver>,
-        p1: Rc<Cell<u8>>,
-    ) -> Self {
+    pub(super) fn new(wakeup: Option<WakeupReceiver>) -> Self {
         Self {
-            frontend,
+            frontend: RadioFrontend::new(OokTransmitter::picocube()),
             wakeup,
-            p1,
+            p1: 0,
             rx: None,
         }
     }
 
+    /// The baseband front end, as the SPI bus reaches it.
+    pub(super) fn frontend_mut(&mut self) -> &mut RadioFrontend {
+        &mut self.frontend
+    }
+
     /// Packets transmitted so far.
     pub fn packets(&self) -> Vec<TransmittedPacket> {
-        self.frontend.borrow().packets().to_vec()
+        self.frontend.packets().to_vec()
     }
 
     /// How many packets have been transmitted so far.
     pub(super) fn packet_count(&self) -> usize {
-        self.frontend.borrow().packets().len()
+        self.frontend.packets().len()
     }
 
     /// Packets transmitted at or after cursor `from`.
     pub(super) fn packets_since(&self, from: usize) -> Vec<TransmittedPacket> {
         self.frontend
-            .borrow()
             .packets()
             .get(from..)
             .unwrap_or_default()
@@ -153,7 +153,7 @@ impl Board for RadioBoard {
         if rx.queue.first().is_some_and(|&(at, _)| at <= now) {
             let (_, bytes) = rx.queue.remove(0);
             let frame_len = bytes.len() as u32;
-            let transmission = self.frontend.borrow_mut().transmit_relay(now, bytes);
+            let transmission = self.frontend.transmit_relay(now, bytes);
             rx.relays += 1;
             rx.relay_energy_uj += transmission.energy.micro();
             rx.active_until = Some(now + SimDuration::from_seconds(transmission.duration));
@@ -172,9 +172,8 @@ impl Board for RadioBoard {
     }
 
     fn currents(&self, vdd: Volts) -> BoardDraw {
-        let p1 = self.p1.get();
-        let spi_on = p1 & PIN_RADIO_SPI != 0;
-        let pa_on = pa_enabled(p1) || self.relay_active();
+        let spi_on = self.p1 & PIN_RADIO_SPI != 0;
+        let pa_on = pa_enabled(self.p1) || self.relay_active();
         let vdd_draw = if spi_on {
             // CSP level shifters between the VDD and radio logic domains.
             let shifters = LevelShifter::radio_board();
@@ -186,7 +185,7 @@ impl Board for RadioBoard {
         // Radio RF rail draw: 50 % OOK average while the PA window is open
         // (a firmware window or an in-flight relay pulse).
         let rf = if pa_on {
-            self.frontend.borrow().transmitter().supply_current_on() * 0.5
+            self.frontend.transmitter().supply_current_on() * 0.5
         } else {
             Amps::ZERO
         };
@@ -198,11 +197,12 @@ impl Board for RadioBoard {
     }
 
     fn on_bus(&mut self, p1_before: u8, p1_now: u8, ctx: &mut StackCtx<'_>) {
+        self.p1 = p1_now;
         // A falling PA line closes the transmit window: flush the frames
         // the firmware shifted out and account airtime/energy for each.
         if pa_enabled(p1_before) && !pa_enabled(p1_now) {
             let now = ctx.now;
-            let mut radio = self.frontend.borrow_mut();
+            let radio = &mut self.frontend;
             let before = radio.packets().len();
             radio.close_window(now);
             for packet in radio.packets().get(before..).unwrap_or_default() {
@@ -232,8 +232,7 @@ impl Board for RadioBoard {
     }
 
     fn export_metrics(&self, metrics: &mut Metrics) {
-        let frontend = self.frontend.borrow();
-        let packets = frontend.packets();
+        let packets = self.frontend.packets();
         metrics.inc(keys::BOARD_RADIO_PACKETS, packets.len() as u64);
         metrics.inc(
             keys::BOARD_RADIO_BYTES,
@@ -251,15 +250,7 @@ mod tests {
     use super::*;
     use picocube_mcu::firmware::PIN_RADIO_PA;
     use picocube_radio::packet::{encode, Checksum};
-    use picocube_radio::OokTransmitter;
     use picocube_telemetry::TelemetryBuffer;
-
-    fn board() -> (RadioBoard, Rc<Cell<u8>>, Rc<RefCell<RadioFrontend>>) {
-        let p1 = Rc::new(Cell::new(0u8));
-        let frontend = Rc::new(RefCell::new(RadioFrontend::new(OokTransmitter::picocube())));
-        let board = RadioBoard::new(frontend.clone(), None, p1.clone());
-        (board, p1, frontend)
-    }
 
     fn ctx<'a>(
         now: SimTime,
@@ -280,14 +271,13 @@ mod tests {
     fn on_bus_accounts_every_frame_of_a_window() {
         // Regression: a PA window flushing two frames used to record a Tx
         // event and metrics only for the first.
-        let (mut board, p1, frontend) = board();
+        let mut board = RadioBoard::new(None);
         let frame = encode(0x42, &[1, 2, 3, 4, 5, 6], Checksum::Xor);
         for b in frame.iter().chain(&frame) {
-            frontend.borrow_mut().feed(*b);
+            board.frontend_mut().feed(*b);
         }
         let mut telemetry = TelemetryBuffer::with_events(true);
         let mut wakes = 0u64;
-        p1.set(0);
         board.on_bus(
             PIN_RADIO_PA,
             0,
@@ -305,7 +295,7 @@ mod tests {
 
     #[test]
     fn relay_fires_from_the_queue_and_accounts_energy() {
-        let (mut board, _p1, _frontend) = board();
+        let mut board = RadioBoard::new(None);
         board.fit_rx(WakeupReceiver::mesh_correlator());
         let frame = encode(0x07, &[9, 9, 9, 9, 9, 9], Checksum::Xor);
         let deadline = SimTime::from_millis(20);
@@ -337,7 +327,7 @@ mod tests {
 
     #[test]
     fn half_duplex_defers_an_overlapping_relay() {
-        let (mut board, _p1, _frontend) = board();
+        let mut board = RadioBoard::new(None);
         board.fit_rx(WakeupReceiver::mesh_correlator());
         let frame = encode(0x07, &[1, 1, 1, 1, 1, 1], Checksum::Xor);
         let first = SimTime::from_millis(20);

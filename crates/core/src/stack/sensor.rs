@@ -6,19 +6,17 @@ use picocube_sensors::{MotionScenario, Sca3000, Sp12, TireEnvironment};
 use picocube_sim::{SimDuration, SimTime};
 use picocube_telemetry::{keys, EventKind, Metrics};
 use picocube_units::{Amps, Volts};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 enum SensorState {
     Tpms {
         env: Box<TireEnvironment>,
-        device: Rc<RefCell<Sp12>>,
+        device: Sp12,
         next_wake: SimTime,
         interval_scale: f64,
     },
     Motion {
         scenario: Box<MotionScenario>,
-        device: Rc<RefCell<Sca3000>>,
+        device: Sca3000,
         next_check: SimTime,
     },
 }
@@ -47,8 +45,8 @@ impl core::fmt::Debug for SensorBoard {
 
 impl SensorBoard {
     /// The SP12 TPMS board with its tire environment and wake schedule.
-    pub(super) fn sp12(
-        device: Rc<RefCell<Sp12>>,
+    pub(crate) fn sp12(
+        device: Sp12,
         env: TireEnvironment,
         next_wake: SimTime,
         interval_scale: f64,
@@ -65,14 +63,34 @@ impl SensorBoard {
     }
 
     /// The SCA3000 accelerometer board replaying a motion scenario.
-    pub(super) fn sca3000(device: Rc<RefCell<Sca3000>>, scenario: MotionScenario) -> Self {
+    pub(crate) fn sca3000(scenario: MotionScenario) -> Self {
         Self {
             state: SensorState::Motion {
                 scenario: Box::new(scenario),
-                device,
+                device: Sca3000::new(),
                 next_check: SimTime::from_millis(100),
             },
             fires: 0,
+        }
+    }
+
+    /// Exchanges one SPI byte with the board's part, reporting whether
+    /// the exchange moved the part's supply draw (an SP12 conversion
+    /// starting or being read out).
+    pub(crate) fn transfer_observed(&mut self, mosi: u8) -> (u8, bool) {
+        let before = self.draw();
+        let miso = match &mut self.state {
+            SensorState::Tpms { device, .. } => device.spi(mosi),
+            SensorState::Motion { device, .. } => device.spi(mosi),
+        };
+        (miso, self.draw() != before)
+    }
+
+    /// The part's supply current.
+    fn draw(&self) -> Amps {
+        match &self.state {
+            SensorState::Tpms { device, .. } => device.current_draw(),
+            SensorState::Motion { device, .. } => device.current_draw(),
         }
     }
 }
@@ -98,10 +116,10 @@ impl Board for SensorBoard {
                 next_wake,
                 interval_scale,
             } => {
-                let interval = device.borrow().wake_interval();
+                let interval = device.wake_interval();
                 let mut sample = env.step(interval);
                 sample.supply = ctx.vdd;
-                device.borrow_mut().set_sample(sample);
+                device.set_sample(sample);
                 // The cell rides on the rim at tire temperature (applied by
                 // the scheduler once this callback returns).
                 ctx.set_battery_temperature(sample.temperature);
@@ -121,7 +139,7 @@ impl Board for SensorBoard {
             } => {
                 let t = next_check.as_seconds();
                 let sample = scenario.sample_at(t);
-                let triggered = device.borrow_mut().update(sample);
+                let triggered = device.update(sample);
                 *next_check += SimDuration::from_millis(100);
                 if triggered {
                     *ctx.wakes += 1;
@@ -136,12 +154,8 @@ impl Board for SensorBoard {
     }
 
     fn currents(&self, _vdd: Volts) -> BoardDraw {
-        let vdd = match &self.state {
-            SensorState::Tpms { device, .. } => device.borrow().current_draw(),
-            SensorState::Motion { device, .. } => device.borrow().current_draw(),
-        };
         BoardDraw {
-            vdd,
+            vdd: self.draw(),
             rf: Amps::ZERO,
             battery: None,
         }
@@ -153,7 +167,7 @@ impl Board for SensorBoard {
             SensorState::Tpms {
                 device, next_wake, ..
             } => {
-                *next_wake = now + SimDuration::from_seconds(device.borrow().wake_interval());
+                *next_wake = now + SimDuration::from_seconds(device.wake_interval());
             }
             SensorState::Motion { next_check, .. } => {
                 *next_check = now + SimDuration::from_millis(100);

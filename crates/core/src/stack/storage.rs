@@ -27,14 +27,14 @@ fn invalid_harvester(e: PowerError) -> BuildError {
 /// from any simulation RNG stream (which would shift the seed-stream
 /// discipline and break bit-identity for unrelated configs).
 struct GatedHarvester {
-    inner: Box<dyn Harvester>,
+    inner: Box<dyn Harvester + Send>,
     period_s: f64,
     on_s: f64,
     phase_s: f64,
 }
 
 impl GatedHarvester {
-    fn new(inner: Box<dyn Harvester>, dropout: HarvestDropout, seed: u64) -> Self {
+    fn new(inner: Box<dyn Harvester + Send>, dropout: HarvestDropout, seed: u64) -> Self {
         // splitmix64 finalizer: seed → uniform phase fraction in [0, 1).
         let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -71,7 +71,9 @@ impl Harvester for GatedHarvester {
 ///
 /// Returns [`BuildError::InvalidConfig`] for unphysical harvester or
 /// dropout parameters (specs arrive from JSON, not just from presets).
-pub(super) fn harvester_for(config: &NodeConfig) -> Result<Option<Box<dyn Harvester>>, BuildError> {
+pub(super) fn harvester_for(
+    config: &NodeConfig,
+) -> Result<Option<Box<dyn Harvester + Send>>, BuildError> {
     if let Some(d) = config.harvest_dropout {
         if !(d.period_s.is_finite() && d.period_s > 0.0) {
             return Err(BuildError::InvalidConfig(
@@ -84,7 +86,7 @@ pub(super) fn harvester_for(config: &NodeConfig) -> Result<Option<Box<dyn Harves
             ));
         }
     }
-    let base: Option<Box<dyn Harvester>> = match &config.harvester {
+    let base: Option<Box<dyn Harvester + Send>> = match &config.harvester {
         HarvesterKind::Automotive => Some(Box::new(WheelHarvester::automotive(
             config.drive_cycle.clone(),
         ))),
@@ -226,7 +228,7 @@ pub enum SupervisorVerdict {
 /// supply supervisor that holds the stack in reset on deep discharge.
 pub struct StorageBoard {
     cell: StorageCell,
-    harvester: Option<Box<dyn Harvester>>,
+    harvester: Option<Box<dyn Harvester + Send>>,
     harvested: Joules,
     last_update: SimTime,
     last_consumed: Joules,
@@ -247,7 +249,7 @@ impl core::fmt::Debug for StorageBoard {
 }
 
 impl StorageBoard {
-    pub(super) fn new(cell: StorageCell, harvester: Option<Box<dyn Harvester>>) -> Self {
+    pub(super) fn new(cell: StorageCell, harvester: Option<Box<dyn Harvester + Send>>) -> Self {
         Self {
             cell,
             harvester,

@@ -2,7 +2,7 @@
 
 use crate::isa::{Condition, Format1Op, Format2Op};
 use crate::memory::{FlatMemory, Image};
-use crate::peripherals::{Irq, Peripherals, SpiDevice};
+use crate::peripherals::{FloatingBus, Irq, Peripherals, SpiDevice};
 use crate::power_model::{McuPowerModel, OperatingMode};
 use crate::uops::CodeSpan;
 use core::ops::ControlFlow;
@@ -30,6 +30,10 @@ pub const FLAG_V: u16 = 0x0100;
 const PC: usize = 0;
 const SP: usize = 1;
 const SR: usize = 2;
+
+/// Instructions [`Mcu::run`] logs per segment before it starts a fresh
+/// log, so a long observable-free loop runs in bounded memory.
+const RUN_LOG_INSNS: u64 = 4096;
 
 /// What a board can see between instructions: P1 and P2 output pins, the
 /// SPI draw epoch, and the operating mode.
@@ -103,6 +107,9 @@ pub struct Mcu {
     /// Latched by the self-modifying-code guard: some write landed in the
     /// cached flash span, so the cache no longer matches memory.
     flash_dirty: bool,
+    /// The slave [`Mcu::run`] exchanges bytes with; every other entry
+    /// point takes its bus as an argument.
+    spi: Option<Box<dyn SpiDevice + Send>>,
 }
 
 impl core::fmt::Debug for Mcu {
@@ -135,6 +142,7 @@ impl Mcu {
             uop_span: CodeSpan::default(),
             uops_on: false,
             flash_dirty: false,
+            spi: None,
         }
     }
 
@@ -186,9 +194,9 @@ impl Mcu {
         self.pending = 0;
     }
 
-    /// Attaches an SPI slave.
-    pub fn attach_spi(&mut self, device: Box<dyn SpiDevice>) {
-        self.periph.attach_spi(device);
+    /// Attaches the SPI slave [`Mcu::run`] drives.
+    pub fn attach_spi(&mut self, device: Box<dyn SpiDevice + Send>) {
+        self.spi = Some(device);
     }
 
     /// Reads a register (0 = PC, 1 = SP, 2 = SR).
@@ -309,7 +317,8 @@ impl Mcu {
     }
 
     /// Executes one instruction, services one interrupt, or reports sleep.
-    pub fn step(&mut self) -> StepResult {
+    /// An SPI transfer that completes meanwhile is exchanged with `bus`.
+    pub fn step(&mut self, bus: &mut dyn SpiDevice) -> StepResult {
         if self.halted_on_fault {
             return StepResult::IllegalInstruction {
                 word: 0,
@@ -325,7 +334,7 @@ impl Mcu {
                 if self.pending & irq.mask() != 0 {
                     self.pending &= !irq.mask();
                     let cycles = self.enter_interrupt(irq);
-                    self.tick_peripherals(cycles);
+                    self.tick_peripherals(cycles, bus);
                     return StepResult::Ran { cycles };
                 }
             }
@@ -340,7 +349,7 @@ impl Mcu {
             let pc = self.regs[PC];
             if let Some(u) = self.uops.as_ref().and_then(|c| c.lookup(pc)) {
                 let cycles = self.exec_uop(u);
-                self.tick_peripherals(cycles);
+                self.tick_peripherals(cycles, bus);
                 return StepResult::Ran { cycles };
             }
         }
@@ -354,65 +363,31 @@ impl Mcu {
                 return StepResult::IllegalInstruction { word, at };
             }
         };
-        self.tick_peripherals(cycles);
+        self.tick_peripherals(cycles, bus);
         StepResult::Ran { cycles }
     }
 
-    /// Runs until the core sleeps, faults, or `max_cycles` elapse. Returns
-    /// the cycles consumed.
+    /// Runs until the core sleeps, faults, or `max_cycles` elapse, with
+    /// the slave from [`Mcu::attach_spi`] on the bus (a floating bus when
+    /// none is attached). Returns the cycles consumed.
     ///
-    /// Streams through decoded basic blocks where it can: between block
-    /// boundaries (branches, calls, `reti`, SR writes) the SR cannot
-    /// change, so only a freshly latched interrupt needs re-checking per
-    /// instruction; everything else re-enters the full [`Mcu::step`]
-    /// dispatch.
+    /// This is [`Mcu::run_segment`] called until it stops for any reason
+    /// other than an observable change.
     pub fn run(&mut self, max_cycles: u64) -> u64 {
         let start = self.cycles;
-        while self.cycles - start < max_cycles {
-            if self.uops_on && !self.halted_on_fault {
-                let sr = self.regs[SR];
-                let mut gie = sr & FLAG_GIE != 0;
-                if sr & FLAG_CPUOFF == 0 && (!gie || self.pending == 0) {
-                    // Moved out for the stream and back after it: a move
-                    // costs no reference-count traffic, unlike a clone.
-                    if let Some(cache) = self.uops.take() {
-                        let mut advanced = false;
-                        while self.uops_on && self.cycles - start < max_cycles {
-                            let Some(u) = cache.lookup(self.regs[PC]) else {
-                                break;
-                            };
-                            let cycles = self.exec_uop(u);
-                            self.tick_peripherals(cycles);
-                            advanced = true;
-                            if gie && self.pending != 0 {
-                                break;
-                            }
-                            if u.ends_block {
-                                // Only SR-writing forms end blocks, so the
-                                // hoisted GIE/CPUOFF state is refreshed here
-                                // and streaming continues across the jump.
-                                let sr = self.regs[SR];
-                                if sr & FLAG_CPUOFF != 0 {
-                                    break;
-                                }
-                                gie = sr & FLAG_GIE != 0;
-                                if gie && self.pending != 0 {
-                                    break;
-                                }
-                            }
-                        }
-                        self.uops = Some(cache);
-                        if advanced {
-                            continue;
-                        }
-                    }
-                }
-            }
-            match self.step() {
-                StepResult::Ran { .. } => {}
+        let limit = start.saturating_add(max_cycles);
+        let mut bus = self.spi.take().unwrap_or_else(|| Box::new(FloatingBus));
+        let mut log = CycleLog::new();
+        loop {
+            log.clear();
+            match self.run_segment(limit, RUN_LOG_INSNS, &mut log, &mut *bus) {
+                SegmentStop::Observable => {}
+                // The log filled up before the cycle budget ran out.
+                SegmentStop::Budget if self.cycles < limit => {}
                 _ => break,
             }
         }
+        self.spi = Some(bus);
         self.cycles - start
     }
 
@@ -453,12 +428,14 @@ impl Mcu {
     /// `limit_cycles` is an *absolute* cycle count: no instruction starts
     /// once `self.cycles() >= limit_cycles` (matching a caller loop of the
     /// form `while cycles < limit { step() }`). `max_insns` bounds how many
-    /// instructions `log` holds ([`CycleLog::insns`]).
+    /// instructions `log` holds ([`CycleLog::insns`]). SPI transfers that
+    /// complete inside the segment are exchanged with `bus`.
     pub fn run_segment(
         &mut self,
         limit_cycles: u64,
         max_insns: u64,
         log: &mut CycleLog,
+        bus: &mut dyn SpiDevice,
     ) -> SegmentStop {
         let base = self.observables();
         loop {
@@ -477,7 +454,7 @@ impl Mcu {
                     if self.pending & irq.mask() != 0 {
                         self.pending &= !irq.mask();
                         let cycles = self.enter_interrupt(irq);
-                        self.tick_peripherals(cycles);
+                        self.tick_peripherals(cycles, bus);
                         log.push(cycles);
                         break;
                     }
@@ -490,12 +467,12 @@ impl Mcu {
             if sr & FLAG_CPUOFF != 0 {
                 return SegmentStop::Sleeping(self.mode());
             }
-            // Decoded fast path: stream micro-ops without leaving the loop.
-            // Unlike [`Mcu::run`]'s per-block streaming this continues
+            // Decoded fast path: stream micro-ops without leaving the loop,
             // straight through basic-block boundaries, re-reading SR at each
             // one (only SR-writing instructions end blocks, so between
             // boundaries the hoisted GIE/CPUOFF state cannot go stale). The
-            // cache is moved out and back, as in [`Mcu::run`].
+            // cache is moved out for the stream and back after it: a move
+            // costs no reference-count traffic, unlike a clone.
             if self.uops_on {
                 if let Some(cache) = self.uops.take() {
                     let mut gie = sr & FLAG_GIE != 0;
@@ -513,6 +490,7 @@ impl Mcu {
                                     max_insns,
                                     log,
                                     gie,
+                                    bus,
                                 ) {
                                     Some(stop) => ControlFlow::Break(stop),
                                     // Re-check through the outer loop.
@@ -520,7 +498,7 @@ impl Mcu {
                                 };
                             }
                             let cycles = self.exec_uop(u);
-                            self.tick_peripherals(cycles);
+                            self.tick_peripherals(cycles, bus);
                             log.push(cycles);
                             advanced = true;
                             if self.observables() != base {
@@ -556,7 +534,7 @@ impl Mcu {
             let word = self.fetch16();
             match self.execute(word) {
                 Some(c) => {
-                    self.tick_peripherals(c);
+                    self.tick_peripherals(c, bus);
                     log.push(c);
                     if self.observables() != base {
                         return SegmentStop::Observable;
@@ -597,6 +575,7 @@ impl Mcu {
         max_insns: u64,
         log: &mut CycleLog,
         gie: bool,
+        bus: &mut dyn SpiDevice,
     ) -> Option<SegmentStop> {
         let spin_pc = self.regs[PC];
         let epoch = self.periph.spi_draw_epoch();
@@ -645,7 +624,7 @@ impl Mcu {
             }
             self.regs[PC] = u.next_pc;
             self.set_flags_logic(1, true, false);
-            self.tick_peripherals(u.cycles);
+            self.tick_peripherals(u.cycles, bus);
             log.push(u.cycles);
             if !self.periph.spi_busy() {
                 return completed(self);
@@ -658,7 +637,7 @@ impl Mcu {
                 return Some(SegmentStop::Budget);
             }
             self.regs[PC] = spin_pc;
-            self.tick_peripherals(2);
+            self.tick_peripherals(2, bus);
             log.push(2);
             if !self.periph.spi_busy() {
                 return completed(self);
@@ -675,8 +654,9 @@ impl Mcu {
     /// interrupt is latched. Returns the cycles actually slept.
     ///
     /// External events (pin changes) must be injected by the caller between
-    /// calls; this only models time passing.
-    pub fn sleep(&mut self, max_cycles: u64) -> u64 {
+    /// calls; this only models time passing. An SPI transfer still in
+    /// flight completes against `bus`.
+    pub fn sleep(&mut self, max_cycles: u64, bus: &mut dyn SpiDevice) -> u64 {
         let aclk_alive = self.mode() != OperatingMode::Lpm4;
         let mut slept = 0u64;
         while slept < max_cycles {
@@ -692,7 +672,7 @@ impl Mcu {
             let quantum = quantum.min(u64::from(u32::MAX / 2)) as u32;
             self.cycles += u64::from(quantum);
             slept += u64::from(quantum);
-            if let Some(irq) = self.periph.tick(quantum, aclk_alive) {
+            if let Some(irq) = self.periph.tick(quantum, aclk_alive, bus) {
                 self.raise(irq);
                 break;
             }
@@ -701,7 +681,7 @@ impl Mcu {
     }
 
     #[inline]
-    fn tick_peripherals(&mut self, cycles: u32) {
+    fn tick_peripherals(&mut self, cycles: u32, bus: &mut dyn SpiDevice) {
         self.cycles += u64::from(cycles);
         if !self.periph.needs_tick() {
             return; // SPI idle and timer stopped: nothing can change
@@ -711,7 +691,7 @@ impl Mcu {
         // instruction path.
         const LPM4_BITS: u16 = FLAG_CPUOFF | FLAG_OSCOFF;
         let aclk_alive = self.regs[SR] & LPM4_BITS != LPM4_BITS;
-        if let Some(irq) = self.periph.tick(cycles, aclk_alive) {
+        if let Some(irq) = self.periph.tick(cycles, aclk_alive, bus) {
             self.raise(irq);
         }
     }
@@ -1256,6 +1236,7 @@ impl Default for Mcu {
 mod tests {
     use super::*;
     use crate::asm::assemble;
+    use crate::memory::io;
 
     fn boot(src: &str) -> Mcu {
         let image = assemble(src).expect("test program must assemble");
@@ -1267,7 +1248,7 @@ mod tests {
 
     fn run_steps(mcu: &mut Mcu, n: usize) {
         for _ in 0..n {
-            if !matches!(mcu.step(), StepResult::Ran { .. }) {
+            if !matches!(mcu.step(&mut FloatingBus), StepResult::Ran { .. }) {
                 break;
             }
         }
@@ -1630,11 +1611,11 @@ isr:    mov #7, r5
         run_steps(&mut mcu, 3);
         assert_eq!(mcu.mode(), OperatingMode::Lpm3);
         assert!(matches!(
-            mcu.step(),
+            mcu.step(&mut FloatingBus),
             StepResult::Sleeping(OperatingMode::Lpm3)
         ));
         // Time passes; nothing happens.
-        assert_eq!(mcu.sleep(1_000_000), 1_000_000);
+        assert_eq!(mcu.sleep(1_000_000, &mut FloatingBus), 1_000_000);
         // External wake (the SP12's 6-second interrupt line).
         mcu.drive_p1(0, true);
         // The pin change has no IE bit set in this minimal program, so
@@ -1661,9 +1642,12 @@ isr:    mov #7, r5
         let mut mcu = Mcu::new();
         // Memory is zero: opcode 0x0000 is undecodable.
         mcu.set_register(0, 0x0200);
-        let r = mcu.step();
+        let r = mcu.step(&mut FloatingBus);
         assert!(matches!(r, StepResult::IllegalInstruction { word: 0, .. }));
-        assert!(matches!(mcu.step(), StepResult::IllegalInstruction { .. }));
+        assert!(matches!(
+            mcu.step(&mut FloatingBus),
+            StepResult::IllegalInstruction { .. }
+        ));
     }
 
     #[test]
@@ -1695,8 +1679,57 @@ halt:   jmp halt
         "#,
         );
         mcu.attach_spi(Box::new(|mosi: u8| mosi ^ 0xFF));
-        run_steps(&mut mcu, 50);
+        // The `halt` spin outlasts `run`'s 4096-instruction log refill;
+        // `run` must still stop only at the cycle budget.
+        let ran = mcu.run(20_000);
+        assert!((20_000..20_002).contains(&ran), "ran {ran} cycles");
         assert_eq!(mcu.register(5) & 0xFF, 0xBE);
+    }
+
+    #[test]
+    fn spi_transfer_completes_while_asleep() {
+        // No stock firmware sleeps with a transfer in flight, but the
+        // byte must still reach the bus handed to `sleep`, and the draw
+        // epoch may move only if that slave reports a change.
+        struct Slave {
+            seen: Vec<u8>,
+            reports_change: bool,
+        }
+        impl SpiDevice for Slave {
+            fn transfer(&mut self, mosi: u8) -> u8 {
+                self.seen.push(mosi);
+                !mosi
+            }
+            fn transfer_observed(&mut self, mosi: u8) -> (u8, bool) {
+                (self.transfer(mosi), self.reports_change)
+            }
+        }
+        for reports_change in [false, true] {
+            let mut mcu = boot(
+                r#"
+            .org 0xF000
+start:  mov #0x0A00, r1
+        mov.b #0x41, &0x0040  ; SPITX: 8 cycles on the wire
+        bis #0x00D0, r2       ; LPM3 with GIE off, 7 cycles later
+halt:   jmp halt
+        .vector reset, start
+        "#,
+            );
+            let mut slave = Slave {
+                seen: Vec::new(),
+                reports_change,
+            };
+            for _ in 0..3 {
+                assert!(matches!(mcu.step(&mut slave), StepResult::Ran { .. }));
+            }
+            assert_eq!(mcu.mode(), OperatingMode::Lpm3);
+            assert_eq!(mcu.read_mem8(io::SPISTAT), 1, "transfer still in flight");
+            assert!(slave.seen.is_empty());
+            assert_eq!(mcu.sleep(100, &mut slave), 100);
+            assert_eq!(slave.seen, [0x41], "the slave saw the byte");
+            assert_eq!(mcu.read_mem8(io::SPIRX), 0xBE, "SPIRX holds the reply");
+            assert_eq!(mcu.spi_draw_epoch(), u32::from(reports_change));
+        }
     }
 
     #[test]
@@ -1711,10 +1744,10 @@ halt:   jmp halt
         .vector reset, start
         "#,
         );
-        let StepResult::Ran { cycles: c1 } = mcu.step() else {
+        let StepResult::Ran { cycles: c1 } = mcu.step(&mut FloatingBus) else {
             panic!("step 1")
         };
-        let StepResult::Ran { cycles: c2 } = mcu.step() else {
+        let StepResult::Ran { cycles: c2 } = mcu.step(&mut FloatingBus) else {
             panic!("step 2")
         };
         assert_eq!(c1, 1);
@@ -1743,7 +1776,7 @@ isr:    mov #5, r5
         run_steps(&mut mcu, 5);
         assert_eq!(mcu.mode(), OperatingMode::Lpm3);
         // ~32 ACLK ticks ≈ 977 µs ≈ 977 cycles at 1 MHz.
-        let slept = mcu.sleep(10_000);
+        let slept = mcu.sleep(10_000, &mut FloatingBus);
         assert!(slept < 10_000, "timer should cut the sleep short");
         run_steps(&mut mcu, 10);
         assert_eq!(mcu.register(5), 5);

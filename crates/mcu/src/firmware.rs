@@ -493,15 +493,13 @@ mod tests {
     use super::*;
     use crate::cpu::{Mcu, StepResult};
     use crate::power_model::OperatingMode;
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
     /// A scripted SPI slave standing in for the node's bus mux: acts as a
     /// 6-poll SP12 for sensor commands and logs radio bytes.
     #[derive(Default)]
     struct FakeBus {
         polls: u8,
-        log: Rc<RefCell<Vec<u8>>>,
+        log: Vec<u8>,
         value: u16,
     }
 
@@ -520,27 +518,23 @@ mod tests {
                 0xF1 => (self.value >> 8) as u8,
                 0xF2 => self.value as u8,
                 other => {
-                    self.log.borrow_mut().push(other);
+                    self.log.push(other);
                     0
                 }
             }
         }
     }
 
-    fn run_one_tpms_cycle() -> (Mcu, Rc<RefCell<Vec<u8>>>, u64) {
+    fn run_one_tpms_cycle() -> (Mcu, Vec<u8>, u64) {
         let image = tpms_app(0x42).expect("firmware assembles");
         let mut mcu = Mcu::new();
         mcu.load(&image);
         mcu.reset();
-        let log = Rc::new(RefCell::new(Vec::new()));
-        mcu.attach_spi(Box::new(FakeBus {
-            log: log.clone(),
-            ..FakeBus::default()
-        }));
+        let mut bus = FakeBus::default();
 
         // Boot until asleep.
         let mut guard = 0;
-        while !matches!(mcu.step(), StepResult::Sleeping(_)) {
+        while !matches!(mcu.step(&mut bus), StepResult::Sleeping(_)) {
             guard += 1;
             assert!(guard < 1000, "boot did not reach sleep");
         }
@@ -551,7 +545,7 @@ mod tests {
         let start = mcu.cycles();
         let mut guard = 0;
         loop {
-            match mcu.step() {
+            match mcu.step(&mut bus) {
                 StepResult::Ran { .. } => {}
                 StepResult::Sleeping(_) => break,
                 StepResult::IllegalInstruction { word, at } => {
@@ -562,13 +556,12 @@ mod tests {
             assert!(guard < 2_000_000, "cycle did not complete");
         }
         let active = mcu.cycles() - start;
-        (mcu, log, active)
+        (mcu, bus.log, active)
     }
 
     #[test]
     fn tpms_cycle_emits_a_well_formed_packet() {
-        let (_, log, _) = run_one_tpms_cycle();
-        let bytes = log.borrow();
+        let (_, bytes, _) = run_one_tpms_cycle();
         assert_eq!(bytes.len(), 2 + 1 + 1 + 8 + 1, "packet length");
         assert_eq!(&bytes[..3], &[PREAMBLE, PREAMBLE, SYNC]);
         assert_eq!(bytes[3], 0x42);
@@ -613,18 +606,14 @@ mod tests {
         let mut mcu = Mcu::new();
         mcu.load(&image);
         mcu.reset();
-        let log = Rc::new(RefCell::new(Vec::new()));
-        mcu.attach_spi(Box::new(FakeBus {
-            log: log.clone(),
-            ..FakeBus::default()
-        }));
-        while !matches!(mcu.step(), StepResult::Sleeping(_)) {}
+        let mut bus = FakeBus::default();
+        while !matches!(mcu.step(&mut bus), StepResult::Sleeping(_)) {}
         for _ in 0..5 {
             mcu.drive_p1(0, false);
             mcu.drive_p1(0, true);
             let mut guard = 0;
             loop {
-                match mcu.step() {
+                match mcu.step(&mut bus) {
                     StepResult::Sleeping(_) => break,
                     StepResult::Ran { .. } => {}
                     other => panic!("unexpected {other:?}"),
@@ -633,7 +622,7 @@ mod tests {
                 assert!(guard < 2_000_000);
             }
         }
-        assert_eq!(log.borrow().len(), 5 * 13);
+        assert_eq!(bus.log.len(), 5 * 13);
     }
 
     #[test]
@@ -643,9 +632,8 @@ mod tests {
         let mut mcu = Mcu::new();
         mcu.load(&image);
         mcu.reset();
-        let log = Rc::new(RefCell::new(Vec::new()));
         struct Accel {
-            log: Rc<RefCell<Vec<u8>>>,
+            log: Vec<u8>,
         }
         impl crate::peripherals::SpiDevice for Accel {
             fn transfer(&mut self, mosi: u8) -> u8 {
@@ -654,14 +642,14 @@ mod tests {
                     0xF1 => 0x04,
                     0xF2 => 0x00,
                     other => {
-                        self.log.borrow_mut().push(other);
+                        self.log.push(other);
                         0
                     }
                 }
             }
         }
-        mcu.attach_spi(Box::new(Accel { log: log.clone() }));
-        while !matches!(mcu.step(), StepResult::Sleeping(_)) {}
+        let mut bus = Accel { log: Vec::new() };
+        while !matches!(mcu.step(&mut bus), StepResult::Sleeping(_)) {}
         assert_eq!(mcu.mode(), OperatingMode::Lpm3);
 
         // Simulate ~10 s: alternate sleeping and servicing whatever the
@@ -669,10 +657,10 @@ mod tests {
         let budget: u64 = 10_000_000; // cycles at 1 MHz
         while mcu.cycles() < budget {
             let remaining = budget - mcu.cycles();
-            if mcu.sleep(remaining) == 0 {
+            if mcu.sleep(remaining, &mut bus) == 0 {
                 // Awake: run the ISR to completion.
                 loop {
-                    match mcu.step() {
+                    match mcu.step(&mut bus) {
                         StepResult::Ran { .. } => {}
                         StepResult::Sleeping(_) => break,
                         other => panic!("unexpected {other:?}"),
@@ -680,7 +668,7 @@ mod tests {
                 }
             }
         }
-        let packets = log.borrow().len() / 11; // 2+1+1+6+1 bytes each
+        let packets = bus.log.len() / 11; // 2+1+1+6+1 bytes each
         assert_eq!(packets, 3, "expected 3 beacons in 10 s at period 3");
     }
 
@@ -690,10 +678,9 @@ mod tests {
         let mut mcu = Mcu::new();
         mcu.load(&image);
         mcu.reset();
-        let log = Rc::new(RefCell::new(Vec::new()));
         // The fake bus answers 0x10|axis requests like the SP12's 0xA0.
         struct Accel {
-            log: Rc<RefCell<Vec<u8>>>,
+            log: Vec<u8>,
             value: u16,
         }
         impl crate::peripherals::SpiDevice for Accel {
@@ -706,22 +693,22 @@ mod tests {
                     0xF1 => (self.value >> 8) as u8,
                     0xF2 => self.value as u8,
                     other => {
-                        self.log.borrow_mut().push(other);
+                        self.log.push(other);
                         0
                     }
                 }
             }
         }
-        mcu.attach_spi(Box::new(Accel {
-            log: log.clone(),
+        let mut bus = Accel {
+            log: Vec::new(),
             value: 0,
-        }));
-        while !matches!(mcu.step(), StepResult::Sleeping(_)) {}
+        };
+        while !matches!(mcu.step(&mut bus), StepResult::Sleeping(_)) {}
         assert_eq!(mcu.mode(), OperatingMode::Lpm4);
         mcu.drive_p1(0, true);
         let mut guard = 0;
         loop {
-            match mcu.step() {
+            match mcu.step(&mut bus) {
                 StepResult::Sleeping(_) => break,
                 StepResult::Ran { .. } => {}
                 other => panic!("unexpected {other:?}"),
@@ -729,7 +716,7 @@ mod tests {
             guard += 1;
             assert!(guard < 2_000_000);
         }
-        let bytes = log.borrow();
+        let bytes = &bus.log;
         assert_eq!(bytes.len(), 2 + 1 + 1 + 6 + 1);
         assert_eq!(&bytes[..3], &[PREAMBLE, PREAMBLE, SYNC]);
         assert_eq!(mcu.mode(), OperatingMode::Lpm4);

@@ -29,7 +29,7 @@
 //! # Examples
 //!
 //! ```
-//! use picocube_mcu::{asm, Mcu};
+//! use picocube_mcu::{asm, FloatingBus, Mcu};
 //!
 //! let image = asm::assemble(r#"
 //!         .org 0xF000
@@ -44,7 +44,7 @@
 //! let mut mcu = Mcu::new();
 //! mcu.load(&image);
 //! mcu.reset();
-//! for _ in 0..32 { mcu.step(); }
+//! for _ in 0..32 { mcu.step(&mut FloatingBus); }
 //! assert_eq!(mcu.register(4), 0);
 //! # Ok::<(), picocube_mcu::asm::AsmError>(())
 //! ```
@@ -66,5 +66,5 @@ mod uops;
 pub use cpu::{Mcu, SegmentStop, StepResult};
 pub use isa::{Condition, Format1Op, Format2Op};
 pub use memory::{io, vectors, FlatMemory, Image};
-pub use peripherals::{Irq, SpiDevice};
+pub use peripherals::{FloatingBus, Irq, SpiDevice};
 pub use power_model::{McuPowerModel, OperatingMode};

@@ -63,6 +63,21 @@ impl<F: FnMut(u8) -> u8> SpiDevice for F {
     }
 }
 
+/// The bus with no slave selected: it floats high and nothing on the
+/// board changes.
+#[derive(Debug)]
+pub struct FloatingBus;
+
+impl SpiDevice for FloatingBus {
+    fn transfer(&mut self, _mosi: u8) -> u8 {
+        0xFF
+    }
+
+    fn transfer_observed(&mut self, _mosi: u8) -> (u8, bool) {
+        (0xFF, false)
+    }
+}
+
 #[derive(Debug, Clone, Copy, Default)]
 struct GpioPort {
     input: u8,
@@ -90,7 +105,6 @@ pub struct Peripherals {
     /// MCLK cycles per ACLK tick (MCLK 1 MHz / ACLK 32768 Hz ≈ 30.5).
     aclk_ratio_num: u64,
     aclk_accum: u64,
-    device: Option<Box<dyn SpiDevice>>,
 }
 
 impl core::fmt::Debug for Peripherals {
@@ -122,13 +136,7 @@ impl Peripherals {
             // MCLK 1 MHz, ACLK 32768 Hz: 1e6/32768 ≈ 30.52 cycles per tick.
             aclk_ratio_num: 1_000_000,
             aclk_accum: 0,
-            device: None,
         }
-    }
-
-    /// Attaches (or replaces) the SPI slave device.
-    pub fn attach_spi(&mut self, device: Box<dyn SpiDevice>) {
-        self.device = Some(device);
     }
 
     /// Whether an address belongs to the peripheral window.
@@ -204,9 +212,10 @@ impl Peripherals {
     }
 
     /// Advances peripheral state by `cycles` of MCLK. `aclk_alive` is false
-    /// in LPM4 (OSCOFF), which freezes the timer. Returns any interrupt
-    /// that became pending.
-    pub fn tick(&mut self, cycles: u32, aclk_alive: bool) -> Option<Irq> {
+    /// in LPM4 (OSCOFF), which freezes the timer. A transfer that completes
+    /// inside the span is exchanged with `bus`. Returns any interrupt that
+    /// became pending.
+    pub fn tick(&mut self, cycles: u32, aclk_alive: bool, bus: &mut dyn SpiDevice) -> Option<Irq> {
         let mut pending = None;
 
         // SPI engine.
@@ -214,12 +223,7 @@ impl Peripherals {
             self.spi_busy_cycles = self.spi_busy_cycles.saturating_sub(cycles);
             if self.spi_busy_cycles == 0 {
                 if let Some(mosi) = self.spi_pending_mosi.take() {
-                    // With no slave attached the bus floats high and
-                    // nothing on the board changes.
-                    let (rx, changed) = self
-                        .device
-                        .as_mut()
-                        .map_or((0xFF, false), |d| d.transfer_observed(mosi));
+                    let (rx, changed) = bus.transfer_observed(mosi);
                     self.spi_rx = rx;
                     if changed {
                         self.spi_draw_epoch = self.spi_draw_epoch.wrapping_add(1);
@@ -407,11 +411,11 @@ mod tests {
     #[test]
     fn spi_transfer_round_trip() {
         let mut p = Peripherals::new();
-        p.attach_spi(Box::new(|mosi: u8| mosi.wrapping_add(1)));
+        let mut slave = |mosi: u8| mosi.wrapping_add(1);
         p.write(io::SPITX, 0x41);
         assert!(p.spi_busy());
         // 8 cycles at divider 1.
-        assert_eq!(p.tick(8, true), None); // interrupt not enabled
+        assert_eq!(p.tick(8, true, &mut slave), None); // interrupt not enabled
         assert!(!p.spi_busy());
         assert_eq!(p.read(io::SPIRX), 0x42);
     }
@@ -429,50 +433,47 @@ mod tests {
         }
         let mut p = Peripherals::new();
         p.write(io::SPITX, 0x01);
-        p.tick(8, true);
+        p.tick(8, true, &mut FloatingBus);
         assert_eq!(p.spi_draw_epoch(), 0, "no slave: nothing changes");
-        p.attach_spi(Box::new(EvenChanges));
         let mut epoch = 0;
         for mosi in 1..=4u8 {
             p.write(io::SPITX, mosi);
             assert_eq!(p.spi_draw_epoch(), epoch, "a start is not a change");
-            p.tick(8, true);
+            p.tick(8, true, &mut EvenChanges);
             epoch += u32::from(mosi.is_multiple_of(2));
             assert_eq!(p.spi_draw_epoch(), epoch, "after {mosi:#04x}");
         }
         // A closure cannot tell, so every completion counts.
-        p.attach_spi(Box::new(|mosi: u8| mosi));
         p.write(io::SPITX, 0x01);
-        p.tick(8, true);
+        p.tick(8, true, &mut |mosi: u8| mosi);
         assert_eq!(p.spi_draw_epoch(), 3);
     }
 
     #[test]
     fn spi_divider_stretches_transfer() {
         let mut p = Peripherals::new();
-        p.attach_spi(Box::new(|_| 0u8));
+        let mut slave = |_| 0u8;
         p.write(io::SPICTL, 0x03); // divider 8
         p.write(io::SPITX, 0x00);
-        p.tick(32, true);
+        p.tick(32, true, &mut slave);
         assert!(p.spi_busy());
-        p.tick(32, true);
+        p.tick(32, true, &mut slave);
         assert!(!p.spi_busy());
     }
 
     #[test]
     fn spi_completion_interrupt_when_enabled() {
         let mut p = Peripherals::new();
-        p.attach_spi(Box::new(|_| 0u8));
         p.write(io::SPICTL, 0x08); // ien, divider 1
         p.write(io::SPITX, 0x00);
-        assert_eq!(p.tick(8, true), Some(Irq::Spi));
+        assert_eq!(p.tick(8, true, &mut |_| 0u8), Some(Irq::Spi));
     }
 
     #[test]
     fn spi_without_device_reads_0xff() {
         let mut p = Peripherals::new();
         p.write(io::SPITX, 0x55);
-        p.tick(8, true);
+        p.tick(8, true, &mut FloatingBus);
         assert_eq!(p.read(io::SPIRX), 0xFF);
     }
 
@@ -484,7 +485,7 @@ mod tests {
                                    // 2 ticks at 32768 Hz need ≈ 61 MCLK cycles.
         let mut fired = false;
         for _ in 0..70 {
-            if p.tick(1, true) == Some(Irq::TimerA) {
+            if p.tick(1, true, &mut FloatingBus) == Some(Irq::TimerA) {
                 fired = true;
                 break;
             }
@@ -497,7 +498,7 @@ mod tests {
         let mut p = Peripherals::new();
         p.write(io::TACCR0, 1);
         p.write(io::TACTL, 0b011);
-        assert_eq!(p.tick(10_000, false), None); // LPM4: OSCOFF
+        assert_eq!(p.tick(10_000, false, &mut FloatingBus), None); // LPM4: OSCOFF
         assert_eq!(p.read(io::TAR), 0);
     }
 

@@ -14,8 +14,8 @@
 //! * a basic-block boundary marker (`ends_block`) on branches, calls,
 //!   `reti` and anything that can write SR — between markers the status
 //!   register cannot change, which is what lets
-//!   [`Mcu::run`](crate::cpu::Mcu::run) stream a block without re-checking
-//!   the sleep/fault state per instruction.
+//!   [`Mcu::run_segment`](crate::cpu::Mcu::run_segment) stream a block
+//!   without re-checking the sleep/fault state per instruction.
 //!
 //! Decoding reuses [`disasm::decode_one`] as the gatekeeper: an address
 //! gets a micro-op only if the disassembler decodes it, so the decoded
@@ -132,7 +132,7 @@ pub(crate) struct UInsn {
     /// (`bit.b #1, &SPISTAT` followed by a `jnz` straight back to it):
     /// [`Mcu::run_segment`](crate::cpu::Mcu::run_segment) fast-forwards the
     /// spin without per-iteration dispatch. Purely an execution hint —
-    /// `step`/`run` ignore it, and the fused loop replays the exact
+    /// `step` ignores it, and the fused loop replays the exact
     /// per-instruction flags, cycles, and peripheral ticks.
     pub spin_spi: bool,
 }

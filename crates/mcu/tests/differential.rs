@@ -14,14 +14,17 @@
 //! PCs, undecodable words, interrupt storms).
 
 use picocube_mcu::firmware;
-use picocube_mcu::{asm, Image, Irq, Mcu, SegmentStop, SpiDevice, StepResult};
+use picocube_mcu::{asm, FloatingBus, Image, Irq, Mcu, SegmentStop, SpiDevice, StepResult};
 use picocube_sim::CycleLog;
 use proptest::prelude::*;
 
-/// A decoded/interpreter pair over one image.
+/// A decoded/interpreter pair over one image, each core with its own
+/// instance of the same SPI slave.
 struct Pair {
     dec: Mcu,
     int: Mcu,
+    dec_bus: Box<dyn SpiDevice>,
+    int_bus: Box<dyn SpiDevice>,
 }
 
 impl Pair {
@@ -33,17 +36,22 @@ impl Pair {
         int.load(image);
         int.reset();
         int.set_translation(false);
-        Self { dec, int }
+        Self {
+            dec,
+            int,
+            dec_bus: Box::new(FloatingBus),
+            int_bus: Box::new(FloatingBus),
+        }
     }
 
     fn attach_echo_spi(&mut self) {
-        self.dec.attach_spi(Box::new(|mosi: u8| mosi ^ 0xA5));
-        self.int.attach_spi(Box::new(|mosi: u8| mosi ^ 0xA5));
+        self.dec_bus = Box::new(|mosi: u8| mosi ^ 0xA5);
+        self.int_bus = Box::new(|mosi: u8| mosi ^ 0xA5);
     }
 
     fn attach_sp12_like_spi(&mut self) {
-        self.dec.attach_spi(Box::new(Sp12Like::default()));
-        self.int.attach_spi(Box::new(Sp12Like::default()));
+        self.dec_bus = Box::new(Sp12Like::default());
+        self.int_bus = Box::new(Sp12Like::default());
     }
 
     /// Applies one mirrored stimulus to both cores.
@@ -81,8 +89,8 @@ impl Pair {
 
     /// Steps both cores once and checks full lockstep agreement.
     fn step(&mut self, step: usize) -> StepResult {
-        let a = self.dec.step();
-        let b = self.int.step();
+        let a = self.dec.step(&mut *self.dec_bus);
+        let b = self.int.step(&mut *self.int_bus);
         assert_eq!(a, b, "step {step}: step results diverged");
         self.assert_registers(step);
         a
@@ -90,8 +98,8 @@ impl Pair {
 
     /// Fast-forwards a sleeping pair identically.
     fn sleep(&mut self, cycles: u64, step: usize) {
-        let a = self.dec.sleep(cycles);
-        let b = self.int.sleep(cycles);
+        let a = self.dec.sleep(cycles, &mut *self.dec_bus);
+        let b = self.int.sleep(cycles, &mut *self.int_bus);
         assert_eq!(a, b, "step {step}: slept cycle counts diverged");
         self.assert_registers(step);
     }
@@ -200,14 +208,24 @@ fn stock_firmware_images_run_in_lockstep() {
 
 #[test]
 fn run_streams_blocks_bit_identically() {
-    // Mcu::run takes the block-streaming fast path; chunked budgets must
-    // leave both cores at identical stopping points.
+    // `Mcu::run` on the decoded core, with its attached slave, against the
+    // interpreter core single-stepped through the reference segment loop
+    // until it stops for anything but an observable change: chunked
+    // budgets must leave both cores at identical stopping points.
     let image = firmware::tpms_app(0x42).expect("tpms builds");
     let mut pair = Pair::boot(&image);
     pair.attach_echo_spi();
+    pair.dec.attach_spi(Box::new(|mosi: u8| mosi ^ 0xA5));
+    let mut deltas = Vec::new();
     for chunk in 0..400 {
         let a = pair.dec.run(1_337);
-        let b = pair.int.run(1_337);
+        let start = pair.int.cycles();
+        deltas.clear();
+        let bus = &mut *pair.int_bus;
+        while reference_segment(&mut pair.int, start + 1_337, usize::MAX, &mut deltas, bus)
+            == SegmentStop::Observable
+        {}
+        let b = pair.int.cycles() - start;
         assert_eq!(a, b, "chunk {chunk}: run() consumed different cycles");
         pair.assert_registers(chunk);
         if a == 0 {
@@ -358,6 +376,7 @@ fn reference_segment(
     limit_cycles: u64,
     max_insns: usize,
     deltas: &mut Vec<u32>,
+    bus: &mut dyn SpiDevice,
 ) -> SegmentStop {
     let obs = |m: &Mcu| (m.p1_output(), m.p2_output(), m.spi_draw_epoch(), m.mode());
     let base = obs(m);
@@ -365,7 +384,7 @@ fn reference_segment(
         if m.cycles() >= limit_cycles || deltas.len() >= max_insns {
             return SegmentStop::Budget;
         }
-        match m.step() {
+        match m.step(bus) {
             StepResult::Ran { cycles } => {
                 deltas.push(cycles);
                 if obs(m) != base {
@@ -408,8 +427,11 @@ fn run_segment_matches_single_stepping() {
                 let max_insns = 1 + seg % 63;
                 log.clear();
                 db.clear();
-                let a = pair.dec.run_segment(limit, max_insns as u64, &mut log);
-                let b = reference_segment(&mut pair.int, limit, max_insns, &mut db);
+                let a = pair
+                    .dec
+                    .run_segment(limit, max_insns as u64, &mut log, &mut *pair.dec_bus);
+                let b =
+                    reference_segment(&mut pair.int, limit, max_insns, &mut db, &mut *pair.int_bus);
                 let da: Vec<u32> = log.iter_insns().collect();
                 assert_eq!(a, b, "{name} segment {seg}: stop reasons diverged");
                 assert_eq!(da, db, "{name} segment {seg}: cycle logs diverged");
@@ -453,13 +475,13 @@ fn tpms_wake_burst_runs_in_at_most_20_segments() {
     let mut mcu = Mcu::new();
     mcu.load(&image);
     mcu.reset();
-    mcu.attach_spi(Box::new(Sp12Like::default()));
+    let mut bus = Sp12Like::default();
     let mut log = CycleLog::new();
     let mut run_to_sleep = |mcu: &mut Mcu| {
         let (mut segments, mut insns) = (0, 0);
         loop {
             log.clear();
-            let stop = mcu.run_segment(u64::MAX, u64::MAX, &mut log);
+            let stop = mcu.run_segment(u64::MAX, u64::MAX, &mut log, &mut bus);
             segments += 1;
             insns += log.insns();
             match stop {

@@ -2,7 +2,7 @@
 //! round-trip through assembler and disassembler, and the ALU agrees with
 //! an arithmetic oracle.
 
-use picocube_mcu::{asm, disasm, FlatMemory, Mcu, StepResult};
+use picocube_mcu::{asm, disasm, FlatMemory, FloatingBus, Mcu, StepResult};
 use proptest::prelude::*;
 
 /// Strategy for one random (valid) instruction in assembler syntax, using
@@ -82,7 +82,7 @@ proptest! {
         mcu.load(&image);
         mcu.reset();
         for _ in 0..2 {
-            let ran = matches!(mcu.step(), StepResult::Ran { .. });
+            let ran = matches!(mcu.step(&mut FloatingBus), StepResult::Ran { .. });
             prop_assert!(ran);
         }
         prop_assert_eq!(mcu.register(4), a.wrapping_add(b));
@@ -108,7 +108,7 @@ proptest! {
             mcu.load(&image);
             mcu.reset();
             for _ in 0..2 {
-                assert!(matches!(mcu.step(), StepResult::Ran { .. }));
+                assert!(matches!(mcu.step(&mut FloatingBus), StepResult::Ran { .. }));
             }
             (mcu.register(4), mcu.register(2))
         };
@@ -130,7 +130,7 @@ proptest! {
             mcu.load(&image);
             mcu.reset();
             for _ in 0..2 {
-                let ran = matches!(mcu.step(), StepResult::Ran { .. });
+                let ran = matches!(mcu.step(&mut FloatingBus), StepResult::Ran { .. });
             prop_assert!(ran);
             }
             prop_assert_eq!(mcu.register(4), expect, "{} failed", mn);
@@ -147,7 +147,7 @@ proptest! {
         mcu.load(&image);
         mcu.reset();
         for _ in 0..5 {
-            let ran = matches!(mcu.step(), StepResult::Ran { .. });
+            let ran = matches!(mcu.step(&mut FloatingBus), StepResult::Ran { .. });
             prop_assert!(ran);
         }
         prop_assert_eq!(mcu.register(4), v.rotate_left(8));
@@ -165,7 +165,7 @@ proptest! {
         mcu.load(&image);
         mcu.reset();
         for _ in 0..2 {
-            let ran = matches!(mcu.step(), StepResult::Ran { .. });
+            let ran = matches!(mcu.step(&mut FloatingBus), StepResult::Ran { .. });
             prop_assert!(ran);
         }
         prop_assert_eq!(mcu.register(5), v);

@@ -22,7 +22,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         drive_cycle: DriveCycle::parked(), // wall-mounted: no motion
         ..NodeConfig::default()
     };
-    let mut node = PicoCube::tpms(office_node.clone())?;
+    let mut node = StackBuilder::new(office_node.clone())
+        .app(AppBoard::Tpms)
+        .build()?;
     node.run_for(SimDuration::from_secs(600));
     let report = node.report();
     println!("single wall node, 10 minutes under office lighting:");

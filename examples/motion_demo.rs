@@ -26,7 +26,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..NodeConfig::default()
     };
     let scenario = MotionScenario::retreat_table(2007);
-    let mut node = PicoCube::motion(config, scenario)?;
+    let mut node = StackBuilder::new(config)
+        .app(AppBoard::Motion { scenario })
+        .build()?;
     let mut station = DemoStation::demo_table(2007);
 
     println!("BWRC retreat demo: cube on the table, receiver 1 m away.");

@@ -10,7 +10,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The default configuration is the paper's TPMS deployment: SP12
     // sensor board, COTS power chain, rim-mounted harvester, highway
     // driving.
-    let mut node = PicoCube::tpms(NodeConfig::default())?;
+    let mut node = StackBuilder::new(NodeConfig::default())
+        .app(AppBoard::Tpms)
+        .build()?;
 
     println!("running the PicoCube for 60 simulated seconds...\n");
     node.run_for(SimDuration::from_secs(60));

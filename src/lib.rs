@@ -28,10 +28,12 @@
 //! # Quickstart
 //!
 //! ```
-//! use picocube::node::{NodeConfig, PicoCube};
+//! use picocube::node::{AppBoard, NodeConfig, StackBuilder};
 //! use picocube::sim::SimDuration;
 //!
-//! let mut node = PicoCube::tpms(NodeConfig::default())?;
+//! let mut node = StackBuilder::new(NodeConfig::default())
+//!     .app(AppBoard::Tpms)
+//!     .build()?;
 //! node.run_for(SimDuration::from_secs(60));
 //!
 //! let report = node.report();
@@ -59,7 +61,7 @@ pub use picocube_units as units;
 
 /// The types nearly every PicoCube program touches, in one import.
 ///
-/// Covers building and running a node ([`PicoCube`](prelude::PicoCube),
+/// Covers building and running a node ([`Stack`](prelude::Stack),
 /// [`NodeConfig`](prelude::NodeConfig), [`StackBuilder`](prelude::StackBuilder)
 /// with [`AppBoard`](prelude::AppBoard)), fleet scenarios
 /// ([`FleetConfig`](prelude::FleetConfig) and friends), declarative JSON
@@ -72,7 +74,9 @@ pub use picocube_units as units;
 /// ```
 /// use picocube::prelude::*;
 ///
-/// let mut node = PicoCube::tpms(NodeConfig::default())?;
+/// let mut node = StackBuilder::new(NodeConfig::default())
+///     .app(AppBoard::Tpms)
+///     .build()?;
 /// node.run_for(SimDuration::from_secs(30));
 /// assert!(node.report().average_power < Watts::from_micro(20.0));
 /// # Ok::<(), BuildError>(())
@@ -82,7 +86,7 @@ pub mod prelude {
         run_fleet, run_fleet_with, run_mesh, run_mesh_with, run_scenario_with, AppBoard,
         BuildError, FleetApp, FleetConfig, FleetConfigBuilder, FleetConfigError, FleetOutcome,
         HarvesterKind, MeshConfig, MeshConfigError, MeshOutcome, NodeConfig, NodeReport,
-        Parallelism, PicoCube, Scenario, ScenarioError, ScenarioOutcome, StackBuilder,
+        Parallelism, Scenario, ScenarioError, ScenarioOutcome, Stack, StackBuilder,
     };
     pub use picocube_sim::{SimDuration, SimRng, SimTime};
     pub use picocube_telemetry::{

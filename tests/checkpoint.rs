@@ -18,7 +18,7 @@
 
 use picocube::node::{
     run_fleet_partial, run_fleet_resumable, run_fleet_with, FleetCheckpoint, FleetConfig,
-    Parallelism, PicoCube, StackCheckpoint,
+    Parallelism, Stack, StackCheckpoint,
 };
 use picocube::sim::SimDuration;
 use picocube::telemetry::{keys, Event, EventKind, Metrics};
@@ -34,7 +34,7 @@ struct NodeCapture {
     metrics: Metrics,
 }
 
-fn finish(mut node: PicoCube, remaining: SimDuration) -> NodeCapture {
+fn finish(mut node: Stack, remaining: SimDuration) -> NodeCapture {
     node.run_for(remaining);
     let report = node.report().to_json().to_string();
     let telemetry = node.drain_telemetry();

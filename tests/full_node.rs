@@ -1,15 +1,24 @@
 //! Workspace integration tests: the assembled node reproduces the paper's
 //! headline system-level behaviour end to end.
 
-use picocube::node::{DemoStation, HarvesterKind, NodeConfig, PicoCube, PowerChainKind};
+use picocube::node::{
+    AppBoard, DemoStation, HarvesterKind, NodeConfig, PowerChainKind, Stack, StackBuilder,
+};
 use picocube::radio::packet::{decode, Checksum};
 use picocube::sensors::{MotionScenario, Sp12, Sp12Channel};
 use picocube::sim::{SimDuration, SimTime};
 use picocube::units::Watts;
 
+fn tpms(config: NodeConfig) -> Stack {
+    StackBuilder::new(config)
+        .app(AppBoard::Tpms)
+        .build()
+        .unwrap()
+}
+
 #[test]
 fn headline_average_power_is_about_6_uw() {
-    let mut node = PicoCube::tpms(NodeConfig::default()).unwrap();
+    let mut node = tpms(NodeConfig::default());
     node.run_for(SimDuration::from_secs(120));
     let avg = node.report().average_power;
     assert!(
@@ -21,7 +30,7 @@ fn headline_average_power_is_about_6_uw() {
 
 #[test]
 fn fig6_profile_shape() {
-    let mut node = PicoCube::tpms(NodeConfig::default()).unwrap();
+    let mut node = tpms(NodeConfig::default());
     node.run_for(SimDuration::from_secs(13));
     let trace = node.power_trace();
 
@@ -59,7 +68,7 @@ fn tpms_packets_decode_to_tire_physics_at_the_receiver() {
         drive_cycle: picocube::harvest::DriveCycle::highway(),
         ..NodeConfig::default()
     };
-    let mut node = PicoCube::tpms(config).unwrap();
+    let mut node = tpms(config);
     node.run_for(SimDuration::from_secs(601));
     let packets = node.packets();
     assert_eq!(packets.len(), 100);
@@ -91,7 +100,12 @@ fn demo_end_to_end_over_the_simulated_channel() {
         harvester: HarvesterKind::None,
         ..NodeConfig::default()
     };
-    let mut node = PicoCube::motion(config, MotionScenario::retreat_table(77)).unwrap();
+    let mut node = StackBuilder::new(config)
+        .app(AppBoard::Motion {
+            scenario: MotionScenario::retreat_table(77),
+        })
+        .build()
+        .unwrap();
     let mut station = DemoStation::demo_table(77);
     node.run_for(SimDuration::from_secs(60));
 
@@ -109,13 +123,12 @@ fn demo_end_to_end_over_the_simulated_channel() {
 
 #[test]
 fn cots_vs_integrated_ic_tradeoff() {
-    let mut cots = PicoCube::tpms(NodeConfig::default()).unwrap();
+    let mut cots = tpms(NodeConfig::default());
     cots.run_for(SimDuration::from_secs(60));
-    let mut ic = PicoCube::tpms(NodeConfig {
+    let mut ic = tpms(NodeConfig {
         power_chain: PowerChainKind::IntegratedIc,
         ..NodeConfig::default()
-    })
-    .unwrap();
+    });
     ic.run_for(SimDuration::from_secs(60));
 
     let p_cots = cots.report().average_power;
@@ -138,7 +151,7 @@ fn energy_ledger_is_consistent_with_battery_drain() {
         harvester: HarvesterKind::None,
         ..NodeConfig::default()
     };
-    let mut node = PicoCube::tpms(config).unwrap();
+    let mut node = tpms(config);
     let soc0 = node.battery_soc();
     node.run_for(SimDuration::from_secs(120));
     let report = node.report();
@@ -156,7 +169,7 @@ fn energy_ledger_is_consistent_with_battery_drain() {
 #[test]
 fn long_run_remains_stable_and_deterministic() {
     let run = || {
-        let mut node = PicoCube::tpms(NodeConfig::default()).unwrap();
+        let mut node = tpms(NodeConfig::default());
         node.run_for(SimDuration::from_secs(1_801));
         let r = node.report();
         (r.wakes, r.packets.len(), r.consumed, r.average_power)

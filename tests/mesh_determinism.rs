@@ -7,9 +7,9 @@
 //! relay turnaround) instead of simulating nodes independently. These
 //! tests pin both halves of the promise:
 //!
-//! 1. serial, static-shard (2–3 workers) and oversubscribed (more workers
-//!    than nodes) runs produce the *same bytes* — outcome, metric registry
-//!    and event stream; and
+//! 1. serial, threaded (2–3 workers claiming nodes from one cursor) and
+//!    oversubscribed (more workers than nodes) runs produce the *same
+//!    bytes* — outcome, metric registry and event stream; and
 //! 2. the serial trace matches `tests/golden/mesh.json`, so a determinism
 //!    bug that shifts all modes together still fails loudly.
 //!
@@ -203,7 +203,7 @@ fn mesh_serial_trace_matches_golden() {
 
 #[test]
 fn mesh_threaded_traces_match_golden() {
-    // Same golden as the serial run: static-shard and oversubscribed
+    // Same golden as the serial run: threaded and oversubscribed
     // worker counts must reproduce the serial bytes exactly.
     check_golden(&capture(Parallelism::Threads(2)));
     check_golden(&capture(Parallelism::Threads(3)));

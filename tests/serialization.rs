@@ -1,13 +1,16 @@
 //! Reports and configurations serialize: the data-plumbing contract for
 //! downstream tooling (dashboards, sweep scripts).
 
-use picocube::node::{NodeConfig, PicoCube};
+use picocube::node::{AppBoard, NodeConfig, StackBuilder};
 use picocube::sim::SimDuration;
 use picocube::units::json::{FromJson, Json, ToJson};
 
 #[test]
 fn node_report_round_trips_through_json() {
-    let mut node = PicoCube::tpms(NodeConfig::default()).unwrap();
+    let mut node = StackBuilder::new(NodeConfig::default())
+        .app(AppBoard::Tpms)
+        .build()
+        .unwrap();
     node.run_for(SimDuration::from_secs(13));
     let report = node.report();
     let json = report.to_json().to_string();
@@ -35,7 +38,10 @@ fn node_config_round_trips_through_json() {
 
 #[test]
 fn traces_export_parseable_csv() {
-    let mut node = PicoCube::tpms(NodeConfig::default()).unwrap();
+    let mut node = StackBuilder::new(NodeConfig::default())
+        .app(AppBoard::Tpms)
+        .build()
+        .unwrap();
     node.run_for(SimDuration::from_secs(13));
     let csv = node.power_trace().as_scalar().to_csv();
     let mut lines = csv.lines();

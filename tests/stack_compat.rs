@@ -19,7 +19,8 @@
 //! only ever from a commit whose engine is known-good.
 
 use picocube::node::{
-    run_fleet_with, FleetConfig, FleetOutcome, HarvesterKind, NodeConfig, Parallelism, PicoCube,
+    run_fleet_with, AppBoard, FleetConfig, FleetOutcome, HarvesterKind, NodeConfig, Parallelism,
+    Stack, StackBuilder,
 };
 use picocube::sensors::MotionScenario;
 use picocube::sim::SimDuration;
@@ -119,9 +120,16 @@ fn events_json(events: &[Event]) -> Json {
     Json::Arr(events.iter().map(ToJson::to_json).collect())
 }
 
+fn tpms(config: NodeConfig) -> Stack {
+    StackBuilder::new(config)
+        .app(AppBoard::Tpms)
+        .build()
+        .expect("node builds")
+}
+
 /// Runs a node with event recording on and captures its report, event
 /// stream and metric totals as one JSON document.
-fn capture_node(mut node: PicoCube, secs: u64) -> Json {
+fn capture_node(mut node: Stack, secs: u64) -> Json {
     node.set_event_recording(true);
     node.run_for(SimDuration::from_secs(secs));
     let report = node.report();
@@ -135,7 +143,7 @@ fn capture_node(mut node: PicoCube, secs: u64) -> Json {
 
 #[test]
 fn tpms_default_trace_matches_pre_refactor() {
-    let node = PicoCube::tpms(NodeConfig::default()).expect("node builds");
+    let node = tpms(NodeConfig::default());
     check_golden("tpms_default", &capture_node(node, 61));
 }
 
@@ -147,7 +155,7 @@ fn tpms_alarm_leak_trace_matches_pre_refactor() {
         drive_cycle: picocube::harvest::DriveCycle::parked(),
         ..NodeConfig::default()
     };
-    let node = PicoCube::tpms(config).expect("node builds");
+    let node = tpms(config);
     check_golden("tpms_alarm_leak", &capture_node(node, 601));
 }
 
@@ -158,7 +166,7 @@ fn tpms_integrated_ic_trace_matches_pre_refactor() {
         wakeup_receiver: true,
         ..NodeConfig::default()
     };
-    let node = PicoCube::tpms(config).expect("node builds");
+    let node = tpms(config);
     check_golden("tpms_integrated_ic", &capture_node(node, 31));
 }
 
@@ -168,7 +176,7 @@ fn tpms_ungated_ldo_trace_matches_pre_refactor() {
         ungated_rf_ldo: true,
         ..NodeConfig::default()
     };
-    let node = PicoCube::tpms(config).expect("node builds");
+    let node = tpms(config);
     check_golden("tpms_ungated_ldo", &capture_node(node, 31));
 }
 
@@ -178,7 +186,12 @@ fn motion_trace_matches_pre_refactor() {
         harvester: HarvesterKind::None,
         ..NodeConfig::default()
     };
-    let node = PicoCube::motion(config, MotionScenario::retreat_table(9)).expect("node builds");
+    let node = StackBuilder::new(config)
+        .app(AppBoard::Motion {
+            scenario: MotionScenario::retreat_table(9),
+        })
+        .build()
+        .expect("node builds");
     check_golden("motion", &capture_node(node, 31));
 }
 
@@ -188,7 +201,13 @@ fn beacon_trace_matches_pre_refactor() {
         harvester: HarvesterKind::None,
         ..NodeConfig::default()
     };
-    let node = PicoCube::beacon(config, MotionScenario::retreat_table(5), 5).expect("node builds");
+    let node = StackBuilder::new(config)
+        .app(AppBoard::Beacon {
+            scenario: MotionScenario::retreat_table(5),
+            period_s: 5,
+        })
+        .build()
+        .expect("node builds");
     check_golden("beacon", &capture_node(node, 31));
 }
 
@@ -202,7 +221,7 @@ fn brownout_recovery_trace_matches_pre_refactor() {
         initial_soc: 0.009,
         ..NodeConfig::default()
     };
-    let node = PicoCube::tpms(config).expect("node builds");
+    let node = tpms(config);
     check_golden("brownout_recovery", &capture_node(node, 3 * 3_600));
 }
 
