@@ -186,6 +186,11 @@ impl RadioFrontend {
     pub fn packets(&self) -> &[TransmittedPacket] {
         &self.packets
     }
+
+    /// Consumes the front end, handing over its packet list.
+    pub(crate) fn into_packets(self) -> Vec<TransmittedPacket> {
+        self.packets
+    }
 }
 
 /// Routes the MCU's SPI transfers by the same GPIO lines the firmware

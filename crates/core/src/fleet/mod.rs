@@ -613,7 +613,7 @@ pub fn simulate_node_instrumented(
     let link = link_for_fleet();
     let rx_dbm = link.budget(Meters::new(distance)).received;
     let packets = node
-        .packets()
+        .into_packets()
         .into_iter()
         .map(|packet| {
             // `time` is the transmission's end; a packet whose modeled

@@ -572,6 +572,12 @@ impl Stack {
         self.radio.packets()
     }
 
+    /// Consumes a finished node, handing over its packet list without the
+    /// copy [`packets`](Self::packets) makes.
+    pub(crate) fn into_packets(self) -> Vec<TransmittedPacket> {
+        self.radio.into_packets()
+    }
+
     /// How many packets have been transmitted so far — a cursor for
     /// [`packets_since`](Self::packets_since).
     pub fn packet_count(&self) -> usize {

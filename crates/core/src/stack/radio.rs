@@ -73,6 +73,11 @@ impl RadioBoard {
         self.frontend.packets().to_vec()
     }
 
+    /// Consumes the board, handing over its packet list.
+    pub(super) fn into_packets(self) -> Vec<TransmittedPacket> {
+        self.frontend.into_packets()
+    }
+
     /// How many packets have been transmitted so far.
     pub(super) fn packet_count(&self) -> usize {
         self.frontend.packets().len()

@@ -7,6 +7,7 @@ use picocube_power::converter_ic::PowerInterfaceIc;
 use picocube_power::cots::CotsPowerChain;
 use picocube_telemetry::{keys, Metrics};
 use picocube_units::{Amps, Celsius, Volts, Watts};
+use std::collections::VecDeque;
 
 enum Chain {
     Cots(Box<CotsPowerChain>),
@@ -53,11 +54,12 @@ const OP_CACHE_CAP: usize = 32;
 pub struct SwitchBoard {
     chain: Chain,
     ungated_rf_ldo: bool,
-    /// Solved operating points, most-recently-used first. A plain `Vec`
-    /// scanned linearly: the hit is almost always at the front, eviction
-    /// order is fixed (truncate the tail), and lint L3 keeps `HashMap`
-    /// out of the deterministic core anyway.
-    op_cache: Vec<(OpKey, RailSolve)>,
+    /// Solved operating points, most-recently-used first, scanned
+    /// linearly: the hit is almost always at the front, eviction order is
+    /// fixed (pop the back), and lint L3 keeps `HashMap` out of the
+    /// deterministic core anyway. A ring buffer, so filing a miss at the
+    /// front shifts nothing, and a hit shifts only the entries ahead of it.
+    op_cache: VecDeque<(OpKey, RailSolve)>,
     op_cache_hits: u64,
     op_cache_misses: u64,
 }
@@ -86,7 +88,7 @@ impl SwitchBoard {
         Self {
             chain,
             ungated_rf_ldo,
-            op_cache: Vec::with_capacity(OP_CACHE_CAP),
+            op_cache: VecDeque::with_capacity(OP_CACHE_CAP),
             op_cache_hits: 0,
             op_cache_misses: 0,
         }
@@ -131,18 +133,20 @@ impl SwitchBoard {
             pa_on,
         };
         if let Some(pos) = self.op_cache.iter().position(|(k, _)| *k == key) {
-            self.op_cache_hits += 1;
             // Move-to-front keeps the scan short and the eviction order a
             // pure function of the node's own (deterministic) call history.
-            let hit = self.op_cache.remove(pos);
-            let solve = hit.1;
-            self.op_cache.insert(0, hit);
-            return Ok(solve);
+            if let Some(hit) = self.op_cache.remove(pos) {
+                self.op_cache_hits += 1;
+                self.op_cache.push_front(hit);
+                return Ok(hit.1);
+            }
         }
         let solve = self.solve_rails(vbat, i_vdd, spi_on, pa_on, i_rf)?;
         self.op_cache_misses += 1;
-        self.op_cache.insert(0, (key, solve));
-        self.op_cache.truncate(OP_CACHE_CAP);
+        if self.op_cache.len() == OP_CACHE_CAP {
+            self.op_cache.pop_back();
+        }
+        self.op_cache.push_front((key, solve));
         Ok(solve)
     }
 
@@ -297,12 +301,38 @@ mod tests {
         }
     }
 
+    /// The cache policy as it stood on a plain `Vec`: a hit moves to the
+    /// front by `remove` + `insert(0)`, a successful miss is filed by
+    /// `insert(0)` + `truncate`. The ring buffer must reproduce its
+    /// hit/miss sequence exactly, because the goldens pin the counts.
+    #[derive(Default)]
+    struct VecLru(Vec<OpKey>);
+
+    impl VecLru {
+        /// Looks `key` up; `Some(true)` on a hit, `Some(false)` on a miss
+        /// that is filed, `None` on a miss whose solve failed.
+        fn access(&mut self, key: OpKey, solves: bool) -> Option<bool> {
+            if let Some(pos) = self.0.iter().position(|k| *k == key) {
+                let hit = self.0.remove(pos);
+                self.0.insert(0, hit);
+                Some(true)
+            } else if solves {
+                self.0.insert(0, key);
+                self.0.truncate(OP_CACHE_CAP);
+                Some(false)
+            } else {
+                None
+            }
+        }
+    }
+
     proptest! {
         #[test]
         fn cached_and_uncached_rails_agree_bitwise(
             use_ic in prop::bool::ANY,
             ungated in prop::bool::ANY,
-            seq in prop::collection::vec((0usize..5, 0usize..3), 1..120),
+            wide in prop::bool::ANY,
+            seq in prop::collection::vec((0usize..5, 0usize..12), 1..200),
         ) {
             let kind = if use_ic {
                 PowerChainKind::IntegratedIc
@@ -310,14 +340,36 @@ mod tests {
                 PowerChainKind::Cots
             };
             let mut board = SwitchBoard::new(kind, ungated);
+            let mut reference = VecLru::default();
             // Three settled VBAT levels: within one wake the battery does
             // not move, so real call streams repeat exact vbat bits too.
-            let vbats = [Volts::new(1.18), Volts::new(1.25), Volts::new(1.32)];
+            // The wide pool's 60 operating points overflow the cache, so
+            // its eviction order is exercised as well.
+            let pool = if wide { 12 } else { 3 };
             for &(op_idx, vbat_idx) in &seq {
                 let (i_vdd, spi_on, pa_on, i_rf) = op_point(op_idx);
-                let vbat = vbats[vbat_idx];
+                let vbat = Volts::new(1.18 + 0.013 * (vbat_idx % pool) as f64);
                 let expected = board.solve_rails(vbat, i_vdd, spi_on, pa_on, i_rf);
+                let hits = board.op_cache_hits;
+                let misses = board.op_cache_misses;
                 let actual = board.rails(vbat, i_vdd, spi_on, pa_on, i_rf);
+                let key = OpKey {
+                    vbat: vbat.value().to_bits(),
+                    i_vdd: i_vdd.value().to_bits(),
+                    i_rf: i_rf.value().to_bits(),
+                    spi_on,
+                    pa_on,
+                };
+                let outcome = match (board.op_cache_hits - hits, board.op_cache_misses - misses) {
+                    (1, 0) => Some(true),
+                    (0, 1) => Some(false),
+                    _ => None,
+                };
+                prop_assert_eq!(
+                    outcome,
+                    reference.access(key, expected.is_ok()),
+                    "hit/miss order departs from the Vec policy"
+                );
                 match (expected, actual) {
                     (Ok(e), Ok(a)) => assert_bit_identical(&e, &a),
                     (e, a) => prop_assert_eq!(
@@ -327,6 +379,8 @@ mod tests {
                     ),
                 }
             }
+            let cached: Vec<OpKey> = board.op_cache.iter().map(|(k, _)| *k).collect();
+            prop_assert_eq!(cached, reference.0, "cache order departs from the Vec policy");
             // Every call is accounted a hit or a miss, and the cache stays
             // within its fixed bound (deterministic eviction).
             prop_assert_eq!(
@@ -336,7 +390,7 @@ mod tests {
             prop_assert!(board.op_cache.len() <= OP_CACHE_CAP);
             // Distinct keys are bounded by 5 load tuples x 3 vbats, so any
             // longer sequence must have produced hits.
-            if seq.len() > 15 {
+            if !wide && seq.len() > 15 {
                 prop_assert!(board.op_cache_hits > 0, "no cache hits in {} calls", seq.len());
             }
         }

@@ -13,6 +13,14 @@
 //! mantissa. Every other case (ties, passes that would leave the binade,
 //! zero / subnormal / negative / non-finite operands) takes plain
 //! stepwise adds, and the closed form resumes in the new binade.
+//!
+//! The same argument makes a whole multiset of adds order-free: inside
+//! one binade and away from ties, each add contributes its own `r` ulps
+//! whatever the accumulator holds, so every order of `n_j` adds of each
+//! `a_j` adds `Σ n_j·r_j` ulps. No `r` is negative, so the partial sums
+//! only grow, and a final mantissa at or below the binade's top keeps
+//! every one of them inside it. [`add_counted`] takes that closed form or
+//! declines; it never steps.
 
 /// Fraction bits of an `f64`.
 const FRAC_BITS: u32 = 52;
@@ -31,11 +39,8 @@ pub(crate) fn repeat_add(acc: f64, pattern: &[f64], reps: u64) -> f64 {
 fn repeat_add_counted(mut acc: f64, pattern: &[f64], mut reps: u64) -> (f64, u64) {
     let mut closed = 0;
     while reps > 0 {
-        if acc.is_normal() && acc > 0.0 {
-            let bits = acc.to_bits();
-            let exp = bits >> FRAC_BITS;
+        if let Some((exp, mant)) = split(acc) {
             if let Some(per_pass) = ulps_per_pass(pattern, exp) {
-                let mant = (bits & FRAC_MASK) | IMPLICIT;
                 // Passes whose every partial sum stays at or below the
                 // binade's top mantissa: then each exact sum is below
                 // `2^(e+1)` and rounds as predicted.
@@ -44,8 +49,7 @@ fn repeat_add_counted(mut acc: f64, pattern: &[f64], mut reps: u64) -> (f64, u64
                     None => reps, // every addend rounds away: acc is fixed
                 };
                 if fit > 0 {
-                    let mant = mant + fit * per_pass;
-                    acc = f64::from_bits((exp << FRAC_BITS) | (mant & FRAC_MASK));
+                    acc = join(exp, mant + fit * per_pass);
                     reps -= fit;
                     closed += fit;
                     continue;
@@ -58,6 +62,35 @@ fn repeat_add_counted(mut acc: f64, pattern: &[f64], mut reps: u64) -> (f64, u64
         reps -= 1;
     }
     (acc, closed)
+}
+
+/// `acc` plus `n` adds of `a` for every `(n, a)` of `terms`, bit-identical
+/// to performing those adds one at a time in any order, or `None` where
+/// the order could matter: `acc` is not a positive normal, some `a` is a
+/// tie or not a positive normal, or the sum would leave `acc`'s binade.
+pub(crate) fn add_counted(acc: f64, terms: impl IntoIterator<Item = (u64, f64)>) -> Option<f64> {
+    let (exp, mant) = split(acc)?;
+    let mut sum = 0u64;
+    for (n, a) in terms {
+        sum = sum.checked_add(n.checked_mul(ulps(a, exp)?)?)?;
+    }
+    let mant = mant.checked_add(sum).filter(|&m| m <= TOP)?;
+    Some(join(exp, mant))
+}
+
+/// The biased exponent and the mantissa (implicit bit included) of a
+/// positive normal `acc`; `None` for any other value.
+fn split(acc: f64) -> Option<(u64, u64)> {
+    (acc.is_normal() && acc > 0.0).then(|| {
+        let bits = acc.to_bits();
+        (bits >> FRAC_BITS, (bits & FRAC_MASK) | IMPLICIT)
+    })
+}
+
+/// The positive normal with biased exponent `exp` and mantissa `mant`
+/// (at most [`TOP`]).
+fn join(exp: u64, mant: u64) -> f64 {
+    f64::from_bits((exp << FRAC_BITS) | (mant & FRAC_MASK))
 }
 
 /// Ulps one pass over `pattern` adds to an accumulator in the binade of
@@ -73,15 +106,14 @@ fn ulps_per_pass(pattern: &[f64], exp: u64) -> Option<u64> {
 /// not a positive normal, lands on an exact half-ulp tie, or is so large
 /// that one add leaves the binade anyway.
 fn ulps(a: f64, exp: u64) -> Option<u64> {
-    if !a.is_normal() || a < 0.0 {
-        return None;
-    }
     let bits = a.to_bits();
+    // The sign bit lands in `a_exp` too, so a negative `a`, like an
+    // infinite or NaN one, reads as at least `exp`.
     let a_exp = bits >> FRAC_BITS;
-    let mant = (bits & FRAC_MASK) | IMPLICIT;
-    if a_exp >= exp {
-        return None; // a >= 2^e: a single add already leaves the binade
+    if a_exp == 0 || a_exp >= exp {
+        return None; // zero or subnormal, or a >= 2^e: one add leaves the binade
     }
+    let mant = (bits & FRAC_MASK) | IMPLICIT;
     // a / u = mant / 2^shift.
     let shift = exp - a_exp;
     if shift > u64::from(FRAC_BITS) + 2 {
@@ -90,11 +122,9 @@ fn ulps(a: f64, exp: u64) -> Option<u64> {
     let quot = mant >> shift;
     let rem = mant & ((1 << shift) - 1);
     let half = 1 << (shift - 1);
-    match rem.cmp(&half) {
-        core::cmp::Ordering::Less => Some(quot),
-        core::cmp::Ordering::Greater => Some(quot + 1),
-        core::cmp::Ordering::Equal => None,
-    }
+    // Branch-free rounding: which side of the half a delta's remainder
+    // falls on varies from cost to cost, so a branch on it mispredicts.
+    (rem != half).then_some(quot + u64::from(rem > half))
 }
 
 #[cfg(test)]
@@ -229,6 +259,79 @@ mod tests {
             5 => rng.uniform(0.0, 1.0) * acc.abs().max(1.0e-300) * 1.0e-3,
             _ => rng.uniform(0.0, 64.0) * scale,
         }
+    }
+
+    #[test]
+    fn counted_adds_in_closed_form_match_every_order() {
+        // Random multisets of adds, performed stepwise grouped in order,
+        // grouped in reverse and round-robin; where `add_counted` answers,
+        // all three agree with it bit for bit.
+        let mut rng = SimRng::seed_from(0x0dd5_f4ee);
+        let (mut answered, cases) = (0, 2_000);
+        for _ in 0..cases {
+            let acc = match rng.index(6) {
+                0 => 0.0,
+                1 => f64::from_bits(2.0f64.to_bits() - 1 - rng.index(4_096) as u64),
+                _ => rng.uniform(1.0e-9, 1.0e-2),
+            };
+            let terms: Vec<(u64, f64)> = (0..1 + rng.index(12))
+                .map(|_| {
+                    let a = match rng.index(8) {
+                        0 => addend(&mut rng, acc),
+                        _ => rng.uniform(0.0, 64.0) * ulp_of(acc.max(1.0e-300)),
+                    };
+                    (rng.index(2_000) as u64, a)
+                })
+                .collect();
+            let Some(got) = add_counted(acc, terms.iter().copied()) else {
+                continue;
+            };
+            answered += 1;
+            let forward = terms
+                .iter()
+                .fold(acc, |acc, &(n, a)| stepwise(acc, &[a], n));
+            let backward = terms
+                .iter()
+                .rev()
+                .fold(acc, |acc, &(n, a)| stepwise(acc, &[a], n));
+            let mut round_robin = acc;
+            for k in 0..terms.iter().map(|&(n, _)| n).max().unwrap_or(0) {
+                for &(n, a) in &terms {
+                    if k < n {
+                        round_robin += a;
+                    }
+                }
+            }
+            for want in [forward, backward, round_robin] {
+                assert_eq!(got.to_bits(), want.to_bits(), "acc {acc:e}, {terms:?}");
+            }
+        }
+        assert!(
+            answered > cases / 5,
+            "closed form answered {answered}/{cases}"
+        );
+    }
+
+    #[test]
+    fn counted_adds_decline_where_order_could_matter() {
+        let u = ulp_of(1.5);
+        // A tie, a zero or subnormal accumulator, a sum that leaves the
+        // binade, and addends that are not positive normals.
+        assert_eq!(add_counted(1.5, [(3, u), (1, 2.5 * u)]), None);
+        assert_eq!(add_counted(0.0, [(3, u)]), None);
+        assert_eq!(add_counted(f64::from_bits(9), [(3, u)]), None);
+        assert_eq!(add_counted(2.0 - 4.0 * u, [(2, u), (1, 2.0 * u)]), None);
+        for bad in [0.0, -u, f64::from_bits(9), f64::INFINITY, f64::NAN] {
+            assert_eq!(add_counted(1.5, [(1, bad)]), None, "addend {bad:e}");
+        }
+        // Landing exactly on the binade's top mantissa still fits; no
+        // adds at all leave the accumulator as it is.
+        let top = f64::from_bits(2.0f64.to_bits() - 1);
+        assert_eq!(
+            add_counted(2.0 - 4.0 * u, [(1, u), (1, 2.0 * u)]),
+            Some(top)
+        );
+        assert_eq!(add_counted(1.5, []), Some(1.5));
     }
 
     #[test]

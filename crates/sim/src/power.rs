@@ -9,7 +9,7 @@
 //! measure on the bench.
 
 use crate::cycles::{CycleLog, CycleRun};
-use crate::exact::repeat_add;
+use crate::exact::{add_counted, repeat_add};
 use crate::{SimDuration, SimTime};
 use picocube_units::json::{field, FromJson, Json, JsonError, ToJson};
 use picocube_units::{Amps, Joules, Seconds, Volts, Watts};
@@ -93,12 +93,14 @@ struct Rail {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PowerLedger {
     rails: Vec<Rail>,
     now: SimTime,
     /// Grand total accumulated alongside the per-load integrals; the
-    /// debug-build sanitizer cross-checks it against their sum.
+    /// debug-build sanitizer cross-checks it against their sum. Only debug
+    /// builds accumulate it: nothing else reads it, so release builds
+    /// leave it at zero instead of paying a second add per load per step.
     integrated_total: Joules,
     /// Registration-ordered `(rail, load)` indices of loads currently
     /// drawing nonzero current, rebuilt lazily after any current change.
@@ -108,41 +110,40 @@ pub struct PowerLedger {
     /// bit-identical to walking every load.
     hot: Vec<(usize, usize)>,
     hot_dirty: bool,
-    /// Scratch reused by [`advance_log`](Self::advance_log): the
-    /// per-hot-load × per-cycle-count energy-delta table, the per-load
-    /// energy accumulators and one repeated record's addend pattern. Pure
-    /// caches — their contents never outlive one call.
-    scratch_table: Vec<f64>,
-    scratch_energy: Vec<f64>,
+    /// Scratch reused by [`advance_log`](Self::advance_log): instructions
+    /// per cycle cost, the hot loads' watts and one repeated record's
+    /// addend pattern. Pure scratch — the contents never outlive one call.
+    scratch_counts: Vec<u64>,
     scratch_watts: Vec<Watts>,
     scratch_pattern: Vec<f64>,
-    /// Rows currently built in `scratch_table` (cycle counts `0..rows`).
-    table_rows: usize,
-    /// `draw_gen` value the table was built at; a mismatch means some
-    /// voltage, current, or load registration happened since.
-    table_gen: u64,
-    /// Bumped on every voltage/current/registration change. Purely a
-    /// cache-invalidation counter — never part of any result.
-    draw_gen: u64,
+    /// Per-load segment replays by path, for the tests.
+    #[cfg(test)]
+    replays: ReplayTally,
+}
+
+/// How many per-load segment replays took each path.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct ReplayTally {
+    closed: u64,
+    ordered: u64,
+}
+
+#[cfg(test)]
+impl ReplayTally {
+    fn tally(&mut self, closed: bool) {
+        if closed {
+            self.closed += 1;
+        } else {
+            self.ordered += 1;
+        }
+    }
 }
 
 impl PowerLedger {
     /// Creates an empty ledger at time zero.
     pub fn new() -> Self {
-        Self {
-            rails: Vec::new(),
-            now: SimTime::ZERO,
-            integrated_total: Joules::ZERO,
-            hot: Vec::new(),
-            hot_dirty: true,
-            scratch_table: Vec::new(),
-            scratch_energy: Vec::new(),
-            scratch_watts: Vec::new(),
-            scratch_pattern: Vec::new(),
-            table_rows: 0,
-            table_gen: 0,
-            draw_gen: 1,
-        }
+        Self::default()
     }
 
     /// Registers a supply rail at the given nominal voltage.
@@ -197,7 +198,6 @@ impl PowerLedger {
         });
         let load = r.loads.len() - 1;
         self.hot_dirty = true;
-        self.draw_gen = self.draw_gen.wrapping_add(1);
         Ok(LoadId { rail: rail.0, load })
     }
 
@@ -214,7 +214,6 @@ impl PowerLedger {
     pub fn set_load_current(&mut self, load: LoadId, current: Amps) -> Result<(), LedgerError> {
         self.load_slot_mut(load)?.current = current;
         self.hot_dirty = true;
-        self.draw_gen = self.draw_gen.wrapping_add(1);
         Ok(())
     }
 
@@ -227,7 +226,6 @@ impl PowerLedger {
     /// integrated after the call.
     pub fn set_rail_voltage(&mut self, rail: RailId, voltage: Volts) -> Result<(), LedgerError> {
         self.rail_slot_mut(rail)?.voltage = voltage;
-        self.draw_gen = self.draw_gen.wrapping_add(1);
         Ok(())
     }
 
@@ -285,7 +283,9 @@ impl PowerLedger {
                 };
                 let delta = voltage * load.current * dt;
                 load.energy += delta;
-                self.integrated_total += delta;
+                if cfg!(debug_assertions) {
+                    self.integrated_total += delta;
+                }
             }
         }
         self.now = t;
@@ -311,17 +311,19 @@ impl PowerLedger {
     /// instruction with that instruction's cycle cost (1 µs per cycle).
     ///
     /// Voltages and currents cannot change between instructions of a
-    /// segment (nothing else executes), so each load contributes
-    /// `watts * dt(cycles)` per instruction, where `watts = voltage *
+    /// segment (nothing else executes), so each load adds `delta(c) =
+    /// watts * dt(c)` per instruction of cost `c`, where `watts = voltage *
     /// current` is exactly the first product `advance_to`'s left-to-right
-    /// `voltage * current * dt` forms. Instruction costs are tiny integers
-    /// (1–6 cycles), so each product takes only a handful of distinct
-    /// values per load: they are computed once into a table and replayed,
-    /// which preserves the exact f64 value of every per-instruction add —
-    /// same operands, same operation, same accumulation order. A record
-    /// repeated `k` times is replayed in closed form (see `exact.rs`),
-    /// again bit-identically, both for each load's energy and for the
-    /// independently accumulated grand total. An empty log is a no-op.
+    /// `voltage * current * dt` forms. The replay counts the segment's
+    /// instructions per cycle cost, and each load then adds
+    /// `Σ count(c) · round(delta(c) / ulp)` ulps to its energy in integer
+    /// mantissa arithmetic: inside one binade, away from half-ulp ties,
+    /// the rounding of an add does not depend on the accumulator, so the
+    /// adds' order does not matter (see `exact.rs`). A load whose sum
+    /// would leave its binade, meets a tie, or starts at zero or a
+    /// subnormal replays instruction by instruction instead, repeated
+    /// records in closed form — again bit-identically. An empty log is a
+    /// no-op.
     pub fn advance_log(&mut self, log: &CycleLog) {
         self.replay(&log.costs, &log.runs);
     }
@@ -332,28 +334,30 @@ impl PowerLedger {
         self.replay(deltas, &[]);
     }
 
-    /// The replay loop of [`advance_log`](Self::advance_log): `costs` are
+    /// The replay behind [`advance_log`](Self::advance_log): `costs` are
     /// single instructions, and each of `runs` sits before `costs[run.at]`.
     fn replay(&mut self, costs: &[u32], runs: &[CycleRun]) {
-        let run_max = runs.iter().flat_map(|run| run.pattern).max();
-        let Some(max) = costs.iter().copied().max().max(run_max) else {
+        if costs.is_empty() && runs.is_empty() {
             return;
-        };
-        let mut cycles: u64 = costs.iter().map(|&c| u64::from(c)).sum();
-        for run in runs {
-            let [first, second] = run.pattern.map(u64::from);
-            cycles += (first + second) * u64::from(run.reps);
         }
+        let mut counts = core::mem::take(&mut self.scratch_counts);
+        let mut watts = core::mem::take(&mut self.scratch_watts);
+        let mut pattern = core::mem::take(&mut self.scratch_pattern);
+        counts.clear();
+        for &c in costs {
+            count(&mut counts, c, 1);
+        }
+        for run in runs {
+            for c in run.pattern {
+                count(&mut counts, c, u64::from(run.reps));
+            }
+        }
+        let cycles: u64 = (0u64..).zip(&counts).map(|(c, &n)| c * n).sum();
         let end = SimTime::from_nanos(self.now.as_nanos() + cycles * 1_000);
         if self.hot_dirty {
             self.rebuild_hot();
         }
-        let stride = max as usize + 1;
-        let mut table = core::mem::take(&mut self.scratch_table);
-        let mut energy = core::mem::take(&mut self.scratch_energy);
-        let mut watts_row = core::mem::take(&mut self.scratch_watts);
-        let mut pattern = core::mem::take(&mut self.scratch_pattern);
-        energy.clear();
+        watts.clear();
         for &(ri, li) in &self.hot {
             let Some(rail) = self.rails.get(ri) else {
                 continue;
@@ -361,59 +365,29 @@ impl PowerLedger {
             let Some(load) = rail.loads.get(li) else {
                 continue;
             };
-            energy.push(load.energy.value());
+            watts.push(rail.voltage * load.current);
         }
-        // The product table is a pure function of the hot loads' watts, so
-        // it survives across calls until some draw changes (`draw_gen`
-        // bumps) or a run needs more rows than are built. Rebuilding with
-        // the same watts would reproduce the same bits; skipping it only
-        // skips work. A floor of 8 rows covers every datasheet cycle cost
-        // so stride growth alone almost never forces a rebuild.
-        if self.table_gen != self.draw_gen || stride > self.table_rows {
-            table.clear();
-            watts_row.clear();
-            for &(ri, li) in &self.hot {
-                let Some(rail) = self.rails.get(ri) else {
-                    continue;
-                };
-                let Some(load) = rail.loads.get(li) else {
-                    continue;
-                };
-                watts_row.push(rail.voltage * load.current);
-            }
-            // Delta-major layout: each cycle count's per-load products sit
-            // contiguously, so the replay walks one short row per
-            // instruction.
-            let rows = stride.max(8);
-            for c in 0..rows {
-                let dt = SimDuration::from_micros(c as u64).as_seconds();
-                for &watts in &watts_row {
-                    table.push((watts * dt).value());
-                }
-            }
-            self.table_rows = rows;
-            self.table_gen = self.draw_gen;
+        for (&(ri, li), w) in self.hot.iter().zip(&watts) {
+            let Some(load) = self.rails.get_mut(ri).and_then(|r| r.loads.get_mut(li)) else {
+                continue;
+            };
+            let one = core::slice::from_ref(w);
+            let (energy, _closed) =
+                replay_one(load.energy.value(), one, &counts, costs, runs, &mut pattern);
+            load.energy = Joules::new(energy);
+            #[cfg(test)]
+            self.replays.tally(_closed);
         }
-        let mut total = self.integrated_total.value();
-        let mut done = 0;
-        for run in runs {
-            let before = costs.get(done..run.at).unwrap_or_default();
-            total = add_singles(before, &table, &mut energy, total);
-            done = run.at;
-            total = add_run(run, &table, &mut energy, total, &mut pattern);
+        if cfg!(debug_assertions) {
+            // Per instruction the total adds every hot load's delta, in
+            // hot-list order.
+            let total = self.integrated_total.value();
+            let (total, _) = replay_one(total, &watts, &counts, costs, runs, &mut pattern);
+            self.integrated_total = Joules::new(total);
         }
-        let rest = costs.get(done..).unwrap_or_default();
-        total = add_singles(rest, &table, &mut energy, total);
-        for (&(ri, li), &e) in self.hot.iter().zip(&energy) {
-            if let Some(load) = self.rails.get_mut(ri).and_then(|r| r.loads.get_mut(li)) {
-                load.energy = Joules::new(e);
-            }
-        }
-        self.integrated_total = Joules::new(total);
         self.now = end;
-        self.scratch_table = table;
-        self.scratch_energy = energy;
-        self.scratch_watts = watts_row;
+        self.scratch_counts = counts;
+        self.scratch_watts = watts;
         self.scratch_pattern = pattern;
         self.debug_check_balance();
     }
@@ -472,10 +446,11 @@ impl PowerLedger {
     }
 
     /// Writes an integrated [`SleepBatch`] span back into this ledger:
-    /// per-load energies, the grand total, and the clock. Must be called on
-    /// the same ledger that staged `span`, with the hot list untouched
-    /// since; a stale or foreign handle is a caller bug and trips the
-    /// sanitizer (release builds write back whatever was staged).
+    /// per-load energies, the grand total (debug builds), and the clock.
+    /// Must be called on the same ledger that staged `span`, with the hot
+    /// list untouched since; a stale or foreign handle is a caller bug and
+    /// trips the sanitizer (release builds write back whatever was
+    /// staged).
     pub fn commit_sleep(&mut self, batch: &SleepBatch, span: usize) {
         let Some(span) = batch.spans.get(span) else {
             debug_assert!(false, "commit_sleep: span handle out of range");
@@ -497,7 +472,9 @@ impl PowerLedger {
                 }
             }
         }
-        self.integrated_total = Joules::new(span.total);
+        if cfg!(debug_assertions) {
+            self.integrated_total = Joules::new(span.total);
+        }
         self.now = span.end;
         self.debug_check_balance();
     }
@@ -537,6 +514,27 @@ impl PowerLedger {
             .and_then(|r| r.loads.get_mut(load.load))
         {
             l.energy += delta;
+        }
+    }
+
+    /// Test-only: sets one load's integral, re-balancing the grand total
+    /// (debug builds) to the per-load sum so the sanitizer stays quiet.
+    #[cfg(test)]
+    fn seed_load_energy(&mut self, load: LoadId, energy: Joules) {
+        if let Some(l) = self
+            .rails
+            .get_mut(load.rail)
+            .and_then(|r| r.loads.get_mut(load.load))
+        {
+            l.energy = energy;
+        }
+        if cfg!(debug_assertions) {
+            self.integrated_total = self
+                .rails
+                .iter()
+                .flat_map(|r| r.loads.iter())
+                .map(|l| l.energy)
+                .sum();
         }
     }
 
@@ -619,62 +617,77 @@ impl PowerLedger {
     }
 }
 
-/// Replays single instructions of a cycle log: for each cost `c`, adds
-/// row `c` of the delta-major product `table` to the per-load `energy`
-/// accumulators and to the grand total, which it returns.
+/// Adds `n` instructions of `cost` cycles to the per-cost `counts`.
 #[inline]
-fn add_singles(costs: &[u32], table: &[f64], energy: &mut [f64], mut total: f64) -> f64 {
-    let n = energy.len();
+fn count(counts: &mut Vec<u64>, cost: u32, n: u64) {
+    let c = cost as usize;
+    if counts.len() <= c {
+        counts.resize(c + 1, 0);
+    }
+    if let Some(slot) = counts.get_mut(c) {
+        *slot += n;
+    }
+}
+
+/// Replays one segment into one accumulator, where an instruction of `c`
+/// cycles adds `w * dt(c)` for each `w` of `watts`, in order: the product
+/// `advance_to` forms for a load drawing `w`. `counts` tallies the
+/// segment's instructions per cycle cost; `costs` and `runs` are its log.
+/// Takes the closed form over `counts` when [`add_counted`] can, and the
+/// ordered replay of the log otherwise; returns the new value and whether
+/// the closed form ran. Zero-cost instructions add nothing, like
+/// `advance_to`'s `dt > 0` gate. `pattern` is scratch.
+fn replay_one(
+    acc: f64,
+    watts: &[Watts],
+    counts: &[u64],
+    costs: &[u32],
+    runs: &[CycleRun],
+    pattern: &mut Vec<f64>,
+) -> (f64, bool) {
+    let terms = (0u32..)
+        .zip(counts)
+        .skip(1)
+        .filter(|&(_, &n)| n > 0)
+        .flat_map(|(c, &n)| watts.iter().map(move |&w| (n, delta(w, c))));
+    if let Some(acc) = add_counted(acc, terms) {
+        return (acc, true);
+    }
+    let mut acc = acc;
+    let mut done = 0;
+    for run in runs {
+        let before = costs.get(done..run.at).unwrap_or_default();
+        acc = add_singles(acc, before, watts);
+        done = run.at;
+        pattern.clear();
+        for c in run.pattern.into_iter().filter(|&c| c != 0) {
+            pattern.extend(watts.iter().map(|&w| delta(w, c)));
+        }
+        acc = repeat_add(acc, pattern, u64::from(run.reps));
+    }
+    let rest = costs.get(done..).unwrap_or_default();
+    (add_singles(acc, rest, watts), false)
+}
+
+/// The energy a load drawing `watts` uses over one `cycles`-cycle
+/// instruction (1 µs per cycle), formed exactly as `advance_to` forms it.
+#[inline]
+fn delta(watts: Watts, cycles: u32) -> f64 {
+    (watts * SimDuration::from_micros(u64::from(cycles)).as_seconds()).value()
+}
+
+/// Adds each single instruction's deltas for `watts` to `acc`, in order.
+#[inline]
+fn add_singles(mut acc: f64, costs: &[u32], watts: &[Watts]) -> f64 {
     for &c in costs {
         if c == 0 {
             continue; // advance_to's `dt > 0` gate
         }
-        // In-bounds by construction: every cost is at most the largest
-        // the table was built for, so a row ends within the table.
-        let base = c as usize * n;
-        let Some(row) = table.get(base..base + n) else {
-            continue;
-        };
-        for (e, &delta) in energy.iter_mut().zip(row) {
-            *e += delta;
-            total += delta;
+        for &w in watts {
+            acc += delta(w, c);
         }
     }
-    total
-}
-
-/// Replays one repeated record of a cycle log in closed form (see
-/// `exact.rs`): each load adds its own delta once per instruction, and
-/// the grand total adds every load's, in hot-list order. Returns the
-/// grand total; `pattern` is scratch.
-#[inline(never)]
-fn add_run(
-    run: &CycleRun,
-    table: &[f64],
-    energy: &mut [f64],
-    total: f64,
-    pattern: &mut Vec<f64>,
-) -> f64 {
-    let n = energy.len();
-    let row = |c: u32| table.get(c as usize * n..(c as usize + 1) * n);
-    let reps = u64::from(run.reps);
-    let costs = run.pattern.iter().copied().filter(|&c| c != 0);
-    for (i, e) in energy.iter_mut().enumerate() {
-        pattern.clear();
-        pattern.extend(costs.clone().filter_map(|c| row(c)?.get(i).copied()));
-        *e = repeat_add(*e, pattern, reps);
-    }
-    pattern.clear();
-    for c in costs {
-        pattern.extend_from_slice(row(c).unwrap_or_default());
-    }
-    repeat_add(total, pattern, reps)
-}
-
-impl Default for PowerLedger {
-    fn default() -> Self {
-        Self::new()
-    }
+    acc
 }
 
 /// One ledger's staged sleep span inside a [`SleepBatch`].
@@ -689,7 +702,8 @@ struct SleepSpan {
     /// The ledger clock after the commit.
     end: SimTime,
     /// The ledger's grand total: staged value before
-    /// [`SleepBatch::integrate`], final value after.
+    /// [`SleepBatch::integrate`], final value after (debug builds only
+    /// accumulate it, like the ledger's own).
     total: f64,
 }
 
@@ -736,9 +750,9 @@ impl SleepBatch {
     }
 
     /// The grouped integration pass: for every staged span, accumulates
-    /// `energy += watts * dt` per row and folds the same deltas into the
-    /// span's grand total — the exact f64 sequence `advance_to` performs
-    /// per ledger, laid out as one linear sweep.
+    /// `energy += watts * dt` per row and, in debug builds, folds the same
+    /// deltas into the span's grand total — the exact f64 sequence
+    /// `advance_to` performs per ledger, laid out as one linear sweep.
     pub fn integrate(&mut self) {
         for span in &mut self.spans {
             let mut total = span.total;
@@ -751,7 +765,9 @@ impl SleepBatch {
             for (e, &w) in rows {
                 let delta = w * span.dt;
                 *e += delta;
-                total += delta;
+                if cfg!(debug_assertions) {
+                    total += delta;
+                }
             }
             span.total = total;
         }
@@ -953,19 +969,17 @@ mod tests {
         (ledger, a, b)
     }
 
-    /// Every load's energy, the grand total and the clock, as raw bits.
-    fn ledger_bits(ledger: &PowerLedger) -> (Vec<u64>, u64, SimTime) {
+    /// Every load's energy, the grand total (debug builds, which alone
+    /// accumulate it) and the clock, as raw bits.
+    fn ledger_bits(ledger: &PowerLedger) -> (Vec<u64>, Option<u64>, SimTime) {
         let loads = ledger
             .rails
             .iter()
             .flat_map(|r| r.loads.iter())
             .map(|l| l.energy.value().to_bits())
             .collect();
-        (
-            loads,
-            ledger.integrated_total.value().to_bits(),
-            ledger.now(),
-        )
+        let total = cfg!(debug_assertions).then(|| ledger.integrated_total.value().to_bits());
+        (loads, total, ledger.now())
     }
 
     #[test]
@@ -1020,6 +1034,129 @@ mod tests {
                 "segment {segment}"
             );
         }
+    }
+
+    fn ulp_of(x: f64) -> f64 {
+        f64::from_bits(x.to_bits() + 1) - x
+    }
+
+    /// A current for `load` whose delta over one `cycles`-cycle instruction
+    /// is an exact half-ulp tie for an accumulator at `acc`: `(k + ½)` ulps
+    /// for the first small `k` some current hits exactly.
+    fn tie_current(ledger: &PowerLedger, load: LoadId, cycles: u32, acc: f64) -> Option<Amps> {
+        let volts = ledger.rail_voltage(load.rail()).ok()?;
+        let dt = SimDuration::from_micros(u64::from(cycles)).as_seconds();
+        let u = ulp_of(acc);
+        (1..64).find_map(|k| {
+            let tie = (k as f64 + 0.5) * u;
+            let guess = (tie / (volts.value() * dt.value())).to_bits();
+            // Step outwards from the guess, one representable current at
+            // a time.
+            (0..128)
+                .flat_map(|d| [guess + d, guess - 1 - d])
+                .map(|bits| Amps::new(f64::from_bits(bits)))
+                .find(|&amps| (volts * amps * dt).value() == tie)
+        })
+    }
+
+    #[test]
+    fn order_free_replay_matches_ordered_and_per_instruction() {
+        // Random segments replayed three ways: the run log (the closed
+        // form over its cost counts where that is exact, the ordered
+        // replay otherwise), `advance_deltas` on its expansion, and one
+        // `advance_to` per instruction. The generator mixes draw changes,
+        // accumulators at +0.0, subnormal and a few ulps under a binade
+        // top, exact half-ulp deltas, zero-cost entries and runs of up to
+        // 2^20 repetitions.
+        let mut rng = crate::SimRng::seed_from(0x0dd_f1ee);
+        let (mut logged, a, b) = odd_ledger(1.0);
+        let z = logged.register_load(b.rail(), "switched on later").unwrap();
+        let mut expanded = logged.clone();
+        let mut stepped = logged.clone();
+        let mut log = CycleLog::new();
+        let segments = 400;
+        for segment in 0..segments {
+            let mut ledgers = [&mut logged, &mut expanded, &mut stepped];
+            match rng.index(16) {
+                0 | 1 => {
+                    // A draw change; z switches on at +0.0 the first time.
+                    let scale = 0.5 + rng.uniform(0.0, 2.0);
+                    for ledger in &mut ledgers {
+                        ledger
+                            .set_load_current(a, Amps::new(1.0e-3 / 3.0 * scale))
+                            .unwrap();
+                        ledger
+                            .set_load_current(z, Amps::new(scale * 2.0e-6))
+                            .unwrap();
+                    }
+                }
+                2 => {
+                    // A subnormal, a zero or a few ulps under a binade top.
+                    let energy = match rng.index(3) {
+                        0 => f64::from_bits(1 + rng.next_u64() % (1 << 52)),
+                        1 => 0.0,
+                        _ => f64::from_bits(
+                            (2.0f64.powi(-20 + rng.index(8) as i32)).to_bits()
+                                - 1
+                                - rng.index(8) as u64,
+                        ),
+                    };
+                    let load = [a, b][rng.index(2)];
+                    for ledger in &mut ledgers {
+                        ledger.seed_load_energy(load, Joules::new(energy));
+                    }
+                }
+                3 => {
+                    // An exact half-ulp delta for b's 3-cycle instructions.
+                    let acc = ledgers[0].load_energy(b).unwrap().value();
+                    if acc.is_normal() {
+                        if let Some(amps) = tie_current(ledgers[0], b, 3, acc) {
+                            for ledger in &mut ledgers {
+                                ledger.set_load_current(b, amps).unwrap();
+                            }
+                        }
+                    }
+                }
+                _ => {}
+            }
+            log.clear();
+            if segment == segments / 2 {
+                log.push_repeated(1 + rng.index(6) as u32, 2, 1 << 20);
+            }
+            for _ in 0..rng.index(16) {
+                match rng.index(10) {
+                    0 => log.push(0),
+                    1..=3 => {
+                        let reps = match rng.index(8) {
+                            0 => 1 + rng.index(5_000),
+                            _ => 1 + rng.index(300),
+                        };
+                        let first = rng.index(7) as u32;
+                        log.push_repeated(first, [0, 2][rng.index(2)], reps as u32);
+                    }
+                    _ => log.push(1 + rng.index(6) as u32),
+                }
+            }
+            logged.advance_log(&log);
+            let deltas: Vec<u32> = log.iter_insns().collect();
+            expanded.advance_deltas(&deltas);
+            for c in deltas {
+                let t = stepped.now() + SimDuration::from_micros(u64::from(c));
+                stepped.advance_to(t);
+            }
+            let want = ledger_bits(&stepped);
+            assert_eq!(ledger_bits(&logged), want, "segment {segment}");
+            assert_eq!(ledger_bits(&expanded), want, "segment {segment}");
+        }
+        // Both paths carried a real share of the per-load replays, and the
+        // log and its expansion chose the same path every time.
+        assert_eq!(logged.replays, expanded.replays);
+        let ReplayTally { closed, ordered } = logged.replays;
+        let all = closed + ordered;
+        assert!(
+            closed * 2 > all && ordered * 10 > all,
+            "closed form {closed}, ordered {ordered} of {all} replays"
+        );
     }
 
     #[test]
