@@ -5,7 +5,6 @@ use picocube_bench::{banner, bar};
 use picocube_node::{AppBoard, DemoStation, HarvesterKind, NodeConfig, StackBuilder};
 use picocube_radio::packet::{encode, Checksum};
 use picocube_radio::{Channel, Link, PatchAntenna, SuperRegenReceiver};
-use picocube_sensors::MotionScenario;
 use picocube_sim::{SimDuration, SimRng};
 use picocube_units::{Db, Dbm, Hertz, Meters};
 
@@ -73,11 +72,14 @@ fn main() {
     println!("\nend-to-end session (90 s on the demo table at 1 m):");
     let config = NodeConfig {
         harvester: HarvesterKind::Bicycle,
+        seed: 2007,
         ..NodeConfig::default()
     };
     let mut node = StackBuilder::new(config)
         .app(AppBoard::Motion {
-            scenario: MotionScenario::retreat_table(2007),
+            rest_s: 20.0,
+            handled_s: 8.0,
+            vigor_g: 1.2,
         })
         .build()
         .expect("node builds");

@@ -1,16 +1,16 @@
 //! The streaming fleet accumulator: per-node results folded online, in
 //! node order, into O(1)-per-node state.
 //!
-//! The materializing engine kept every node's [`NodeOnAir`] — full frame
-//! bytes, RF accounting and telemetry registry — alive until the merge
-//! phase, so a million-node run held a million telemetry buffers and
-//! packet payloads at once. The streaming engine reduces each node to a
+//! The materializing engine kept every node's full frame bytes, RF
+//! accounting and telemetry registry alive until the merge phase, so a
+//! million-node run held a million telemetry buffers and packet payloads
+//! at once. The streaming engine reduces each node to a [`NodeOnAir`]: a
 //! [`PacketRecord`] list (the packet's interval, receive level, bit count
 //! and checksum verdict — everything the collision sweep and channel
 //! trials consume, ~40 bytes per packet) plus its telemetry buffer, and
-//! folds that yield into this accumulator the moment the node finishes.
-//! Live state is then O(workers) node yields plus the compact record list
-//! the merge phase irreducibly needs.
+//! folds it into this accumulator the moment the node finishes. Live
+//! state is then O(workers) node results plus the compact record list the
+//! merge phase irreducibly needs.
 //!
 //! # Merge law
 //!
@@ -21,9 +21,7 @@
 //! threaded and checkpoint/resumed runs bit-identical. The accumulator
 //! asserts the discipline instead of trusting its callers.
 
-use super::{NodeOnAir, OnAir};
-use crate::stack::NodeFault;
-use picocube_radio::packet::{decode, Checksum};
+use super::NodeOnAir;
 use picocube_sim::SimTime;
 use picocube_telemetry::TelemetryBuffer;
 use picocube_units::Dbm;
@@ -50,19 +48,6 @@ pub(crate) struct PacketRecord {
     pub decode_ok: bool,
 }
 
-impl PacketRecord {
-    pub(crate) fn from_on_air(packet: &OnAir) -> Self {
-        Self {
-            node: packet.node as u32,
-            start: packet.start,
-            end: packet.end,
-            rx_dbm: packet.rx_dbm,
-            bits: (packet.packet.bytes.len() * 8) as u32,
-            decode_ok: decode(&packet.packet.bytes, Checksum::Xor).is_ok(),
-        }
-    }
-}
-
 /// Offered/delivered tallies for one node — the single-allocation
 /// replacement for the merge phase's former pair of `vec![0; nodes]`
 /// passes, kept only when [`FleetConfig::per_node_stats`] opts in.
@@ -87,32 +72,7 @@ impl NodeCounts {
     }
 }
 
-/// One node's contribution to the fold: its compact packet records, its
-/// drained telemetry and its fault latch. Built by
-/// [`NodeOnAir::into_yield`] on whatever worker simulated the node and
-/// handed to [`FleetAccumulator::absorb`] in node order.
-#[derive(Debug)]
-pub(crate) struct NodeYield {
-    pub node: usize,
-    pub records: Vec<PacketRecord>,
-    pub telemetry: TelemetryBuffer,
-    pub fault: Option<NodeFault>,
-}
-
-impl NodeOnAir {
-    /// Reduces the phase-1 result to its streaming yield, dropping the
-    /// frame payloads after distilling the bit count and checksum verdict.
-    pub(crate) fn into_yield(self) -> NodeYield {
-        NodeYield {
-            node: self.node,
-            records: self.packets.iter().map(PacketRecord::from_on_air).collect(),
-            telemetry: self.telemetry,
-            fault: self.fault,
-        }
-    }
-}
-
-/// The online fold over node yields. See the module docs for the merge
+/// The online fold over node results. See the module docs for the merge
 /// law; [`finalize`](super::run_fleet_with_stats) turns a fully-fed
 /// accumulator into the [`FleetOutcome`](super::FleetOutcome).
 #[derive(Debug)]
@@ -171,23 +131,23 @@ impl FleetAccumulator {
         self.next_node
     }
 
-    /// Folds one node's yield. The merge law: yields arrive in ascending
-    /// node order with no gaps.
-    pub(crate) fn absorb(&mut self, fold: NodeYield) {
+    /// Folds one node's result. The merge law: results arrive in
+    /// ascending node order with no gaps.
+    pub(crate) fn absorb(&mut self, node: NodeOnAir) {
         assert_eq!(
-            fold.node, self.next_node,
+            node.node, self.next_node,
             "fleet accumulator fed out of node order"
         );
         self.next_node += 1;
-        self.faulted += usize::from(fold.fault.is_some());
+        self.faulted += usize::from(node.fault.is_some());
         if let Some(per_node) = self.per_node.as_mut() {
             per_node.push(NodeCounts {
-                offered: fold.records.len() as u32,
+                offered: node.records.len() as u32,
                 delivered: 0,
             });
         }
-        self.records.extend(fold.records);
-        self.telemetry.absorb(fold.telemetry);
+        self.records.extend(node.records);
+        self.telemetry.absorb(node.telemetry);
     }
 
     /// Read access for checkpoint capture.

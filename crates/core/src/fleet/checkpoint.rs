@@ -27,11 +27,11 @@
 
 use super::accumulator::{FleetAccumulator, NodeCounts, PacketRecord};
 use super::{
-    build_fleet_node, derive_node_config, finalize_fleet, probe_build, stream_nodes, FleetApp,
-    FleetConfig, FleetConfigError, FleetOutcome,
+    derive_node_config, finalize_fleet, probe_build, stream_nodes, FleetConfig, FleetConfigError,
+    FleetOutcome,
 };
 use crate::node::{BuildError, NodeConfig};
-use crate::stack::Stack;
+use crate::stack::{AppBoard, Stack, StackBuilder};
 use picocube_sim::{SimDuration, SimTime};
 use picocube_telemetry::{Event, Metrics, Recorder, TelemetryBuffer};
 use picocube_units::json::{field, FromJson, Json, JsonError, ToJson};
@@ -355,7 +355,7 @@ pub fn run_fleet_resumable(
 #[derive(Debug, Clone, PartialEq)]
 pub struct StackCheckpoint {
     config: NodeConfig,
-    app: FleetApp,
+    app: AppBoard,
     elapsed: SimDuration,
     record_events: bool,
 }
@@ -364,7 +364,7 @@ impl StackCheckpoint {
     /// Checkpoints an arbitrary node recipe at `elapsed`.
     pub fn new(
         config: NodeConfig,
-        app: FleetApp,
+        app: AppBoard,
         elapsed: SimDuration,
         record_events: bool,
     ) -> Self {
@@ -403,9 +403,16 @@ impl StackCheckpoint {
     /// Rebuilds the stack and replays it to the cut. The returned node is
     /// ready for `run_for(remaining)`; determinism makes the replayed
     /// prefix bit-identical to the original run's.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CheckpointError::Build`] when the recipe does not build,
+    /// for instance a checkpoint file whose app parameters are invalid.
     pub fn resume(&self) -> Result<Stack, CheckpointError> {
-        let mut node =
-            build_fleet_node(self.config.clone(), self.app).map_err(CheckpointError::Build)?;
+        let mut node = StackBuilder::new(self.config.clone())
+            .app(self.app)
+            .build()
+            .map_err(CheckpointError::Build)?;
         node.set_event_recording(self.record_events);
         if !self.elapsed.is_zero() {
             node.run_for(self.elapsed);
@@ -436,7 +443,7 @@ impl FromJson for StackCheckpoint {
         }
         Ok(Self {
             config: NodeConfig::from_json(field(value, "config")?)?,
-            app: FleetApp::from_json(field(value, "app")?)?,
+            app: AppBoard::from_json(field(value, "app")?)?,
             elapsed: SimDuration::from_nanos(u64::from_json(field(value, "elapsed_ns")?)?),
             record_events: bool::from_json(field(value, "record_events")?)?,
         })

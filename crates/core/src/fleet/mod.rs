@@ -15,8 +15,9 @@
 //!
 //! 1. **Per-node simulation** ([`simulate_node`]): each node is built and
 //!    run in isolation (the Cube is transmit-only, so nodes never interact
-//!    mid-simulation) and reduced to a plain-data [`NodeOnAir`] — its
-//!    on-air packet intervals and receive levels. Every random draw a node
+//!    mid-simulation) and reduced to a plain-data [`NodeOnAir`] — one
+//!    compact record per packet (interval, receive level, bit count,
+//!    checksum verdict) plus its telemetry. Every random draw a node
 //!    makes comes from streams derived *only* from `(master seed, node
 //!    index)` via [`SimRng::stream`], never from a shared generator, so
 //!    the draws are identical no matter which thread runs the node or in
@@ -52,15 +53,14 @@ pub use checkpoint::{
     run_fleet_partial, run_fleet_resumable, CheckpointError, FleetCheckpoint, StackCheckpoint,
 };
 
-use crate::bus::TransmittedPacket;
 use crate::node::{BuildError, NodeConfig};
 use crate::stack::{AppBoard, NodeFault, Stack, StackBuilder};
-use accumulator::{FleetAccumulator, NodeYield, PacketRecord};
+use accumulator::{FleetAccumulator, PacketRecord};
+use picocube_radio::packet::{decode, Checksum};
 use picocube_radio::{Channel, Link, PatchAntenna, SuperRegenReceiver};
-use picocube_sensors::MotionScenario;
 use picocube_sim::{SimDuration, SimRng, SimTime};
 use picocube_telemetry::{keys, EventKind, Metrics, NullRecorder, Recorder, TelemetryBuffer};
-use picocube_units::{Db, Dbm, Gs, Hertz, Meters, Seconds};
+use picocube_units::{Db, Dbm, Hertz, Meters};
 use std::collections::BTreeMap;
 use std::sync::{Condvar, Mutex};
 
@@ -75,15 +75,6 @@ pub enum Parallelism {
 }
 
 impl Parallelism {
-    /// Threaded execution sized to the machine (`available_parallelism`,
-    /// falling back to serial when it cannot be determined).
-    pub fn available() -> Self {
-        match std::thread::available_parallelism() {
-            Ok(n) if n.get() > 1 => Self::Threads(n.get()),
-            _ => Self::Serial,
-        }
-    }
-
     /// The number of worker threads this mode uses. `Threads(0)` is
     /// rejected by [`FleetConfig::validate`] before the engine ever asks.
     pub(crate) fn workers(self) -> usize {
@@ -97,119 +88,9 @@ impl Parallelism {
     }
 }
 
-/// Which application board every node in a fleet (or mesh) carries.
-///
-/// Plain data — `Copy`, `Send`, JSON-able — unlike the stack-level
-/// [`AppBoard`], which holds a built [`MotionScenario`]. The engine lowers
-/// this onto [`AppBoard`] per node, seeding each node's motion scenario
-/// from that node's own seed stream so fleets of motion nodes decorrelate.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum FleetApp {
-    /// Tire-pressure stack (SP12 board, TPMS firmware) — the default.
-    #[default]
-    Tpms,
-    /// §6 motion-demo stack (SCA3000 board, motion firmware).
-    Motion {
-        /// Mean rest span between handling bouts, seconds.
-        rest_s: f64,
-        /// Mean handled (shaken) span, seconds.
-        handled_s: f64,
-        /// Peak handling acceleration, g.
-        vigor_g: f64,
-    },
-    /// Timer-paced beacon stack (SCA3000 board, beacon firmware).
-    Beacon {
-        /// Mean rest span between handling bouts, seconds.
-        rest_s: f64,
-        /// Mean handled (shaken) span, seconds.
-        handled_s: f64,
-        /// Peak handling acceleration, g.
-        vigor_g: f64,
-        /// Beacon period programmed into Timer A, seconds.
-        period_s: u16,
-    },
-}
-
-impl FleetApp {
-    /// Checks the parameters [`MotionScenario::new`] would otherwise
-    /// assert on, so spec-driven configs fail typed instead of panicking.
-    pub(crate) fn validate(&self) -> Result<(), FleetConfigError> {
-        match *self {
-            Self::Tpms => Ok(()),
-            Self::Motion {
-                rest_s,
-                handled_s,
-                vigor_g,
-            }
-            | Self::Beacon {
-                rest_s,
-                handled_s,
-                vigor_g,
-                ..
-            } => {
-                if !(rest_s.is_finite() && rest_s > 0.0 && handled_s.is_finite() && handled_s > 0.0)
-                {
-                    return Err(FleetConfigError::InvalidApp(
-                        "motion rest/handled spans must be positive",
-                    ));
-                }
-                if !(vigor_g.is_finite() && vigor_g >= 0.0) {
-                    return Err(FleetConfigError::InvalidApp(
-                        "motion vigor must be non-negative",
-                    ));
-                }
-                if let Self::Beacon { period_s: 0, .. } = self {
-                    return Err(FleetConfigError::InvalidApp(
-                        "beacon period must be non-zero",
-                    ));
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Lowers onto the stack-level board, seeding the motion scenario from
-    /// the node's own seed. Parameters must have passed [`Self::validate`].
-    pub(crate) fn board(&self, node_seed: u64) -> AppBoard {
-        match *self {
-            Self::Tpms => AppBoard::Tpms,
-            Self::Motion {
-                rest_s,
-                handled_s,
-                vigor_g,
-            } => AppBoard::Motion {
-                scenario: MotionScenario::new(
-                    Seconds::new(rest_s),
-                    Seconds::new(handled_s),
-                    Gs::new(vigor_g),
-                    node_seed,
-                ),
-            },
-            Self::Beacon {
-                rest_s,
-                handled_s,
-                vigor_g,
-                period_s,
-            } => AppBoard::Beacon {
-                scenario: MotionScenario::new(
-                    Seconds::new(rest_s),
-                    Seconds::new(handled_s),
-                    Gs::new(vigor_g),
-                    node_seed,
-                ),
-                period_s,
-            },
-        }
-    }
-}
-
-/// Builds one fleet/mesh node's stack: the per-node config (already
-/// specialized with its identity and seed stream) under the configured
-/// application board.
-pub(crate) fn build_fleet_node(config: NodeConfig, app: FleetApp) -> Result<Stack, BuildError> {
-    let seed = config.seed;
-    StackBuilder::new(config).app(app.board(seed)).build()
-}
+/// The former name of [`AppBoard`], kept while the benchmark's frozen
+/// probes still spell it.
+pub type FleetApp = AppBoard;
 
 /// Fleet scenario parameters.
 #[derive(Debug, Clone)]
@@ -232,7 +113,7 @@ pub struct FleetConfig {
     pub parallelism: Parallelism,
     /// Application board every node carries (motion scenarios are seeded
     /// per node).
-    pub app: FleetApp,
+    pub app: AppBoard,
     /// Half-width of the per-node wake-timer tolerance draw, ppm. The
     /// default 500 reproduces the historical `uniform(-500, 500)` draw
     /// bit-identically; widening it models worse clock drift (chaos).
@@ -257,7 +138,7 @@ impl Default for FleetConfig {
             capture_margin: Db::new(10.0),
             seed: 1,
             parallelism: Parallelism::Serial,
-            app: FleetApp::Tpms,
+            app: AppBoard::Tpms,
             wake_ppm_range: 500.0,
             per_node_stats: false,
         }
@@ -326,7 +207,7 @@ impl FleetConfig {
         if !(self.distance_range.0 > 0.0 && self.distance_range.1 >= self.distance_range.0) {
             return Err(FleetConfigError::InvalidDistanceRange);
         }
-        self.app.validate()?;
+        self.app.validate().map_err(FleetConfigError::InvalidApp)?;
         if !(self.wake_ppm_range.is_finite() && self.wake_ppm_range >= 0.0) {
             return Err(FleetConfigError::InvalidWakePpmRange);
         }
@@ -405,7 +286,7 @@ impl FleetConfigBuilder {
     }
 
     /// Sets the application board every node carries.
-    pub fn app(mut self, app: FleetApp) -> Self {
+    pub fn app(mut self, app: AppBoard) -> Self {
         self.config.app = app;
         self
     }
@@ -474,25 +355,14 @@ impl FleetOutcome {
     }
 }
 
-/// One packet interval on the shared channel.
-#[derive(Debug, Clone)]
-pub(crate) struct OnAir {
-    node: usize,
-    start: SimTime,
-    end: SimTime,
-    rx_dbm: Dbm,
-    packet: TransmittedPacket,
-}
-
-/// Plain-data result of one node's isolated simulation (phase 1). `Send`,
-/// unlike the node itself, so worker threads can hand it back.
+/// Plain-data result of one node's isolated simulation (phase 1): what
+/// the in-order fold absorbs and [`merge_fleet`] merges.
 #[derive(Debug, Clone)]
 pub struct NodeOnAir {
     /// Fleet index of the node.
     pub node: usize,
-    /// `(start, end, receive level)` per packet, in transmission order,
-    /// with the frame bytes and RF accounting.
-    packets: Vec<OnAir>,
+    /// One compact record per packet, in transmission order.
+    records: Vec<PacketRecord>,
     /// The node's drained telemetry: metric totals plus (when the fleet
     /// run's recorder wants them) its attributed event stream.
     telemetry: TelemetryBuffer,
@@ -574,7 +444,7 @@ pub(crate) fn link_for_fleet() -> Link {
 }
 
 /// Phase 1: builds and runs node `index` in isolation and reduces it to
-/// its on-air packet list.
+/// its packet records.
 ///
 /// # Panics
 ///
@@ -600,7 +470,9 @@ pub fn simulate_node_instrumented(
         derive_node_config(&config.base, config.seed, config.wake_ppm_range, index);
     // Per-node fields (id, seed, offsets) cannot invalidate a base config
     // that builds, and the fleet entry points probe-build the base up front.
-    let mut node = build_fleet_node(node_config, config.app)
+    let mut node = StackBuilder::new(node_config)
+        .app(config.app)
+        .build()
         // picocube-lint: allow(L2) documented `# Panics`; base pre-validated by the fleet probe
         .expect("fleet node builds");
     node.set_event_recording(record_events);
@@ -612,31 +484,29 @@ pub fn simulate_node_instrumented(
     let distance = setup.uniform(config.distance_range.0, config.distance_range.1);
     let link = link_for_fleet();
     let rx_dbm = link.budget(Meters::new(distance)).received;
-    let packets = node
+    let records = node
         .into_packets()
-        .into_iter()
-        .map(|packet| {
+        .iter()
+        .map(|packet| PacketRecord {
+            node: index as u32,
             // `time` is the transmission's end; a packet whose modeled
             // duration exceeds its completion timestamp (a transmission
             // already in flight at t=0, or a corrupted report replayed
             // into the merge) clamps to the simulation origin instead of
             // panicking the whole fleet on u64 underflow.
-            let start = packet
+            start: packet
                 .time
                 .checked_sub(SimDuration::from_seconds(packet.transmission.duration))
-                .unwrap_or(SimTime::ZERO);
-            OnAir {
-                node: index,
-                start,
-                end: packet.time,
-                rx_dbm,
-                packet,
-            }
+                .unwrap_or(SimTime::ZERO),
+            end: packet.time,
+            rx_dbm,
+            bits: (packet.bytes.len() * 8) as u32,
+            decode_ok: decode(&packet.bytes, Checksum::Xor).is_ok(),
         })
         .collect();
     NodeOnAir {
         node: index,
-        packets,
+        records,
         telemetry,
         fault: outcome.fault(),
     }
@@ -700,7 +570,7 @@ struct StreamState<'acc> {
     /// Lowest chunk index not yet folded into the accumulator.
     floor_chunk: usize,
     /// Finished chunks waiting for the fold frontier to reach them.
-    pending: BTreeMap<usize, Vec<NodeYield>>,
+    pending: BTreeMap<usize, Vec<NodeOnAir>>,
     /// The run's in-order fold.
     acc: &'acc mut FleetAccumulator,
 }
@@ -778,11 +648,8 @@ fn stream_nodes(config: &FleetConfig, acc: &mut FleetAccumulator, upto: usize) -
                             let hi = (lo + STEAL_CHUNK).min(upto);
                             // Simulate outside the lock; this is where the
                             // wall-clock time goes.
-                            let yields: Vec<NodeYield> = (lo..hi)
-                                .map(|i| {
-                                    simulate_node_instrumented(config, i, record_events)
-                                        .into_yield()
-                                })
+                            let yields: Vec<NodeOnAir> = (lo..hi)
+                                .map(|i| simulate_node_instrumented(config, i, record_events))
                                 .collect();
                             let mut guard = match state.lock() {
                                 Ok(guard) => guard,
@@ -797,8 +664,8 @@ fn stream_nodes(config: &FleetConfig, acc: &mut FleetAccumulator, upto: usize) -
                                 let Some(folds) = guard.pending.remove(&floor) else {
                                     break;
                                 };
-                                for fold in folds {
-                                    guard.acc.absorb(fold);
+                                for node in folds {
+                                    guard.acc.absorb(node);
                                 }
                                 guard.floor_chunk += 1;
                             }
@@ -940,9 +807,9 @@ fn merge_fleet_impl(
     let mut records: Vec<PacketRecord> = Vec::new();
     for node in &nodes {
         if let Some(counts) = per_node.as_mut().and_then(|p| p.get_mut(node.node)) {
-            counts.offered = node.packets.len() as u32;
+            counts.offered = node.records.len() as u32;
         }
-        records.extend(node.packets.iter().map(PacketRecord::from_on_air));
+        records.extend_from_slice(&node.records);
     }
     merge_records(config, records, faulted, per_node, telemetry)
 }
@@ -1147,7 +1014,10 @@ pub fn run_fleet_with_stats(
 /// inside a worker thread.
 pub(crate) fn probe_build(config: &FleetConfig) -> Result<(), BuildError> {
     let (node_config, _) = derive_node_config(&config.base, config.seed, config.wake_ppm_range, 0);
-    build_fleet_node(node_config, config.app).map(drop)
+    StackBuilder::new(node_config)
+        .app(config.app)
+        .build()
+        .map(drop)
 }
 
 /// The run's tail: canonicalizes the fully-fed accumulator's event
@@ -1631,9 +1501,9 @@ mod tests {
         // bit-for-bit in outcome and full metric registry. 11 nodes: two
         // full STEAL_CHUNKs plus a ragged tail.
         for (app, duration) in [
-            (FleetApp::Tpms, SimDuration::from_secs(30)),
+            (AppBoard::Tpms, SimDuration::from_secs(30)),
             (
-                FleetApp::Beacon {
+                AppBoard::Beacon {
                     rest_s: 5.0,
                     handled_s: 1.0,
                     vigor_g: 1.5,

@@ -34,11 +34,11 @@
 //! scheduling.
 
 use crate::fleet::{
-    capture_sweep, derive_node_config, link_for_fleet, AirSlot, FleetApp, FleetConfigError,
-    FleetOutcome, NodeCounts, Parallelism, RX_DBM_BOUNDS,
+    capture_sweep, derive_node_config, link_for_fleet, AirSlot, FleetOutcome, NodeCounts,
+    Parallelism, RX_DBM_BOUNDS,
 };
 use crate::node::NodeConfig;
-use crate::stack::Stack;
+use crate::stack::{AppBoard, Stack, StackBuilder};
 use crate::TransmittedPacket;
 use picocube_radio::packet::{self, Checksum};
 use picocube_radio::{SuperRegenReceiver, WakeupReceiver};
@@ -101,7 +101,7 @@ pub struct MeshConfig {
     pub max_hops: u32,
     /// Application board every node carries (motion scenarios are seeded
     /// per node).
-    pub app: FleetApp,
+    pub app: AppBoard,
     /// Half-width of the per-node wake-timer tolerance draw, ppm (500
     /// reproduces the historical draw bit-identically).
     pub wake_ppm_range: f64,
@@ -121,7 +121,7 @@ impl Default for MeshConfig {
             detector: WakeupReceiver::mesh_correlator(),
             turnaround: SimDuration::from_millis(20),
             max_hops: 4,
-            app: FleetApp::Tpms,
+            app: AppBoard::Tpms,
             wake_ppm_range: 500.0,
         }
     }
@@ -203,9 +203,7 @@ impl MeshConfig {
         if self.max_hops == 0 {
             return Err(MeshConfigError::ZeroMaxHops);
         }
-        if let Err(FleetConfigError::InvalidApp(what)) = self.app.validate() {
-            return Err(MeshConfigError::InvalidApp(what));
-        }
+        self.app.validate().map_err(MeshConfigError::InvalidApp)?;
         if !(self.wake_ppm_range.is_finite() && self.wake_ppm_range >= 0.0) {
             return Err(MeshConfigError::InvalidWakePpmRange);
         }
@@ -371,8 +369,10 @@ fn build_mesh_node(
 ) -> Result<Stack, String> {
     let (node_config, _) =
         derive_node_config(&config.base, config.seed, config.wake_ppm_range, index);
-    let mut stack =
-        crate::fleet::build_fleet_node(node_config, config.app).map_err(|e| format!("{e:?}"))?;
+    let mut stack = StackBuilder::new(node_config)
+        .app(config.app)
+        .build()
+        .map_err(|e| format!("{e:?}"))?;
     stack.set_event_recording(record_events);
     stack
         .fit_mesh_rx(config.detector)

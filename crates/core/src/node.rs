@@ -507,7 +507,7 @@ impl FromJson for NodeReport {
 mod tests {
     use super::*;
     use crate::stack::{AppBoard, Stack, StackBuilder};
-    use picocube_sensors::{MotionScenario, Sp12};
+    use picocube_sensors::Sp12;
     use picocube_sim::{SimDuration, SimTime};
 
     fn tpms(config: NodeConfig) -> Result<Stack, BuildError> {
@@ -670,11 +670,14 @@ mod tests {
     fn motion_node_sleeps_until_handled() {
         let config = NodeConfig {
             harvester: HarvesterKind::None,
+            seed: 9,
             ..NodeConfig::default()
         };
         let mut node = StackBuilder::new(config)
             .app(AppBoard::Motion {
-                scenario: MotionScenario::retreat_table(9),
+                rest_s: 20.0,
+                handled_s: 8.0,
+                vigor_g: 1.2,
             })
             .build()
             .expect("node builds");
@@ -852,11 +855,14 @@ mod tests {
         // 5 s period → 6 beacons regardless of motion.
         let config = NodeConfig {
             harvester: HarvesterKind::None,
+            seed: 5,
             ..NodeConfig::default()
         };
         let mut node = StackBuilder::new(config)
             .app(AppBoard::Beacon {
-                scenario: MotionScenario::retreat_table(5),
+                rest_s: 20.0,
+                handled_s: 8.0,
+                vigor_g: 1.2,
                 period_s: 5,
             })
             .build()
@@ -880,14 +886,87 @@ mod tests {
     }
 
     #[test]
-    fn beacon_rejects_zero_period() {
-        let r = StackBuilder::new(NodeConfig::default())
-            .app(AppBoard::Beacon {
-                scenario: MotionScenario::retreat_table(1),
-                period_s: 0,
-            })
-            .build();
-        assert!(matches!(r, Err(BuildError::InvalidConfig(_))));
+    fn invalid_apps_fail_typed_at_every_entry_point() {
+        use crate::fleet::{CheckpointError, FleetConfig, FleetConfigError, StackCheckpoint};
+        use crate::mesh::{MeshConfig, MeshConfigError};
+        use crate::scenario::{Scenario, ScenarioError};
+
+        let motion = |rest_s, handled_s, vigor_g| AppBoard::Motion {
+            rest_s,
+            handled_s,
+            vigor_g,
+        };
+        // JSON has no NaN (the codec writes `null`, which fails to parse
+        // as a number), so the NaN row reaches only the in-memory entry
+        // points.
+        let json_rows = [
+            (motion(-1.0, 8.0, 1.2), "rest_s"),
+            (motion(20.0, 0.0, 1.2), "handled_s"),
+            (motion(20.0, 8.0, -1.0), "vigor_g"),
+            (
+                AppBoard::Beacon {
+                    rest_s: 20.0,
+                    handled_s: 8.0,
+                    vigor_g: 1.2,
+                    period_s: 0,
+                },
+                "period_s",
+            ),
+        ];
+        let names = |app: AppBoard, field: &str, message: String| {
+            assert!(
+                message.contains(field),
+                "{app:?}: {message:?} does not name {field}"
+            );
+        };
+        for (app, field) in json_rows
+            .into_iter()
+            .chain([(motion(f64::NAN, 8.0, 1.2), "rest_s")])
+        {
+            let err = StackBuilder::new(NodeConfig::default())
+                .app(app)
+                .build()
+                .unwrap_err();
+            assert!(matches!(err, BuildError::InvalidConfig(_)), "{err:?}");
+            names(app, field, err.to_string());
+
+            let fleet = FleetConfig {
+                app,
+                ..FleetConfig::default()
+            };
+            let err = fleet.validate().unwrap_err();
+            assert!(matches!(err, FleetConfigError::InvalidApp(_)), "{err:?}");
+            names(app, field, err.to_string());
+
+            let mesh = MeshConfig {
+                app,
+                ..MeshConfig::default()
+            };
+            let err = mesh.validate().unwrap_err();
+            assert!(matches!(err, MeshConfigError::InvalidApp(_)), "{err:?}");
+            names(app, field, err.to_string());
+        }
+        for (app, field) in json_rows {
+            let app_json = app.to_json().to_string();
+            let spec = format!(
+                r#"{{"name": "bad app", "seed": 1, "duration_s": 12.0, "nodes": 2, "app": {app_json}}}"#
+            );
+            let err = Scenario::parse(&spec).unwrap_err();
+            assert!(matches!(err, ScenarioError::Invalid(_)), "{err:?}");
+            names(app, field, err.to_string());
+
+            let text = StackCheckpoint::new(NodeConfig::default(), app, SimDuration::ZERO, false)
+                .to_json()
+                .to_string();
+            let checkpoint = StackCheckpoint::from_json(&Json::parse(&text).expect("parses"))
+                .expect("a checkpoint file is only decoded here, not checked");
+            let err = checkpoint.resume().unwrap_err();
+            assert!(
+                matches!(err, CheckpointError::Build(BuildError::InvalidConfig(_))),
+                "{err:?}"
+            );
+            names(app, field, err.to_string());
+        }
     }
 
     #[test]

@@ -120,6 +120,7 @@ impl Scenario {
         if self.nodes == 0 {
             return Err(ScenarioError::Invalid("nodes must be at least 1"));
         }
+        self.app.validate().map_err(ScenarioError::Invalid)?;
         if self.sweep.is_some() && self.campaign.is_some() {
             return Err(ScenarioError::Invalid(
                 "sweep and campaign modes are mutually exclusive",

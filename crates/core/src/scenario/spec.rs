@@ -5,8 +5,8 @@
 //! the parent module; the chaos-plan knobs lower onto the typed
 //! [`NodeConfig`]/fleet fields added for them (see `DESIGN.md` §13).
 
-use crate::fleet::FleetApp;
 use crate::node::{HarvestDropout, NodeConfig};
+use crate::stack::AppBoard;
 use picocube_units::json::{field, FromJson, Json, JsonError, ToJson};
 
 /// Fleet geometry and channel parameters (the non-chaos fleet knobs).
@@ -159,7 +159,7 @@ pub struct Scenario {
     /// Base per-node configuration (id/seed/phase overridden per node).
     pub node: NodeConfig,
     /// Application board every node carries.
-    pub app: FleetApp,
+    pub app: AppBoard,
     /// Fleet geometry/channel parameters.
     pub fleet: FleetSpec,
     /// Multi-hop relay mode, when present.
@@ -302,65 +302,6 @@ impl FromJson for Campaign {
     }
 }
 
-impl ToJson for FleetApp {
-    fn to_json(&self) -> Json {
-        match *self {
-            Self::Tpms => Json::Str("Tpms".into()),
-            Self::Motion {
-                rest_s,
-                handled_s,
-                vigor_g,
-            } => Json::Obj(vec![(
-                "Motion".into(),
-                Json::Obj(vec![
-                    ("rest_s".into(), rest_s.to_json()),
-                    ("handled_s".into(), handled_s.to_json()),
-                    ("vigor_g".into(), vigor_g.to_json()),
-                ]),
-            )]),
-            Self::Beacon {
-                rest_s,
-                handled_s,
-                vigor_g,
-                period_s,
-            } => Json::Obj(vec![(
-                "Beacon".into(),
-                Json::Obj(vec![
-                    ("rest_s".into(), rest_s.to_json()),
-                    ("handled_s".into(), handled_s.to_json()),
-                    ("vigor_g".into(), vigor_g.to_json()),
-                    ("period_s".into(), period_s.to_json()),
-                ]),
-            )]),
-        }
-    }
-}
-
-impl FromJson for FleetApp {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        if let Some(body) = value.get("Motion") {
-            return Ok(Self::Motion {
-                rest_s: FromJson::from_json(field(body, "rest_s")?)?,
-                handled_s: FromJson::from_json(field(body, "handled_s")?)?,
-                vigor_g: FromJson::from_json(field(body, "vigor_g")?)?,
-            });
-        }
-        if let Some(body) = value.get("Beacon") {
-            return Ok(Self::Beacon {
-                rest_s: FromJson::from_json(field(body, "rest_s")?)?,
-                handled_s: FromJson::from_json(field(body, "handled_s")?)?,
-                vigor_g: FromJson::from_json(field(body, "vigor_g")?)?,
-                period_s: FromJson::from_json(field(body, "period_s")?)?,
-            });
-        }
-        let tag: String = FromJson::from_json(value)?;
-        match tag.as_str() {
-            "Tpms" => Ok(Self::Tpms),
-            other => Err(JsonError::new(format!("unknown app board {other:?}"))),
-        }
-    }
-}
-
 impl ToJson for Scenario {
     fn to_json(&self) -> Json {
         Json::Obj(vec![
@@ -390,7 +331,7 @@ impl FromJson for Scenario {
                 Some(v) => node_overlay(v)?,
                 None => NodeConfig::default(),
             },
-            app: optional(value, "app", FleetApp::Tpms)?,
+            app: optional(value, "app", AppBoard::Tpms)?,
             fleet: optional(value, "fleet", FleetSpec::default())?,
             mesh: optional(value, "mesh", None)?,
             chaos: optional(value, "chaos", None)?,

@@ -16,8 +16,9 @@
 //! | power switch           | [`SwitchBoard`]                            |
 //! | radio (FBAR OOK TX)    | [`RadioBoard`]                             |
 //!
-//! A [`StackBuilder`] assembles a stack from a [`NodeConfig`] plus an
-//! [`AppBoard`] selection; `tests/stack_compat.rs` pins its results to
+//! A [`StackBuilder`] assembles a stack from a [`NodeConfig`] plus a
+//! plain-data [`AppBoard`], which it validates; it is the only place an
+//! app becomes a sensor board. `tests/stack_compat.rs` pins its results to
 //! pre-refactor golden traces. A stack is plain owned data (each board
 //! owns its devices and the MCU borrows the SPI bus per call), so it is
 //! `Send`.
@@ -47,7 +48,8 @@ use picocube_sim::{
     CycleLog, LoadId, PowerLedger, PowerTrace, RailId, ScalarTrace, SimDuration, SimTime,
 };
 use picocube_telemetry::{keys, EventKind, Metrics, TelemetryBuffer};
-use picocube_units::{Amps, Celsius, Seconds, Volts, Watts};
+use picocube_units::json::{field, FromJson, Json, JsonError, ToJson};
+use picocube_units::{Amps, Celsius, Gs, Seconds, Volts, Watts};
 
 /// Why a running node stopped making progress.
 ///
@@ -217,10 +219,6 @@ impl StackCtx<'_> {
 /// schedules events, the radio board watches the bus, the switch board
 /// solves rails, the storage board settles charge.
 pub trait Board {
-    /// Short stable name, used as the board's telemetry scope
-    /// (`board.<name>.*`) and in diagnostics.
-    fn name(&self) -> &'static str;
-
     /// When this board next needs the scheduler, if ever.
     fn next_event(&self) -> Option<SimTime> {
         None
@@ -258,35 +256,130 @@ pub trait Board {
     }
 }
 
-/// Which application firmware/sensor-board pairing the builder stacks.
+/// Which application firmware/sensor-board pairing a node carries.
 ///
-/// This is the typed surface the declarative scenario layer lowers onto:
-/// one enum value selects the firmware image and the sensor board, and
-/// [`StackBuilder::app`] slots it.
-#[derive(Clone)]
+/// Plain data (`Copy`, `Send`, JSON-able): a fleet, a mesh, a scenario
+/// and a checkpoint all store this one value, and [`StackBuilder::app`]
+/// slots it. The builder seeds a motion or beacon board's handling script
+/// from [`NodeConfig::seed`], so fleets of motion nodes decorrelate.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum AppBoard {
-    /// SP12 TPMS board with the tire-pressure firmware.
+    /// Tire-pressure stack (SP12 board, TPMS firmware) — the default.
+    #[default]
     Tpms,
-    /// SCA3000 board with interrupt-driven motion firmware.
+    /// §6 motion-demo stack (SCA3000 board, motion firmware).
     Motion {
-        /// The scripted handling pattern driving the accelerometer.
-        scenario: MotionScenario,
+        /// Mean rest span between handling bouts, seconds.
+        rest_s: f64,
+        /// Mean handled (shaken) span, seconds.
+        handled_s: f64,
+        /// Peak handling acceleration, g.
+        vigor_g: f64,
     },
-    /// SCA3000 board with timer-paced beacon firmware.
+    /// Timer-paced beacon stack (SCA3000 board, beacon firmware).
     Beacon {
-        /// The scripted handling pattern driving the accelerometer.
-        scenario: MotionScenario,
-        /// Seconds between beacons (Timer A pacing, at least 1).
+        /// Mean rest span between handling bouts, seconds.
+        rest_s: f64,
+        /// Mean handled (shaken) span, seconds.
+        handled_s: f64,
+        /// Peak handling acceleration, g.
+        vigor_g: f64,
+        /// Beacon period programmed into Timer A, seconds (at least 1).
         period_s: u16,
     },
 }
 
-impl core::fmt::Debug for AppBoard {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            Self::Tpms => f.write_str("Tpms"),
-            Self::Motion { .. } => f.write_str("Motion"),
-            Self::Beacon { period_s, .. } => write!(f, "Beacon({period_s} s)"),
+impl AppBoard {
+    /// Checks the parameters [`MotionScenario::new`] and the beacon
+    /// firmware would otherwise reject by panicking. The error names the
+    /// offending field.
+    pub(crate) fn validate(&self) -> Result<(), &'static str> {
+        let (rest_s, handled_s, vigor_g, period_s) = match *self {
+            Self::Tpms => return Ok(()),
+            Self::Motion {
+                rest_s,
+                handled_s,
+                vigor_g,
+            } => (rest_s, handled_s, vigor_g, None),
+            Self::Beacon {
+                rest_s,
+                handled_s,
+                vigor_g,
+                period_s,
+            } => (rest_s, handled_s, vigor_g, Some(period_s)),
+        };
+        let positive = |v: f64| v.is_finite() && v > 0.0;
+        if !positive(rest_s) {
+            return Err("app rest_s must be positive and finite");
+        }
+        if !positive(handled_s) {
+            return Err("app handled_s must be positive and finite");
+        }
+        if !(vigor_g.is_finite() && vigor_g >= 0.0) {
+            return Err("app vigor_g must be non-negative and finite");
+        }
+        if period_s == Some(0) {
+            return Err("app period_s must be at least 1 s");
+        }
+        Ok(())
+    }
+}
+
+impl ToJson for AppBoard {
+    fn to_json(&self) -> Json {
+        match *self {
+            Self::Tpms => Json::Str("Tpms".into()),
+            Self::Motion {
+                rest_s,
+                handled_s,
+                vigor_g,
+            } => Json::Obj(vec![(
+                "Motion".into(),
+                Json::Obj(vec![
+                    ("rest_s".into(), rest_s.to_json()),
+                    ("handled_s".into(), handled_s.to_json()),
+                    ("vigor_g".into(), vigor_g.to_json()),
+                ]),
+            )]),
+            Self::Beacon {
+                rest_s,
+                handled_s,
+                vigor_g,
+                period_s,
+            } => Json::Obj(vec![(
+                "Beacon".into(),
+                Json::Obj(vec![
+                    ("rest_s".into(), rest_s.to_json()),
+                    ("handled_s".into(), handled_s.to_json()),
+                    ("vigor_g".into(), vigor_g.to_json()),
+                    ("period_s".into(), period_s.to_json()),
+                ]),
+            )]),
+        }
+    }
+}
+
+impl FromJson for AppBoard {
+    fn from_json(value: &Json) -> Result<Self, JsonError> {
+        if let Some(body) = value.get("Motion") {
+            return Ok(Self::Motion {
+                rest_s: FromJson::from_json(field(body, "rest_s")?)?,
+                handled_s: FromJson::from_json(field(body, "handled_s")?)?,
+                vigor_g: FromJson::from_json(field(body, "vigor_g")?)?,
+            });
+        }
+        if let Some(body) = value.get("Beacon") {
+            return Ok(Self::Beacon {
+                rest_s: FromJson::from_json(field(body, "rest_s")?)?,
+                handled_s: FromJson::from_json(field(body, "handled_s")?)?,
+                vigor_g: FromJson::from_json(field(body, "vigor_g")?)?,
+                period_s: FromJson::from_json(field(body, "period_s")?)?,
+            });
+        }
+        let tag: String = FromJson::from_json(value)?;
+        match tag.as_str() {
+            "Tpms" => Ok(Self::Tpms),
+            other => Err(JsonError::new(format!("unknown app board {other:?}"))),
         }
     }
 }
@@ -332,13 +425,22 @@ impl StackBuilder {
     /// # Errors
     ///
     /// Returns [`BuildError`] when no application board was selected or
-    /// the configuration is invalid.
+    /// the configuration or the board's parameters are invalid.
     pub fn build(self) -> Result<Stack, BuildError> {
         let Self { config, app } = self;
         let Some(app) = app else {
             return Err(BuildError::InvalidConfig(
                 "no application board selected (tpms/motion/beacon)",
             ));
+        };
+        app.validate().map_err(BuildError::InvalidConfig)?;
+        let motion = |rest_s, handled_s, vigor_g| {
+            SensorBoard::sca3000(MotionScenario::new(
+                Seconds::new(rest_s),
+                Seconds::new(handled_s),
+                Gs::new(vigor_g),
+                config.seed,
+            ))
         };
         let (image, sensor) = match app {
             AppBoard::Tpms => {
@@ -372,19 +474,23 @@ impl StackBuilder {
                 let sensor = SensorBoard::sp12(sp12, env, wake, interval_scale);
                 (image, sensor)
             }
-            AppBoard::Motion { scenario } => (
+            AppBoard::Motion {
+                rest_s,
+                handled_s,
+                vigor_g,
+            } => (
                 firmware::motion_app(config.node_id)?,
-                SensorBoard::sca3000(scenario),
+                motion(rest_s, handled_s, vigor_g),
             ),
-            AppBoard::Beacon { scenario, period_s } => {
-                if period_s == 0 {
-                    return Err(BuildError::InvalidConfig(
-                        "beacon period must be at least 1 s",
-                    ));
-                }
-                let image = firmware::beacon_app(config.node_id, period_s)?;
-                (image, SensorBoard::sca3000(scenario))
-            }
+            AppBoard::Beacon {
+                rest_s,
+                handled_s,
+                vigor_g,
+                period_s,
+            } => (
+                firmware::beacon_app(config.node_id, period_s)?,
+                motion(rest_s, handled_s, vigor_g),
+            ),
         };
         Stack::assemble(config, image, sensor)
     }
@@ -413,21 +519,6 @@ pub struct Stack {
     wakes: u64,
     vdd: Volts,
     last_inputs: (Amps, Amps, bool, bool),
-    /// Cached earliest pending board deadline (the event horizon).
-    /// `horizon_valid == false` means it must be recomputed from the
-    /// boards; boards only reschedule inside `fire_event`/`on_restart`,
-    /// so those are the sole invalidation points.
-    horizon: Option<SimTime>,
-    horizon_valid: bool,
-    /// Draw signature of the last active step: `(mode, P1, P2, SPI draw
-    /// epoch)`. Every input to the `last_inputs` guard in
-    /// [`Stack::update_currents`] is a function of these plus the sensor's
-    /// draw. That draw changes only on an SPI completion the bus mux
-    /// reports as a draw change (an epoch bump) or in `fire_event`, which
-    /// poisons this to `None`. While the signature is unchanged the old
-    /// per-step `update_currents` call would have early-returned, so
-    /// skipping it is bit-invisible.
-    draw_sig: Option<(OperatingMode, u8, u8, u32)>,
     /// Reusable run-length cycle log for the segmented active path
     /// (scratch; contents never outlive one segment).
     seg_log: CycleLog,
@@ -500,9 +591,6 @@ impl Stack {
             wakes: 0,
             vdd: Volts::new(2.4),
             last_inputs: (Amps::new(-1.0), Amps::new(-1.0), false, false),
-            horizon: None,
-            horizon_valid: false,
-            draw_sig: None,
             seg_log: CycleLog::new(),
             fault: None,
         };
@@ -611,8 +699,6 @@ impl Stack {
         detector: picocube_radio::WakeupReceiver,
     ) -> Result<(), NodeFault> {
         self.radio.fit_rx(detector);
-        self.horizon_valid = false;
-        self.draw_sig = None;
         self.last_inputs = (Amps::new(-1.0), Amps::new(-1.0), false, false);
         self.update_currents(true)
     }
@@ -629,12 +715,7 @@ impl Stack {
         if self.fault.is_some() {
             return false;
         }
-        let accepted = self.radio.schedule_relay(at.max(self.now()), bytes);
-        if accepted {
-            // External injection: the cached event horizon is stale.
-            self.horizon_valid = false;
-        }
-        accepted
+        self.radio.schedule_relay(at.max(self.now()), bytes)
     }
 
     /// Present battery state of charge.
@@ -685,22 +766,6 @@ impl Stack {
         self.boards().filter_map(Board::next_event).min()
     }
 
-    /// [`Stack::next_board_event`] through the cached event horizon: the
-    /// vtable-min scan runs only after an invalidation (a board fired or
-    /// the supervisor restarted the stack), not on every scheduler pass.
-    fn board_horizon(&mut self) -> Option<SimTime> {
-        if !self.horizon_valid {
-            self.horizon = self.next_board_event();
-            self.horizon_valid = true;
-        }
-        debug_assert_eq!(
-            self.horizon,
-            self.next_board_event(),
-            "event horizon went stale: a board rescheduled outside fire_event/on_restart"
-        );
-        self.horizon
-    }
-
     /// Fires every board whose event is due, applies staged cross-board
     /// effects, and recomputes rail currents if anything fired.
     fn fire_due_events(&mut self) -> Result<(), NodeFault> {
@@ -740,11 +805,6 @@ impl Stack {
             self.mcu.drive_p1(0, true);
         }
         if fired {
-            // The fired boards rescheduled themselves, and their device
-            // state (hence their draws) may have changed outside the draw
-            // signature's view: invalidate both caches.
-            self.horizon_valid = false;
-            self.draw_sig = None;
             self.update_currents(false)?;
         }
         Ok(())
@@ -769,9 +829,6 @@ impl Stack {
             return Ok(());
         }
         self.last_inputs = inputs;
-        // A solve changes VDD: make the next active step re-derive the draw
-        // signature rather than trust one computed against the old rail.
-        self.draw_sig = None;
 
         let vbat = self.ledger.rail_voltage(self.rail)?;
         // VDD rail demand in stack order: controller, then sensor, then
@@ -821,7 +878,6 @@ impl Stack {
         match self.storage.supervise(now) {
             SupervisorVerdict::Unchanged => Ok(()),
             SupervisorVerdict::BrownedOut => {
-                self.draw_sig = None;
                 self.telemetry.metrics.inc(keys::NODE_BROWNOUTS, 1);
                 self.telemetry
                     .record(self.now().as_nanos(), EventKind::BrownOut);
@@ -855,8 +911,6 @@ impl Stack {
                 for board in boards {
                     board.on_restart(now);
                 }
-                self.horizon_valid = false;
-                self.draw_sig = None;
                 self.last_inputs = (Amps::new(-1.0), Amps::new(-1.0), false, false);
                 self.update_currents(true)
             }
@@ -922,7 +976,7 @@ impl Stack {
             }
             let asleep = self.mcu.mode() != OperatingMode::Active && !self.mcu.has_pending_irq();
             if asleep {
-                let next = self.board_horizon().unwrap_or(end).min(end);
+                let next = self.next_board_event().unwrap_or(end).min(end);
                 let gap = next
                     .checked_duration_since(self.now())
                     .unwrap_or(SimDuration::ZERO);
@@ -949,7 +1003,7 @@ impl Stack {
                 // its boundary. `run_segment` stops after the first
                 // instruction that changes anything a board can see (GPIO
                 // outputs, the SPI draw epoch, operating mode), so deferring
-                // the `on_bus` / draw-signature epilogue to the boundary
+                // the `on_bus` / `update_currents` epilogue to the boundary
                 // is bit-identical to running it per instruction: for every
                 // interior instruction it was a no-op by construction.
                 let p1_before = self.mcu.p1_output();
@@ -982,7 +1036,6 @@ impl Stack {
                 }
                 // Boards watch the pin edges.
                 let p1_now = self.mcu.p1_output();
-                let p2_now = self.mcu.p2_output();
                 // `on_bus` is a pure P1 edge detector (the radio watches for
                 // its PA window closing), so a step that left P1 unchanged
                 // cannot have anything to deliver.
@@ -997,15 +1050,7 @@ impl Stack {
                     };
                     self.radio.on_bus(p1_before, p1_now, &mut ctx);
                 }
-                // Draw gate: every input to `update_currents`'s change guard
-                // is a function of this signature (see the `draw_sig` field
-                // docs), so an unchanged signature means the call would have
-                // early-returned — skip it.
-                let sig = (self.mcu.mode(), p1_now, p2_now, self.mcu.spi_draw_epoch());
-                if self.draw_sig != Some(sig) {
-                    self.draw_sig = Some(sig);
-                    self.update_currents(false)?;
-                }
+                self.update_currents(false)?;
                 if fault_guard > 200_000_000 {
                     return Err(NodeFault::Stuck { steps: fault_guard });
                 }

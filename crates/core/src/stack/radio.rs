@@ -122,10 +122,6 @@ impl RadioBoard {
 }
 
 impl Board for RadioBoard {
-    fn name(&self) -> &'static str {
-        "radio"
-    }
-
     fn next_event(&self) -> Option<SimTime> {
         let rx = self.rx.as_ref()?;
         match (rx.queue.first(), rx.active_until) {

@@ -96,10 +96,6 @@ impl SensorBoard {
 }
 
 impl Board for SensorBoard {
-    fn name(&self) -> &'static str {
-        "sensor"
-    }
-
     fn next_event(&self) -> Option<SimTime> {
         Some(match &self.state {
             SensorState::Tpms { next_wake, .. } => *next_wake,

@@ -361,10 +361,6 @@ impl StorageBoard {
 }
 
 impl Board for StorageBoard {
-    fn name(&self) -> &'static str {
-        "storage"
-    }
-
     fn export_metrics(&self, metrics: &mut Metrics) {
         metrics.inc(
             keys::BOARD_STORAGE_BROWNOUTS,

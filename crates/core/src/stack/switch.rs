@@ -242,10 +242,6 @@ impl SwitchBoard {
 }
 
 impl Board for SwitchBoard {
-    fn name(&self) -> &'static str {
-        "switch"
-    }
-
     fn export_metrics(&self, metrics: &mut Metrics) {
         metrics.inc(keys::BOARD_SWITCH_OP_CACHE_HITS, self.op_cache_hits);
         metrics.inc(keys::BOARD_SWITCH_OP_CACHE_MISSES, self.op_cache_misses);

@@ -228,16 +228,6 @@ impl Mcu {
         u16::from(self.read_mem8(addr & !1)) | (u16::from(self.read_mem8((addr & !1) + 1)) << 8)
     }
 
-    /// Writes a memory byte (board-side view).
-    pub fn write_mem8(&mut self, addr: u16, value: u8) {
-        if Peripherals::owns(addr) {
-            self.periph.write(addr, value);
-        } else {
-            self.invalidate_uops(addr);
-            self.mem.write8(addr, value);
-        }
-    }
-
     /// Self-modifying-code guard: a write into the cached flash span makes
     /// the pre-decoded stream stale, so the core permanently drops back to
     /// the interpreter (which reads memory as written).

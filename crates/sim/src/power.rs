@@ -538,11 +538,6 @@ impl PowerLedger {
         }
     }
 
-    /// Integrates all loads forward by `dt`.
-    pub fn advance_by(&mut self, dt: SimDuration) {
-        self.advance_to(self.now + dt);
-    }
-
     /// Total energy consumed from `rail` so far.
     pub fn rail_energy(&self, rail: RailId) -> Result<Joules, LedgerError> {
         Ok(self.rail_slot(rail)?.loads.iter().map(|l| l.energy).sum())

@@ -8,7 +8,6 @@
 
 use picocube::node::DemoStation;
 use picocube::prelude::*;
-use picocube::sensors::MotionScenario;
 
 fn bar(g: f64) -> String {
     // Map ±3 g onto a 21-character strip.
@@ -23,11 +22,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // recharges it between sessions).
     let config = NodeConfig {
         harvester: HarvesterKind::None,
+        seed: 2007,
         ..NodeConfig::default()
     };
-    let scenario = MotionScenario::retreat_table(2007);
     let mut node = StackBuilder::new(config)
-        .app(AppBoard::Motion { scenario })
+        .app(AppBoard::Motion {
+            rest_s: 20.0,
+            handled_s: 8.0,
+            vigor_g: 1.2,
+        })
         .build()?;
     let mut station = DemoStation::demo_table(2007);
 

@@ -84,9 +84,9 @@ pub use picocube_units as units;
 pub mod prelude {
     pub use picocube_node::{
         run_fleet, run_fleet_with, run_mesh, run_mesh_with, run_scenario_with, AppBoard,
-        BuildError, FleetApp, FleetConfig, FleetConfigBuilder, FleetConfigError, FleetOutcome,
-        HarvesterKind, MeshConfig, MeshConfigError, MeshOutcome, NodeConfig, NodeReport,
-        Parallelism, Scenario, ScenarioError, ScenarioOutcome, Stack, StackBuilder,
+        BuildError, FleetConfig, FleetConfigBuilder, FleetConfigError, FleetOutcome, HarvesterKind,
+        MeshConfig, MeshConfigError, MeshOutcome, NodeConfig, NodeReport, Parallelism, Scenario,
+        ScenarioError, ScenarioOutcome, Stack, StackBuilder,
     };
     pub use picocube_sim::{SimDuration, SimRng, SimTime};
     pub use picocube_telemetry::{

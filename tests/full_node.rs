@@ -5,7 +5,7 @@ use picocube::node::{
     AppBoard, DemoStation, HarvesterKind, NodeConfig, PowerChainKind, Stack, StackBuilder,
 };
 use picocube::radio::packet::{decode, Checksum};
-use picocube::sensors::{MotionScenario, Sp12, Sp12Channel};
+use picocube::sensors::{Sp12, Sp12Channel};
 use picocube::sim::{SimDuration, SimTime};
 use picocube::units::Watts;
 
@@ -98,11 +98,14 @@ fn tpms_packets_decode_to_tire_physics_at_the_receiver() {
 fn demo_end_to_end_over_the_simulated_channel() {
     let config = NodeConfig {
         harvester: HarvesterKind::None,
+        seed: 77,
         ..NodeConfig::default()
     };
     let mut node = StackBuilder::new(config)
         .app(AppBoard::Motion {
-            scenario: MotionScenario::retreat_table(77),
+            rest_s: 20.0,
+            handled_s: 8.0,
+            vigor_g: 1.2,
         })
         .build()
         .unwrap();

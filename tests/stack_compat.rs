@@ -22,7 +22,6 @@ use picocube::node::{
     run_fleet_with, AppBoard, FleetConfig, FleetOutcome, HarvesterKind, NodeConfig, Parallelism,
     Stack, StackBuilder,
 };
-use picocube::sensors::MotionScenario;
 use picocube::sim::SimDuration;
 use picocube::telemetry::{Event, Metric, Metrics, TelemetryBuffer};
 use picocube::units::json::{Json, ToJson};
@@ -184,11 +183,14 @@ fn tpms_ungated_ldo_trace_matches_pre_refactor() {
 fn motion_trace_matches_pre_refactor() {
     let config = NodeConfig {
         harvester: HarvesterKind::None,
+        seed: 9,
         ..NodeConfig::default()
     };
     let node = StackBuilder::new(config)
         .app(AppBoard::Motion {
-            scenario: MotionScenario::retreat_table(9),
+            rest_s: 20.0,
+            handled_s: 8.0,
+            vigor_g: 1.2,
         })
         .build()
         .expect("node builds");
@@ -199,11 +201,14 @@ fn motion_trace_matches_pre_refactor() {
 fn beacon_trace_matches_pre_refactor() {
     let config = NodeConfig {
         harvester: HarvesterKind::None,
+        seed: 5,
         ..NodeConfig::default()
     };
     let node = StackBuilder::new(config)
         .app(AppBoard::Beacon {
-            scenario: MotionScenario::retreat_table(5),
+            rest_s: 20.0,
+            handled_s: 8.0,
+            vigor_g: 1.2,
             period_s: 5,
         })
         .build()
