@@ -207,14 +207,12 @@ fn main() {
     let mut all_identical = true;
     let mut rows = Vec::new();
     for &nodes in sizes {
-        let config = |parallelism| {
-            FleetConfig::builder()
-                .nodes(nodes)
-                .duration(SimDuration::from_secs(duration_s))
-                .seed(SEED)
-                .parallelism(parallelism)
-                .build()
-                .expect("valid bench configuration")
+        let config = |parallelism| FleetConfig {
+            nodes,
+            duration: SimDuration::from_secs(duration_s),
+            seed: SEED,
+            parallelism,
+            ..FleetConfig::default()
         };
         // Case 0 is serial, case i the sweep's (i-1)th thread count.
         let parallelism = |case: usize| match case.checked_sub(1).and_then(|i| sweep.get(i)) {
@@ -297,13 +295,13 @@ fn main() {
     );
     let mut ladder = Vec::new();
     for &nodes in ladder_sizes {
-        let config = FleetConfig::builder()
-            .nodes(nodes)
-            .duration(SimDuration::from_secs(ladder_duration_s))
-            .seed(SEED)
-            .parallelism(Parallelism::Threads(ladder_threads))
-            .build()
-            .expect("valid ladder configuration");
+        let config = FleetConfig {
+            nodes,
+            duration: SimDuration::from_secs(ladder_duration_s),
+            seed: SEED,
+            parallelism: Parallelism::Threads(ladder_threads),
+            ..FleetConfig::default()
+        };
         let reset = reset_peak_rss();
         let (wall_s, (out, _, _)) = time_once(|| run_fleet_with_stats(&config, &mut NullRecorder));
         let hwm = max_rss_bytes().filter(|_| reset);

@@ -86,7 +86,7 @@ fn main() {
     node.run_for(SimDuration::from_secs(90));
     let mut station = DemoStation::demo_table(2007);
     let packets = node.packets();
-    let decoded = station.offer_all(&packets);
+    let decoded = station.offer_all(packets);
     println!("  transmitted: {} packets", packets.len());
     println!("  decoded    : {decoded} ({} lost)", station.lost());
     println!(

@@ -176,13 +176,13 @@ fn run_fleet_sweep(args: &CommonArgs) {
         "nodes", "offered", "collided", "chan-lost", "delivered", "ratio"
     );
     for &nodes in &args.nodes {
-        let config = FleetConfig::builder()
-            .nodes(nodes)
-            .duration(SimDuration::from_secs(duration_s))
-            .seed(42)
-            .parallelism(args.parallelism)
-            .build()
-            .expect("valid sweep configuration");
+        let config = FleetConfig {
+            nodes,
+            duration: SimDuration::from_secs(duration_s),
+            seed: 42,
+            parallelism: args.parallelism,
+            ..FleetConfig::default()
+        };
         let out = run(&config);
         println!(
             "{:>7} {:>9} {:>10} {:>10} {:>10} {:>8.1}% {}",
@@ -202,14 +202,14 @@ fn run_fleet_sweep(args: &CommonArgs) {
     println!("far at this duty cycle, which is why the Cube can skip a receiver.");
 
     // Worst case: clock-locked nodes.
-    let locked_config = FleetConfig::builder()
-        .nodes(32)
-        .duration(SimDuration::from_secs(duration_s))
-        .distance_range(1.0, 1.05)
-        .seed(43)
-        .parallelism(args.parallelism)
-        .build()
-        .expect("valid locked configuration");
+    let locked_config = FleetConfig {
+        nodes: 32,
+        duration: SimDuration::from_secs(duration_s),
+        distance_range: (1.0, 1.05),
+        seed: 43,
+        parallelism: args.parallelism,
+        ..FleetConfig::default()
+    };
     let locked = run(&locked_config);
     println!(
         "\nequal-power fleet at one table (no capture possible): {:.1} % delivery",

@@ -29,7 +29,8 @@ pub struct CommonArgs {
     pub parallelism: Parallelism,
     /// Simulated span in seconds from `--duration S`; `None` when omitted
     /// (binaries substitute their own default). Big-fleet streaming smokes
-    /// shorten this so a 100k–1M-node run finishes in CI time.
+    /// shorten this so a 100k–1M-node run finishes in CI time. At most
+    /// `u64::MAX / 10^9` (about 584 years), the nanosecond clock's range.
     pub duration_s: Option<u64>,
     /// JSONL event-log path from `--telemetry PATH`.
     pub telemetry: Option<String>,
@@ -115,10 +116,12 @@ impl CommonArgs {
                 }
                 "--duration" => {
                     let value = argv.next().ok_or(CliError::MissingValue("--duration"))?;
-                    let s: u64 = value
-                        .trim()
-                        .parse()
-                        .map_err(|_| CliError::InvalidValue("--duration", value))?;
+                    let s = match value.trim().parse::<u64>() {
+                        // The engines count simulated time in u64
+                        // nanoseconds.
+                        Ok(s) if s.checked_mul(1_000_000_000).is_some() => s,
+                        _ => return Err(CliError::InvalidValue("--duration", value)),
+                    };
                     if s == 0 {
                         return Err(CliError::ZeroValue("--duration"));
                     }
@@ -230,9 +233,27 @@ mod tests {
             parse(&["--threads", "many"]),
             Err(CliError::InvalidValue("--threads", "many".into()))
         );
+
         assert_eq!(
             parse(&["--bogus"]),
             Err(CliError::UnknownArg("--bogus".into()))
+        );
+    }
+
+    #[test]
+    fn duration_past_the_clock_range_is_rejected() {
+        // Simulated time counts u64 nanoseconds: a longer span is a typed
+        // error here, not an overflow inside the engine.
+        assert_eq!(
+            parse(&["--duration", "18446744073709551615"]),
+            Err(CliError::InvalidValue(
+                "--duration",
+                "18446744073709551615".into()
+            ))
+        );
+        assert_eq!(
+            parse(&["--duration", "18446744073"]).map(|a| a.duration_s),
+            Ok(Some(18_446_744_073))
         );
     }
 }

@@ -48,76 +48,34 @@ pub(crate) struct PacketRecord {
     pub decode_ok: bool,
 }
 
-/// Offered/delivered tallies for one node — the single-allocation
-/// replacement for the merge phase's former pair of `vec![0; nodes]`
-/// passes, kept only when [`FleetConfig::per_node_stats`] opts in.
-///
-/// [`FleetConfig::per_node_stats`]: super::FleetConfig::per_node_stats
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct NodeCounts {
-    /// Packets the node put on the air.
-    pub offered: u32,
-    /// Packets from the node the receiver decoded.
-    pub delivered: u32,
-}
-
-impl NodeCounts {
-    /// Delivered fraction, `0.0` for a node that never transmitted.
-    pub fn delivery_ratio(&self) -> f64 {
-        if self.offered == 0 {
-            0.0
-        } else {
-            f64::from(self.delivered) / f64::from(self.offered)
-        }
-    }
-}
-
-/// The online fold over node results. See the module docs for the merge
-/// law; [`finalize`](super::run_fleet_with_stats) turns a fully-fed
-/// accumulator into the [`FleetOutcome`](super::FleetOutcome).
-#[derive(Debug)]
+/// The online fold over node results, and what a
+/// [`FleetCheckpoint`](super::FleetCheckpoint) holds. See the module docs
+/// for the merge law; the fleet's finalize step turns a fully-fed
+/// accumulator into the [`FleetOutcome`](super::FleetOutcome). Per-node
+/// tallies are not kept: every record carries its node index, so the
+/// merge counts them when a run opts in.
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct FleetAccumulator {
     /// Next node index the fold expects (= nodes absorbed so far, plus the
     /// resume offset when restored from a checkpoint).
-    next_node: usize,
+    pub(super) next_node: usize,
     /// Nodes whose simulation latched a fault.
-    faulted: usize,
+    pub(super) faulted: usize,
     /// Compact on-air records across all folded nodes, in fold order.
-    records: Vec<PacketRecord>,
+    pub(super) records: Vec<PacketRecord>,
     /// Metric totals (and, when events are on, the attributed event
-    /// buffer) folded in node order.
-    telemetry: TelemetryBuffer,
-    /// Per-node tallies, when the config opted in.
-    per_node: Option<Vec<NodeCounts>>,
+    /// buffer, unsorted) folded in node order.
+    pub(super) telemetry: TelemetryBuffer,
 }
 
 impl FleetAccumulator {
     /// An empty accumulator expecting node 0 first.
-    pub(crate) fn new(record_events: bool, per_node_stats: bool) -> Self {
+    pub(crate) fn new(record_events: bool) -> Self {
         Self {
             next_node: 0,
             faulted: 0,
             records: Vec::new(),
             telemetry: TelemetryBuffer::with_events(record_events),
-            per_node: per_node_stats.then(Vec::new),
-        }
-    }
-
-    /// Restores a mid-run accumulator from checkpoint parts. `telemetry`
-    /// carries the folded metrics and the (unsorted, fold-order) events.
-    pub(crate) fn from_parts(
-        next_node: usize,
-        faulted: usize,
-        records: Vec<PacketRecord>,
-        telemetry: TelemetryBuffer,
-        per_node: Option<Vec<NodeCounts>>,
-    ) -> Self {
-        Self {
-            next_node,
-            faulted,
-            records,
-            telemetry,
-            per_node,
         }
     }
 
@@ -140,42 +98,7 @@ impl FleetAccumulator {
         );
         self.next_node += 1;
         self.faulted += usize::from(node.fault.is_some());
-        if let Some(per_node) = self.per_node.as_mut() {
-            per_node.push(NodeCounts {
-                offered: node.records.len() as u32,
-                delivered: 0,
-            });
-        }
         self.records.extend(node.records);
         self.telemetry.absorb(node.telemetry);
-    }
-
-    /// Read access for checkpoint capture.
-    pub(crate) fn parts(
-        &self,
-    ) -> (
-        usize,
-        &[PacketRecord],
-        &TelemetryBuffer,
-        Option<&[NodeCounts]>,
-    ) {
-        (
-            self.faulted,
-            &self.records,
-            &self.telemetry,
-            self.per_node.as_deref(),
-        )
-    }
-
-    /// Decomposes the fold for the merge phase.
-    pub(crate) fn into_parts(
-        self,
-    ) -> (
-        Vec<PacketRecord>,
-        TelemetryBuffer,
-        usize,
-        Option<Vec<NodeCounts>>,
-    ) {
-        (self.records, self.telemetry, self.faulted, self.per_node)
     }
 }

@@ -1,15 +1,16 @@
 //! Checkpoint/resume for streaming fleet runs.
 //!
-//! A [`FleetCheckpoint`] is the streaming engine's fold state cut between
-//! two nodes: the accumulator's compact packet records, its node-order
-//! telemetry fold (metrics plus the unsorted event prefix), the fault
-//! tally and the fold cursor, stamped with a fingerprint of every
-//! result-relevant configuration field. Because the fold is a strict
-//! left-fold in node order and every node's randomness derives only from
-//! `(master seed, node index)`, resuming from a serialized checkpoint
-//! replays the *identical* fold the uninterrupted run would have produced
-//! — [`run_fleet_resumable`] is bit-identical to `run_fleet_with`, not
-//! merely statistically equivalent.
+//! A [`FleetCheckpoint`] is the streaming engine's fold cut between two
+//! nodes: the accumulator itself (the fold cursor, fault tally, compact
+//! packet records and node-order telemetry fold, with the event prefix
+//! still unsorted), stamped with a fingerprint of every result-relevant
+//! configuration field. Because the fold is a strict left-fold in node
+//! order and every node's randomness derives only from `(master seed,
+//! node index)`, resuming from a serialized checkpoint replays the
+//! *identical* fold the uninterrupted run would have produced —
+//! [`run_fleet_resumable`](super::run_fleet_resumable) is bit-identical to
+//! [`run_fleet_with`](super::run_fleet_with), not merely statistically
+//! equivalent.
 //!
 //! A [`StackCheckpoint`] cuts one node's simulation mid-run instead. The
 //! stack's full machine state (MCU registers, event queue, cell charge)
@@ -25,15 +26,12 @@
 //! `f64` round-trip is bit-exact, so a checkpoint that travels through a
 //! file changes nothing.
 
-use super::accumulator::{FleetAccumulator, NodeCounts, PacketRecord};
-use super::{
-    derive_node_config, finalize_fleet, probe_build, stream_nodes, FleetConfig, FleetConfigError,
-    FleetOutcome,
-};
+use super::accumulator::{FleetAccumulator, PacketRecord};
+use super::{derive_node_config, FleetConfig, FleetConfigError};
 use crate::node::{BuildError, NodeConfig};
 use crate::stack::{AppBoard, Stack, StackBuilder};
 use picocube_sim::{SimDuration, SimTime};
-use picocube_telemetry::{Event, Metrics, Recorder, TelemetryBuffer};
+use picocube_telemetry::{Event, Metrics, TelemetryBuffer};
 use picocube_units::json::{field, FromJson, Json, JsonError, ToJson};
 use picocube_units::Dbm;
 
@@ -122,70 +120,36 @@ impl FromJson for PacketRecord {
     }
 }
 
-impl ToJson for NodeCounts {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("offered".into(), self.offered.to_json()),
-            ("delivered".into(), self.delivered.to_json()),
-        ])
-    }
-}
-
-impl FromJson for NodeCounts {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            offered: u32::from_json(field(value, "offered")?)?,
-            delivered: u32::from_json(field(value, "delivered")?)?,
-        })
-    }
-}
-
-/// A streaming fleet run cut between two nodes: everything
-/// [`run_fleet_resumable`] needs to continue the fold bit-identically.
+/// A streaming fleet run cut between two nodes: the fold itself, bound
+/// to the configuration that produced it. Everything
+/// [`run_fleet_resumable`](super::run_fleet_resumable) needs to continue
+/// the fold bit-identically.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetCheckpoint {
     /// Fingerprint of the capturing configuration (see
     /// [`fleet_fingerprint`]); resume refuses any other config.
     fingerprint: String,
-    /// Whether the fold carries events (must match the resuming recorder).
-    record_events: bool,
     /// Total nodes in the fleet, for progress reporting.
     nodes: usize,
-    /// Nodes already folded; the resume simulates `nodes_done..nodes`.
-    nodes_done: usize,
-    /// Fault tally across the folded prefix.
-    faulted: usize,
-    /// Compact packet records of the folded prefix, in fold order.
-    records: Vec<PacketRecord>,
-    /// Metric registry of the folded prefix (node-order fold).
-    metrics: Metrics,
-    /// Event prefix in fold order — deliberately *unsorted*: the engine
-    /// canonicalizes the interleaving once, at finalize.
-    events: Vec<Event>,
-    /// Per-node tallies when the config opted in.
-    per_node: Option<Vec<NodeCounts>>,
+    /// The fold over nodes `0..nodes_done`; whether it carries events must
+    /// match the resuming recorder.
+    acc: FleetAccumulator,
 }
 
 impl FleetCheckpoint {
-    /// Captures the accumulator's state under `config`'s fingerprint.
-    pub(crate) fn capture(config: &FleetConfig, acc: &FleetAccumulator) -> Self {
-        let (faulted, records, telemetry, per_node) = acc.parts();
+    /// Stamps `acc`, the fold of a run under `config`, with the config's
+    /// fingerprint.
+    pub(super) fn capture(config: &FleetConfig, acc: FleetAccumulator) -> Self {
         Self {
             fingerprint: fleet_fingerprint(config),
-            record_events: acc.record_events(),
             nodes: config.nodes,
-            nodes_done: acc.nodes_done(),
-            faulted,
-            records: records.to_vec(),
-            metrics: telemetry.metrics.clone(),
-            events: telemetry.events().to_vec(),
-            per_node: per_node.map(<[NodeCounts]>::to_vec),
+            acc,
         }
     }
 
     /// Nodes already folded into this checkpoint.
     pub fn nodes_done(&self) -> usize {
-        self.nodes_done
+        self.acc.nodes_done()
     }
 
     /// Total nodes in the checkpointed fleet.
@@ -195,12 +159,12 @@ impl FleetCheckpoint {
 
     /// Whether phase 1 is finished (resume goes straight to the merge).
     pub fn is_complete(&self) -> bool {
-        self.nodes_done >= self.nodes
+        self.nodes_done() >= self.nodes
     }
 
-    /// Rebuilds the accumulator, refusing configs or recording modes other
-    /// than the ones the checkpoint was captured under.
-    fn restore(
+    /// A copy of the fold to continue, refusing configs or recording modes
+    /// other than the ones the checkpoint was captured under.
+    pub(super) fn restore(
         &self,
         config: &FleetConfig,
         record_events: bool,
@@ -210,47 +174,40 @@ impl FleetCheckpoint {
                 "checkpoint was captured under a different fleet configuration",
             ));
         }
-        if self.record_events != record_events {
+        if self.acc.record_events() != record_events {
             return Err(CheckpointError::Mismatch(
                 "checkpoint event-recording mode does not match the resuming recorder",
             ));
         }
-        let mut telemetry = TelemetryBuffer::with_events(record_events);
-        telemetry.metrics = self.metrics.clone();
-        for event in &self.events {
-            telemetry.record_for(event.node, event.t_ns, event.kind.clone());
-        }
-        Ok(FleetAccumulator::from_parts(
-            self.nodes_done,
-            self.faulted,
-            self.records.clone(),
-            telemetry,
-            self.per_node.clone(),
-        ))
+        Ok(self.acc.clone())
     }
 }
 
 impl ToJson for FleetCheckpoint {
     fn to_json(&self) -> Json {
-        let mut obj = vec![
+        let acc = &self.acc;
+        Json::Obj(vec![
             ("version".into(), 1u64.to_json()),
             ("fingerprint".into(), self.fingerprint.to_json()),
-            ("record_events".into(), self.record_events.to_json()),
+            ("record_events".into(), acc.record_events().to_json()),
             ("nodes".into(), self.nodes.to_json()),
-            ("nodes_done".into(), self.nodes_done.to_json()),
-            ("faulted".into(), self.faulted.to_json()),
-            ("records".into(), self.records.to_json()),
-            ("metrics".into(), self.metrics.to_json()),
-            ("events".into(), self.events.to_json()),
-        ];
-        if let Some(per_node) = &self.per_node {
-            obj.push(("per_node".into(), per_node.to_json()));
-        }
-        Json::Obj(obj)
+            ("nodes_done".into(), acc.next_node.to_json()),
+            ("faulted".into(), acc.faulted.to_json()),
+            ("records".into(), acc.records.to_json()),
+            ("metrics".into(), acc.telemetry.metrics.to_json()),
+            (
+                "events".into(),
+                Json::Arr(acc.telemetry.events().iter().map(ToJson::to_json).collect()),
+            ),
+        ])
     }
 }
 
 impl FromJson for FleetCheckpoint {
+    /// Reads a version-1 checkpoint. A `per_node` array, written by
+    /// versions that kept per-node tallies in the fold, is ignored: the
+    /// merge counts them from the records, and the fingerprint already
+    /// binds `per_node_stats`.
     fn from_json(value: &Json) -> Result<Self, JsonError> {
         let version = u64::from_json(field(value, "version")?)?;
         if version != 1 {
@@ -263,88 +220,23 @@ impl FromJson for FleetCheckpoint {
         if nodes_done > nodes {
             return Err(JsonError::new("checkpoint cursor past the fleet size"));
         }
+        let mut telemetry =
+            TelemetryBuffer::with_events(bool::from_json(field(value, "record_events")?)?);
+        telemetry.metrics = Metrics::from_json(field(value, "metrics")?)?;
+        for event in Vec::<Event>::from_json(field(value, "events")?)? {
+            telemetry.record_for(event.node, event.t_ns, event.kind);
+        }
         Ok(Self {
             fingerprint: String::from_json(field(value, "fingerprint")?)?,
-            record_events: bool::from_json(field(value, "record_events")?)?,
             nodes,
-            nodes_done,
-            faulted: usize::from_json(field(value, "faulted")?)?,
-            records: Vec::from_json(field(value, "records")?)?,
-            metrics: Metrics::from_json(field(value, "metrics")?)?,
-            events: Vec::from_json(field(value, "events")?)?,
-            per_node: match value.get("per_node") {
-                Some(per_node) => Some(Vec::from_json(per_node)?),
-                None => None,
+            acc: FleetAccumulator {
+                next_node: nodes_done,
+                faulted: usize::from_json(field(value, "faulted")?)?,
+                records: Vec::from_json(field(value, "records")?)?,
+                telemetry,
             },
         })
     }
-}
-
-/// Runs (or continues) phase 1 for at most `budget` more nodes and returns
-/// the fold cut as a checkpoint. `budget` is clamped to at least one node
-/// so every call makes progress; once [`FleetCheckpoint::is_complete`],
-/// further calls return the checkpoint unchanged.
-///
-/// `record_events` chooses whether the fold carries the event stream; it
-/// must match `recorder.wants_events()` of the recorder eventually handed
-/// to [`run_fleet_resumable`].
-///
-/// # Errors
-///
-/// Returns [`CheckpointError::Build`] when the base config does not build
-/// (it is probe-built before any worker thread starts), and the other
-/// [`CheckpointError`]s for a degenerate config or a mismatched
-/// checkpoint.
-pub fn run_fleet_partial(
-    config: &FleetConfig,
-    resume: Option<&FleetCheckpoint>,
-    budget: usize,
-    record_events: bool,
-) -> Result<FleetCheckpoint, CheckpointError> {
-    config.validate().map_err(CheckpointError::Config)?;
-    let mut acc = match resume {
-        Some(checkpoint) => checkpoint.restore(config, record_events)?,
-        None => {
-            probe_build(config).map_err(CheckpointError::Build)?;
-            FleetAccumulator::new(record_events, config.per_node_stats)
-        }
-    };
-    let upto = acc
-        .nodes_done()
-        .saturating_add(budget.max(1))
-        .min(config.nodes);
-    stream_nodes(config, &mut acc, upto);
-    Ok(FleetCheckpoint::capture(config, &acc))
-}
-
-/// Runs the fleet to completion, continuing from `resume` when given — the
-/// checkpoint-aware sibling of [`run_fleet_with`](super::run_fleet_with),
-/// with degenerate configs surfacing as typed errors instead of panics.
-///
-/// Bit-identity contract: for any split of the node range into
-/// [`run_fleet_partial`] legs (including legs serialized through JSON in
-/// between, and legs run under different [`Parallelism`](super::Parallelism)
-/// modes), the final outcome, metric registry and event stream are
-/// identical to a single uninterrupted `run_fleet_with` call.
-///
-/// # Errors
-///
-/// As [`run_fleet_partial`].
-pub fn run_fleet_resumable(
-    config: &FleetConfig,
-    resume: Option<&FleetCheckpoint>,
-    recorder: &mut dyn Recorder,
-) -> Result<(FleetOutcome, Metrics), CheckpointError> {
-    config.validate().map_err(CheckpointError::Config)?;
-    let mut acc = match resume {
-        Some(checkpoint) => checkpoint.restore(config, recorder.wants_events())?,
-        None => {
-            probe_build(config).map_err(CheckpointError::Build)?;
-            FleetAccumulator::new(recorder.wants_events(), config.per_node_stats)
-        }
-    };
-    stream_nodes(config, &mut acc, config.nodes);
-    Ok(finalize_fleet(config, acc, recorder))
 }
 
 /// One node's simulation cut mid-run, as a replayable recipe: the node
@@ -452,24 +344,24 @@ impl FromJson for StackCheckpoint {
 
 #[cfg(test)]
 mod tests {
+    use super::super::{run_fleet_partial, run_fleet_resumable, run_fleet_with, Parallelism};
     use super::*;
-    use picocube_sim::SimDuration;
     use picocube_telemetry::NullRecorder;
 
     fn config(per_node_stats: bool) -> FleetConfig {
-        FleetConfig::builder()
-            .nodes(6)
-            .duration(SimDuration::from_secs(30))
-            .seed(77)
-            .per_node_stats(per_node_stats)
-            .build()
-            .expect("valid test scenario")
+        FleetConfig {
+            nodes: 6,
+            duration: SimDuration::from_secs(30),
+            seed: 77,
+            per_node_stats,
+            ..FleetConfig::default()
+        }
     }
 
     #[test]
     fn partial_legs_then_resume_match_uninterrupted() {
         let cfg = config(true);
-        let (direct, direct_metrics) = super::super::run_fleet_with(&cfg, &mut NullRecorder);
+        let (direct, direct_metrics) = run_fleet_with(&cfg, &mut NullRecorder);
 
         // Three legs: 2 + 2 + rest, the first cut serialized through JSON
         // text in between.
@@ -517,9 +409,9 @@ mod tests {
         // checkpoint captured serially resumes threaded, bit-identically.
         let serial = config(true);
         let mut threaded = serial.clone();
-        threaded.parallelism = super::super::Parallelism::Threads(3);
+        threaded.parallelism = Parallelism::Threads(3);
 
-        let (direct, _) = super::super::run_fleet_with(&serial, &mut NullRecorder);
+        let (direct, _) = run_fleet_with(&serial, &mut NullRecorder);
         let checkpoint = run_fleet_partial(&serial, None, 3, false).expect("serial leg");
         let (resumed, _) = run_fleet_resumable(&threaded, Some(&checkpoint), &mut NullRecorder)
             .expect("threaded leg");

@@ -43,23 +43,32 @@
 //! every mode produces bit-identical [`FleetOutcome`]s. The fold can also
 //! be cut and serialized mid-run: see [`FleetCheckpoint`] and
 //! [`run_fleet_resumable`], which are bit-identical to uninterrupted runs.
+//!
+//! # One pipeline
+//!
+//! Every entry point runs the same pipeline: [`FleetConfig::validate`],
+//! then either restore a checkpoint or probe-build node 0 (before any
+//! worker thread exists, so a base config that does not build fails with
+//! its typed [`BuildError`](crate::BuildError)), then stream the fold.
+//! Each entry point adds one step: [`run_fleet_partial`] stops after a
+//! node budget and moves the fold into a [`FleetCheckpoint`];
+//! [`run_fleet_resumable`] runs to the end and finalizes, returning every
+//! failure as a [`CheckpointError`]; [`run_fleet_with_stats`] does the
+//! same but panics with the error's message, and [`run_fleet_with`] drops
+//! its scheduler stats.
 
 mod accumulator;
 mod checkpoint;
 
-pub(crate) use accumulator::NodeCounts;
+pub use checkpoint::{CheckpointError, FleetCheckpoint, StackCheckpoint};
 
-pub use checkpoint::{
-    run_fleet_partial, run_fleet_resumable, CheckpointError, FleetCheckpoint, StackCheckpoint,
-};
-
-use crate::node::{BuildError, NodeConfig};
+use crate::node::NodeConfig;
 use crate::stack::{AppBoard, NodeFault, Stack, StackBuilder};
 use accumulator::{FleetAccumulator, PacketRecord};
 use picocube_radio::packet::{decode, Checksum};
 use picocube_radio::{Channel, Link, PatchAntenna, SuperRegenReceiver};
 use picocube_sim::{SimDuration, SimRng, SimTime};
-use picocube_telemetry::{keys, EventKind, Metrics, NullRecorder, Recorder, TelemetryBuffer};
+use picocube_telemetry::{keys, EventKind, Metrics, Recorder, TelemetryBuffer};
 use picocube_units::{Db, Dbm, Hertz, Meters};
 use std::collections::BTreeMap;
 use std::sync::{Condvar, Mutex};
@@ -92,7 +101,32 @@ impl Parallelism {
 /// probes still spell it.
 pub type FleetApp = AppBoard;
 
-/// Fleet scenario parameters.
+/// Fleet scenario parameters: plain data, checked by
+/// [`validate`](Self::validate), which every fleet entry point calls
+/// before it simulates anything.
+///
+/// # Examples
+///
+/// ```
+/// use picocube_node::{run_fleet_with, FleetConfig, FleetConfigError, Parallelism};
+/// use picocube_sim::SimDuration;
+/// use picocube_telemetry::NullRecorder;
+///
+/// let config = FleetConfig {
+///     nodes: 2,
+///     duration: SimDuration::from_secs(30),
+///     seed: 7,
+///     parallelism: Parallelism::Threads(2),
+///     ..FleetConfig::default()
+/// };
+/// assert_eq!(config.validate(), Ok(()));
+/// let (outcome, _metrics) = run_fleet_with(&config, &mut NullRecorder);
+/// assert!(outcome.offered > 0);
+/// assert_eq!(
+///     FleetConfig { nodes: 0, ..config }.validate(),
+///     Err(FleetConfigError::ZeroNodes)
+/// );
+/// ```
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Number of nodes.
@@ -145,8 +179,7 @@ impl Default for FleetConfig {
     }
 }
 
-/// Why a fleet configuration was rejected by [`FleetConfig::validate`] (and
-/// therefore by [`FleetConfigBuilder::build`]).
+/// Why a fleet configuration was rejected by [`FleetConfig::validate`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FleetConfigError {
     /// The fleet had zero nodes.
@@ -184,16 +217,12 @@ impl core::fmt::Display for FleetConfigError {
 impl std::error::Error for FleetConfigError {}
 
 impl FleetConfig {
-    /// Starts a validating builder seeded with [`FleetConfig::default`].
-    pub fn builder() -> FleetConfigBuilder {
-        FleetConfigBuilder {
-            config: Self::default(),
-        }
-    }
-
     /// Checks the invariants the fleet engine relies on, returning the
-    /// first violation. [`run_fleet`] still asserts (for back-compat with
-    /// struct-literal construction); the builder routes through this.
+    /// first violation. Every fleet entry point calls it first.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated invariant.
     pub fn validate(&self) -> Result<(), FleetConfigError> {
         if self.nodes == 0 {
             return Err(FleetConfigError::ZeroNodes);
@@ -212,101 +241,6 @@ impl FleetConfig {
             return Err(FleetConfigError::InvalidWakePpmRange);
         }
         Ok(())
-    }
-}
-
-/// Builder for [`FleetConfig`] that validates on
-/// [`build`](FleetConfigBuilder::build): degenerate scenarios (zero nodes, zero
-/// duration, zero worker threads, bad distance ranges) come back as a
-/// [`FleetConfigError`] instead of a panic deep inside the engine.
-///
-/// # Examples
-///
-/// ```
-/// use picocube_node::{FleetConfig, Parallelism};
-/// use picocube_sim::SimDuration;
-///
-/// let config = FleetConfig::builder()
-///     .nodes(64)
-///     .duration(SimDuration::from_secs(60))
-///     .seed(7)
-///     .parallelism(Parallelism::Threads(4))
-///     .build()
-///     .expect("valid fleet scenario");
-/// assert_eq!(config.nodes, 64);
-/// assert!(FleetConfig::builder().nodes(0).build().is_err());
-/// ```
-#[derive(Debug, Clone)]
-pub struct FleetConfigBuilder {
-    config: FleetConfig,
-}
-
-impl FleetConfigBuilder {
-    /// Sets the number of nodes.
-    pub fn nodes(mut self, nodes: usize) -> Self {
-        self.config.nodes = nodes;
-        self
-    }
-
-    /// Sets the base per-node configuration (id/seed/phase are overridden
-    /// per node).
-    pub fn base(mut self, base: NodeConfig) -> Self {
-        self.config.base = base;
-        self
-    }
-
-    /// Sets the simulated duration.
-    pub fn duration(mut self, duration: SimDuration) -> Self {
-        self.config.duration = duration;
-        self
-    }
-
-    /// Sets the node-to-receiver distance range in meters.
-    pub fn distance_range(mut self, min_m: f64, max_m: f64) -> Self {
-        self.config.distance_range = (min_m, max_m);
-        self
-    }
-
-    /// Sets the capture threshold.
-    pub fn capture_margin(mut self, margin: Db) -> Self {
-        self.config.capture_margin = margin;
-        self
-    }
-
-    /// Sets the master seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Sets the phase-1 execution mode.
-    pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.config.parallelism = parallelism;
-        self
-    }
-
-    /// Sets the application board every node carries.
-    pub fn app(mut self, app: AppBoard) -> Self {
-        self.config.app = app;
-        self
-    }
-
-    /// Sets the half-width of the per-node wake-timer tolerance draw, ppm.
-    pub fn wake_ppm_range(mut self, half_width_ppm: f64) -> Self {
-        self.config.wake_ppm_range = half_width_ppm;
-        self
-    }
-
-    /// Opts into the O(nodes) [`FleetOutcome::per_node_delivery`] vector.
-    pub fn per_node_stats(mut self, enabled: bool) -> Self {
-        self.config.per_node_stats = enabled;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    pub fn build(self) -> Result<FleetConfig, FleetConfigError> {
-        self.config.validate()?;
-        Ok(self.config)
     }
 }
 
@@ -368,14 +302,6 @@ pub struct NodeOnAir {
     telemetry: TelemetryBuffer,
     /// The fault that ended the node's simulation early, if any.
     fault: Option<NodeFault>,
-}
-
-impl NodeOnAir {
-    /// The fault that ended this node's simulation early, if any. A faulted
-    /// node's packets up to the fault instant are still on the air.
-    pub fn fault(&self) -> Option<NodeFault> {
-        self.fault
-    }
 }
 
 // The parallel engine moves these across thread boundaries; keep the
@@ -461,7 +387,7 @@ pub fn simulate_node(config: &FleetConfig, index: usize) -> NodeOnAir {
 /// # Panics
 ///
 /// Panics if the node fails to build.
-pub fn simulate_node_instrumented(
+fn simulate_node_instrumented(
     config: &FleetConfig,
     index: usize,
     record_events: bool,
@@ -469,11 +395,11 @@ pub fn simulate_node_instrumented(
     let (node_config, mut setup) =
         derive_node_config(&config.base, config.seed, config.wake_ppm_range, index);
     // Per-node fields (id, seed, offsets) cannot invalidate a base config
-    // that builds, and the fleet entry points probe-build the base up front.
+    // that builds, and the fleet pipeline probe-builds the base first.
     let mut node = StackBuilder::new(node_config)
         .app(config.app)
         .build()
-        // picocube-lint: allow(L2) documented `# Panics`; base pre-validated by the fleet probe
+        // picocube-lint: allow(L2) documented `# Panics`; base pre-validated by the pipeline's probe
         .expect("fleet node builds");
     node.set_event_recording(record_events);
     let outcome = node.run_for(config.duration);
@@ -485,7 +411,7 @@ pub fn simulate_node_instrumented(
     let link = link_for_fleet();
     let rx_dbm = link.budget(Meters::new(distance)).received;
     let records = node
-        .into_packets()
+        .packets()
         .iter()
         .map(|packet| PacketRecord {
             node: index as u32,
@@ -796,22 +722,36 @@ fn merge_fleet_impl(
     telemetry: &mut TelemetryBuffer,
 ) -> FleetOutcome {
     // Lower the materialized per-node results onto the streaming merge
-    // input. Nodes may arrive in any order through this pre-streaming API
-    // (results used to be scattered into per-node slots); the canonical
-    // sort inside `merge_records` erases arrival order either way, and the
-    // per-node tallies index by the yield's own node field.
+    // input. Nodes may arrive in any order through this pre-streaming API;
+    // the canonical sort inside `merge_records` erases arrival order.
     let faulted = nodes.iter().filter(|n| n.fault.is_some()).count();
-    let mut per_node = config
-        .per_node_stats
-        .then(|| vec![NodeCounts::default(); config.nodes]);
-    let mut records: Vec<PacketRecord> = Vec::new();
-    for node in &nodes {
-        if let Some(counts) = per_node.as_mut().and_then(|p| p.get_mut(node.node)) {
-            counts.offered = node.records.len() as u32;
+    let records = nodes.into_iter().flat_map(|node| node.records).collect();
+    merge_records(config, records, faulted, telemetry)
+}
+
+/// Per-node delivery fractions over `nodes` nodes, from one `(node,
+/// delivered)` pair per packet; a node that never transmitted reads 0.
+pub(crate) fn per_node_delivery(
+    nodes: usize,
+    packets: impl IntoIterator<Item = (usize, bool)>,
+) -> Vec<f64> {
+    let mut counts = vec![(0u32, 0u32); nodes];
+    for (node, delivered) in packets {
+        if let Some((offered, hits)) = counts.get_mut(node) {
+            *offered += 1;
+            *hits += u32::from(delivered);
         }
-        records.extend_from_slice(&node.records);
     }
-    merge_records(config, records, faulted, per_node, telemetry)
+    counts
+        .iter()
+        .map(|&(offered, hits)| {
+            if offered == 0 {
+                0.0
+            } else {
+                f64::from(hits) / f64::from(offered)
+            }
+        })
+        .collect()
 }
 
 /// The merge proper, over the accumulator's compact packet records:
@@ -828,7 +768,6 @@ fn merge_records(
     config: &FleetConfig,
     mut records: Vec<PacketRecord>,
     faulted_nodes: usize,
-    mut per_node: Option<Vec<NodeCounts>>,
     telemetry: &mut TelemetryBuffer,
 ) -> FleetOutcome {
     // Canonical order. Two packets from the same node cannot share a start
@@ -869,12 +808,6 @@ fn merge_records(
         let survived = (0..entry.bits).all(|_| !rng.bernoulli(ber)) && entry.decode_ok;
         if survived {
             delivered += 1;
-            if let Some(counts) = per_node
-                .as_mut()
-                .and_then(|p| p.get_mut(entry.node as usize))
-            {
-                counts.delivered += 1;
-            }
         } else {
             channel_losses += 1;
             *fate = PacketFate::ChannelLoss;
@@ -937,29 +870,58 @@ fn merge_records(
         channel_losses,
         delivered,
         faulted: faulted_nodes,
-        per_node_delivery: per_node
-            .map(|counts| counts.iter().map(NodeCounts::delivery_ratio).collect())
-            .unwrap_or_default(),
+        // Counted from the records, which carry their node index, only
+        // when the run opted in.
+        per_node_delivery: if config.per_node_stats {
+            per_node_delivery(
+                config.nodes,
+                records
+                    .iter()
+                    .zip(&fates)
+                    .map(|(entry, fate)| (entry.node as usize, *fate == PacketFate::Delivered)),
+            )
+        } else {
+            Vec::new()
+        },
         // Zero-duration (or packet-free) runs report 0, never NaN.
         offered_load,
     }
 }
 
-/// Runs the fleet scenario.
-///
-/// # Panics
-///
-/// Panics if the configuration is degenerate (zero nodes, reversed
-/// distance range, zero worker threads) or a node fails to build.
-pub fn run_fleet(config: &FleetConfig) -> FleetOutcome {
-    run_fleet_with(config, &mut NullRecorder).0
+/// The one fleet pipeline behind every entry point: validates `config`,
+/// then either restores `resume` or probe-builds node 0, then streams the
+/// fold for at most `budget` more nodes. The probe runs before any worker
+/// thread exists, so an invalid base fails here with its typed build
+/// error rather than as a panic inside a worker.
+fn stream_fleet(
+    config: &FleetConfig,
+    resume: Option<&FleetCheckpoint>,
+    record_events: bool,
+    budget: usize,
+) -> Result<(FleetAccumulator, FleetSchedStats), CheckpointError> {
+    config.validate().map_err(CheckpointError::Config)?;
+    let mut acc = match resume {
+        Some(checkpoint) => checkpoint.restore(config, record_events)?,
+        None => {
+            let (probe, _) =
+                derive_node_config(&config.base, config.seed, config.wake_ppm_range, 0);
+            StackBuilder::new(probe)
+                .app(config.app)
+                .build()
+                .map_err(CheckpointError::Build)?;
+            FleetAccumulator::new(record_events)
+        }
+    };
+    let upto = acc.nodes_done().saturating_add(budget).min(config.nodes);
+    let sched_stats = stream_nodes(config, &mut acc, upto);
+    Ok((acc, sched_stats))
 }
 
 /// Runs the fleet scenario, streaming telemetry into `recorder` and
 /// returning the merged metric registry alongside the outcome.
 ///
 /// Events are recorded only when `recorder.wants_events()` (so
-/// [`NullRecorder`] costs one branch per potential event); metric counters
+/// [`NullRecorder`](picocube_telemetry::NullRecorder) costs one branch per potential event); metric counters
 /// are always collected. The emitted stream is framed by phase markers —
 /// `phase_start`/`phase_end` for `"simulate"`, then for `"merge"` — with
 /// per-node events canonically interleaved by `(t_ns, node)` inside the
@@ -971,7 +933,7 @@ pub fn run_fleet(config: &FleetConfig) -> FleetOutcome {
 ///
 /// # Panics
 ///
-/// Panics as [`run_fleet`] does on degenerate configurations.
+/// Panics as [`run_fleet_with_stats`] does.
 pub fn run_fleet_with(
     config: &FleetConfig,
     recorder: &mut dyn Recorder,
@@ -990,34 +952,69 @@ pub fn run_fleet_with(
 ///
 /// # Panics
 ///
-/// Panics as [`run_fleet`] does on degenerate configurations.
+/// Panics with the message of the [`CheckpointError`] that
+/// [`run_fleet_resumable`] returns for the same config: a degenerate
+/// configuration ("degenerate fleet config: …") or a base config that
+/// does not build.
 pub fn run_fleet_with_stats(
     config: &FleetConfig,
     recorder: &mut dyn Recorder,
 ) -> (FleetOutcome, Metrics, FleetSchedStats) {
-    if let Err(error) = config.validate() {
-        // picocube-lint: allow(L2) documented `# Panics`; struct-literal configs bypass the builder's typed rejection
-        panic!("degenerate fleet config: {error}");
+    match stream_fleet(config, None, recorder.wants_events(), usize::MAX) {
+        Ok((acc, sched_stats)) => {
+            let (outcome, metrics) = finalize_fleet(config, acc, recorder);
+            (outcome, metrics, sched_stats)
+        }
+        // picocube-lint: allow(L2) documented `# Panics`; `run_fleet_resumable` returns this error typed
+        Err(error) => panic!("{error}"),
     }
-    if let Err(error) = probe_build(config) {
-        // picocube-lint: allow(L2) documented `# Panics`; the checkpoint and scenario entry points return this error typed
-        panic!("fleet base config does not build: {error:?}");
-    }
-    let mut acc = FleetAccumulator::new(recorder.wants_events(), config.per_node_stats);
-    let sched_stats = stream_nodes(config, &mut acc, config.nodes);
-    let (outcome, metrics) = finalize_fleet(config, acc, recorder);
-    (outcome, metrics, sched_stats)
 }
 
-/// Probe-builds node 0 before any worker threads exist, so an invalid base
-/// config fails here with its typed build error rather than as a panic
-/// inside a worker thread.
-pub(crate) fn probe_build(config: &FleetConfig) -> Result<(), BuildError> {
-    let (node_config, _) = derive_node_config(&config.base, config.seed, config.wake_ppm_range, 0);
-    StackBuilder::new(node_config)
-        .app(config.app)
-        .build()
-        .map(drop)
+/// Runs (or continues) phase 1 for at most `budget` more nodes and returns
+/// the fold cut as a checkpoint. `budget` is clamped to at least one node
+/// so every call makes progress; once [`FleetCheckpoint::is_complete`],
+/// further calls return the checkpoint unchanged.
+///
+/// `record_events` chooses whether the fold carries the event stream; it
+/// must match `recorder.wants_events()` of the recorder eventually handed
+/// to [`run_fleet_resumable`].
+///
+/// # Errors
+///
+/// Returns [`CheckpointError::Build`] when the base config does not build
+/// (it is probe-built before any worker thread starts), and the other
+/// [`CheckpointError`]s for a degenerate config or a mismatched
+/// checkpoint.
+pub fn run_fleet_partial(
+    config: &FleetConfig,
+    resume: Option<&FleetCheckpoint>,
+    budget: usize,
+    record_events: bool,
+) -> Result<FleetCheckpoint, CheckpointError> {
+    let (acc, _stats) = stream_fleet(config, resume, record_events, budget.max(1))?;
+    Ok(FleetCheckpoint::capture(config, acc))
+}
+
+/// Runs the fleet to completion, continuing from `resume` when given: the
+/// typed entry point, which returns every failure
+/// [`run_fleet_with`] would panic on as a [`CheckpointError`].
+///
+/// Bit-identity contract: for any split of the node range into
+/// [`run_fleet_partial`] legs (including legs serialized through JSON in
+/// between, and legs run under different [`Parallelism`] modes), the
+/// final outcome, metric registry and event stream are identical to a
+/// single uninterrupted [`run_fleet_with`] call.
+///
+/// # Errors
+///
+/// As [`run_fleet_partial`].
+pub fn run_fleet_resumable(
+    config: &FleetConfig,
+    resume: Option<&FleetCheckpoint>,
+    recorder: &mut dyn Recorder,
+) -> Result<(FleetOutcome, Metrics), CheckpointError> {
+    let (acc, _stats) = stream_fleet(config, resume, recorder.wants_events(), usize::MAX)?;
+    Ok(finalize_fleet(config, acc, recorder))
 }
 
 /// The run's tail: canonicalizes the fully-fed accumulator's event
@@ -1029,7 +1026,7 @@ pub(crate) fn probe_build(config: &FleetConfig) -> Result<(), BuildError> {
 /// (already inside the accumulator), `(t_ns, node)` event sort, then the
 /// merge's instrumentation — so metric registries and event streams stay
 /// bit-identical to pre-streaming goldens.
-pub(crate) fn finalize_fleet(
+fn finalize_fleet(
     config: &FleetConfig,
     acc: FleetAccumulator,
     recorder: &mut dyn Recorder,
@@ -1041,7 +1038,12 @@ pub(crate) fn finalize_fleet(
     );
     let record_events = acc.record_events();
     let duration_ns = config.duration.as_nanos();
-    let (records, mut shards, faulted, per_node) = acc.into_parts();
+    let FleetAccumulator {
+        records,
+        telemetry: mut shards,
+        faulted,
+        ..
+    } = acc;
 
     let mut engine = TelemetryBuffer::with_events(record_events);
     engine.record(
@@ -1067,7 +1069,7 @@ pub(crate) fn finalize_fleet(
             phase: "merge".into(),
         },
     );
-    let outcome = merge_records(config, records, faulted, per_node, &mut engine);
+    let outcome = merge_records(config, records, faulted, &mut engine);
     engine.record(
         duration_ns,
         EventKind::PhaseEnd {
@@ -1082,31 +1084,41 @@ pub(crate) fn finalize_fleet(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use picocube_telemetry::Event;
+    use picocube_telemetry::{Event, NullRecorder};
     use picocube_units::json::ToJson;
 
+    fn run(config: &FleetConfig) -> FleetOutcome {
+        run_fleet_with(config, &mut NullRecorder).0
+    }
+
     fn quick(nodes: usize, seed: u64) -> FleetOutcome {
-        run_fleet(
-            &FleetConfig::builder()
-                .nodes(nodes)
-                .duration(SimDuration::from_secs(60))
-                .seed(seed)
-                .build()
-                .expect("valid test scenario"),
-        )
+        run(&FleetConfig {
+            nodes,
+            duration: SimDuration::from_secs(60),
+            seed,
+            ..FleetConfig::default()
+        })
+    }
+
+    /// A struct literal that sets every scalar field away from its default.
+    fn full_scenario() -> FleetConfig {
+        FleetConfig {
+            nodes: 5,
+            duration: SimDuration::from_secs(45),
+            distance_range: (1.0, 2.0),
+            capture_margin: Db::new(6.0),
+            seed: 99,
+            parallelism: Parallelism::Threads(2),
+            wake_ppm_range: 200.0,
+            per_node_stats: true,
+            ..FleetConfig::default()
+        }
     }
 
     #[test]
     fn builder_accepts_a_full_scenario() {
-        let config = FleetConfig::builder()
-            .nodes(5)
-            .duration(SimDuration::from_secs(45))
-            .distance_range(1.0, 2.0)
-            .capture_margin(Db::new(6.0))
-            .seed(99)
-            .parallelism(Parallelism::Threads(2))
-            .build()
-            .expect("valid scenario");
+        let config = full_scenario();
+        assert_eq!(config.validate(), Ok(()));
         assert_eq!(config.nodes, 5);
         assert_eq!(config.duration, SimDuration::from_secs(45));
         assert_eq!(config.distance_range, (1.0, 2.0));
@@ -1117,29 +1129,36 @@ mod tests {
 
     #[test]
     fn builder_rejects_degenerate_scenarios() {
-        let err = |b: FleetConfigBuilder| b.build().unwrap_err();
+        // Each edit breaks one invariant of a config that validates.
+        let ok = full_scenario();
+        use FleetConfigError as E;
+        type Edit = fn(&mut FleetConfig);
+        let cases: [(Edit, E); 7] = [
+            (|c| c.nodes = 0, E::ZeroNodes),
+            (|c| c.duration = SimDuration::ZERO, E::NonPositiveDuration),
+            (|c| c.parallelism = Parallelism::Threads(0), E::ZeroThreads),
+            (|c| c.distance_range = (2.0, 1.0), E::InvalidDistanceRange),
+            (|c| c.distance_range = (0.0, 1.0), E::InvalidDistanceRange),
+            (|c| c.wake_ppm_range = f64::NAN, E::InvalidWakePpmRange),
+            (|c| c.wake_ppm_range = -1.0, E::InvalidWakePpmRange),
+        ];
+        for (edit, expected) in cases {
+            let mut config = ok.clone();
+            edit(&mut config);
+            assert_eq!(config.validate(), Err(expected));
+        }
+        let mut bad_app = ok;
+        bad_app.app = AppBoard::Beacon {
+            rest_s: 5.0,
+            handled_s: 1.0,
+            vigor_g: 1.5,
+            period_s: 0,
+        };
         assert_eq!(
-            err(FleetConfig::builder().nodes(0)),
-            FleetConfigError::ZeroNodes
+            bad_app.validate(),
+            Err(E::InvalidApp("app period_s must be at least 1 s"))
         );
-        assert_eq!(
-            err(FleetConfig::builder().duration(SimDuration::ZERO)),
-            FleetConfigError::NonPositiveDuration
-        );
-        assert_eq!(
-            err(FleetConfig::builder().parallelism(Parallelism::Threads(0))),
-            FleetConfigError::ZeroThreads
-        );
-        assert_eq!(
-            err(FleetConfig::builder().distance_range(2.0, 1.0)),
-            FleetConfigError::InvalidDistanceRange
-        );
-        assert_eq!(
-            err(FleetConfig::builder().distance_range(0.0, 1.0)),
-            FleetConfigError::InvalidDistanceRange
-        );
-        // The messages are what `run_fleet`'s asserts say, so builder users
-        // and struct-literal users read the same diagnostics.
+        // Every entry point reports these messages, typed or in its panic.
         assert!(FleetConfigError::ZeroNodes
             .to_string()
             .contains("at least one node"));
@@ -1150,12 +1169,12 @@ mod tests {
 
     #[test]
     fn instrumented_run_streams_framed_events_and_totals() {
-        let config = FleetConfig::builder()
-            .nodes(3)
-            .duration(SimDuration::from_secs(30))
-            .seed(9)
-            .build()
-            .expect("valid scenario");
+        let config = FleetConfig {
+            nodes: 3,
+            duration: SimDuration::from_secs(30),
+            seed: 9,
+            ..FleetConfig::default()
+        };
         let mut events: Vec<Event> = Vec::new();
         let (out, metrics) = run_fleet_with(&config, &mut events);
 
@@ -1203,12 +1222,12 @@ mod tests {
 
     #[test]
     fn null_recorder_keeps_metrics_without_events() {
-        let config = FleetConfig::builder()
-            .nodes(2)
-            .duration(SimDuration::from_secs(30))
-            .seed(9)
-            .build()
-            .expect("valid scenario");
+        let config = FleetConfig {
+            nodes: 2,
+            duration: SimDuration::from_secs(30),
+            seed: 9,
+            ..FleetConfig::default()
+        };
         let (out, metrics) = run_fleet_with(&config, &mut NullRecorder);
         assert_eq!(metrics.counter("fleet.offered"), out.offered as u64);
         assert!(metrics.counter("mcu.lpm_ns") > 0);
@@ -1253,15 +1272,13 @@ mod tests {
         // Direct check of the overlap predicate through a dense burst:
         // nodes within one packet time of each other must collide, and
         // equal-power nodes cannot capture.
-        let dense = run_fleet(
-            &FleetConfig::builder()
-                .nodes(64)
-                .duration(SimDuration::from_secs(30))
-                .distance_range(1.0, 1.01)
-                .seed(7)
-                .build()
-                .expect("valid test scenario"),
-        );
+        let dense = run(&FleetConfig {
+            nodes: 64,
+            duration: SimDuration::from_secs(30),
+            distance_range: (1.0, 1.01),
+            seed: 7,
+            ..FleetConfig::default()
+        });
         // 64 nodes × 5 packets in 30 s at random phases: expect a few
         // overlaps in expectation (birthday-style).
         assert!(dense.offered >= 64 * 4);
@@ -1270,15 +1287,13 @@ mod tests {
 
     #[test]
     fn per_node_stats_cover_all_nodes_when_opted_in() {
-        let out = run_fleet(
-            &FleetConfig::builder()
-                .nodes(5)
-                .duration(SimDuration::from_secs(60))
-                .seed(8)
-                .per_node_stats(true)
-                .build()
-                .expect("valid test scenario"),
-        );
+        let out = run(&FleetConfig {
+            nodes: 5,
+            duration: SimDuration::from_secs(60),
+            seed: 8,
+            per_node_stats: true,
+            ..FleetConfig::default()
+        });
         assert_eq!(out.per_node_delivery.len(), 5);
         assert!(out
             .per_node_delivery
@@ -1290,15 +1305,13 @@ mod tests {
     fn per_node_stats_default_off_keeps_output_o1() {
         // The streaming default: no O(nodes) output vector. Aggregates are
         // unchanged by the opt-in.
-        let opted = run_fleet(
-            &FleetConfig::builder()
-                .nodes(5)
-                .duration(SimDuration::from_secs(60))
-                .seed(8)
-                .per_node_stats(true)
-                .build()
-                .expect("valid test scenario"),
-        );
+        let opted = run(&FleetConfig {
+            nodes: 5,
+            duration: SimDuration::from_secs(60),
+            seed: 8,
+            per_node_stats: true,
+            ..FleetConfig::default()
+        });
         let off = quick(5, 8);
         assert!(off.per_node_delivery.is_empty());
         assert_eq!(off.offered, opted.offered);
@@ -1311,7 +1324,7 @@ mod tests {
     fn short_duration_emits_zeroes_not_nan() {
         // 1 s is shorter than any node's first wake can be guaranteed to
         // land: nodes that never transmit must report 0.0, not 0/0.
-        let out = run_fleet(&FleetConfig {
+        let out = run(&FleetConfig {
             nodes: 4,
             duration: SimDuration::from_secs(1),
             seed: 11,
@@ -1329,7 +1342,7 @@ mod tests {
     #[test]
     fn serial_and_threaded_runs_are_bit_identical() {
         for seed in [3u64, 17, 292] {
-            let serial = run_fleet(&FleetConfig {
+            let serial = run(&FleetConfig {
                 nodes: 12,
                 duration: SimDuration::from_secs(30),
                 seed,
@@ -1337,7 +1350,7 @@ mod tests {
                 per_node_stats: true,
                 ..FleetConfig::default()
             });
-            let threaded = run_fleet(&FleetConfig {
+            let threaded = run(&FleetConfig {
                 nodes: 12,
                 duration: SimDuration::from_secs(30),
                 seed,
@@ -1379,7 +1392,7 @@ mod tests {
     #[test]
     fn thread_count_does_not_change_results() {
         let run = |parallelism| {
-            run_fleet(&FleetConfig {
+            run(&FleetConfig {
                 nodes: 7, // deliberately not a multiple of the worker count
                 duration: SimDuration::from_secs(30),
                 seed: 5,
@@ -1580,7 +1593,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one node")]
     fn empty_fleet_rejected() {
-        run_fleet(&FleetConfig {
+        run(&FleetConfig {
             nodes: 0,
             ..FleetConfig::default()
         });
@@ -1589,7 +1602,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one thread")]
     fn zero_threads_rejected() {
-        run_fleet(&FleetConfig {
+        run(&FleetConfig {
             parallelism: Parallelism::Threads(0),
             ..FleetConfig::default()
         });

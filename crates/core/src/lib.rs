@@ -11,6 +11,14 @@
 //! paper's measured quantities — the Fig. 6 power profile, the 6 µW
 //! average, the ~14 ms burst — are *measurements of the simulation*.
 //!
+//! Many nodes run through the fleet engine. [`FleetConfig`] is plain
+//! data, and every fleet entry point calls [`FleetConfig::validate`]
+//! first: [`run_fleet_with`] panics on a bad config, while
+//! [`run_fleet_resumable`] returns the failure typed and can continue a
+//! [`FleetCheckpoint`]. [`MeshConfig`] and [`run_mesh_with`] run the
+//! relay mesh, and a [`Scenario`] lowers a JSON spec onto either.
+//! `DESIGN.md` §8 lists the public API.
+//!
 //! # Examples
 //!
 //! ```
@@ -44,15 +52,14 @@ pub use baseline::{node_class_table, MoteClassNode, NodeClassRow};
 pub use bus::{RadioFrontend, TransmittedPacket};
 pub use demo::{DemoStation, ReceivedSample};
 pub use fleet::{
-    capture_sweep, merge_fleet, run_fleet, run_fleet_partial, run_fleet_resumable, run_fleet_with,
-    run_fleet_with_stats, simulate_node, simulate_node_instrumented, AirSlot, CheckpointError,
-    FleetApp, FleetCheckpoint, FleetConfig, FleetConfigBuilder, FleetConfigError, FleetOutcome,
-    FleetSchedStats, NodeOnAir, PacketFate, Parallelism, StackCheckpoint,
+    capture_sweep, merge_fleet, run_fleet_partial, run_fleet_resumable, run_fleet_with,
+    run_fleet_with_stats, simulate_node, AirSlot, CheckpointError, FleetApp, FleetCheckpoint,
+    FleetConfig, FleetConfigError, FleetOutcome, FleetSchedStats, NodeOnAir, PacketFate,
+    Parallelism, StackCheckpoint,
 };
-pub use mesh::{run_mesh, run_mesh_with, MeshConfig, MeshConfigError, MeshOutcome};
+pub use mesh::{run_mesh_with, MeshConfig, MeshConfigError, MeshOutcome};
 pub use node::{
-    BuildError, HarvestDropout, HarvesterKind, NodeConfig, NodeReport, PowerChainKind, SensorKind,
-    StorageKind,
+    BuildError, HarvestDropout, HarvesterKind, NodeConfig, NodeReport, PowerChainKind, StorageKind,
 };
 pub use packaging::{
     BoardSpec, BusAllocation, ElastomerSpec, PackagingError, StackDesign, StackReport,

@@ -34,16 +34,15 @@
 //! scheduling.
 
 use crate::fleet::{
-    capture_sweep, derive_node_config, link_for_fleet, AirSlot, FleetOutcome, NodeCounts,
+    capture_sweep, derive_node_config, link_for_fleet, per_node_delivery, AirSlot, FleetOutcome,
     Parallelism, RX_DBM_BOUNDS,
 };
-use crate::node::NodeConfig;
+use crate::node::{BuildError, NodeConfig};
 use crate::stack::{AppBoard, Stack, StackBuilder};
-use crate::TransmittedPacket;
 use picocube_radio::packet::{self, Checksum};
 use picocube_radio::{SuperRegenReceiver, WakeupReceiver};
 use picocube_sim::{SimDuration, SimRng, SimTime};
-use picocube_telemetry::{keys, EventKind, Metrics, NullRecorder, Recorder, TelemetryBuffer};
+use picocube_telemetry::{keys, EventKind, Metrics, Recorder, TelemetryBuffer};
 use picocube_units::{Db, Dbm, Meters, Seconds};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
@@ -61,6 +60,10 @@ const FALSE_WAKE_STREAM_BASE: u64 = 1 << 62;
 /// Histogram bounds for delivered-copy hop counts (`mesh.delivered_hops`):
 /// one bucket per hop count 0..=7.
 const HOP_BOUNDS: [f64; 8] = [0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5];
+
+/// The largest accepted [`MeshConfig::max_hops`]: the range of a one-byte
+/// TTL. The sink keeps one delivered-copy bucket per hop count.
+const MAX_HOPS: u32 = 255;
 
 /// Mesh scenario parameters.
 ///
@@ -97,7 +100,8 @@ pub struct MeshConfig {
     /// module docs), so it must be at least the detector's wake latency.
     pub turnaround: SimDuration,
     /// Maximum hop count a copy may reach (1 = first relay; originals are
-    /// hop 0). Rebroadcast stops at this count.
+    /// hop 0). Rebroadcast stops at this count. At most 255, the range of
+    /// a one-byte TTL.
     pub max_hops: u32,
     /// Application board every node carries (motion scenarios are seeded
     /// per node).
@@ -141,15 +145,17 @@ pub enum MeshConfigError {
     /// The turnaround was zero or shorter than the detector's wake
     /// latency (the windowed-sync lookahead argument needs it).
     InvalidTurnaround,
-    /// Zero hops would never relay anything.
-    ZeroMaxHops,
+    /// `max_hops` was zero (which would never relay anything) or above
+    /// 255 (the range of a one-byte TTL).
+    InvalidMaxHops,
     /// The application-board parameters were unphysical (the inner string
     /// names the violated invariant).
     InvalidApp(&'static str),
     /// The wake-timer tolerance half-width was negative or non-finite.
     InvalidWakePpmRange,
-    /// The base node configuration failed its probe build.
-    BaseConfig(String),
+    /// The base node configuration failed its probe build (a failed
+    /// mesh receive-path fit reports as [`BuildError::PowerChain`]).
+    BaseConfig(BuildError),
 }
 
 impl core::fmt::Display for MeshConfigError {
@@ -164,12 +170,12 @@ impl core::fmt::Display for MeshConfigError {
             Self::InvalidTurnaround => {
                 f.write_str("turnaround must be positive and at least the detector latency")
             }
-            Self::ZeroMaxHops => f.write_str("max_hops must be at least 1"),
+            Self::InvalidMaxHops => f.write_str("max_hops must be in [1, 255]"),
             Self::InvalidApp(what) => f.write_str(what),
             Self::InvalidWakePpmRange => {
                 f.write_str("wake timer tolerance half-width must be finite and non-negative")
             }
-            Self::BaseConfig(why) => write!(f, "mesh base config does not build: {why}"),
+            Self::BaseConfig(e) => write!(f, "mesh base config does not build: {e}"),
         }
     }
 }
@@ -200,8 +206,8 @@ impl MeshConfig {
         if self.turnaround.is_zero() || self.turnaround < latency {
             return Err(MeshConfigError::InvalidTurnaround);
         }
-        if self.max_hops == 0 {
-            return Err(MeshConfigError::ZeroMaxHops);
+        if !(1..=MAX_HOPS).contains(&self.max_hops) {
+            return Err(MeshConfigError::InvalidMaxHops);
         }
         self.app.validate().map_err(MeshConfigError::InvalidApp)?;
         if !(self.wake_ppm_range.is_finite() && self.wake_ppm_range >= 0.0) {
@@ -299,7 +305,9 @@ struct WindowSlot {
     stack: Option<Stack>,
     alive: bool,
     faulted: bool,
-    new_packets: Vec<TransmittedPacket>,
+    /// Packets of the stack the match phase has already collected; the
+    /// next window's new packets start here.
+    collected: usize,
 }
 
 /// Everything the single-threaded match phase accumulates over the run.
@@ -366,17 +374,14 @@ fn build_mesh_node(
     config: &MeshConfig,
     index: usize,
     record_events: bool,
-) -> Result<Stack, String> {
+) -> Result<Stack, BuildError> {
     let (node_config, _) =
         derive_node_config(&config.base, config.seed, config.wake_ppm_range, index);
-    let mut stack = StackBuilder::new(node_config)
-        .app(config.app)
-        .build()
-        .map_err(|e| format!("{e:?}"))?;
+    let mut stack = StackBuilder::new(node_config).app(config.app).build()?;
     stack.set_event_recording(record_events);
     stack
         .fit_mesh_rx(config.detector)
-        .map_err(|fault| format!("mesh rx fit: {fault}"))?;
+        .map_err(BuildError::PowerChain)?;
     Ok(stack)
 }
 
@@ -445,11 +450,19 @@ fn match_window(
     slots: &[Mutex<WindowSlot>],
     prev_txs: &[MeshTx],
 ) -> Vec<MeshTx> {
-    // Collect the window's transmissions with provenance, node-ordered.
+    // Collect the window's transmissions with provenance, node-ordered,
+    // reading each stack's new packets in place.
     let mut window_txs: Vec<MeshTx> = Vec::new();
     for (index, slot) in slots.iter().enumerate() {
-        let packets = std::mem::take(&mut lock(slot).new_packets);
-        for packet in packets {
+        let mut guard = lock(slot);
+        let WindowSlot {
+            stack, collected, ..
+        } = &mut *guard;
+        let Some(stack) = stack.as_ref() else {
+            continue;
+        };
+        let packets = stack.packets();
+        for packet in packets.get(*collected..).unwrap_or_default() {
             let start = packet
                 .time
                 .checked_sub(SimDuration::from_seconds(packet.transmission.duration))
@@ -495,12 +508,13 @@ fn match_window(
                 node: index,
                 start,
                 end: packet.time,
-                bytes: packet.bytes,
+                bytes: packet.bytes.clone(),
                 origin: classified.origin,
                 seq: classified.seq,
                 hops: classified.hops,
             });
         }
+        *collected = packets.len();
     }
 
     // Per-receiver reception: interference context is this window plus
@@ -590,7 +604,9 @@ fn match_window(
                 state.telemetry.metrics.inc(keys::MESH_RELAY_HOP_LIMITED, 1);
                 continue;
             }
-            let relay_at = tx.end + config.turnaround;
+            // Saturating: a turnaround near the clock's range lands past
+            // any run's end instead of wrapping into the past.
+            let relay_at = tx.end.saturating_add(config.turnaround);
             if let Some(node_state) = state.nodes.get_mut(receiver) {
                 node_state.pending.push(PendingRelay {
                     bytes: tx.bytes.clone(),
@@ -620,16 +636,6 @@ fn match_window(
     }
     state.all_txs.extend(window_txs.iter().cloned());
     window_txs
-}
-
-/// Runs the mesh scenario with the default (event-free) recorder.
-///
-/// # Errors
-///
-/// Returns [`MeshConfigError`] on a degenerate configuration or a base
-/// config that fails its probe build.
-pub fn run_mesh(config: &MeshConfig) -> Result<MeshOutcome, MeshConfigError> {
-    run_mesh_with(config, &mut NullRecorder).map(|(outcome, _)| outcome)
 }
 
 /// Runs the mesh scenario, streaming telemetry into `recorder` and
@@ -790,11 +796,9 @@ fn run_windows(
                     for step in steps {
                         claim_nodes(cursor, slots_ref, |_, slot| match slot.stack.as_mut() {
                             Some(node) => {
-                                let before = node.packet_count();
                                 let completed = node.run_for(*step).is_completed();
                                 slot.alive = completed;
                                 slot.faulted |= !completed;
-                                slot.new_packets = node.packets_since(before);
                             }
                             None => {
                                 slot.alive = false;
@@ -870,7 +874,7 @@ fn sink_phase(
     let mut delivered = 0usize;
     let mut collided = 0usize;
     let mut channel_losses = 0usize;
-    let mut per_node = vec![NodeCounts::default(); config.nodes];
+    let mut sink_fates: Vec<(usize, bool)> = Vec::with_capacity(txs.len());
     let mut delivered_by_hop = vec![0usize; config.max_hops as usize + 1];
     let mut delivered_keys: Vec<(u32, u32)> = Vec::new();
 
@@ -882,9 +886,6 @@ fn sink_phase(
         .register_histogram(keys::MESH_DELIVERED_HOPS, &HOP_BOUNDS);
 
     for ((tx, slot), was_collided) in txs.iter().zip(&slots).zip(&collided_flags) {
-        if let Some(counts) = per_node.get_mut(tx.node) {
-            counts.offered += 1;
-        }
         engine
             .metrics
             .observe(keys::MESH_SINK_RX_DBM, slot.rx_dbm.value());
@@ -899,9 +900,6 @@ fn sink_phase(
             let flips = (0..bits).filter(|_| rng.bernoulli(ber)).count();
             if flips == 0 && packet::decode(&tx.bytes, Checksum::Xor).is_ok() {
                 delivered += 1;
-                if let Some(counts) = per_node.get_mut(tx.node) {
-                    counts.delivered += 1;
-                }
                 if let Some(bucket) = delivered_by_hop.get_mut(tx.hops as usize) {
                     *bucket += 1;
                 }
@@ -918,6 +916,7 @@ fn sink_phase(
                 "channel_loss"
             }
         };
+        sink_fates.push((tx.node, fate == "delivered"));
         if engine.events_enabled() {
             engine.record_for(
                 tx.node as u32,
@@ -966,7 +965,7 @@ fn sink_phase(
             channel_losses,
             delivered,
             faulted,
-            per_node_delivery: per_node.iter().map(NodeCounts::delivery_ratio).collect(),
+            per_node_delivery: per_node_delivery(config.nodes, sink_fates),
             offered_load,
         },
         unique_offered,
@@ -984,6 +983,11 @@ fn sink_phase(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use picocube_telemetry::NullRecorder;
+
+    fn run_mesh(config: &MeshConfig) -> Result<MeshOutcome, MeshConfigError> {
+        run_mesh_with(config, &mut NullRecorder).map(|(outcome, _)| outcome)
+    }
 
     fn tiny_config(nodes: usize) -> MeshConfig {
         MeshConfig {
@@ -1012,9 +1016,14 @@ mod tests {
         let mut bad = ok.clone();
         bad.turnaround = SimDuration::from_micros(100); // < 300 µs latency
         assert_eq!(bad.validate(), Err(MeshConfigError::InvalidTurnaround));
-        let mut bad = ok;
-        bad.max_hops = 0;
-        assert_eq!(bad.validate(), Err(MeshConfigError::ZeroMaxHops));
+        for max_hops in [0, 256, u32::MAX] {
+            let mut bad = ok.clone();
+            bad.max_hops = max_hops;
+            assert_eq!(bad.validate(), Err(MeshConfigError::InvalidMaxHops));
+        }
+        let mut capped = ok;
+        capped.max_hops = 255;
+        assert_eq!(capped.validate(), Ok(()));
     }
 
     #[test]

@@ -19,15 +19,6 @@ pub enum PowerChainKind {
     IntegratedIc,
 }
 
-/// Which sensor board is stacked.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SensorKind {
-    /// SP12 TPMS board (pressure/temperature/acceleration/voltage).
-    Tpms,
-    /// SCA3000 accelerometer board (motion demo).
-    Motion,
-}
-
 /// Which harvester feeds the storage board.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HarvesterKind {
@@ -152,7 +143,7 @@ impl Default for NodeConfig {
 }
 
 /// Node construction failure.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum BuildError {
     /// The embedded firmware failed to assemble (a bug).
@@ -236,28 +227,6 @@ impl FromJson for PowerChainKind {
             Some("Cots") => Ok(Self::Cots),
             Some("IntegratedIc") => Ok(Self::IntegratedIc),
             _ => Err(JsonError::new("unknown PowerChainKind")),
-        }
-    }
-}
-
-impl ToJson for SensorKind {
-    fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                Self::Tpms => "Tpms",
-                Self::Motion => "Motion",
-            }
-            .into(),
-        )
-    }
-}
-
-impl FromJson for SensorKind {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        match value.as_str() {
-            Some("Tpms") => Ok(Self::Tpms),
-            Some("Motion") => Ok(Self::Motion),
-            _ => Err(JsonError::new("unknown SensorKind")),
         }
     }
 }

@@ -5,8 +5,8 @@
 //! lowering rules onto the existing engines (`DESIGN.md` §13):
 //!
 //! * no `mesh` object → the work-stealing ALOHA fleet
-//!   ([`run_fleet_with`]); with one → the multi-hop relay mesh
-//!   ([`run_mesh_with`]).
+//!   ([`run_fleet_with`](crate::run_fleet_with)); with one → the
+//!   multi-hop relay mesh ([`run_mesh_with`]).
 //! * a `chaos` object owns the four chaos knobs (harvest dropout, battery
 //!   aging, ambient temperature, clock drift) and overrides the node-level
 //!   equivalents; every knob's default is the exact stock behavior, so a
@@ -18,9 +18,12 @@
 //!   deterministic telemetry event stream — into a [`SurvivalCurve`].
 //!
 //! The spec-parsing and lowering path is panic-free by construction:
-//! every malformed input comes back as a typed [`ScenarioError`], and the
-//! engines' probe-build asserts are preceded by the same probe run here
-//! through the `Result` path.
+//! every malformed input comes back as a typed [`ScenarioError`]. Fleet
+//! runs go through the typed entry point [`run_fleet_resumable`], whose
+//! one pipeline validates the lowered config and probe-builds node 0, so
+//! a node that does not build (say, an unphysical harvester trace from
+//! JSON) comes back as [`ScenarioError::Build`] from the fleet and the
+//! mesh alike.
 
 mod campaign;
 mod spec;
@@ -29,7 +32,7 @@ pub use campaign::SurvivalCurve;
 pub use spec::{Campaign, ChaosPlan, FleetSpec, MeshSpec, Scenario, Sweep, SweepKnob};
 
 use crate::fleet::{
-    probe_build, run_fleet_with, FleetConfig, FleetConfigError, FleetOutcome, Parallelism,
+    run_fleet_resumable, CheckpointError, FleetConfig, FleetConfigError, FleetOutcome, Parallelism,
 };
 use crate::mesh::{run_mesh_with, MeshConfig, MeshConfigError};
 use crate::node::{BuildError, NodeConfig};
@@ -50,7 +53,7 @@ pub enum ScenarioError {
     Fleet(FleetConfigError),
     /// The lowered mesh configuration was rejected.
     Mesh(MeshConfigError),
-    /// The lowered node failed its probe build.
+    /// The lowered node failed its probe build (fleet or mesh).
     Build(BuildError),
 }
 
@@ -82,13 +85,10 @@ impl From<FleetConfigError> for ScenarioError {
 
 impl From<MeshConfigError> for ScenarioError {
     fn from(e: MeshConfigError) -> Self {
-        Self::Mesh(e)
-    }
-}
-
-impl From<BuildError> for ScenarioError {
-    fn from(e: BuildError) -> Self {
-        Self::Build(e)
+        match e {
+            MeshConfigError::BaseConfig(build) => Self::Build(build),
+            other => Self::Mesh(other),
+        }
     }
 }
 
@@ -133,6 +133,13 @@ impl Scenario {
             if self.mesh.is_some() && sweep.knob == SweepKnob::DistanceMaxM {
                 return Err(ScenarioError::Invalid(
                     "distance_max_m sweeps apply to fleet mode only",
+                ));
+            }
+        }
+        if let Some(mesh) = self.mesh {
+            if mesh.turnaround_ms.checked_mul(1_000_000).is_none() {
+                return Err(ScenarioError::Invalid(
+                    "mesh turnaround_ms overflows the nanosecond simulation clock",
                 ));
             }
         }
@@ -328,27 +335,63 @@ impl ToJson for ScenarioOutcome {
     }
 }
 
-/// Runs one spec'd engine pass (fleet or mesh per the spec), panic-free.
-fn run_once(
-    spec: &Scenario,
-    parallelism: Parallelism,
-    recorder: &mut dyn Recorder,
-    knob_value: Option<f64>,
-) -> Result<(RunSummary, Metrics), ScenarioError> {
-    if spec.mesh.is_some() {
-        let config = spec.mesh_config(parallelism)?;
-        let (outcome, metrics) = run_mesh_with(&config, recorder)?;
-        let summary = RunSummary::from_fleet(spec.seed, knob_value, &outcome.sink, &metrics);
+/// A spec lowered onto one engine's immutable config: what plain, sweep
+/// and campaign runs all execute.
+enum Lowered {
+    Fleet(FleetConfig),
+    Mesh(MeshConfig),
+}
+
+impl Lowered {
+    /// Lowers `spec` onto the fleet engine, or onto the mesh when it has a
+    /// `mesh` object.
+    fn new(spec: &Scenario, parallelism: Parallelism) -> Result<Self, ScenarioError> {
+        Ok(if spec.mesh.is_some() {
+            Self::Mesh(spec.mesh_config(parallelism)?)
+        } else {
+            Self::Fleet(spec.fleet_config(parallelism)?)
+        })
+    }
+
+    /// Re-seeds the lowered run (a campaign's seed fan).
+    fn set_seed(&mut self, seed: u64) {
+        match self {
+            Self::Fleet(config) => config.seed = seed,
+            Self::Mesh(config) => config.seed = seed,
+        }
+    }
+
+    /// One engine pass, panic-free, summarized under `knob_value`.
+    fn run(
+        &self,
+        knob_value: Option<f64>,
+        recorder: &mut dyn Recorder,
+    ) -> Result<(RunSummary, Metrics), ScenarioError> {
+        let (seed, outcome, metrics) = match self {
+            Self::Fleet(config) => {
+                let (outcome, metrics) =
+                    run_fleet_resumable(config, None, recorder).map_err(fleet_error)?;
+                (config.seed, outcome, metrics)
+            }
+            Self::Mesh(config) => {
+                let (outcome, metrics) = run_mesh_with(config, recorder)?;
+                (config.seed, outcome.sink, metrics)
+            }
+        };
+        let summary = RunSummary::from_fleet(seed, knob_value, &outcome, &metrics);
         Ok((summary, metrics))
-    } else {
-        let config = spec.fleet_config(parallelism)?;
-        // `run_fleet_with` panics when its probe build fails; probe first
-        // so a bad spec (e.g. an unphysical harvester trace from JSON)
-        // comes back typed instead.
-        probe_build(&config)?;
-        let (outcome, metrics) = run_fleet_with(&config, recorder);
-        let summary = RunSummary::from_fleet(spec.seed, knob_value, &outcome, &metrics);
-        Ok((summary, metrics))
+    }
+}
+
+/// A fleet run's failure in the scenario vocabulary: a config error stays
+/// a fleet error and a build error a build error. A fresh run restores no
+/// checkpoint, so the last two arms are defensive.
+fn fleet_error(e: CheckpointError) -> ScenarioError {
+    match e {
+        CheckpointError::Config(e) => ScenarioError::Fleet(e),
+        CheckpointError::Build(e) => ScenarioError::Build(e),
+        CheckpointError::Json(e) => ScenarioError::Parse(e),
+        CheckpointError::Mismatch(what) => ScenarioError::Invalid(what),
     }
 }
 
@@ -384,7 +427,8 @@ fn fan_seed(master: u64, k: usize) -> u64 {
 /// Telemetry streams into `recorder` exactly as the underlying engines
 /// emit it (multi-run modes concatenate their runs' streams in run
 /// order); for a plain spec the returned metrics are bit-identical to
-/// [`run_fleet_with`] / [`run_mesh_with`] on the lowered config.
+/// [`run_fleet_with`](crate::run_fleet_with) / [`run_mesh_with`] on the
+/// lowered config.
 ///
 /// # Errors
 ///
@@ -404,7 +448,8 @@ pub fn run_scenario_with(
         let mut merged = Metrics::new();
         for &value in &sweep.values {
             let varied = apply_knob(spec, sweep.knob, value)?;
-            let (summary, metrics) = run_once(&varied, parallelism, recorder, Some(value))?;
+            let (summary, metrics) =
+                Lowered::new(&varied, parallelism)?.run(Some(value), recorder)?;
             merged.merge_from(&metrics);
             runs.push(summary);
         }
@@ -415,20 +460,13 @@ pub fn run_scenario_with(
             metrics: merged,
         });
     }
-    let (summary, metrics) = run_once(spec, parallelism, recorder, None)?;
+    let (summary, metrics) = Lowered::new(spec, parallelism)?.run(None, recorder)?;
     Ok(ScenarioOutcome {
         name: spec.name.clone(),
         runs: vec![summary],
         survival: None,
         metrics,
     })
-}
-
-/// The campaign runner's one-time spec lowering: the engines' immutable
-/// configs, built once and reused across every fanned seed.
-enum LoweredCampaign {
-    Fleet(FleetConfig),
-    Mesh(MeshConfig),
 }
 
 fn run_campaign(
@@ -442,38 +480,15 @@ fn run_campaign(
     // so a wide Monte Carlo campaign pays lowering and validation once,
     // and the per-seed engine passes ride the streaming fleet path in
     // O(workers) memory.
-    let mut lowered = if spec.mesh.is_some() {
-        LoweredCampaign::Mesh(spec.mesh_config(parallelism)?)
-    } else {
-        LoweredCampaign::Fleet(spec.fleet_config(parallelism)?)
-    };
+    let mut lowered = Lowered::new(spec, parallelism)?;
     let mut runs = Vec::with_capacity(campaign.seeds);
     let mut merged = Metrics::new();
     let mut first_downs: Vec<Vec<Option<u64>>> = Vec::with_capacity(campaign.seeds);
     for k in 0..campaign.seeds {
         let seed = fan_seed(spec.seed, k);
         let mut tracker = SurvivalTracker::new(recorder, spec.nodes);
-        let (summary, metrics) = match &mut lowered {
-            LoweredCampaign::Fleet(config) => {
-                config.seed = seed;
-                // Probed per seed: the probe's setup draws are
-                // seed-dependent.
-                probe_build(config)?;
-                let (outcome, metrics) = run_fleet_with(config, &mut tracker);
-                (
-                    RunSummary::from_fleet(seed, None, &outcome, &metrics),
-                    metrics,
-                )
-            }
-            LoweredCampaign::Mesh(config) => {
-                config.seed = seed;
-                let (outcome, metrics) = run_mesh_with(config, &mut tracker)?;
-                (
-                    RunSummary::from_fleet(seed, None, &outcome.sink, &metrics),
-                    metrics,
-                )
-            }
-        };
+        lowered.set_seed(seed);
+        let (summary, metrics) = lowered.run(None, &mut tracker)?;
         first_downs.push(tracker.into_first_down());
         merged.merge_from(&metrics);
         runs.push(summary);

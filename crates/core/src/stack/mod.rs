@@ -468,8 +468,20 @@ impl StackBuilder {
                     }
                     sp12 = sp12.with_wake_interval(Seconds::new(period));
                 }
-                let wake = SimTime::from_seconds(sp12.wake_interval())
-                    + SimDuration::from_millis(config.first_wake_offset_ms);
+                // Checked: an offset past the nanosecond clock's range would
+                // wrap the first wake into the past.
+                let wake = config
+                    .first_wake_offset_ms
+                    .checked_mul(1_000_000)
+                    .and_then(|offset_ns| {
+                        SimTime::from_seconds(sp12.wake_interval())
+                            .as_nanos()
+                            .checked_add(offset_ns)
+                    })
+                    .map(SimTime::from_nanos)
+                    .ok_or(BuildError::InvalidConfig(
+                        "first_wake_offset_ms overflows the simulation clock",
+                    ))?;
                 let interval_scale = 1.0 + config.wake_interval_ppm * 1e-6;
                 let sensor = SensorBoard::sp12(sp12, env, wake, interval_scale);
                 (image, sensor)
@@ -655,28 +667,22 @@ impl Stack {
         &self.soc_trace
     }
 
-    /// Packets transmitted so far.
-    pub fn packets(&self) -> Vec<TransmittedPacket> {
+    /// Packets transmitted so far, borrowed from the radio board.
+    pub fn packets(&self) -> &[TransmittedPacket] {
         self.radio.packets()
-    }
-
-    /// Consumes a finished node, handing over its packet list without the
-    /// copy [`packets`](Self::packets) makes.
-    pub(crate) fn into_packets(self) -> Vec<TransmittedPacket> {
-        self.radio.into_packets()
     }
 
     /// How many packets have been transmitted so far — a cursor for
     /// [`packets_since`](Self::packets_since).
     pub fn packet_count(&self) -> usize {
-        self.radio.packet_count()
+        self.radio.packets().len()
     }
 
     /// Packets transmitted at or after cursor `from` (a prior
     /// [`packet_count`](Self::packet_count) observation), so windowed
-    /// consumers like the mesh engine collect only the new tail.
-    pub fn packets_since(&self, from: usize) -> Vec<TransmittedPacket> {
-        self.radio.packets_since(from)
+    /// consumers collect only the new tail.
+    pub fn packets_since(&self, from: usize) -> &[TransmittedPacket] {
+        self.radio.packets().get(from..).unwrap_or_default()
     }
 
     /// The fitted wakeup receiver, if any (the `wakeup_receiver` config
@@ -1068,7 +1074,7 @@ impl Stack {
             consumed: self.ledger.total_energy(),
             harvested: self.storage.harvested(),
             power: self.ledger.report(),
-            packets: self.packets(),
+            packets: self.packets().to_vec(),
             wakes: self.wakes,
             final_soc: self.storage.soc(),
             brownout_count: self.storage.brownout_count(),

@@ -69,27 +69,8 @@ impl RadioBoard {
     }
 
     /// Packets transmitted so far.
-    pub fn packets(&self) -> Vec<TransmittedPacket> {
-        self.frontend.packets().to_vec()
-    }
-
-    /// Consumes the board, handing over its packet list.
-    pub(super) fn into_packets(self) -> Vec<TransmittedPacket> {
-        self.frontend.into_packets()
-    }
-
-    /// How many packets have been transmitted so far.
-    pub(super) fn packet_count(&self) -> usize {
-        self.frontend.packets().len()
-    }
-
-    /// Packets transmitted at or after cursor `from`.
-    pub(super) fn packets_since(&self, from: usize) -> Vec<TransmittedPacket> {
-        self.frontend
-            .packets()
-            .get(from..)
-            .unwrap_or_default()
-            .to_vec()
+    pub fn packets(&self) -> &[TransmittedPacket] {
+        self.frontend.packets()
     }
 
     /// Installs `detector` as the always-on wakeup receiver and arms the

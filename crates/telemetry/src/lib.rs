@@ -47,7 +47,7 @@ pub use recorder::{JsonlRecorder, NullRecorder, Recorder};
 /// Per-shard telemetry accumulator: a [`Metrics`] registry plus an
 /// optional event buffer. Plain data and `Send`, so fleet worker threads
 /// can hand finished buffers back for ordered merging.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetryBuffer {
     /// The shard's metric registry.
     pub metrics: Metrics,

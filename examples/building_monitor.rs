@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Now the dense floor: 120 nodes, one collector.
     println!("floor deployment: 120 nodes, one collector, 5 simulated minutes");
-    let out = run_fleet(&FleetConfig {
+    let config = FleetConfig {
         nodes: 120,
         base: office_node,
         duration: SimDuration::from_secs(300),
@@ -63,7 +63,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // opt-in on the streaming engine.
         per_node_stats: true,
         ..FleetConfig::default()
-    });
+    };
+    let (out, _metrics) = run_fleet_with(&config, &mut NullRecorder);
     println!("  packets offered  : {}", out.offered);
     println!("  collisions       : {}", out.collided);
     println!("  channel losses   : {}", out.channel_losses);

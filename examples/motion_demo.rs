@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     node.run_for(SimDuration::from_secs(90));
 
     let packets = node.packets();
-    let decoded = station.offer_all(&packets);
+    let decoded = station.offer_all(packets);
 
     println!("{:>8}  {:^21} {:^21} {:^21}", "t [s]", "X", "Y", "Z");
     for s in station.samples() {

@@ -63,9 +63,14 @@ pub use picocube_units as units;
 ///
 /// Covers building and running a node ([`Stack`](prelude::Stack),
 /// [`NodeConfig`](prelude::NodeConfig), [`StackBuilder`](prelude::StackBuilder)
-/// with [`AppBoard`](prelude::AppBoard)), fleet scenarios
-/// ([`FleetConfig`](prelude::FleetConfig) and friends), declarative JSON
-/// scenarios ([`Scenario`](prelude::Scenario) and
+/// with [`AppBoard`](prelude::AppBoard)), fleet and mesh runs (the
+/// plain-data [`FleetConfig`](prelude::FleetConfig) and
+/// [`MeshConfig`](prelude::MeshConfig), run by
+/// [`run_fleet_with`](prelude::run_fleet_with) and
+/// [`run_mesh_with`](prelude::run_mesh_with) with a telemetry
+/// [`Recorder`](prelude::Recorder) such as
+/// [`NullRecorder`](prelude::NullRecorder)), declarative JSON scenarios
+/// ([`Scenario`](prelude::Scenario) and
 /// [`run_scenario_with`](prelude::run_scenario_with)), the simulation
 /// clock, telemetry sinks, and the most common physical quantities.
 ///
@@ -83,10 +88,10 @@ pub use picocube_units as units;
 /// ```
 pub mod prelude {
     pub use picocube_node::{
-        run_fleet, run_fleet_with, run_mesh, run_mesh_with, run_scenario_with, AppBoard,
-        BuildError, FleetConfig, FleetConfigBuilder, FleetConfigError, FleetOutcome, HarvesterKind,
-        MeshConfig, MeshConfigError, MeshOutcome, NodeConfig, NodeReport, Parallelism, Scenario,
-        ScenarioError, ScenarioOutcome, Stack, StackBuilder,
+        run_fleet_with, run_mesh_with, run_scenario_with, AppBoard, BuildError, FleetConfig,
+        FleetConfigError, FleetOutcome, HarvesterKind, MeshConfig, MeshConfigError, MeshOutcome,
+        NodeConfig, NodeReport, Parallelism, Scenario, ScenarioError, ScenarioOutcome, Stack,
+        StackBuilder,
     };
     pub use picocube_sim::{SimDuration, SimRng, SimTime};
     pub use picocube_telemetry::{

@@ -129,8 +129,11 @@ fn fleet_of_brownout_nodes_is_parallelism_invariant() {
         parallelism: Parallelism::Serial,
         ..FleetConfig::default()
     };
-    let serial = picocube::node::run_fleet(&base);
-    let threaded = picocube::node::run_fleet(&FleetConfig {
+    let run = |config: &FleetConfig| {
+        picocube::node::run_fleet_with(config, &mut picocube::telemetry::NullRecorder).0
+    };
+    let serial = run(&base);
+    let threaded = run(&FleetConfig {
         parallelism: Parallelism::Threads(2),
         ..base.clone()
     });

@@ -17,8 +17,8 @@
 //!   outcome, events and metrics of one uninterrupted `run_fleet_with`.
 
 use picocube::node::{
-    run_fleet_partial, run_fleet_resumable, run_fleet_with, FleetCheckpoint, FleetConfig,
-    Parallelism, Stack, StackCheckpoint,
+    run_fleet_partial, run_fleet_resumable, run_fleet_with, AppBoard, BuildError, CheckpointError,
+    FleetCheckpoint, FleetConfig, NodeConfig, Parallelism, Stack, StackCheckpoint,
 };
 use picocube::sim::SimDuration;
 use picocube::telemetry::{keys, Event, EventKind, Metrics};
@@ -61,12 +61,12 @@ fn reload_fleet(checkpoint: &FleetCheckpoint) -> FleetCheckpoint {
 
 #[test]
 fn stack_resumed_at_wake_boundaries_is_bit_identical() {
-    let config = FleetConfig::builder()
-        .nodes(4)
-        .duration(SimDuration::from_secs(120))
-        .seed(11)
-        .build()
-        .expect("valid fleet");
+    let config = FleetConfig {
+        nodes: 4,
+        duration: SimDuration::from_secs(120),
+        seed: 11,
+        ..FleetConfig::default()
+    };
     let node_index = 2;
     let total = config.duration;
 
@@ -141,14 +141,14 @@ fn stack_resumed_at_wake_boundaries_is_bit_identical() {
 }
 
 fn fleet_config(parallelism: Parallelism) -> FleetConfig {
-    FleetConfig::builder()
-        .nodes(6)
-        .duration(SimDuration::from_secs(30))
-        .seed(21)
-        .parallelism(parallelism)
-        .per_node_stats(true)
-        .build()
-        .expect("valid fleet")
+    FleetConfig {
+        nodes: 6,
+        duration: SimDuration::from_secs(30),
+        seed: 21,
+        parallelism,
+        per_node_stats: true,
+        ..FleetConfig::default()
+    }
 }
 
 #[test]
@@ -212,4 +212,60 @@ fn completed_checkpoint_finalizes_without_resimulating() {
     )
     .expect("finalizing a complete checkpoint");
     assert_eq!(outcome, golden_outcome);
+}
+
+#[test]
+fn legacy_per_node_array_is_ignored_on_resume() {
+    // Checkpoints once carried the fold's per-node tallies as a
+    // `per_node` array. The merge now counts them from the packet
+    // records, so such a file parses, drops the array and resumes
+    // bit-identically.
+    let config = fleet_config(Parallelism::Serial);
+    let mut golden_events: Vec<Event> = Vec::new();
+    let (golden_outcome, golden_metrics) = run_fleet_with(&config, &mut golden_events);
+
+    let leg = run_fleet_partial(&config, None, 3, true).expect("first leg runs");
+    let mut json = Json::parse(&leg.to_json().to_string()).expect("checkpoint text parses");
+    let Json::Obj(fields) = &mut json else {
+        panic!("a fleet checkpoint is a JSON object");
+    };
+    assert!(fields.iter().all(|(key, _)| key != "per_node"));
+    let tally = Json::Obj(vec![
+        ("offered".into(), Json::UInt(0)),
+        ("delivered".into(), Json::UInt(0)),
+    ]);
+    fields.push(("per_node".into(), Json::Arr(vec![tally; leg.nodes_done()])));
+    let legacy = FleetCheckpoint::from_json(&json).expect("legacy checkpoint parses");
+    assert_eq!(legacy, leg);
+
+    let mut resumed_events: Vec<Event> = Vec::new();
+    let (outcome, metrics) = run_fleet_resumable(&config, Some(&legacy), &mut resumed_events)
+        .expect("legacy checkpoint resumes");
+    assert_eq!(outcome, golden_outcome);
+    assert_eq!(metrics, golden_metrics);
+    assert_eq!(resumed_events, golden_events);
+}
+
+#[test]
+fn first_wake_past_the_clock_range_is_a_typed_error() {
+    // A checkpoint file whose node config puts the first wake u64::MAX ms
+    // out overflows the nanosecond clock; rebuilding the node once
+    // panicked in a debug build.
+    let hostile = StackCheckpoint::new(
+        NodeConfig {
+            first_wake_offset_ms: u64::MAX,
+            ..NodeConfig::default()
+        },
+        AppBoard::Tpms,
+        SimDuration::ZERO,
+        false,
+    );
+    let err = reload_stack(&hostile)
+        .resume()
+        .expect_err("first_wake_offset_ms u64::MAX builds");
+    assert!(
+        matches!(err, CheckpointError::Build(BuildError::InvalidConfig(_))),
+        "{err:?}"
+    );
+    assert!(err.to_string().contains("first_wake_offset_ms"), "{err}");
 }

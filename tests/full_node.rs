@@ -114,7 +114,7 @@ fn demo_end_to_end_over_the_simulated_channel() {
 
     let packets = node.packets();
     assert!(packets.len() > 5, "handling windows should produce packets");
-    let decoded = station.offer_all(&packets);
+    let decoded = station.offer_all(packets);
     // 1 m with ~45 dB of margin: effectively everything decodes.
     assert_eq!(decoded, packets.len(), "all packets decode at 1 m");
     // The decoded accelerations are handling-scale, not rest-scale.

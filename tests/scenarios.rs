@@ -155,12 +155,12 @@ fn tpms_spec_is_bit_identical_to_hardcoded_fleet() {
     let outcome =
         run_scenario_with(&spec, Parallelism::Serial, &mut spec_events).expect("tpms spec runs");
 
-    let config = FleetConfig::builder()
-        .nodes(8)
-        .duration(SimDuration::from_secs(30))
-        .seed(7)
-        .build()
-        .expect("valid hard-coded config");
+    let config = FleetConfig {
+        nodes: 8,
+        duration: SimDuration::from_secs(30),
+        seed: 7,
+        ..FleetConfig::default()
+    };
     let mut fleet_events: Vec<Event> = Vec::new();
     let (fleet_outcome, fleet_metrics) = run_fleet_with(&config, &mut fleet_events);
 
@@ -402,4 +402,58 @@ fn unphysical_harvester_trace_is_a_typed_error() {
         &mut picocube::telemetry::NullRecorder,
     );
     assert!(matches!(result, Err(ScenarioError::Build(_))));
+}
+
+#[test]
+fn unbuildable_mesh_base_is_a_typed_build_error() {
+    // The mesh reports a base node that does not build exactly as the
+    // fleet does: the typed build error, not a mesh config error.
+    let text = r#"{
+        "name": "x", "seed": 1, "duration_s": 10.0, "nodes": 2,
+        "node": {"initial_soc": 2.0},
+        "mesh": {}
+    }"#;
+    let spec = Scenario::parse(text).expect("spec parses; failure is at the build");
+    let result = run_scenario_with(
+        &spec,
+        Parallelism::Serial,
+        &mut picocube::telemetry::NullRecorder,
+    );
+    assert!(matches!(result, Err(ScenarioError::Build(_))), "{result:?}");
+    let message = result.expect_err("does not build").to_string();
+    assert!(message.contains("scenario node build"), "{message}");
+    assert!(message.contains("initial_soc"), "{message}");
+}
+
+// ------------------------------------------------------ hostile numbers
+// Numbers at the edge of their JSON type fail validation with a typed
+// error naming the field, before any engine sizes or times anything by
+// them.
+
+#[test]
+fn max_hops_past_a_one_byte_ttl_is_a_typed_error() {
+    // u32::MAX once sized the sink's hop histogram at 32 GiB and aborted.
+    let text = r#"{
+        "name": "x", "seed": 1, "duration_s": 10.0, "nodes": 2,
+        "mesh": {"max_hops": 4294967295}
+    }"#;
+    let spec = Scenario::parse(text).expect("spec parses");
+    let err = spec
+        .mesh_config(Parallelism::Serial)
+        .expect_err("max_hops 4294967295 lowers");
+    assert!(matches!(err, ScenarioError::Mesh(_)), "{err:?}");
+    assert!(err.to_string().contains("max_hops"), "{err}");
+}
+
+#[test]
+fn turnaround_past_the_clock_range_is_a_typed_error() {
+    // u64::MAX ms overflows the nanosecond clock: a debug build panicked
+    // and a release build wrapped it into a window spanning the run.
+    let text = r#"{
+        "name": "x", "seed": 1, "duration_s": 30.0, "nodes": 6,
+        "mesh": {"turnaround_ms": 18446744073709551615}
+    }"#;
+    let err = Scenario::parse(text).expect_err("turnaround_ms u64::MAX parses");
+    assert!(matches!(err, ScenarioError::Invalid(_)), "{err:?}");
+    assert!(err.to_string().contains("turnaround_ms"), "{err}");
 }

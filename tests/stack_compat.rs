@@ -231,16 +231,16 @@ fn brownout_recovery_trace_matches_pre_refactor() {
 }
 
 fn capture_fleet(parallelism: Parallelism) -> Json {
-    let config = FleetConfig::builder()
-        .nodes(8)
-        .duration(SimDuration::from_secs(30))
-        .seed(7)
-        .parallelism(parallelism)
+    let config = FleetConfig {
+        nodes: 8,
+        duration: SimDuration::from_secs(30),
+        seed: 7,
+        parallelism,
         // The golden predates the streaming engine and pins the per-node
         // curve, which is opt-in now.
-        .per_node_stats(true)
-        .build()
-        .expect("valid scenario");
+        per_node_stats: true,
+        ..FleetConfig::default()
+    };
     let mut events: Vec<Event> = Vec::new();
     let (outcome, metrics) = run_fleet_with(&config, &mut events);
     Json::Obj(vec![

@@ -7,13 +7,13 @@ use picocube::prelude::*;
 use picocube::units::json::ToJson;
 
 fn instrumented_run(seed: u64, parallelism: Parallelism) -> (FleetOutcome, Metrics, Vec<Event>) {
-    let config = FleetConfig::builder()
-        .nodes(8)
-        .duration(SimDuration::from_secs(30))
-        .seed(seed)
-        .parallelism(parallelism)
-        .build()
-        .expect("valid scenario");
+    let config = FleetConfig {
+        nodes: 8,
+        duration: SimDuration::from_secs(30),
+        seed,
+        parallelism,
+        ..FleetConfig::default()
+    };
     let mut events: Vec<Event> = Vec::new();
     let (outcome, metrics) = run_fleet_with(&config, &mut events);
     (outcome, metrics, events)
@@ -52,18 +52,18 @@ fn brownout_fleet_telemetry_identical_across_parallelism() {
     // its peers. The event stream and every metric (including
     // `node.brownouts`) must still be bit-identical to the serial run.
     let run = |parallelism| {
-        let config = FleetConfig::builder()
-            .nodes(4)
-            .base(NodeConfig {
+        let config = FleetConfig {
+            nodes: 4,
+            base: NodeConfig {
                 harvester: HarvesterKind::Shaker,
                 initial_soc: 0.009,
                 ..NodeConfig::default()
-            })
-            .duration(SimDuration::from_secs(9_000))
-            .seed(31)
-            .parallelism(parallelism)
-            .build()
-            .expect("valid scenario");
+            },
+            duration: SimDuration::from_secs(9_000),
+            seed: 31,
+            parallelism,
+            ..FleetConfig::default()
+        };
         let mut events: Vec<Event> = Vec::new();
         let (outcome, metrics) = run_fleet_with(&config, &mut events);
         (outcome, metrics, events)
