@@ -8,9 +8,10 @@
 //! Emits `BENCH_fleet.json` in the workspace root. Run with
 //! `cargo bench -p picocube-bench --bench fleet_scaling`. Flags:
 //!
-//! - `--short`: CI smoke mode — smaller fleets, shorter simulated time,
-//!   writes `BENCH_fleet_smoke.json` instead so the committed full report
-//!   is never clobbered by a quick run.
+//! - `--short`: CI smoke mode — a 256/1024-node thread sweep at 12 s
+//!   simulated and a ladder without the 1M rung; writes
+//!   `BENCH_fleet_smoke.json` instead so the committed full report is
+//!   never clobbered by a quick run.
 //! - `--telemetry PATH`: stream the widest threaded run's event logs to
 //!   PATH as JSON lines and print the merged metric registry; the identity
 //!   check then also covers serial-vs-threaded metric totals (it always
@@ -173,10 +174,11 @@ fn main() {
     let hardware_threads: Option<usize> =
         std::thread::available_parallelism().ok().map(|n| n.get());
     // The smoke sweep simulates 12 s, the shortest span in which every
-    // node wakes and transmits (see the ladder below), so the gated
-    // speedups time real work rather than fleet set-up alone.
+    // node wakes and transmits (see the ladder below), at fleet sizes whose
+    // serial runs take tens of milliseconds, so the gated speedups time
+    // real work rather than thread start-up.
     let (sizes, duration_s, reps, sweep): (&[usize], u64, u32, &[usize]) = if args.short {
-        (&[16, 64], 12, 5, &[2, 4])
+        (&[256, 1024], 12, 5, &[2, 4])
     } else {
         (&[16, 64, 256], 30, 7, &[1, 2, 4, 8])
     };

@@ -2,7 +2,7 @@
 //! depending on orientation of the antenna."
 
 use picocube_bench::{banner, bar};
-use picocube_node::{AppBoard, DemoStation, HarvesterKind, NodeConfig, StackBuilder};
+use picocube_node::{AppBoard, DemoStation, HarvesterKind, NodeConfig, Stack};
 use picocube_radio::packet::{encode, Checksum};
 use picocube_radio::{Channel, Link, PatchAntenna, SuperRegenReceiver};
 use picocube_sim::{SimDuration, SimRng};
@@ -75,14 +75,15 @@ fn main() {
         seed: 2007,
         ..NodeConfig::default()
     };
-    let mut node = StackBuilder::new(config)
-        .app(AppBoard::Motion {
+    let mut node = Stack::new(
+        config,
+        AppBoard::Motion {
             rest_s: 20.0,
             handled_s: 8.0,
             vigor_g: 1.2,
-        })
-        .build()
-        .expect("node builds");
+        },
+    )
+    .expect("node builds");
     node.run_for(SimDuration::from_secs(90));
     let mut station = DemoStation::demo_table(2007);
     let packets = node.packets();

@@ -4,7 +4,7 @@
 //! COTS chain and the §7.1 IC trade places as the duty cycle rises.
 
 use picocube_bench::{banner, bar, fmt_power};
-use picocube_node::{AppBoard, NodeConfig, PowerChainKind, StackBuilder};
+use picocube_node::{AppBoard, NodeConfig, PowerChainKind, Stack};
 use picocube_sim::SimDuration;
 
 fn average_at(period_s: f64, chain: PowerChainKind) -> picocube_units::Watts {
@@ -13,10 +13,7 @@ fn average_at(period_s: f64, chain: PowerChainKind) -> picocube_units::Watts {
         power_chain: chain,
         ..NodeConfig::default()
     };
-    let mut node = StackBuilder::new(config)
-        .app(AppBoard::Tpms)
-        .build()
-        .expect("node builds");
+    let mut node = Stack::new(config, AppBoard::Tpms).expect("node builds");
     // Cover at least 10 cycles (or 60 s, whichever is longer).
     let span = (period_s * 10.0).max(60.0).ceil() as u64;
     node.run_for(SimDuration::from_secs(span));

@@ -5,7 +5,7 @@
 
 use picocube_bench::{banner, bar};
 use picocube_harvest::DriveCycle;
-use picocube_node::{AppBoard, HarvesterKind, NodeConfig, StackBuilder};
+use picocube_node::{AppBoard, HarvesterKind, NodeConfig, Stack};
 use picocube_radio::packet::Checksum;
 use picocube_sim::SimDuration;
 use picocube_units::{Joules, Watts};
@@ -17,10 +17,7 @@ fn soc_run(name: &str, harvester: HarvesterKind, cycle: DriveCycle, minutes: u64
         initial_soc: soc0,
         ..NodeConfig::default()
     };
-    let mut node = StackBuilder::new(config)
-        .app(AppBoard::Tpms)
-        .build()
-        .expect("node builds");
+    let mut node = Stack::new(config, AppBoard::Tpms).expect("node builds");
     node.run_for(SimDuration::from_secs(minutes * 60));
     let report = node.report();
     let net = report.harvested.value() - report.consumed.value();

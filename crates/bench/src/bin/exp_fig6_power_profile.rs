@@ -11,7 +11,7 @@
 
 use picocube_bench::cli::CommonArgs;
 use picocube_bench::{banner, bar, fmt_power};
-use picocube_node::{AppBoard, NodeConfig, StackBuilder};
+use picocube_node::{AppBoard, NodeConfig, Stack};
 use picocube_sim::{SimDuration, SimTime};
 use picocube_telemetry::{summary_table, JsonlRecorder, Recorder};
 
@@ -35,10 +35,7 @@ fn main() {
         "6 µW average; ~14 ms active burst every 6 s; quiescent-dominated",
     );
 
-    let mut node = StackBuilder::new(NodeConfig::default())
-        .app(AppBoard::Tpms)
-        .build()
-        .expect("node builds");
+    let mut node = Stack::new(NodeConfig::default(), AppBoard::Tpms).expect("node builds");
     node.set_event_recording(telemetry_path.is_some());
     node.run_for(SimDuration::from_secs(60));
     let report = node.report();

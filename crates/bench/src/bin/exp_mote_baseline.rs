@@ -3,7 +3,7 @@
 //! deployment."
 
 use picocube_bench::{banner, fmt_power};
-use picocube_node::{node_class_table, AppBoard, NodeConfig, StackBuilder};
+use picocube_node::{node_class_table, AppBoard, NodeConfig, Stack};
 use picocube_sim::SimDuration;
 use picocube_units::{CubicMillimeters, Seconds};
 
@@ -15,10 +15,7 @@ fn main() {
     );
 
     // Measure the PicoCube (don't just quote it).
-    let mut node = StackBuilder::new(NodeConfig::default())
-        .app(AppBoard::Tpms)
-        .build()
-        .expect("node builds");
+    let mut node = Stack::new(NodeConfig::default(), AppBoard::Tpms).expect("node builds");
     node.run_for(SimDuration::from_secs(120));
     let cube_avg = node.report().average_power;
 

@@ -4,19 +4,20 @@
 //! ablation.
 
 use picocube_bench::{banner, bar, fmt_power};
-use picocube_node::{AppBoard, NodeConfig, PowerChainKind, StackBuilder};
+use picocube_node::{AppBoard, NodeConfig, PowerChainKind, Stack};
 use picocube_power::converter_ic::PowerInterfaceIc;
 use picocube_power::cots::CotsPowerChain;
 use picocube_sim::SimDuration;
 use picocube_units::{Amps, Celsius, Volts};
 
 fn run(kind: PowerChainKind) -> picocube_node::NodeReport {
-    let mut node = StackBuilder::new(NodeConfig {
-        power_chain: kind,
-        ..NodeConfig::default()
-    })
-    .app(AppBoard::Tpms)
-    .build()
+    let mut node = Stack::new(
+        NodeConfig {
+            power_chain: kind,
+            ..NodeConfig::default()
+        },
+        AppBoard::Tpms,
+    )
     .expect("node builds");
     node.run_for(SimDuration::from_secs(120));
     node.report()

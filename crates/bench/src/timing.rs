@@ -1,79 +1,9 @@
-//! Minimal wall-clock micro-benchmark support for the `harness = false`
-//! bench binaries (the offline build carries no benchmarking crate).
-//!
-//! Methodology: each case runs `SAMPLES` timed samples of `iters`
-//! iterations after a warmup pass; a sample's cost is its total divided by
-//! `iters`. The minimum sample is the headline number (least scheduler
-//! noise), the mean is reported alongside for context.
+//! Wall-clock timing for the `harness = false` bench binaries (the
+//! offline build carries no benchmarking crate): single timed runs, and
+//! interleaved rounds summarized by their min and median.
 
 use std::hint::black_box;
 use std::time::Instant;
-
-/// Number of timed samples per case.
-const SAMPLES: u32 = 5;
-
-/// One timed case's summary.
-#[derive(Debug, Clone, Copy)]
-pub struct Measurement {
-    /// Iterations per sample.
-    pub iters: u32,
-    /// Best (minimum) per-iteration time across samples, nanoseconds.
-    pub min_ns: f64,
-    /// Mean per-iteration time across samples, nanoseconds.
-    pub mean_ns: f64,
-}
-
-impl Measurement {
-    /// Best per-iteration time in seconds.
-    pub fn min_secs(&self) -> f64 {
-        self.min_ns * 1e-9
-    }
-}
-
-/// Formats a nanosecond figure with an adaptive unit.
-pub fn fmt_ns(ns: f64) -> String {
-    if ns >= 1e9 {
-        format!("{:.3} s", ns * 1e-9)
-    } else if ns >= 1e6 {
-        format!("{:.3} ms", ns * 1e-6)
-    } else if ns >= 1e3 {
-        format!("{:.3} µs", ns * 1e-3)
-    } else {
-        format!("{ns:.1} ns")
-    }
-}
-
-/// Times `iters` iterations of `f` per sample, printing and returning the
-/// summary. The closure's result is passed through [`black_box`] so the
-/// optimizer cannot delete the work.
-pub fn bench<T>(name: &str, iters: u32, mut f: impl FnMut() -> T) -> Measurement {
-    assert!(iters > 0, "bench needs at least one iteration");
-    // Warmup: one untimed sample (caches, branch predictors, allocators).
-    for _ in 0..iters {
-        black_box(f());
-    }
-    let mut sample_ns = [0.0f64; SAMPLES as usize];
-    for slot in &mut sample_ns {
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        *slot = start.elapsed().as_nanos() as f64 / f64::from(iters);
-    }
-    let min_ns = sample_ns.iter().copied().fold(f64::INFINITY, f64::min);
-    let mean_ns = sample_ns.iter().sum::<f64>() / f64::from(SAMPLES);
-    let m = Measurement {
-        iters,
-        min_ns,
-        mean_ns,
-    };
-    println!(
-        "{name:<40} {:>12} (mean {:>12}, {iters} iters x {SAMPLES} samples)",
-        fmt_ns(m.min_ns),
-        fmt_ns(m.mean_ns),
-    );
-    m
-}
 
 /// Times a single execution of `f` (for long-running cases where repeated
 /// sampling is impractical), returning the elapsed seconds and the result.
@@ -135,19 +65,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bench_reports_positive_times() {
-        let m = bench("spin", 100, || {
-            let mut acc = 0u64;
-            for i in 0..100u64 {
-                acc = acc.wrapping_add(i * i);
-            }
-            acc
-        });
-        assert!(m.min_ns > 0.0);
-        assert!(m.mean_ns >= m.min_ns);
-    }
-
-    #[test]
     fn time_once_returns_result() {
         let (secs, value) = time_once(|| 41 + 1);
         assert_eq!(value, 42);
@@ -173,13 +90,5 @@ mod tests {
         let s = Spread::of(&[3.0, 1.0, 2.0, 5.0]);
         assert_eq!((s.min_s, s.median_s), (1.0, 3.0));
         assert!(Spread::of(&[]).min_s.is_nan());
-    }
-
-    #[test]
-    fn ns_formatting_picks_units() {
-        assert_eq!(fmt_ns(12.0), "12.0 ns");
-        assert_eq!(fmt_ns(12_500.0), "12.500 µs");
-        assert_eq!(fmt_ns(3.2e6), "3.200 ms");
-        assert_eq!(fmt_ns(2.5e9), "2.500 s");
     }
 }

@@ -103,7 +103,7 @@ fn split_frames(bytes: &[u8]) -> Option<Vec<Vec<u8>>> {
 /// over SPI while the radio is selected, and finalizes a packet when the
 /// PA window closes.
 #[derive(Debug)]
-pub struct RadioFrontend {
+pub(crate) struct RadioFrontend {
     tx: OokTransmitter,
     buffer: Vec<u8>,
     packets: Vec<TransmittedPacket>,
@@ -130,7 +130,8 @@ impl RadioFrontend {
     }
 
     /// Whether bytes are pending in the current window.
-    pub fn window_open(&self) -> bool {
+    #[cfg(test)]
+    fn window_open(&self) -> bool {
         !self.buffer.is_empty()
     }
 

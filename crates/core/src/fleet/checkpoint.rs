@@ -29,7 +29,7 @@
 use super::accumulator::{FleetAccumulator, PacketRecord};
 use super::{derive_node_config, FleetConfig, FleetConfigError};
 use crate::node::{BuildError, NodeConfig};
-use crate::stack::{AppBoard, Stack, StackBuilder};
+use crate::stack::{AppBoard, Stack};
 use picocube_sim::{SimDuration, SimTime};
 use picocube_telemetry::{Event, Metrics, TelemetryBuffer};
 use picocube_units::json::{field, FromJson, Json, JsonError, ToJson};
@@ -301,10 +301,7 @@ impl StackCheckpoint {
     /// Returns [`CheckpointError::Build`] when the recipe does not build,
     /// for instance a checkpoint file whose app parameters are invalid.
     pub fn resume(&self) -> Result<Stack, CheckpointError> {
-        let mut node = StackBuilder::new(self.config.clone())
-            .app(self.app)
-            .build()
-            .map_err(CheckpointError::Build)?;
+        let mut node = Stack::new(self.config.clone(), self.app).map_err(CheckpointError::Build)?;
         node.set_event_recording(self.record_events);
         if !self.elapsed.is_zero() {
             node.run_for(self.elapsed);

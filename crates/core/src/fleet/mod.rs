@@ -63,7 +63,7 @@ mod checkpoint;
 pub use checkpoint::{CheckpointError, FleetCheckpoint, StackCheckpoint};
 
 use crate::node::NodeConfig;
-use crate::stack::{AppBoard, NodeFault, Stack, StackBuilder};
+use crate::stack::{AppBoard, NodeFault, Stack};
 use accumulator::{FleetAccumulator, PacketRecord};
 use picocube_radio::packet::{decode, Checksum};
 use picocube_radio::{Channel, Link, PatchAntenna, SuperRegenReceiver};
@@ -396,9 +396,7 @@ fn simulate_node_instrumented(
         derive_node_config(&config.base, config.seed, config.wake_ppm_range, index);
     // Per-node fields (id, seed, offsets) cannot invalidate a base config
     // that builds, and the fleet pipeline probe-builds the base first.
-    let mut node = StackBuilder::new(node_config)
-        .app(config.app)
-        .build()
+    let mut node = Stack::new(node_config, config.app)
         // picocube-lint: allow(L2) documented `# Panics`; base pre-validated by the pipeline's probe
         .expect("fleet node builds");
     node.set_event_recording(record_events);
@@ -905,10 +903,7 @@ fn stream_fleet(
         None => {
             let (probe, _) =
                 derive_node_config(&config.base, config.seed, config.wake_ppm_range, 0);
-            StackBuilder::new(probe)
-                .app(config.app)
-                .build()
-                .map_err(CheckpointError::Build)?;
+            Stack::new(probe, config.app).map_err(CheckpointError::Build)?;
             FleetAccumulator::new(record_events)
         }
     };

@@ -22,12 +22,10 @@
 //! # Examples
 //!
 //! ```
-//! use picocube_node::{AppBoard, NodeConfig, StackBuilder};
+//! use picocube_node::{AppBoard, NodeConfig, Stack};
 //! use picocube_sim::SimDuration;
 //!
-//! let mut node = StackBuilder::new(NodeConfig::default())
-//!     .app(AppBoard::Tpms)
-//!     .build()?;
+//! let mut node = Stack::new(NodeConfig::default(), AppBoard::Tpms)?;
 //! node.run_for(SimDuration::from_secs(60));
 //! let report = node.report();
 //! assert!(report.average_power.micro() < 20.0);
@@ -46,10 +44,10 @@ mod mesh;
 mod node;
 mod packaging;
 pub mod scenario;
-pub mod stack;
+mod stack;
 
 pub use baseline::{node_class_table, MoteClassNode, NodeClassRow};
-pub use bus::{RadioFrontend, TransmittedPacket};
+pub use bus::TransmittedPacket;
 pub use demo::{DemoStation, ReceivedSample};
 pub use fleet::{
     capture_sweep, merge_fleet, run_fleet_partial, run_fleet_resumable, run_fleet_with,
@@ -68,7 +66,4 @@ pub use scenario::{
     run_scenario_with, Campaign, ChaosPlan, FleetSpec, MeshSpec, RunSummary, Scenario,
     ScenarioError, ScenarioOutcome, SurvivalCurve, Sweep, SweepKnob,
 };
-pub use stack::{
-    AppBoard, Board, BoardDraw, NodeFault, RadioBoard, RailSolve, RunOutcome, SensorBoard, Stack,
-    StackBuilder, StackCtx, StorageBoard, SupervisorVerdict, SwitchBoard,
-};
+pub use stack::{AppBoard, NodeFault, RunOutcome, Stack};

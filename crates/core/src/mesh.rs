@@ -38,7 +38,7 @@ use crate::fleet::{
     Parallelism, RX_DBM_BOUNDS,
 };
 use crate::node::{BuildError, NodeConfig};
-use crate::stack::{AppBoard, Stack, StackBuilder};
+use crate::stack::{AppBoard, Stack};
 use picocube_radio::packet::{self, Checksum};
 use picocube_radio::{SuperRegenReceiver, WakeupReceiver};
 use picocube_sim::{SimDuration, SimRng, SimTime};
@@ -377,7 +377,7 @@ fn build_mesh_node(
 ) -> Result<Stack, BuildError> {
     let (node_config, _) =
         derive_node_config(&config.base, config.seed, config.wake_ppm_range, index);
-    let mut stack = StackBuilder::new(node_config).app(config.app).build()?;
+    let mut stack = Stack::new(node_config, config.app)?;
     stack.set_event_recording(record_events);
     stack
         .fit_mesh_rx(config.detector)

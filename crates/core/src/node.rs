@@ -1,8 +1,7 @@
 //! Node configuration, build errors and the run report.
 //!
-//! The simulation engine itself lives in [`crate::stack`]: a
-//! [`Stack`](crate::Stack), assembled from the five paper boards by a
-//! [`StackBuilder`](crate::StackBuilder).
+//! The simulation engine itself is a [`Stack`](crate::Stack), assembled
+//! from the five paper boards by [`Stack::new`](crate::Stack::new).
 
 use crate::bus::TransmittedPacket;
 use crate::stack::NodeFault;
@@ -475,12 +474,12 @@ impl FromJson for NodeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stack::{AppBoard, Stack, StackBuilder};
+    use crate::stack::{AppBoard, RunOutcome, Stack};
     use picocube_sensors::Sp12;
     use picocube_sim::{SimDuration, SimTime};
 
     fn tpms(config: NodeConfig) -> Result<Stack, BuildError> {
-        StackBuilder::new(config).app(AppBoard::Tpms).build()
+        Stack::new(config, AppBoard::Tpms)
     }
 
     fn run_tpms_for(secs: u64, config: NodeConfig) -> (Stack, NodeReport) {
@@ -642,14 +641,15 @@ mod tests {
             seed: 9,
             ..NodeConfig::default()
         };
-        let mut node = StackBuilder::new(config)
-            .app(AppBoard::Motion {
+        let mut node = Stack::new(
+            config,
+            AppBoard::Motion {
                 rest_s: 20.0,
                 handled_s: 8.0,
                 vigor_g: 1.2,
-            })
-            .build()
-            .expect("node builds");
+            },
+        )
+        .expect("node builds");
         // First 20 s are at-rest: no packets.
         node.run_for(SimDuration::from_secs(19));
         assert!(node.packets().is_empty());
@@ -827,15 +827,16 @@ mod tests {
             seed: 5,
             ..NodeConfig::default()
         };
-        let mut node = StackBuilder::new(config)
-            .app(AppBoard::Beacon {
+        let mut node = Stack::new(
+            config,
+            AppBoard::Beacon {
                 rest_s: 20.0,
                 handled_s: 8.0,
                 vigor_g: 1.2,
                 period_s: 5,
-            })
-            .build()
-            .expect("node builds");
+            },
+        )
+        .expect("node builds");
         node.run_for(SimDuration::from_secs(31));
         let report = node.report();
         assert_eq!(report.packets.len(), 6, "timer beacons");
@@ -892,10 +893,7 @@ mod tests {
             .into_iter()
             .chain([(motion(f64::NAN, 8.0, 1.2), "rest_s")])
         {
-            let err = StackBuilder::new(NodeConfig::default())
-                .app(app)
-                .build()
-                .unwrap_err();
+            let err = Stack::new(NodeConfig::default(), app).unwrap_err();
             assert!(matches!(err, BuildError::InvalidConfig(_)), "{err:?}");
             names(app, field, err.to_string());
 
@@ -980,11 +978,15 @@ mod tests {
     }
 
     #[test]
-    fn builder_requires_an_application_board() {
-        assert!(matches!(
-            StackBuilder::new(NodeConfig::default()).build(),
-            Err(BuildError::InvalidConfig(_))
-        ));
+    fn four_days_in_one_call_are_not_stuck() {
+        // The stuck guard counts one active stretch: 345,600 s holds
+        // 57,600 healthy wakes, whose instructions together pass its
+        // limit.
+        let mut node = tpms(NodeConfig::default()).expect("node builds");
+        let outcome = node.run_for(SimDuration::from_secs(345_600));
+        assert_eq!(outcome, RunOutcome::Completed);
+        assert_eq!(node.fault(), None);
+        assert!(node.report().wakes > 57_000);
     }
 
     #[test]

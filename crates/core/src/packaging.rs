@@ -268,13 +268,11 @@ impl StackDesign {
     /// board-to-board pitch *is* the 2.33 mm ring height; the top board
     /// adds its own thickness above the last ring.
     pub fn stack_height(&self) -> Millimeters {
-        let n = self.boards.len();
-        if n == 0 {
+        let Some((top, below)) = self.boards.split_last() else {
             return Millimeters::ZERO;
-        }
-        let pitch = self.ring_height.value() * (n - 1) as f64;
-        let top = self.boards[n - 1].thickness.value();
-        Millimeters::new(pitch + top)
+        };
+        let pitch = self.ring_height.value() * below.len() as f64;
+        Millimeters::new(pitch + top.thickness.value())
     }
 
     /// Total node mass: FR4 boards (1.85 g/cm³), a component allowance per
@@ -341,13 +339,20 @@ impl StackDesign {
             return Err(PackagingError::TooFewWiresPerPad { wires });
         }
         // Components must clear the ring interior (ring sits on the board
-        // periphery; parts taller than the ring foul the next board).
-        for pair in self.boards.windows(2) {
-            if pair[0].component_height > self.ring_height {
-                return Err(PackagingError::RingInterference {
-                    board: pair[0].name.clone(),
-                });
-            }
+        // periphery; parts taller than the ring foul the next board). The
+        // top board has no board above it.
+        let below_top = self
+            .boards
+            .split_last()
+            .map(|(_, below)| below)
+            .unwrap_or_default();
+        if let Some(board) = below_top
+            .iter()
+            .find(|board| board.component_height > self.ring_height)
+        {
+            return Err(PackagingError::RingInterference {
+                board: board.name.clone(),
+            });
         }
         let stack_height = self.stack_height();
         // Case interior: the snap-fit tube accommodates the five-high stack

@@ -4,24 +4,30 @@
 //! stacked 1 cm² boards (storage, controller, sensor, switch, radio)
 //! joined by elastomeric connectors so boards can be swapped per
 //! application (§2, §4–6). This module mirrors that architecture in
-//! code: each physical board is a [`Board`] implementation with a
-//! uniform interface, and [`Stack`] is the chassis — the emulated MSP430
-//! controller plus one shared event scheduler that polls the boards.
+//! code: each physical board is a crate-private component that owns its
+//! devices, and [`Stack`] is the chassis — the emulated MSP430
+//! controller plus one event scheduler that calls the boards directly.
 //!
 //! | Paper board (§2)       | Component                                  |
 //! |------------------------|--------------------------------------------|
-//! | storage (NiMH + harvester) | [`StorageBoard`]                       |
+//! | storage (NiMH + harvester) | `StorageBoard`                         |
 //! | controller (MSP430)    | [`Stack`]'s MCU + scheduler loop           |
-//! | sensor (SP12 / SCA3000)| [`SensorBoard`]                            |
-//! | power switch           | [`SwitchBoard`]                            |
-//! | radio (FBAR OOK TX)    | [`RadioBoard`]                             |
+//! | sensor (SP12 / SCA3000)| `SensorBoard`                              |
+//! | power switch           | `SwitchBoard`                              |
+//! | radio (FBAR OOK TX)    | `RadioBoard`                               |
 //!
-//! A [`StackBuilder`] assembles a stack from a [`NodeConfig`] plus a
+//! [`Stack::new`] assembles a stack from a [`NodeConfig`] plus a
 //! plain-data [`AppBoard`], which it validates; it is the only place an
 //! app becomes a sensor board. `tests/stack_compat.rs` pins its results to
 //! pre-refactor golden traces. A stack is plain owned data (each board
 //! owns its devices and the MCU borrows the SPI bus per call), so it is
 //! `Send`.
+//!
+//! The scheduler's order contract: a due sensor event fires before a due
+//! radio event, and the sensor's tire temperature and interrupt pulse
+//! are applied as soon as it returns (the radio's event reads neither the
+//! cell nor the MCU pins). Board metrics export in stack order: storage,
+//! sensor, switch, radio.
 //!
 //! Faults (an illegal firmware instruction, a stuck active loop, an
 //! unsolvable power-chain operating point) no longer panic: the
@@ -34,10 +40,10 @@ mod sensor;
 mod storage;
 mod switch;
 
-pub use radio::RadioBoard;
-pub use sensor::SensorBoard;
-pub use storage::{StorageBoard, SupervisorVerdict};
-pub use switch::{RailSolve, SwitchBoard};
+use radio::RadioBoard;
+pub(crate) use sensor::SensorBoard;
+use storage::{StorageBoard, SupervisorVerdict};
+use switch::SwitchBoard;
 
 use crate::bus::{pa_enabled, BusMux, TransmittedPacket};
 use crate::node::{BuildError, NodeConfig, NodeReport};
@@ -47,9 +53,13 @@ use picocube_sensors::{MotionScenario, Sp12};
 use picocube_sim::{
     CycleLog, LoadId, PowerLedger, PowerTrace, RailId, ScalarTrace, SimDuration, SimTime,
 };
-use picocube_telemetry::{keys, EventKind, Metrics, TelemetryBuffer};
+use picocube_telemetry::{keys, EventKind, TelemetryBuffer};
 use picocube_units::json::{field, FromJson, Json, JsonError, ToJson};
-use picocube_units::{Amps, Celsius, Gs, Seconds, Volts, Watts};
+use picocube_units::{Amps, Gs, Seconds, Volts};
+
+/// Instructions a node may run without reaching a low-power mode before
+/// the scheduler latches [`NodeFault::Stuck`].
+const STUCK_STEPS: u64 = 200_000_000;
 
 /// Why a running node stopped making progress.
 ///
@@ -152,115 +162,11 @@ impl RunOutcome {
     }
 }
 
-/// A board's standing current demand, split by the rail it loads.
-///
-/// The scheduler sums these across boards and hands the totals to the
-/// [`SwitchBoard`], which reflects them through the power train to
-/// battery-side currents.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BoardDraw {
-    /// Current drawn from the pumped always-on VDD rail.
-    pub vdd: Amps,
-    /// Current demanded from the gated radio RF rail.
-    pub rf: Amps,
-    /// Standing battery-direct power (e.g. the §7.3 wakeup receiver),
-    /// `None` when the board has no battery-direct load fitted.
-    pub battery: Option<Watts>,
-}
-
-impl BoardDraw {
-    /// No demand on any rail.
-    pub const ZERO: Self = Self {
-        vdd: Amps::ZERO,
-        rf: Amps::ZERO,
-        battery: None,
-    };
-}
-
-/// What a board can see and do while handling a scheduler callback.
-///
-/// Cross-board side effects (battery temperature from the tire
-/// environment, the sensor interrupt line into the MCU) are staged here
-/// and applied by the scheduler once the callback returns, so boards
-/// never hold references into each other.
-#[derive(Debug)]
-pub struct StackCtx<'a> {
-    /// Current simulation time.
-    pub now: SimTime,
-    /// The always-on supply voltage currently delivered by the switch
-    /// board.
-    pub vdd: Volts,
-    /// The node's telemetry accumulator.
-    pub telemetry: &'a mut TelemetryBuffer,
-    /// Lifetime wake (sample-cycle) counter, shared across boards.
-    pub wakes: &'a mut u64,
-    battery_temperature: Option<Celsius>,
-    irq_pulse: bool,
-}
-
-impl StackCtx<'_> {
-    /// Stages a battery temperature update (the storage cell rides at
-    /// tire temperature in the TPMS stack); applied after the callback.
-    pub fn set_battery_temperature(&mut self, t: Celsius) {
-        self.battery_temperature = Some(t);
-    }
-
-    /// Stages a pulse of the sensor interrupt line into the controller;
-    /// applied after the callback.
-    pub fn pulse_sensor_irq(&mut self) {
-        self.irq_pulse = true;
-    }
-}
-
-/// The uniform interface every stacked board presents to the scheduler.
-///
-/// All methods default to "nothing to do", so a board implements only
-/// the slices of the contract its hardware has: the sensor board
-/// schedules events, the radio board watches the bus, the switch board
-/// solves rails, the storage board settles charge.
-pub trait Board {
-    /// When this board next needs the scheduler, if ever.
-    fn next_event(&self) -> Option<SimTime> {
-        None
-    }
-
-    /// Handles the event scheduled for `ctx.now` (the scheduler calls
-    /// this once per due event).
-    fn fire_event(&mut self, ctx: &mut StackCtx<'_>) {
-        let _ = ctx;
-    }
-
-    /// The board's standing current demand at the present VDD.
-    fn currents(&self, vdd: Volts) -> BoardDraw {
-        let _ = vdd;
-        BoardDraw::ZERO
-    }
-
-    /// Observes one controller step's worth of bus/pin activity (the
-    /// radio board detects its PA window closing here).
-    fn on_bus(&mut self, p1_before: u8, p1_now: u8, ctx: &mut StackCtx<'_>) {
-        let _ = (p1_before, p1_now, ctx);
-    }
-
-    /// The supply supervisor restarted the node at `now`; boards
-    /// reschedule themselves relative to the reboot.
-    fn on_restart(&mut self, now: SimTime) {
-        let _ = now;
-    }
-
-    /// Publishes the board's lifetime telemetry under its
-    /// `board.<name>.*` scope (called from
-    /// [`Stack::drain_telemetry`]).
-    fn export_metrics(&self, metrics: &mut Metrics) {
-        let _ = metrics;
-    }
-}
-
 /// Which application firmware/sensor-board pairing a node carries.
 ///
 /// Plain data (`Copy`, `Send`, JSON-able): a fleet, a mesh, a scenario
-/// and a checkpoint all store this one value, and [`StackBuilder::app`]
-/// slots it. The builder seeds a motion or beacon board's handling script
+/// and a checkpoint all store this one value, and [`Stack::new`] slots
+/// it. The constructor seeds a motion or beacon board's handling script
 /// from [`NodeConfig::seed`], so fleets of motion nodes decorrelate.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum AppBoard {
@@ -384,55 +290,71 @@ impl FromJson for AppBoard {
     }
 }
 
-/// Assembles a [`Stack`] from a [`NodeConfig`] plus a board selection.
-///
-/// This replaces the old constructor triplication: all three
-/// applications share the same chassis assembly and differ only in the
-/// firmware image and the sensor board slotted into the stack.
-///
-/// # Examples
-///
-/// ```
-/// use picocube_node::{AppBoard, NodeConfig, StackBuilder};
-///
-/// let node = StackBuilder::new(NodeConfig::default())
-///     .app(AppBoard::Tpms)
-///     .build()?;
-/// assert_eq!(node.brownout_count(), 0);
-/// # Ok::<(), picocube_node::BuildError>(())
-/// ```
-#[derive(Debug)]
-pub struct StackBuilder {
-    config: NodeConfig,
-    app: Option<AppBoard>,
+/// The assembled node: the controller board (emulated MSP430) plus the
+/// four swappable boards, run by one shared event scheduler. Built by
+/// [`Stack::new`].
+pub struct Stack {
+    mcu: Mcu,
+    sensor: SensorBoard,
+    radio: RadioBoard,
+    switch: SwitchBoard,
+    storage: StorageBoard,
+    ledger: PowerLedger,
+    rail: RailId,
+    load_overhead: LoadId,
+    load_vdd: LoadId,
+    load_digital: LoadId,
+    load_rf: LoadId,
+    load_wakeup: LoadId,
+    trace: PowerTrace,
+    soc_trace: ScalarTrace,
+    telemetry: TelemetryBuffer,
+    slept: SimDuration,
+    vdd: Volts,
+    last_inputs: (Amps, Amps, bool, bool),
+    /// Reusable run-length cycle log for the segmented active path
+    /// (scratch; contents never outlive one segment).
+    seg_log: CycleLog,
+    /// Instructions run since the core last reached a low-power mode,
+    /// across `run_for` calls: the stuck guard's count.
+    active_steps: u64,
+    fault: Option<NodeFault>,
 }
 
-impl StackBuilder {
-    /// Starts a builder over `config` with no application board chosen.
-    pub fn new(config: NodeConfig) -> Self {
-        Self { config, app: None }
+impl core::fmt::Debug for Stack {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("Stack")
+            .field("now", &self.now())
+            .field("wakes", &self.sensor.fires())
+            .field("soc", &self.storage.soc())
+            .field("browned_out", &self.storage.browned_out_at())
+            .field("brownout_count", &self.storage.brownout_count())
+            .field("fault", &self.fault)
+            .finish_non_exhaustive()
     }
+}
 
-    /// Slots the given application board (firmware + sensor pairing).
-    /// The `Scenario` spec layer lowers its `app` field here.
-    pub fn app(mut self, app: AppBoard) -> Self {
-        self.app = Some(app);
-        self
-    }
-
-    /// Builds the stack.
+impl Stack {
+    /// Builds a node: validates `app`, selects its firmware image and
+    /// sensor board, and assembles the chassis around them. All three
+    /// applications share the same chassis and differ only in the
+    /// firmware and the sensor board slotted into the stack.
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError`] when no application board was selected or
-    /// the configuration or the board's parameters are invalid.
-    pub fn build(self) -> Result<Stack, BuildError> {
-        let Self { config, app } = self;
-        let Some(app) = app else {
-            return Err(BuildError::InvalidConfig(
-                "no application board selected (tpms/motion/beacon)",
-            ));
-        };
+    /// Returns [`BuildError`] when the configuration or the board's
+    /// parameters are invalid.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use picocube_node::{AppBoard, NodeConfig, Stack};
+    ///
+    /// let node = Stack::new(NodeConfig::default(), AppBoard::Tpms)?;
+    /// assert_eq!(node.brownout_count(), 0);
+    /// # Ok::<(), picocube_node::BuildError>(())
+    /// ```
+    pub fn new(config: NodeConfig, app: AppBoard) -> Result<Self, BuildError> {
         app.validate().map_err(BuildError::InvalidConfig)?;
         let motion = |rest_s, handled_s, vigor_g| {
             SensorBoard::sca3000(MotionScenario::new(
@@ -504,53 +426,9 @@ impl StackBuilder {
                 motion(rest_s, handled_s, vigor_g),
             ),
         };
-        Stack::assemble(config, image, sensor)
+        Self::assemble(config, image, sensor)
     }
-}
 
-/// The assembled node: the controller board (emulated MSP430) plus the
-/// four swappable boards, run by one shared event scheduler. Built by
-/// [`StackBuilder`].
-pub struct Stack {
-    mcu: Mcu,
-    sensor: SensorBoard,
-    radio: RadioBoard,
-    switch: SwitchBoard,
-    storage: StorageBoard,
-    ledger: PowerLedger,
-    rail: RailId,
-    load_overhead: LoadId,
-    load_vdd: LoadId,
-    load_digital: LoadId,
-    load_rf: LoadId,
-    load_wakeup: LoadId,
-    trace: PowerTrace,
-    soc_trace: ScalarTrace,
-    telemetry: TelemetryBuffer,
-    slept: SimDuration,
-    wakes: u64,
-    vdd: Volts,
-    last_inputs: (Amps, Amps, bool, bool),
-    /// Reusable run-length cycle log for the segmented active path
-    /// (scratch; contents never outlive one segment).
-    seg_log: CycleLog,
-    fault: Option<NodeFault>,
-}
-
-impl core::fmt::Debug for Stack {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("Stack")
-            .field("now", &self.now())
-            .field("wakes", &self.wakes)
-            .field("soc", &self.storage.soc())
-            .field("browned_out", &self.storage.browned_out_at())
-            .field("brownout_count", &self.storage.brownout_count())
-            .field("fault", &self.fault)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Stack {
     fn assemble(
         config: NodeConfig,
         image: picocube_mcu::Image,
@@ -600,10 +478,10 @@ impl Stack {
             soc_trace: ScalarTrace::new("battery_soc"),
             telemetry: TelemetryBuffer::new(),
             slept: SimDuration::ZERO,
-            wakes: 0,
             vdd: Volts::new(2.4),
             last_inputs: (Amps::new(-1.0), Amps::new(-1.0), false, false),
             seg_log: CycleLog::new(),
+            active_steps: 0,
             fault: None,
         };
         node.soc_trace.record(SimTime::ZERO, node.storage.soc());
@@ -656,9 +534,11 @@ impl Stack {
             self.now().as_nanos().saturating_sub(lpm_ns),
         );
         self.ledger.export_metrics(&mut buf.metrics);
-        for board in self.boards() {
-            board.export_metrics(&mut buf.metrics);
-        }
+        // Stack order, bottom to top: the registry keeps insertion order.
+        self.storage.export_metrics(&mut buf.metrics);
+        self.sensor.export_metrics(&mut buf.metrics);
+        self.switch.export_metrics(&mut buf.metrics);
+        self.radio.export_metrics(&mut buf.metrics);
         buf
     }
 
@@ -705,7 +585,6 @@ impl Stack {
         detector: picocube_radio::WakeupReceiver,
     ) -> Result<(), NodeFault> {
         self.radio.fit_rx(detector);
-        self.last_inputs = (Amps::new(-1.0), Amps::new(-1.0), false, false);
         self.update_currents(true)
     }
 
@@ -755,60 +634,35 @@ impl Stack {
         self.vdd
     }
 
-    /// The four swappable boards, in stack order (storage at the bottom,
-    /// radio on top), behind the uniform [`Board`] interface.
-    pub fn boards(&self) -> impl Iterator<Item = &dyn Board> {
-        [
-            &self.storage as &dyn Board,
-            &self.sensor,
-            &self.switch,
-            &self.radio,
-        ]
-        .into_iter()
+    /// The earliest scheduled board event: the sensor board always has
+    /// one, the radio board only while a relay is queued or on the air.
+    fn next_board_event(&self) -> SimTime {
+        let sensor = self.sensor.next_event();
+        self.radio
+            .next_event()
+            .map_or(sensor, |radio| sensor.min(radio))
     }
 
-    /// The earliest scheduled board event, if any board has one pending.
-    fn next_board_event(&self) -> Option<SimTime> {
-        self.boards().filter_map(Board::next_event).min()
-    }
-
-    /// Fires every board whose event is due, applies staged cross-board
-    /// effects, and recomputes rail currents if anything fired.
+    /// Fires every board whose event is due, sensor before radio, and
+    /// recomputes rail currents if anything fired.
     fn fire_due_events(&mut self) -> Result<(), NodeFault> {
         let now = self.now();
-        let mut ctx = StackCtx {
-            now,
-            vdd: self.vdd,
-            telemetry: &mut self.telemetry,
-            wakes: &mut self.wakes,
-            battery_temperature: None,
-            irq_pulse: false,
-        };
         let mut fired = false;
-        let boards: [&mut dyn Board; 4] = [
-            &mut self.storage,
-            &mut self.sensor,
-            &mut self.switch,
-            &mut self.radio,
-        ];
-        for board in boards {
-            if board.next_event().is_some_and(|at| at <= now) {
-                board.fire_event(&mut ctx);
-                fired = true;
+        if self.sensor.next_event() <= now {
+            let (temperature, irq) = self.sensor.fire(now, self.vdd, &mut self.telemetry);
+            if let Some(t) = temperature {
+                self.storage.set_temperature(t);
             }
+            if irq {
+                // The sensor's digital die raises its interrupt line.
+                self.mcu.drive_p1(0, false);
+                self.mcu.drive_p1(0, true);
+            }
+            fired = true;
         }
-        let StackCtx {
-            battery_temperature,
-            irq_pulse,
-            ..
-        } = ctx;
-        if let Some(t) = battery_temperature {
-            self.storage.set_temperature(t);
-        }
-        if irq_pulse {
-            // The sensor's digital die raises its interrupt line.
-            self.mcu.drive_p1(0, false);
-            self.mcu.drive_p1(0, true);
+        if self.radio.next_event().is_some_and(|at| at <= now) {
+            self.radio.fire(now, &mut self.telemetry);
+            fired = true;
         }
         if fired {
             self.update_currents(false)?;
@@ -823,14 +677,13 @@ impl Stack {
             return Ok(()); // supervisor holds everything unpowered
         }
         let i_mcu = self.mcu.current_draw();
-        let sensor_draw = self.sensor.currents(self.vdd);
-        let radio_draw = self.radio.currents(self.vdd);
+        let i_sensor = self.sensor.draw();
         let p1 = self.mcu.p1_output();
         let spi_on = p1 & PIN_RADIO_SPI != 0;
         // The RF LDO is keyed by the firmware's PA pin or by an in-flight
         // mesh relay pulse (which transmits without waking the MCU).
         let pa_on = pa_enabled(p1) || self.radio.relay_active();
-        let inputs = (i_mcu, sensor_draw.vdd, spi_on, pa_on);
+        let inputs = (i_mcu, i_sensor, spi_on, pa_on);
         if !force && inputs == self.last_inputs {
             return Ok(());
         }
@@ -839,13 +692,13 @@ impl Stack {
         let vbat = self.ledger.rail_voltage(self.rail)?;
         // VDD rail demand in stack order: controller, then sensor, then
         // the radio board's level shifters (zero while SPI is off).
-        let i_vdd = i_mcu + sensor_draw.vdd + radio_draw.vdd;
+        let i_vdd = i_mcu + i_sensor + self.radio.vdd_draw(self.vdd);
         let solve = self
             .switch
-            .rails(vbat, i_vdd, spi_on, pa_on, radio_draw.rf)?;
+            .rails(vbat, i_vdd, spi_on, pa_on, self.radio.rf_draw())?;
 
         self.vdd = solve.vdd_out;
-        if let Some(listen) = radio_draw.battery {
+        if let Some(listen) = self.radio.listen_power() {
             self.ledger
                 .set_load_current(self.load_wakeup, listen / vbat)?;
         }
@@ -907,17 +760,8 @@ impl Stack {
                     .record(self.now().as_nanos(), EventKind::Recovered);
                 self.mcu.warm_reset();
                 // Boards reschedule relative to the reboot.
-                let now = self.now();
-                let boards: [&mut dyn Board; 4] = [
-                    &mut self.storage,
-                    &mut self.sensor,
-                    &mut self.switch,
-                    &mut self.radio,
-                ];
-                for board in boards {
-                    board.on_restart(now);
-                }
-                self.last_inputs = (Amps::new(-1.0), Amps::new(-1.0), false, false);
+                self.sensor.on_restart(self.now());
+                self.radio.on_restart();
                 self.update_currents(true)
             }
         }
@@ -959,8 +803,6 @@ impl Stack {
     /// The shared scheduler loop: one pass over sleep-skip, board events,
     /// controller steps and supervisor holds until `end`.
     fn run_until(&mut self, end: SimTime) -> Result<(), NodeFault> {
-        // Guard against a stuck simulation (firmware fault).
-        let mut fault_guard: u64 = 0;
         while self.now() < end {
             if self.storage.held() {
                 // Held in reset: advance in supervisor-poll chunks, letting
@@ -982,7 +824,7 @@ impl Stack {
             }
             let asleep = self.mcu.mode() != OperatingMode::Active && !self.mcu.has_pending_irq();
             if asleep {
-                let next = self.next_board_event().unwrap_or(end).min(end);
+                let next = self.next_board_event().min(end);
                 let gap = next
                     .checked_duration_since(self.now())
                     .unwrap_or(SimDuration::ZERO);
@@ -1018,8 +860,8 @@ impl Stack {
                 // step may start while `cycles * 1000 < end_ns`.
                 let limit_cycles = end.as_nanos().div_ceil(1_000);
                 // Cap instructions so the stuck guard trips on exactly the
-                // same instruction as the old one-check-per-step loop.
-                let max_insns = 200_000_001 - fault_guard;
+                // first instruction past its limit.
+                let max_insns = STUCK_STEPS + 1 - self.active_steps;
                 self.seg_log.clear();
                 let mut bus = spi_bus(&self.mcu, &mut self.sensor, &mut self.radio);
                 let stop =
@@ -1028,17 +870,11 @@ impl Stack {
                 // Replay the segment's per-instruction advances through the
                 // ledger in one pass (bit-identical to per-step advance_to).
                 self.ledger.advance_log(&self.seg_log);
-                fault_guard += self.seg_log.insns();
-                match stop {
-                    SegmentStop::Fault { word, at } => {
-                        // As before: a faulting fetch is reported without
-                        // running the epilogue (it consumed no cycles).
-                        return Err(NodeFault::IllegalInstruction { word, at });
-                    }
-                    // The old loop counted a sleep-reporting `step` like any
-                    // other poll of the core.
-                    SegmentStop::Sleeping(_) => fault_guard += 1,
-                    SegmentStop::Budget | SegmentStop::Observable => {}
+                self.active_steps += self.seg_log.insns();
+                if let SegmentStop::Fault { word, at } = stop {
+                    // A faulting fetch is reported without running the
+                    // epilogue (it consumed no cycles).
+                    return Err(NodeFault::IllegalInstruction { word, at });
                 }
                 // Boards watch the pin edges.
                 let p1_now = self.mcu.p1_output();
@@ -1046,19 +882,19 @@ impl Stack {
                 // its PA window closing), so a step that left P1 unchanged
                 // cannot have anything to deliver.
                 if p1_now != p1_before {
-                    let mut ctx = StackCtx {
-                        now: self.now(),
-                        vdd: self.vdd,
-                        telemetry: &mut self.telemetry,
-                        wakes: &mut self.wakes,
-                        battery_temperature: None,
-                        irq_pulse: false,
-                    };
-                    self.radio.on_bus(p1_before, p1_now, &mut ctx);
+                    self.radio
+                        .on_bus(p1_before, p1_now, self.now(), &mut self.telemetry);
                 }
                 self.update_currents(false)?;
-                if fault_guard > 200_000_000 {
-                    return Err(NodeFault::Stuck { steps: fault_guard });
+                // Reaching a low-power mode ends the active stretch the
+                // stuck guard counts, however many `run_for` calls it
+                // spanned.
+                if self.mcu.mode() != OperatingMode::Active {
+                    self.active_steps = 0;
+                } else if self.active_steps > STUCK_STEPS {
+                    return Err(NodeFault::Stuck {
+                        steps: self.active_steps,
+                    });
                 }
             }
         }
@@ -1075,7 +911,7 @@ impl Stack {
             harvested: self.storage.harvested(),
             power: self.ledger.report(),
             packets: self.packets().to_vec(),
-            wakes: self.wakes,
+            wakes: self.sensor.fires(),
             final_soc: self.storage.soc(),
             brownout_count: self.storage.brownout_count(),
             browned_out: self.storage.browned_out_at().is_some(),

@@ -3,15 +3,14 @@
 //! receive path is fitted, a relay queue that rebroadcasts frames the
 //! wakeup detector heard.
 
-use super::{Board, BoardDraw, StackCtx};
 use crate::bus::{pa_enabled, RadioFrontend, TransmittedPacket};
 use picocube_mcu::firmware::PIN_RADIO_SPI;
 use picocube_power::switches::LevelShifter;
 use picocube_radio::OokTransmitter;
 use picocube_radio::WakeupReceiver;
 use picocube_sim::{SimDuration, SimTime};
-use picocube_telemetry::{keys, EventKind, Metrics};
-use picocube_units::{Amps, Hertz, Volts};
+use picocube_telemetry::{keys, EventKind, Metrics, TelemetryBuffer};
+use picocube_units::{Amps, Hertz, Volts, Watts};
 
 /// Receive-path state fitted by [`crate::Stack::fit_mesh_rx`]: the relay
 /// queue the wakeup detector feeds and its lifetime accounting.
@@ -35,10 +34,10 @@ struct MeshRx {
 /// The radio board: watches the firmware's SPI/PA lines for transmit
 /// windows, accounts its rail draws, and carries the optional always-on
 /// wakeup receiver (plus, in mesh deployments, the relay queue it feeds).
-pub struct RadioBoard {
+pub(crate) struct RadioBoard {
     frontend: RadioFrontend,
     wakeup: Option<WakeupReceiver>,
-    /// The controller's P1 output pins as of the last [`Board::on_bus`].
+    /// The controller's P1 output pins as of the last [`RadioBoard::on_bus`].
     p1: u8,
     rx: Option<MeshRx>,
 }
@@ -100,10 +99,11 @@ impl RadioBoard {
         rx.queue.insert(pos, (at, bytes));
         true
     }
-}
 
-impl Board for RadioBoard {
-    fn next_event(&self) -> Option<SimTime> {
+    /// When the relay queue next needs the scheduler (the head relay's
+    /// deadline or the in-flight pulse's end); `None` without a mesh
+    /// receive path or with nothing queued.
+    pub(super) fn next_event(&self) -> Option<SimTime> {
         let rx = self.rx.as_ref()?;
         match (rx.queue.first(), rx.active_until) {
             (Some(&(at, _)), Some(done)) => Some(at.min(done)),
@@ -112,11 +112,13 @@ impl Board for RadioBoard {
         }
     }
 
-    fn fire_event(&mut self, ctx: &mut StackCtx<'_>) {
+    /// Handles the relay-queue event due at `now`: ends a finished pulse,
+    /// defers a relay that would overlap one, or keys the PA for the head
+    /// relay.
+    pub(super) fn fire(&mut self, now: SimTime, telemetry: &mut TelemetryBuffer) {
         let Some(rx) = self.rx.as_mut() else {
             return;
         };
-        let now = ctx.now;
         if rx.active_until.is_some_and(|done| done <= now) {
             // The in-flight relay's PA pulse ended; the scheduler's
             // post-event current recompute drops the RF draw.
@@ -139,9 +141,9 @@ impl Board for RadioBoard {
             rx.relays += 1;
             rx.relay_energy_uj += transmission.energy.micro();
             rx.active_until = Some(now + SimDuration::from_seconds(transmission.duration));
-            transmission.export_metrics(&mut ctx.telemetry.metrics);
-            if ctx.telemetry.events_enabled() {
-                ctx.telemetry.record(
+            transmission.export_metrics(&mut telemetry.metrics);
+            if telemetry.events_enabled() {
+                telemetry.record(
                     (now + SimDuration::from_seconds(transmission.duration)).as_nanos(),
                     EventKind::Tx {
                         bytes: frame_len,
@@ -153,46 +155,53 @@ impl Board for RadioBoard {
         }
     }
 
-    fn currents(&self, vdd: Volts) -> BoardDraw {
-        let spi_on = self.p1 & PIN_RADIO_SPI != 0;
-        let pa_on = pa_enabled(self.p1) || self.relay_active();
-        let vdd_draw = if spi_on {
+    /// The level shifters' draw on the VDD rail at `vdd`, while the
+    /// firmware powers the radio SPI.
+    pub(super) fn vdd_draw(&self, vdd: Volts) -> Amps {
+        if self.p1 & PIN_RADIO_SPI != 0 {
             // CSP level shifters between the VDD and radio logic domains.
             let shifters = LevelShifter::radio_board();
             let p = shifters.power(vdd, Hertz::from_kilo(100.0));
             p / vdd
         } else {
             Amps::ZERO
-        };
-        // Radio RF rail draw: 50 % OOK average while the PA window is open
-        // (a firmware window or an in-flight relay pulse).
-        let rf = if pa_on {
-            self.frontend.transmitter().supply_current_on() * 0.5
-        } else {
-            Amps::ZERO
-        };
-        BoardDraw {
-            vdd: vdd_draw,
-            rf,
-            battery: self.wakeup.as_ref().map(WakeupReceiver::listen_power),
         }
     }
 
-    fn on_bus(&mut self, p1_before: u8, p1_now: u8, ctx: &mut StackCtx<'_>) {
+    /// Radio RF rail draw: 50 % OOK average while the PA window is open
+    /// (a firmware window or an in-flight relay pulse).
+    pub(super) fn rf_draw(&self) -> Amps {
+        if pa_enabled(self.p1) || self.relay_active() {
+            self.frontend.transmitter().supply_current_on() * 0.5
+        } else {
+            Amps::ZERO
+        }
+    }
+
+    /// The fitted wakeup receiver's standing battery-direct listen power.
+    pub(super) fn listen_power(&self) -> Option<Watts> {
+        self.wakeup.as_ref().map(WakeupReceiver::listen_power)
+    }
+
+    /// Observes one controller segment's P1 edge at `now`.
+    pub(super) fn on_bus(
+        &mut self,
+        p1_before: u8,
+        p1_now: u8,
+        now: SimTime,
+        telemetry: &mut TelemetryBuffer,
+    ) {
         self.p1 = p1_now;
         // A falling PA line closes the transmit window: flush the frames
         // the firmware shifted out and account airtime/energy for each.
         if pa_enabled(p1_before) && !pa_enabled(p1_now) {
-            let now = ctx.now;
             let radio = &mut self.frontend;
             let before = radio.packets().len();
             radio.close_window(now);
             for packet in radio.packets().get(before..).unwrap_or_default() {
-                packet
-                    .transmission
-                    .export_metrics(&mut ctx.telemetry.metrics);
-                if ctx.telemetry.events_enabled() {
-                    ctx.telemetry.record(
+                packet.transmission.export_metrics(&mut telemetry.metrics);
+                if telemetry.events_enabled() {
+                    telemetry.record(
                         packet.time.as_nanos(),
                         EventKind::Tx {
                             bytes: packet.bytes.len() as u32,
@@ -205,15 +214,16 @@ impl Board for RadioBoard {
         }
     }
 
-    fn on_restart(&mut self, _now: SimTime) {
-        // A cold boot drops pending rebroadcasts and any in-flight pulse.
+    /// A cold boot drops pending rebroadcasts and any in-flight pulse.
+    pub(super) fn on_restart(&mut self) {
         if let Some(rx) = self.rx.as_mut() {
             rx.queue.clear();
             rx.active_until = None;
         }
     }
 
-    fn export_metrics(&self, metrics: &mut Metrics) {
+    /// Publishes the board's lifetime telemetry under `board.radio.*`.
+    pub(super) fn export_metrics(&self, metrics: &mut Metrics) {
         let packets = self.frontend.packets();
         metrics.inc(keys::BOARD_RADIO_PACKETS, packets.len() as u64);
         metrics.inc(
@@ -232,22 +242,6 @@ mod tests {
     use super::*;
     use picocube_mcu::firmware::PIN_RADIO_PA;
     use picocube_radio::packet::{encode, Checksum};
-    use picocube_telemetry::TelemetryBuffer;
-
-    fn ctx<'a>(
-        now: SimTime,
-        telemetry: &'a mut TelemetryBuffer,
-        wakes: &'a mut u64,
-    ) -> StackCtx<'a> {
-        StackCtx {
-            now,
-            vdd: Volts::new(2.4),
-            telemetry,
-            wakes,
-            battery_temperature: None,
-            irq_pulse: false,
-        }
-    }
 
     #[test]
     fn on_bus_accounts_every_frame_of_a_window() {
@@ -259,12 +253,7 @@ mod tests {
             board.frontend_mut().feed(*b);
         }
         let mut telemetry = TelemetryBuffer::with_events(true);
-        let mut wakes = 0u64;
-        board.on_bus(
-            PIN_RADIO_PA,
-            0,
-            &mut ctx(SimTime::from_millis(40), &mut telemetry, &mut wakes),
-        );
+        board.on_bus(PIN_RADIO_PA, 0, SimTime::from_millis(40), &mut telemetry);
         assert_eq!(telemetry.metrics.counter("radio.tx.packets"), 2);
         let tx_events = telemetry
             .events()
@@ -285,8 +274,7 @@ mod tests {
         assert_eq!(board.next_event(), Some(deadline));
 
         let mut telemetry = TelemetryBuffer::with_events(true);
-        let mut wakes = 0u64;
-        board.fire_event(&mut ctx(deadline, &mut telemetry, &mut wakes));
+        board.fire(deadline, &mut telemetry);
         assert!(board.relay_active(), "PA keyed for the relay pulse");
         let packets = board.packets();
         assert_eq!(packets.len(), 1);
@@ -297,7 +285,7 @@ mod tests {
         // The pulse-end event clears the PA.
         let done = board.next_event().expect("pulse end scheduled");
         assert!(done > deadline);
-        board.fire_event(&mut ctx(done, &mut telemetry, &mut wakes));
+        board.fire(done, &mut telemetry);
         assert!(!board.relay_active());
         assert_eq!(board.next_event(), None);
 
@@ -318,14 +306,9 @@ mod tests {
         board.schedule_relay(first + SimDuration::from_micros(200), frame);
 
         let mut telemetry = TelemetryBuffer::new();
-        let mut wakes = 0u64;
-        board.fire_event(&mut ctx(first, &mut telemetry, &mut wakes));
+        board.fire(first, &mut telemetry);
         // Firing at the second deadline mid-pulse defers it, not transmits.
-        board.fire_event(&mut ctx(
-            first + SimDuration::from_micros(200),
-            &mut telemetry,
-            &mut wakes,
-        ));
+        board.fire(first + SimDuration::from_micros(200), &mut telemetry);
         assert_eq!(board.packets().len(), 1, "second relay deferred");
         // The deferred head now shares the pulse-end deadline; firing there
         // clears the PA and transmits the deferred relay in one step.
@@ -334,7 +317,7 @@ mod tests {
             None => unreachable!("a pulse is in flight"),
         };
         assert!(pulse_end > first + SimDuration::from_micros(200));
-        board.fire_event(&mut ctx(pulse_end, &mut telemetry, &mut wakes));
+        board.fire(pulse_end, &mut telemetry);
         assert_eq!(board.packets().len(), 2);
     }
 }

@@ -1,11 +1,10 @@
 //! The sensor board: SP12 TPMS (§5) or SCA3000 motion (§6), with its
 //! free-running wake timer and interrupt line into the controller.
 
-use super::{Board, BoardDraw, StackCtx};
 use picocube_sensors::{MotionScenario, Sca3000, Sp12, TireEnvironment};
 use picocube_sim::{SimDuration, SimTime};
-use picocube_telemetry::{keys, EventKind, Metrics};
-use picocube_units::{Amps, Volts};
+use picocube_telemetry::{keys, EventKind, Metrics, TelemetryBuffer};
+use picocube_units::{Amps, Celsius, Volts};
 
 enum SensorState {
     Tpms {
@@ -24,7 +23,7 @@ enum SensorState {
 /// The sensor board slotted into the stack: either the SP12 TPMS board or
 /// the SCA3000 accelerometer board, driving its environment model and
 /// raising the interrupt line toward the controller when it has data.
-pub struct SensorBoard {
+pub(crate) struct SensorBoard {
     state: SensorState,
     fires: u64,
 }
@@ -87,24 +86,39 @@ impl SensorBoard {
     }
 
     /// The part's supply current.
-    fn draw(&self) -> Amps {
+    pub(super) fn draw(&self) -> Amps {
         match &self.state {
             SensorState::Tpms { device, .. } => device.current_draw(),
             SensorState::Motion { device, .. } => device.current_draw(),
         }
     }
-}
 
-impl Board for SensorBoard {
-    fn next_event(&self) -> Option<SimTime> {
-        Some(match &self.state {
-            SensorState::Tpms { next_wake, .. } => *next_wake,
-            SensorState::Motion { next_check, .. } => *next_check,
-        })
+    /// Lifetime count of fires that raised the interrupt line: the node's
+    /// wake count.
+    pub(super) fn fires(&self) -> u64 {
+        self.fires
     }
 
-    fn fire_event(&mut self, ctx: &mut StackCtx<'_>) {
-        let t_ns = ctx.now.as_nanos();
+    /// When the board next needs the scheduler: the SP12's wake timer or
+    /// the SCA3000's next motion check.
+    pub(super) fn next_event(&self) -> SimTime {
+        match &self.state {
+            SensorState::Tpms { next_wake, .. } => *next_wake,
+            SensorState::Motion { next_check, .. } => *next_check,
+        }
+    }
+
+    /// Handles the event due at `now`, with `vdd` on the always-on rail.
+    /// Returns the tire temperature the storage cell now rides at (TPMS
+    /// only) and whether the board pulsed its interrupt line into the
+    /// controller; the scheduler applies both.
+    pub(super) fn fire(
+        &mut self,
+        now: SimTime,
+        vdd: Volts,
+        telemetry: &mut TelemetryBuffer,
+    ) -> (Option<Celsius>, bool) {
+        let t_ns = now.as_nanos();
         match &mut self.state {
             SensorState::Tpms {
                 env,
@@ -114,19 +128,15 @@ impl Board for SensorBoard {
             } => {
                 let interval = device.wake_interval();
                 let mut sample = env.step(interval);
-                sample.supply = ctx.vdd;
+                sample.supply = vdd;
                 device.set_sample(sample);
-                // The cell rides on the rim at tire temperature (applied by
-                // the scheduler once this callback returns).
-                ctx.set_battery_temperature(sample.temperature);
                 *next_wake += SimDuration::from_seconds(interval * *interval_scale);
-                *ctx.wakes += 1;
                 self.fires += 1;
-                ctx.telemetry.metrics.inc(keys::NODE_WAKES, 1);
-                ctx.telemetry
-                    .record(t_ns, EventKind::Wake { index: *ctx.wakes });
-                // The SP12 digital die raises its interrupt line.
-                ctx.pulse_sensor_irq();
+                telemetry.metrics.inc(keys::NODE_WAKES, 1);
+                telemetry.record(t_ns, EventKind::Wake { index: self.fires });
+                // The cell rides on the rim at tire temperature, and the
+                // SP12 digital die raises its interrupt line.
+                (Some(sample.temperature), true)
             }
             SensorState::Motion {
                 scenario,
@@ -138,27 +148,18 @@ impl Board for SensorBoard {
                 let triggered = device.update(sample);
                 *next_check += SimDuration::from_millis(100);
                 if triggered {
-                    *ctx.wakes += 1;
                     self.fires += 1;
-                    ctx.telemetry.metrics.inc(keys::NODE_WAKES, 1);
-                    ctx.telemetry
-                        .record(t_ns, EventKind::Wake { index: *ctx.wakes });
-                    ctx.pulse_sensor_irq();
+                    telemetry.metrics.inc(keys::NODE_WAKES, 1);
+                    telemetry.record(t_ns, EventKind::Wake { index: self.fires });
                 }
+                (None, triggered)
             }
         }
     }
 
-    fn currents(&self, _vdd: Volts) -> BoardDraw {
-        BoardDraw {
-            vdd: self.draw(),
-            rf: Amps::ZERO,
-            battery: None,
-        }
-    }
-
-    fn on_restart(&mut self, now: SimTime) {
-        // Reschedule relative to the reboot.
+    /// The supply supervisor restarted the node at `now`: reschedule
+    /// relative to the reboot.
+    pub(super) fn on_restart(&mut self, now: SimTime) {
         match &mut self.state {
             SensorState::Tpms {
                 device, next_wake, ..
@@ -171,7 +172,8 @@ impl Board for SensorBoard {
         }
     }
 
-    fn export_metrics(&self, metrics: &mut Metrics) {
+    /// Publishes the board's lifetime telemetry under `board.sensor.*`.
+    pub(super) fn export_metrics(&self, metrics: &mut Metrics) {
         metrics.inc(keys::BOARD_SENSOR_FIRES, self.fires);
     }
 }

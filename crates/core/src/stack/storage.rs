@@ -2,7 +2,6 @@
 //! harvester, and the supply supervisor (§3, §5).
 
 use super::switch::SwitchBoard;
-use super::Board;
 use crate::node::{BuildError, HarvestDropout, HarvesterKind, NodeConfig, StorageKind};
 use picocube_harvest::{
     ElectromagneticShaker, Harvester, IndoorLightPanel, IndoorLightTrace, PiezoHarvester,
@@ -213,7 +212,7 @@ impl StorageCell {
 
 /// What the supply supervisor decided after a battery settle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SupervisorVerdict {
+pub(crate) enum SupervisorVerdict {
     /// No threshold was crossed; the stack carries on.
     Unchanged,
     /// The cell fell below the hold threshold: the stack must be held in
@@ -226,7 +225,7 @@ pub enum SupervisorVerdict {
 
 /// The storage board: the storage cell, the harvester charging it, and the
 /// supply supervisor that holds the stack in reset on deep discharge.
-pub struct StorageBoard {
+pub(crate) struct StorageBoard {
     cell: StorageCell,
     harvester: Option<Box<dyn Harvester + Send>>,
     harvested: Joules,
@@ -358,10 +357,9 @@ impl StorageBoard {
             }
         }
     }
-}
 
-impl Board for StorageBoard {
-    fn export_metrics(&self, metrics: &mut Metrics) {
+    /// Publishes the board's lifetime telemetry under `board.storage.*`.
+    pub(super) fn export_metrics(&self, metrics: &mut Metrics) {
         metrics.inc(
             keys::BOARD_STORAGE_BROWNOUTS,
             u64::from(self.brownout_count),

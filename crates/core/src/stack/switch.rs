@@ -1,7 +1,7 @@
 //! The power-switch board: the power train (COTS chain or §7.1 IC) plus
 //! the load switches that gate every rail (§4.3).
 
-use super::{Board, NodeFault};
+use super::NodeFault;
 use crate::node::PowerChainKind;
 use picocube_power::converter_ic::PowerInterfaceIc;
 use picocube_power::cots::CotsPowerChain;
@@ -17,7 +17,7 @@ enum Chain {
 /// Battery-side currents solved for one load point: what each registered
 /// ledger load should carry, plus the VDD the chain delivers there.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RailSolve {
+pub(crate) struct RailSolve {
     /// Chain quiescent/standby current, including open-switch leakage.
     pub overhead: Amps,
     /// The always-on VDD rail demand reflected to the battery side.
@@ -51,7 +51,7 @@ const OP_CACHE_CAP: usize = 32;
 
 /// The switch board: routes battery power to the other boards through the
 /// selected power train, and models the gating the board exists for.
-pub struct SwitchBoard {
+pub(crate) struct SwitchBoard {
     chain: Chain,
     ungated_rf_ldo: bool,
     /// Solved operating points, most-recently-used first, scanned
@@ -239,10 +239,9 @@ impl SwitchBoard {
             }
         }
     }
-}
 
-impl Board for SwitchBoard {
-    fn export_metrics(&self, metrics: &mut Metrics) {
+    /// Publishes the board's lifetime telemetry under `board.switch.*`.
+    pub(super) fn export_metrics(&self, metrics: &mut Metrics) {
         metrics.inc(keys::BOARD_SWITCH_OP_CACHE_HITS, self.op_cache_hits);
         metrics.inc(keys::BOARD_SWITCH_OP_CACHE_MISSES, self.op_cache_misses);
     }

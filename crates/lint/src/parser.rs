@@ -1634,7 +1634,7 @@ impl<'a> Parser<'a> {
             self.i += 1;
             // Reference / raw-pointer casts: the sigils that would end a
             // *trailing* type position are valid *leading* here
-            // (`as &dyn Board`, `as *const u8`) — consume them first.
+            // (`as &dyn Trait`, `as *const u8`) — consume them first.
             while self.at_punct('&') {
                 self.i += 1;
                 self.eat_punct('&');

@@ -76,11 +76,12 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns [`JsonError`] on malformed input or trailing garbage.
+    /// Returns [`JsonError`] on malformed input, trailing garbage, or
+    /// arrays and objects nested deeper than 128 levels.
     pub fn parse(text: &str) -> Result<Self, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(JsonError::new(format!("trailing characters at byte {pos}")));
@@ -220,8 +221,19 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// The deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so hostile input must not choose the depth;
+/// the workspace's own documents nest fewer than ten levels.
+const MAX_DEPTH: usize = 128;
+
+/// Parses one value whose enclosing arrays and objects number `depth`.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return Err(JsonError::new(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+        )));
+    }
     match bytes.get(*pos) {
         None => Err(JsonError::new("unexpected end of input")),
         Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
@@ -237,7 +249,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -265,7 +277,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                     return Err(JsonError::new(format!("expected ':' at byte {pos}")));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -597,6 +609,21 @@ mod tests {
             "{\"a\":}",
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            let err = Json::parse(&open.repeat(100_000)).unwrap_err();
+            assert!(err.message.contains("128 levels"), "{err}");
+            let nested = |levels: usize| {
+                Json::parse(&format!("{}1{}", open.repeat(levels), close.repeat(levels)))
+            };
+            assert!(nested(MAX_DEPTH).is_ok(), "{open}: the limit itself parses");
+            let err = nested(MAX_DEPTH + 1).unwrap_err();
+            let at = open.len() * MAX_DEPTH;
+            assert!(err.message.ends_with(&format!("at byte {at}")), "{err}");
         }
     }
 

@@ -22,9 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         drive_cycle: DriveCycle::parked(), // wall-mounted: no motion
         ..NodeConfig::default()
     };
-    let mut node = StackBuilder::new(office_node.clone())
-        .app(AppBoard::Tpms)
-        .build()?;
+    let mut node = Stack::new(office_node.clone(), AppBoard::Tpms)?;
     node.run_for(SimDuration::from_secs(600));
     let report = node.report();
     println!("single wall node, 10 minutes under office lighting:");

@@ -25,13 +25,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         seed: 2007,
         ..NodeConfig::default()
     };
-    let mut node = StackBuilder::new(config)
-        .app(AppBoard::Motion {
+    let mut node = Stack::new(
+        config,
+        AppBoard::Motion {
             rest_s: 20.0,
             handled_s: 8.0,
             vigor_g: 1.2,
-        })
-        .build()?;
+        },
+    )?;
     let mut station = DemoStation::demo_table(2007);
 
     println!("BWRC retreat demo: cube on the table, receiver 1 m away.");

@@ -10,9 +10,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The default configuration is the paper's TPMS deployment: SP12
     // sensor board, COTS power chain, rim-mounted harvester, highway
     // driving.
-    let mut node = StackBuilder::new(NodeConfig::default())
-        .app(AppBoard::Tpms)
-        .build()?;
+    let mut node = Stack::new(NodeConfig::default(), AppBoard::Tpms)?;
 
     println!("running the PicoCube for 60 simulated seconds...\n");
     node.run_for(SimDuration::from_secs(60));

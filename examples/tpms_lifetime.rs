@@ -18,10 +18,7 @@ fn run_phase(name: &str, cycle: DriveCycle, leak: f64, minutes: u64) {
         leak_kpa_per_hour: leak,
         ..NodeConfig::default()
     };
-    let mut node = StackBuilder::new(config)
-        .app(AppBoard::Tpms)
-        .build()
-        .expect("node builds");
+    let mut node = Stack::new(config, AppBoard::Tpms).expect("node builds");
     node.run_for(SimDuration::from_secs(minutes * 60));
     let report = node.report();
 

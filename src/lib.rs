@@ -28,12 +28,10 @@
 //! # Quickstart
 //!
 //! ```
-//! use picocube::node::{AppBoard, NodeConfig, StackBuilder};
+//! use picocube::node::{AppBoard, NodeConfig, Stack};
 //! use picocube::sim::SimDuration;
 //!
-//! let mut node = StackBuilder::new(NodeConfig::default())
-//!     .app(AppBoard::Tpms)
-//!     .build()?;
+//! let mut node = Stack::new(NodeConfig::default(), AppBoard::Tpms)?;
 //! node.run_for(SimDuration::from_secs(60));
 //!
 //! let report = node.report();
@@ -61,9 +59,9 @@ pub use picocube_units as units;
 
 /// The types nearly every PicoCube program touches, in one import.
 ///
-/// Covers building and running a node ([`Stack`](prelude::Stack),
-/// [`NodeConfig`](prelude::NodeConfig), [`StackBuilder`](prelude::StackBuilder)
-/// with [`AppBoard`](prelude::AppBoard)), fleet and mesh runs (the
+/// Covers building and running a node ([`Stack::new`](prelude::Stack::new)
+/// from a [`NodeConfig`](prelude::NodeConfig) and an
+/// [`AppBoard`](prelude::AppBoard)), fleet and mesh runs (the
 /// plain-data [`FleetConfig`](prelude::FleetConfig) and
 /// [`MeshConfig`](prelude::MeshConfig), run by
 /// [`run_fleet_with`](prelude::run_fleet_with) and
@@ -79,9 +77,7 @@ pub use picocube_units as units;
 /// ```
 /// use picocube::prelude::*;
 ///
-/// let mut node = StackBuilder::new(NodeConfig::default())
-///     .app(AppBoard::Tpms)
-///     .build()?;
+/// let mut node = Stack::new(NodeConfig::default(), AppBoard::Tpms)?;
 /// node.run_for(SimDuration::from_secs(30));
 /// assert!(node.report().average_power < Watts::from_micro(20.0));
 /// # Ok::<(), BuildError>(())
@@ -91,7 +87,6 @@ pub mod prelude {
         run_fleet_with, run_mesh_with, run_scenario_with, AppBoard, BuildError, FleetConfig,
         FleetConfigError, FleetOutcome, HarvesterKind, MeshConfig, MeshConfigError, MeshOutcome,
         NodeConfig, NodeReport, Parallelism, Scenario, ScenarioError, ScenarioOutcome, Stack,
-        StackBuilder,
     };
     pub use picocube_sim::{SimDuration, SimRng, SimTime};
     pub use picocube_telemetry::{

@@ -9,7 +9,7 @@
 //! embedded in a fleet must behave identically under serial and
 //! threaded phase-1 execution.
 
-use picocube::node::{AppBoard, FleetConfig, HarvesterKind, NodeConfig, Parallelism, StackBuilder};
+use picocube::node::{AppBoard, FleetConfig, HarvesterKind, NodeConfig, Parallelism, Stack};
 use picocube::sim::{SimDuration, SimTime};
 use picocube::telemetry::EventKind;
 use picocube::units::Joules;
@@ -28,10 +28,7 @@ fn weak_harvester_config() -> NodeConfig {
 
 #[test]
 fn node_browns_out_recovers_and_reports_it() {
-    let mut node = StackBuilder::new(weak_harvester_config())
-        .app(AppBoard::Tpms)
-        .build()
-        .expect("node builds");
+    let mut node = Stack::new(weak_harvester_config(), AppBoard::Tpms).expect("node builds");
     node.set_event_recording(true);
     let outcome = node.run_for(SimDuration::from_secs(3 * 3_600));
     assert!(outcome.is_completed(), "a brown-out is not a fault");
@@ -74,10 +71,7 @@ fn ledger_stays_monotone_across_the_outage() {
     // Advance in 10-minute chunks through discharge, outage and recovery:
     // elapsed time and consumed energy must never step backwards, and the
     // power trace must read zero while the node is held in reset.
-    let mut node = StackBuilder::new(weak_harvester_config())
-        .app(AppBoard::Tpms)
-        .build()
-        .expect("node builds");
+    let mut node = Stack::new(weak_harvester_config(), AppBoard::Tpms).expect("node builds");
     let mut last_elapsed = 0.0f64;
     let mut last_consumed = Joules::ZERO;
     let mut saw_outage = false;

@@ -1,19 +1,14 @@
 //! Workspace integration tests: the assembled node reproduces the paper's
 //! headline system-level behaviour end to end.
 
-use picocube::node::{
-    AppBoard, DemoStation, HarvesterKind, NodeConfig, PowerChainKind, Stack, StackBuilder,
-};
+use picocube::node::{AppBoard, DemoStation, HarvesterKind, NodeConfig, PowerChainKind, Stack};
 use picocube::radio::packet::{decode, Checksum};
 use picocube::sensors::{Sp12, Sp12Channel};
 use picocube::sim::{SimDuration, SimTime};
 use picocube::units::Watts;
 
 fn tpms(config: NodeConfig) -> Stack {
-    StackBuilder::new(config)
-        .app(AppBoard::Tpms)
-        .build()
-        .unwrap()
+    Stack::new(config, AppBoard::Tpms).unwrap()
 }
 
 #[test]
@@ -101,14 +96,15 @@ fn demo_end_to_end_over_the_simulated_channel() {
         seed: 77,
         ..NodeConfig::default()
     };
-    let mut node = StackBuilder::new(config)
-        .app(AppBoard::Motion {
+    let mut node = Stack::new(
+        config,
+        AppBoard::Motion {
             rest_s: 20.0,
             handled_s: 8.0,
             vigor_g: 1.2,
-        })
-        .build()
-        .unwrap();
+        },
+    )
+    .unwrap();
     let mut station = DemoStation::demo_table(77);
     node.run_for(SimDuration::from_secs(60));
 

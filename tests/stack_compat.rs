@@ -20,7 +20,7 @@
 
 use picocube::node::{
     run_fleet_with, AppBoard, FleetConfig, FleetOutcome, HarvesterKind, NodeConfig, Parallelism,
-    Stack, StackBuilder,
+    Stack,
 };
 use picocube::sim::SimDuration;
 use picocube::telemetry::{Event, Metric, Metrics, TelemetryBuffer};
@@ -120,10 +120,7 @@ fn events_json(events: &[Event]) -> Json {
 }
 
 fn tpms(config: NodeConfig) -> Stack {
-    StackBuilder::new(config)
-        .app(AppBoard::Tpms)
-        .build()
-        .expect("node builds")
+    Stack::new(config, AppBoard::Tpms).expect("node builds")
 }
 
 /// Runs a node with event recording on and captures its report, event
@@ -186,14 +183,15 @@ fn motion_trace_matches_pre_refactor() {
         seed: 9,
         ..NodeConfig::default()
     };
-    let node = StackBuilder::new(config)
-        .app(AppBoard::Motion {
+    let node = Stack::new(
+        config,
+        AppBoard::Motion {
             rest_s: 20.0,
             handled_s: 8.0,
             vigor_g: 1.2,
-        })
-        .build()
-        .expect("node builds");
+        },
+    )
+    .expect("node builds");
     check_golden("motion", &capture_node(node, 31));
 }
 
@@ -204,15 +202,16 @@ fn beacon_trace_matches_pre_refactor() {
         seed: 5,
         ..NodeConfig::default()
     };
-    let node = StackBuilder::new(config)
-        .app(AppBoard::Beacon {
+    let node = Stack::new(
+        config,
+        AppBoard::Beacon {
             rest_s: 20.0,
             handled_s: 8.0,
             vigor_g: 1.2,
             period_s: 5,
-        })
-        .build()
-        .expect("node builds");
+        },
+    )
+    .expect("node builds");
     check_golden("beacon", &capture_node(node, 31));
 }
 
