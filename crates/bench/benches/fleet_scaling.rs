@@ -3,13 +3,16 @@
 //! between serial and every threaded run, plus the streaming ladder —
 //! 1k/100k/1M-node runs at a short simulated span whose nodes/sec,
 //! offered-packet and per-rung peak-RSS rows quantify the engine's
-//! O(workers) live state.
+//! O(workers) live state — and one row for the coupled mesh engine: a
+//! 24-node line mesh run serially for 600 s, with its node·s/s and peak
+//! RSS. The mesh row runs in a child process of the bench, so its peak
+//! RSS is the mesh's own and not heap the fleet runs left resident.
 //!
 //! Emits `BENCH_fleet.json` in the workspace root. Run with
 //! `cargo bench -p picocube-bench --bench fleet_scaling`. Flags:
 //!
 //! - `--short`: CI smoke mode — a 256/1024-node thread sweep at 12 s
-//!   simulated and a ladder without the 1M rung; writes
+//!   simulated, a 60 s mesh and a ladder without the 1M rung; writes
 //!   `BENCH_fleet_smoke.json` instead so the committed full report is
 //!   never clobbered by a quick run.
 //! - `--telemetry PATH`: stream the widest threaded run's event logs to
@@ -40,7 +43,7 @@
 
 use picocube_bench::rss::{fmt_bytes, max_rss_bytes, reset_peak_rss};
 use picocube_bench::timing::{time_interleaved, time_once, Spread};
-use picocube_node::{run_fleet_with_stats, FleetConfig, Parallelism};
+use picocube_node::{run_fleet_with_stats, run_mesh_with, FleetConfig, MeshConfig, Parallelism};
 use picocube_sim::SimDuration;
 use picocube_telemetry::{summary_table, JsonlRecorder, Metrics, NullRecorder, Recorder};
 use picocube_units::json::{Json, ToJson};
@@ -146,17 +149,22 @@ impl LadderRow {
 struct Args {
     short: bool,
     telemetry: Option<String>,
+    /// Run only the mesh row and print it as JSON: the child process the
+    /// bench starts for that row.
+    mesh_row: bool,
 }
 
 fn parse_args() -> Args {
     let mut args = Args {
         short: false,
         telemetry: None,
+        mesh_row: false,
     };
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
             "--short" => args.short = true,
+            "--mesh-row" => args.mesh_row = true,
             "--telemetry" => {
                 args.telemetry = Some(argv.next().expect("--telemetry needs a file path"));
             }
@@ -164,6 +172,54 @@ fn parse_args() -> Args {
         }
     }
     args
+}
+
+/// The mesh row: a 24-node serial line mesh (`MeshConfig::default()`
+/// otherwise) timed in `reps` rounds, with min and median wall time,
+/// node·s/s and the peak RSS over the rounds after a `VmHWM` reset
+/// (`null` where that is unavailable).
+fn mesh_row(short: bool, reps: u32) -> Json {
+    let duration_s: u64 = if short { 60 } else { 600 };
+    let config = MeshConfig {
+        nodes: 24,
+        duration: SimDuration::from_secs(duration_s),
+        seed: SEED,
+        parallelism: Parallelism::Serial,
+        ..MeshConfig::default()
+    };
+    let reset = reset_peak_rss();
+    let (wall, (out, _)) = time_interleaved(reps, 1, |_| {
+        run_mesh_with(&config, &mut NullRecorder).expect("valid mesh configuration")
+    })
+    .pop()
+    .expect("reps > 0 timed the mesh");
+    let hwm = max_rss_bytes().filter(|_| reset);
+    let node_s_per_s = (config.nodes as u64 * duration_s) as f64 / wall.min_s;
+    eprintln!(
+        "\nmesh: {} nodes, {duration_s} s simulated, serial: {:.3}/{:.3}s min/med, \
+         {node_s_per_s:.0} node-s/s, peak RSS {}, {} relays",
+        config.nodes,
+        wall.min_s,
+        wall.median_s,
+        hwm.map_or("n/a".to_string(), fmt_bytes),
+        out.relays,
+    );
+    assert!(
+        out.relays > 0,
+        "the mesh row relayed nothing; it timed an idle mesh"
+    );
+    Json::Obj(vec![
+        ("nodes".into(), config.nodes.to_json()),
+        ("simulated_duration_s".into(), (duration_s as f64).to_json()),
+        ("parallelism".into(), Json::Str("serial".into())),
+        ("wall_s".into(), wall.min_s.to_json()),
+        ("wall_median_s".into(), wall.median_s.to_json()),
+        ("node_s_per_s".into(), node_s_per_s.to_json()),
+        (
+            "max_rss_bytes".into(),
+            hwm.map_or(Json::Null, |b| b.to_json()),
+        ),
+    ])
 }
 
 fn main() {
@@ -182,6 +238,10 @@ fn main() {
     } else {
         (&[16, 64, 256], 30, 7, &[1, 2, 4, 8])
     };
+    if args.mesh_row {
+        println!("{}", mesh_row(args.short, reps));
+        return;
+    }
 
     let threads_shown = hardware_threads.map_or("unknown".to_string(), |n| n.to_string());
     println!(
@@ -278,6 +338,21 @@ fn main() {
         });
     }
 
+    let child = std::process::Command::new(
+        std::env::current_exe().expect("the bench's own executable path"),
+    )
+    .arg("--mesh-row")
+    .args(args.short.then_some("--short"))
+    .stderr(std::process::Stdio::inherit())
+    .output()
+    .expect("start the mesh row's process");
+    assert!(
+        child.status.success(),
+        "the mesh row failed: {}",
+        child.status
+    );
+    let mesh = Json::parse(&String::from_utf8_lossy(&child.stdout)).expect("mesh row JSON");
+
     // The streaming ladder: million-node scale at a short simulated span.
     // A node's first SP12 wake lands at 6 s plus its power-up offset in
     // [0, 6) s, so 12 s is the shortest span in which every node wakes,
@@ -366,6 +441,7 @@ fn main() {
             "results".into(),
             Json::Arr(rows.iter().map(SizeRow::to_json).collect()),
         ),
+        ("mesh".into(), mesh),
         (
             "ladder".into(),
             Json::Obj(vec![

@@ -18,7 +18,8 @@
 //! (DESIGN.md §12): nodes on a line stretched past the sink's direct
 //! reach, flooding each other's packets over the §7.3 wakeup receiver.
 //! Reports unique-packet delivery, the hop histogram and the relay energy
-//! bill instead of the transmit-only ALOHA table.
+//! bill instead of the transmit-only ALOHA table. Both modes end with the
+//! process's peak RSS.
 
 use picocube_bench::cli::CommonArgs;
 use picocube_bench::{banner, bar};
@@ -131,16 +132,20 @@ fn run_mesh_sweep(args: &CommonArgs) {
 
 fn main() {
     let args = parse_args();
-    if args.mesh {
+    // The fleet's O(workers) claim, as a number: its peak RSS stays flat
+    // no matter how many nodes the sweep streamed. The mesh keeps every
+    // node's stack live for the whole run, so its peak grows with the
+    // largest mesh.
+    let engine = if args.mesh {
         run_mesh_sweep(&args);
-        return;
-    }
-    run_fleet_sweep(&args);
+        "mesh engine, every node's stack live"
+    } else {
+        run_fleet_sweep(&args);
+        "streaming engine, O(workers) live state"
+    };
     if let Some(hwm) = picocube_bench::rss::max_rss_bytes() {
-        // The streaming engine's O(workers) claim, as a number: peak RSS
-        // stays flat no matter how many nodes the sweep above streamed.
         println!(
-            "\npeak RSS: {} (streaming engine, O(workers) live state)",
+            "\npeak RSS: {} ({engine})",
             picocube_bench::rss::fmt_bytes(hwm)
         );
     }

@@ -396,7 +396,7 @@ fn simulate_node_instrumented(
         derive_node_config(&config.base, config.seed, config.wake_ppm_range, index);
     // Per-node fields (id, seed, offsets) cannot invalidate a base config
     // that builds, and the fleet pipeline probe-builds the base first.
-    let mut node = Stack::new(node_config, config.app)
+    let mut node = Stack::without_traces(node_config, config.app)
         // picocube-lint: allow(L2) documented `# Panics`; base pre-validated by the pipeline's probe
         .expect("fleet node builds");
     node.set_event_recording(record_events);

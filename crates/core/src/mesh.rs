@@ -377,7 +377,7 @@ fn build_mesh_node(
 ) -> Result<Stack, BuildError> {
     let (node_config, _) =
         derive_node_config(&config.base, config.seed, config.wake_ppm_range, index);
-    let mut stack = Stack::new(node_config, config.app)?;
+    let mut stack = Stack::without_traces(node_config, config.app)?;
     stack.set_event_recording(record_events);
     stack
         .fit_mesh_rx(config.detector)
@@ -517,52 +517,56 @@ fn match_window(
         *collected = packets.len();
     }
 
-    // Per-receiver reception: interference context is this window plus
-    // the previous one (transmissions are far shorter than a window, so
-    // only boundary-straddlers can interfere across the boundary).
+    // Per-receiver reception: interference context is the previous window
+    // then this one (transmissions are far shorter than a window, so only
+    // boundary-straddlers can interfere across the boundary). With nothing
+    // on the air there is nothing to hear.
+    if prev_txs.is_empty() && window_txs.is_empty() {
+        return window_txs;
+    }
+    // The context, stably sorted once by `(start, node)` and flagged with
+    // whether each entry is this window's. A receiver's filtered view of it
+    // is in the order a stable sort of that view would give.
+    let mut context: Vec<(&MeshTx, bool)> = prev_txs
+        .iter()
+        .map(|t| (t, false))
+        .chain(window_txs.iter().map(|t| (t, true)))
+        .collect();
+    context.sort_by_key(|(tx, _)| (tx.start, tx.node));
     let latency = SimDuration::from_seconds(config.detector.latency());
+    // Reused per receiver: interference slots with this window's entries,
+    // their `AirSlot`s, and the receiver's own airtime.
+    let mut heard: Vec<(AirSlot, Option<&MeshTx>)> = Vec::new();
+    let mut air: Vec<AirSlot> = Vec::new();
+    let mut own: Vec<(SimTime, SimTime)> = Vec::new();
     for receiver in 0..config.nodes {
         let receiver_alive = slots.get(receiver).is_some_and(|slot| lock(slot).alive);
         if !receiver_alive {
             continue;
         }
-        // Interference slots at this receiver, with back-pointers into
-        // `window_txs` for the current window's entries.
-        let mut heard: Vec<(AirSlot, Option<usize>)> = Vec::new();
-        let context = prev_txs
-            .iter()
-            .map(|t| (None, t))
-            .chain(window_txs.iter().enumerate().map(|(i, t)| (Some(i), t)));
-        for (tx_index, tx) in context {
-            if let Some(level) = geometry.between(tx.node, receiver) {
-                heard.push((
-                    AirSlot {
-                        node: tx.node,
-                        start: tx.start,
-                        end: tx.end,
-                        rx_dbm: level,
-                    },
-                    tx_index,
-                ));
+        heard.clear();
+        own.clear();
+        for &(tx, current) in &context {
+            if tx.node == receiver {
+                // The receiver's own airtime, for the half-duplex veto.
+                own.push((tx.start, tx.end));
+            } else if let Some(level) = geometry.between(tx.node, receiver) {
+                let slot = AirSlot {
+                    node: tx.node,
+                    start: tx.start,
+                    end: tx.end,
+                    rx_dbm: level,
+                };
+                heard.push((slot, current.then_some(tx)));
             }
         }
-        heard.sort_by_key(|(slot, _)| (slot.start, slot.node));
-        let air: Vec<AirSlot> = heard.iter().map(|(slot, _)| *slot).collect();
+        air.clear();
+        air.extend(heard.iter().map(|(slot, _)| *slot));
         let collided = capture_sweep(&air, config.capture_margin);
-        // The receiver's own airtime, for the half-duplex veto.
-        let own: Vec<(SimTime, SimTime)> = prev_txs
-            .iter()
-            .chain(window_txs.iter())
-            .filter(|t| t.node == receiver)
-            .map(|t| (t.start, t.end))
-            .collect();
 
-        for ((slot, tx_index), was_collided) in heard.iter().zip(&collided) {
-            let Some(tx_index) = tx_index else {
+        for ((slot, tx), was_collided) in heard.iter().zip(&collided) {
+            let Some(tx) = tx else {
                 continue; // previous window: interference context only
-            };
-            let Some(tx) = window_txs.get(*tx_index) else {
-                continue;
             };
             if !config.detector.detects(slot.rx_dbm) {
                 continue;

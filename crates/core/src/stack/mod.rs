@@ -306,6 +306,9 @@ pub struct Stack {
     load_digital: LoadId,
     load_rf: LoadId,
     load_wakeup: LoadId,
+    /// Whether `trace` and `soc_trace` record. Off for the fleet and mesh
+    /// engines' nodes: those engines read only packets and telemetry.
+    traces: bool,
     trace: PowerTrace,
     soc_trace: ScalarTrace,
     telemetry: TelemetryBuffer,
@@ -355,6 +358,16 @@ impl Stack {
     /// # Ok::<(), picocube_node::BuildError>(())
     /// ```
     pub fn new(config: NodeConfig, app: AppBoard) -> Result<Self, BuildError> {
+        Self::build(config, app, true)
+    }
+
+    /// [`Stack::new`] for a node whose power and SOC traces nobody reads:
+    /// the fleet worker's and the mesh window slot's. It records neither.
+    pub(crate) fn without_traces(config: NodeConfig, app: AppBoard) -> Result<Self, BuildError> {
+        Self::build(config, app, false)
+    }
+
+    fn build(config: NodeConfig, app: AppBoard, traces: bool) -> Result<Self, BuildError> {
         app.validate().map_err(BuildError::InvalidConfig)?;
         let motion = |rest_s, handled_s, vigor_g| {
             SensorBoard::sca3000(MotionScenario::new(
@@ -426,13 +439,14 @@ impl Stack {
                 motion(rest_s, handled_s, vigor_g),
             ),
         };
-        Self::assemble(config, image, sensor)
+        Self::assemble(config, image, sensor, traces)
     }
 
     fn assemble(
         config: NodeConfig,
         image: picocube_mcu::Image,
         sensor: SensorBoard,
+        traces: bool,
     ) -> Result<Self, BuildError> {
         if !(0.0..=1.0).contains(&config.initial_soc) {
             return Err(BuildError::InvalidConfig("initial_soc must be in [0, 1]"));
@@ -474,6 +488,7 @@ impl Stack {
             load_digital,
             load_rf,
             load_wakeup,
+            traces,
             trace: PowerTrace::new("node_power_w"),
             soc_trace: ScalarTrace::new("battery_soc"),
             telemetry: TelemetryBuffer::new(),
@@ -484,7 +499,9 @@ impl Stack {
             active_steps: 0,
             fault: None,
         };
-        node.soc_trace.record(SimTime::ZERO, node.storage.soc());
+        if traces {
+            node.soc_trace.record(SimTime::ZERO, node.storage.soc());
+        }
         node.update_currents(true).map_err(BuildError::PowerChain)?;
         Ok(node)
     }
@@ -505,12 +522,6 @@ impl Stack {
     /// branch per potential event.
     pub fn set_event_recording(&mut self, enabled: bool) {
         self.telemetry.set_events_enabled(enabled);
-    }
-
-    /// Live view of the node's telemetry (counters accumulated so far and
-    /// any buffered events).
-    pub fn telemetry(&self) -> &TelemetryBuffer {
-        &self.telemetry
     }
 
     /// Finalizes and takes the node's telemetry: the buffered events plus
@@ -563,12 +574,6 @@ impl Stack {
     /// consumers collect only the new tail.
     pub fn packets_since(&self, from: usize) -> &[TransmittedPacket] {
         self.radio.packets().get(from..).unwrap_or_default()
-    }
-
-    /// The fitted wakeup receiver, if any (the `wakeup_receiver` config
-    /// option or a [`fit_mesh_rx`](Self::fit_mesh_rx) detector).
-    pub fn wakeup_receiver(&self) -> Option<&picocube_radio::WakeupReceiver> {
-        self.radio.wakeup()
     }
 
     /// Fits the mesh receive path: installs `detector` as the always-on
@@ -627,11 +632,6 @@ impl Stack {
     /// The latched fault, if a run ended in one.
     pub fn fault(&self) -> Option<NodeFault> {
         self.fault
-    }
-
-    /// The always-on supply voltage currently delivered to MCU and sensor.
-    pub fn vdd(&self) -> Volts {
-        self.vdd
     }
 
     /// The earliest scheduled board event: the sensor board always has
@@ -709,8 +709,10 @@ impl Stack {
         self.ledger
             .set_load_current(self.load_digital, solve.digital)?;
         self.ledger.set_load_current(self.load_rf, solve.rf)?;
-        self.trace
-            .record(self.ledger.now(), self.ledger.total_power());
+        if self.traces {
+            self.trace
+                .record(self.ledger.now(), self.ledger.total_power());
+        }
         Ok(())
     }
 
@@ -723,7 +725,9 @@ impl Stack {
         if !self.storage.settle(now, vbat, consumed, &self.switch) {
             return Ok(());
         }
-        self.soc_trace.record(now, self.storage.soc());
+        if self.traces {
+            self.soc_trace.record(now, self.storage.soc());
+        }
         // Battery sag/recovery feeds back into the rail voltage.
         self.ledger
             .set_rail_voltage(self.rail, self.storage.terminal_voltage())?;
@@ -751,8 +755,10 @@ impl Stack {
                 ] {
                     self.ledger.set_load_current(load, Amps::ZERO)?;
                 }
-                self.trace
-                    .record(self.ledger.now(), self.ledger.total_power());
+                if self.traces {
+                    self.trace
+                        .record(self.ledger.now(), self.ledger.total_power());
+                }
                 Ok(())
             }
             SupervisorVerdict::Recovered => {

@@ -79,11 +79,6 @@ impl RadioBoard {
         self.rx = Some(MeshRx::default());
     }
 
-    /// The fitted wakeup receiver, if any.
-    pub(super) fn wakeup(&self) -> Option<&WakeupReceiver> {
-        self.wakeup.as_ref()
-    }
-
     /// Whether a relay transmission is currently keying the PA.
     pub(super) fn relay_active(&self) -> bool {
         self.rx.as_ref().is_some_and(|rx| rx.active_until.is_some())

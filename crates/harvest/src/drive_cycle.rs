@@ -131,17 +131,63 @@ impl DriveCycle {
 
     /// Speed at absolute time `t` (the cycle repeats).
     pub fn speed_at(&self, t: Seconds) -> MetersPerSecond {
-        let mut remainder = t.value().rem_euclid(self.period.value());
-        for phase in &self.phases {
+        match self.locate(t.value()).1 {
+            Some((index, into_phase)) => {
+                let phase = &self.phases[index];
+                let frac = into_phase / phase.duration.value();
+                phase.start_speed + (phase.end_speed - phase.start_speed) * frac
+            }
+            // Floating-point edge: land on the period boundary.
+            None => self.phases[0].start_speed,
+        }
+    }
+
+    /// Where [`speed_at`](Self::speed_at) reads time `t` (seconds): the
+    /// time into the period, and the index of the phase that holds it with
+    /// the time into that phase. The phase is `None` on the period-end
+    /// fall-through, where rounding in the running subtraction leaves a
+    /// time just short of the period past the last phase.
+    fn locate(&self, t: f64) -> (f64, Option<(usize, f64)>) {
+        let period = self.period.value();
+        // IEEE `fmod` returns `t` itself when 0 <= t < period.
+        let into_period = if (0.0..period).contains(&t) {
+            t
+        } else {
+            t.rem_euclid(period)
+        };
+        let mut remainder = into_period;
+        for (index, phase) in self.phases.iter().enumerate() {
             let d = phase.duration.value();
             if remainder < d {
-                let frac = remainder / d;
-                return phase.start_speed + (phase.end_speed - phase.start_speed) * frac;
+                return (into_period, Some((index, remainder)));
             }
             remainder -= d;
         }
-        // Floating-point edge: land on the period boundary.
-        self.phases[0].start_speed
+        (into_period, None)
+    }
+
+    /// Whether [`speed_at`](Self::speed_at) returns the same bits at every
+    /// time in `[a, b]` (seconds): both ends lie, less than a period apart,
+    /// in one constant-speed phase of one period. DESIGN.md §11 gives the
+    /// exactness argument.
+    pub(crate) fn constant_over(&self, a: f64, b: f64) -> bool {
+        if !(0.0 <= a && a <= b && b - a < self.period.value()) {
+            return false;
+        }
+        let (into_a, phase_a) = self.locate(a);
+        let (into_b, phase_b) = self.locate(b);
+        // The fall-through reads `phases[0]`, not the phase before it.
+        let (Some((i, _)), Some((j, _))) = (phase_a, phase_b) else {
+            return false;
+        };
+        // Less than a period apart, the ends share a period exactly when
+        // the later one is no earlier into it.
+        i == j
+            && into_b >= into_a
+            && self
+                .phases
+                .get(i)
+                .is_some_and(|p| (p.end_speed - p.start_speed).value() == 0.0)
     }
 
     /// Time-averaged speed over one period.
@@ -208,6 +254,7 @@ impl FromJson for DriveCycle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Harvester, WheelHarvester};
 
     #[test]
     fn urban_cycle_period() {
@@ -252,6 +299,146 @@ mod tests {
         let cycle = DriveCycle::parked();
         assert_eq!(cycle.duty_moving(), 0.0);
         assert_eq!(cycle.average_speed(), MetersPerSecond::ZERO);
+    }
+
+    /// Compares `average_power` over each span, at 2 and 16 samples, with
+    /// the per-sample reference by bits, and counts the spans that took the
+    /// constant path.
+    fn check_spans(h: &WheelHarvester, spans: &[(f64, f64)], taken: &mut [usize; 2]) {
+        for &(t0, t1) in spans {
+            let (t0, t1) = (Seconds::new(t0), Seconds::new(t1));
+            for n in [2, 16] {
+                let fast = h.average_power(t0, t1, n);
+                let reference = crate::trapezoid(h, t0, t1, n, |_, _| false);
+                assert_eq!(
+                    fast.value().to_bits(),
+                    reference.value().to_bits(),
+                    "{t0:?}..{t1:?} at n = {n} on {:?}",
+                    h.cycle()
+                );
+                let mut constant = false;
+                crate::trapezoid(h, t0, t1, n, |a, b| {
+                    constant = h.cycle().constant_over(a, b);
+                    constant
+                });
+                taken[usize::from(constant)] += 1;
+            }
+        }
+    }
+
+    /// Spans at the edges of a cycle's phases: inside each phase, ending
+    /// on, starting on and straddling each boundary (the period end too),
+    /// one and more periods long, empty, and all of these again in later
+    /// periods.
+    fn edge_spans(cycle: &DriveCycle) -> Vec<(f64, f64)> {
+        let period = cycle.period().value();
+        let mut bounds = vec![0.0];
+        for phase in &cycle.phases {
+            let end = bounds.last().copied().unwrap_or(0.0) + phase.duration.value();
+            bounds.push(end);
+        }
+        let mut spans = Vec::new();
+        for pair in bounds.windows(2) {
+            let (a, b) = (pair[0], pair[1]);
+            let d = b - a;
+            spans.extend([
+                (a + 0.25 * d, a + 0.75 * d),
+                (a + 0.1 * d, a + 0.1 * d + 0.02),
+                (a, a + 0.4 * d),
+                (b - 0.4 * d, b),
+                (b - 0.4 * d, b + 0.01),
+                (a + 0.5 * d, a + 0.5 * d + period),
+                (a + 0.5 * d, a + 0.5 * d + 2.5 * period),
+                (a + 0.5 * d, a + 0.5 * d),
+            ]);
+        }
+        spans.push((period - 0.01, period + 0.01));
+        let first: Vec<(f64, f64)> = spans.clone();
+        for k in [1.0, 7.0] {
+            spans.extend(first.iter().map(|&(a, b)| (a + k * period, b + k * period)));
+        }
+        spans
+    }
+
+    #[test]
+    fn constant_phase_average_matches_every_sample_by_bits() {
+        let mut taken = [0usize; 2];
+        for cycle in [
+            DriveCycle::urban(),
+            DriveCycle::highway(),
+            DriveCycle::bicycle(),
+            DriveCycle::parked(),
+        ] {
+            let spans = edge_spans(&cycle);
+            check_spans(
+                &WheelHarvester::automotive(cycle.clone()),
+                &spans,
+                &mut taken,
+            );
+            check_spans(&WheelHarvester::bicycle(cycle), &spans, &mut taken);
+        }
+        let mut rng = picocube_sim::SimRng::seed_from(0x5EED);
+        for case in 0..200 {
+            // Case 0 and every seventh case is a one-phase cycle.
+            let phases = if case % 7 == 0 { 1 } else { 1 + rng.index(5) };
+            let cycle = DriveCycle::new(
+                (0..phases)
+                    .map(|_| {
+                        let duration = Seconds::new(rng.uniform(0.05, 30.0));
+                        let from = MetersPerSecond::new(rng.uniform(0.0, 40.0));
+                        if rng.bernoulli(0.5) {
+                            DrivePhase::cruise(duration, from)
+                        } else {
+                            let to = MetersPerSecond::new(rng.uniform(0.0, 40.0));
+                            DrivePhase::ramp(duration, from, to)
+                        }
+                    })
+                    .collect(),
+            )
+            .expect("valid cycle");
+            let period = cycle.period().value();
+            let mut spans = edge_spans(&cycle);
+            for _ in 0..20 {
+                let t0 = rng.uniform(0.0, 3.0 * period);
+                let len = match rng.index(4) {
+                    0 => 0.02,
+                    1 => rng.uniform(0.0, period),
+                    2 => period,
+                    _ => rng.uniform(period, 3.0 * period),
+                };
+                spans.push((t0, t0 + len));
+            }
+            check_spans(&WheelHarvester::automotive(cycle), &spans, &mut taken);
+        }
+        assert!(
+            taken[0] > 1000 && taken[1] > 1000,
+            "per-sample {} and constant {} spans",
+            taken[0],
+            taken[1]
+        );
+    }
+
+    #[test]
+    fn the_period_end_fall_through_is_never_a_phase() {
+        // Summed left to right, 0.1 + 0.2 + 0.3 rounds up to
+        // 0.6000000000000001, so at 0.6 the running subtraction leaves the
+        // last phase and `speed_at` falls through to the first phase's
+        // speed: 5 m/s, not the 20 m/s of the phase the span starts in.
+        let mps = MetersPerSecond::new;
+        let cycle = DriveCycle::new(vec![
+            DrivePhase::cruise(Seconds::new(0.1), mps(5.0)),
+            DrivePhase::cruise(Seconds::new(0.2), mps(10.0)),
+            DrivePhase::cruise(Seconds::new(0.3), mps(20.0)),
+        ])
+        .expect("valid cycle");
+        let (t0, t1) = (0.55, 0.6);
+        assert_eq!(t0 + 1.0 * (t1 - t0), t1, "the last sample lands on t1");
+        assert!(cycle.locate(t1).1.is_none(), "0.6 is the fall-through");
+        assert_eq!(cycle.speed_at(Seconds::new(t1)), mps(5.0));
+        let mut taken = [0usize; 2];
+        let h = WheelHarvester::automotive(cycle);
+        check_spans(&h, &[(t0, t1), (0.35, 0.5)], &mut taken);
+        assert_eq!(taken, [2, 2], "only the span inside the phase is constant");
     }
 
     #[test]

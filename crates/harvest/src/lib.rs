@@ -83,20 +83,42 @@ pub trait Harvester {
     ///
     /// Panics if `t1 < t0` or `n < 2`.
     fn average_power(&self, t0: Seconds, t1: Seconds, n: usize) -> Watts {
-        assert!(t1 >= t0, "reversed interval");
-        assert!(n >= 2, "need at least two samples");
-        let span = (t1 - t0).value();
-        if span == 0.0 {
-            return self.power_at(t0);
-        }
-        let mut acc = 0.0;
-        for i in 0..n {
-            let frac = i as f64 / (n - 1) as f64;
-            let w = if i == 0 || i == n - 1 { 0.5 } else { 1.0 };
-            acc += w * self
-                .power_at(Seconds::new(t0.value() + frac * span))
-                .value();
-        }
-        Watts::new(acc / (n - 1) as f64)
+        trapezoid(self, t0, t1, n, |_, _| false)
     }
+}
+
+/// Trapezoidal average of `source`'s power over `[t0, t1]` at `n` samples.
+///
+/// `constant` sees the first and last sample times (in seconds) before any
+/// sample is taken. When it vouches that `power_at` returns the same bits
+/// at every time between them, `power_at` is evaluated once; the weighted
+/// sum keeps its order, so the result is bit-identical to evaluating
+/// every sample. A `constant` that always says `false` is the per-sample
+/// reference.
+///
+/// # Panics
+///
+/// Panics if `t1 < t0` or `n < 2`.
+pub(crate) fn trapezoid<H: Harvester + ?Sized>(
+    source: &H,
+    t0: Seconds,
+    t1: Seconds,
+    n: usize,
+    constant: impl FnOnce(f64, f64) -> bool,
+) -> Watts {
+    assert!(t1 >= t0, "reversed interval");
+    assert!(n >= 2, "need at least two samples");
+    let span = (t1 - t0).value();
+    if span == 0.0 {
+        return source.power_at(t0);
+    }
+    let intervals = (n - 1) as f64;
+    let at = |i: usize| Seconds::new(t0.value() + i as f64 / intervals * span);
+    let same = constant(at(0).value(), at(n - 1).value()).then(|| source.power_at(at(0)));
+    let mut acc = 0.0;
+    for i in 0..n {
+        let w = if i == 0 || i == n - 1 { 0.5 } else { 1.0 };
+        acc += w * same.unwrap_or_else(|| source.power_at(at(i))).value();
+    }
+    Watts::new(acc / intervals)
 }

@@ -112,6 +112,12 @@ impl Harvester for WheelHarvester {
     fn power_at(&self, t: Seconds) -> Watts {
         self.power_at_rpm(self.rpm_at(t))
     }
+
+    /// The trapezoid of the trait's default, evaluating `power_at` once
+    /// when every sample falls in one constant-speed phase.
+    fn average_power(&self, t0: Seconds, t1: Seconds, n: usize) -> Watts {
+        crate::trapezoid(self, t0, t1, n, |a, b| self.cycle.constant_over(a, b))
+    }
 }
 
 #[cfg(test)]
