@@ -5,16 +5,17 @@
 //! offered-packet and per-rung peak-RSS rows quantify the engine's
 //! O(workers) live state — and one row for the coupled mesh engine: a
 //! 24-node line mesh run serially for 600 s, with its node·s/s and peak
-//! RSS. The mesh row runs in a child process of the bench, so its peak
-//! RSS is the mesh's own and not heap the fleet runs left resident.
+//! RSS. The mesh row and every ladder rung run in a child process of the
+//! bench each, so each one's peak RSS is its own and not heap that the
+//! fleet runs or an earlier rung left resident.
 //!
 //! Emits `BENCH_fleet.json` in the workspace root. Run with
 //! `cargo bench -p picocube-bench --bench fleet_scaling`. Flags:
 //!
-//! - `--short`: CI smoke mode — a 256/1024-node thread sweep at 12 s
-//!   simulated, a 60 s mesh and a ladder without the 1M rung; writes
-//!   `BENCH_fleet_smoke.json` instead so the committed full report is
-//!   never clobbered by a quick run.
+//! - `--short`: CI smoke mode — the 256/1024/4096-node thread sweep at
+//!   12 s simulated instead of 30 s, a 60 s mesh and a ladder without the
+//!   1M rung; writes `BENCH_fleet_smoke.json` instead so the committed
+//!   full report is never clobbered by a quick run.
 //! - `--telemetry PATH`: stream the widest threaded run's event logs to
 //!   PATH as JSON lines and print the merged metric registry; the identity
 //!   check then also covers serial-vs-threaded metric totals (it always
@@ -34,21 +35,40 @@
 //!   read it.
 //! - With ≥ 2 hardware threads, a run on 2..=hardware threads whose min
 //!   is slower than serial's is an engine regression, not an artifact:
-//!   the bench exits nonzero so CI fails. Single-thread machines cannot
+//!   the bench exits nonzero so CI fails. Only rows whose serial min
+//!   reaches [`GATE_MIN_SERIAL_S`] are held to it, and the sweep must
+//!   keep at least one such row. Single-thread machines cannot
 //!   demonstrate parallelism and skip the gate.
 //! - The pre-overhaul 256-node serial time is embedded as `baseline` so
 //!   the before/after comparison travels with the numbers.
 //! - Every ladder rung must put packets on the air; a rung that offers
 //!   none measured an idle fleet, and the bench exits nonzero.
 
-use picocube_bench::rss::{fmt_bytes, max_rss_bytes, reset_peak_rss};
+use picocube_bench::rss::{fmt_bytes, max_rss_bytes};
 use picocube_bench::timing::{time_interleaved, time_once, Spread};
 use picocube_node::{run_fleet_with_stats, run_mesh_with, FleetConfig, MeshConfig, Parallelism};
 use picocube_sim::SimDuration;
 use picocube_telemetry::{summary_table, JsonlRecorder, Metrics, NullRecorder, Recorder};
 use picocube_units::json::{Json, ToJson};
+use std::process::{Command, Stdio};
 
 const SEED: u64 = 42;
+
+/// Simulated span of every ladder rung. A node's first SP12 wake lands at
+/// 6 s plus its power-up offset in [0, 6) s, so 12 s is the shortest span
+/// in which every node wakes, samples and transmits once; nodes/sec here
+/// measures the engine's streaming throughput, not the firmware's duty
+/// cycle.
+const LADDER_DURATION_S: u64 = 12;
+
+/// The shortest serial min a sweep row needs before the regression gate
+/// holds it. On a shared host a run of a few milliseconds fits inside one
+/// scheduling hiccup: on a shared 2-vCPU VM, 256-node runs of 6-15 ms and
+/// 1024-node runs of 25-30 ms read 0.97-0.98x on 2 threads in one
+/// contended round and 1.4-1.9x in the next. A floor on the measured
+/// time, rather than on the node count, keeps holding rows that are long
+/// enough as the engine gets faster.
+const GATE_MIN_SERIAL_S: f64 = 0.05;
 
 /// 256-node serial wall time recorded by this bench immediately before the
 /// hot-path overhaul (cached event horizon, operating-point memo cache,
@@ -116,42 +136,15 @@ impl SizeRow {
     }
 }
 
-/// One rung of the streaming ladder: a short-duration run at a fleet size
-/// the materialize-then-merge engine could not hold in memory, with the
-/// packets it offered and the process's peak RSS over that rung alone
-/// (the high-water mark is reset before each rung; `None` where the reset
-/// or procfs is unavailable).
-struct LadderRow {
-    nodes: usize,
-    threads: usize,
-    wall_s: f64,
-    nodes_per_s: f64,
-    offered: usize,
-    max_rss_bytes: Option<u64>,
-}
-
-impl LadderRow {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("nodes".into(), self.nodes.to_json()),
-            ("threads".into(), self.threads.to_json()),
-            ("wall_s".into(), self.wall_s.to_json()),
-            ("nodes_per_s".into(), self.nodes_per_s.to_json()),
-            ("offered".into(), self.offered.to_json()),
-            (
-                "max_rss_bytes".into(),
-                self.max_rss_bytes.map_or(Json::Null, |b| b.to_json()),
-            ),
-        ])
-    }
-}
-
 struct Args {
     short: bool,
     telemetry: Option<String>,
     /// Run only the mesh row and print it as JSON: the child process the
     /// bench starts for that row.
     mesh_row: bool,
+    /// Run only the ladder rung of this many nodes and print it as JSON:
+    /// the child process the bench starts for each rung.
+    ladder_rung: Option<usize>,
 }
 
 fn parse_args() -> Args {
@@ -159,12 +152,17 @@ fn parse_args() -> Args {
         short: false,
         telemetry: None,
         mesh_row: false,
+        ladder_rung: None,
     };
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
             "--short" => args.short = true,
             "--mesh-row" => args.mesh_row = true,
+            "--ladder-rung" => {
+                let nodes = argv.next().and_then(|n| n.parse().ok());
+                args.ladder_rung = Some(nodes.expect("--ladder-rung needs a node count"));
+            }
             "--telemetry" => {
                 args.telemetry = Some(argv.next().expect("--telemetry needs a file path"));
             }
@@ -176,8 +174,8 @@ fn parse_args() -> Args {
 
 /// The mesh row: a 24-node serial line mesh (`MeshConfig::default()`
 /// otherwise) timed in `reps` rounds, with min and median wall time,
-/// node·s/s and the peak RSS over the rounds after a `VmHWM` reset
-/// (`null` where that is unavailable).
+/// node·s/s and the peak RSS of the child process that runs it (`null`
+/// where procfs is unavailable).
 fn mesh_row(short: bool, reps: u32) -> Json {
     let duration_s: u64 = if short { 60 } else { 600 };
     let config = MeshConfig {
@@ -187,13 +185,12 @@ fn mesh_row(short: bool, reps: u32) -> Json {
         parallelism: Parallelism::Serial,
         ..MeshConfig::default()
     };
-    let reset = reset_peak_rss();
     let (wall, (out, _)) = time_interleaved(reps, 1, |_| {
         run_mesh_with(&config, &mut NullRecorder).expect("valid mesh configuration")
     })
     .pop()
     .expect("reps > 0 timed the mesh");
-    let hwm = max_rss_bytes().filter(|_| reset);
+    let hwm = max_rss_bytes();
     let node_s_per_s = (config.nodes as u64 * duration_s) as f64 / wall.min_s;
     eprintln!(
         "\nmesh: {} nodes, {duration_s} s simulated, serial: {:.3}/{:.3}s min/med, \
@@ -222,6 +219,49 @@ fn mesh_row(short: bool, reps: u32) -> Json {
     ])
 }
 
+/// One rung of the streaming ladder, timed once in this process: a
+/// short-duration run at a fleet size the materialize-then-merge engine
+/// could not hold in memory, with the packets it offered and this
+/// process's peak RSS (`null` where procfs is unavailable). The bench
+/// runs each rung in a child of its own, so that peak is the rung's alone.
+fn ladder_rung(nodes: usize, threads: usize) -> Json {
+    let config = FleetConfig {
+        nodes,
+        duration: SimDuration::from_secs(LADDER_DURATION_S),
+        seed: SEED,
+        parallelism: Parallelism::Threads(threads),
+        ..FleetConfig::default()
+    };
+    let (wall_s, (out, _, _)) = time_once(|| run_fleet_with_stats(&config, &mut NullRecorder));
+    Json::Obj(vec![
+        ("nodes".into(), nodes.to_json()),
+        ("threads".into(), threads.to_json()),
+        ("wall_s".into(), wall_s.to_json()),
+        ("nodes_per_s".into(), (nodes as f64 / wall_s).to_json()),
+        ("offered".into(), out.offered.to_json()),
+        (
+            "max_rss_bytes".into(),
+            max_rss_bytes().map_or(Json::Null, |b| b.to_json()),
+        ),
+    ])
+}
+
+/// Runs this bench again in a child process with `args` and parses the
+/// JSON row the child prints.
+fn child_row(args: &[&str]) -> Json {
+    let child = Command::new(std::env::current_exe().expect("the bench's own executable path"))
+        .args(args)
+        .stderr(Stdio::inherit())
+        .output()
+        .expect("start a child row's process");
+    assert!(
+        child.status.success(),
+        "the child row {args:?} failed: {}",
+        child.status
+    );
+    Json::parse(&String::from_utf8_lossy(&child.stdout)).expect("child row JSON")
+}
+
 fn main() {
     let args = parse_args();
     // `None` when the OS cannot say (cgroup restrictions, exotic
@@ -229,17 +269,23 @@ fn main() {
     // so only a known count of 1 suppresses the speedup column.
     let hardware_threads: Option<usize> =
         std::thread::available_parallelism().ok().map(|n| n.get());
-    // The smoke sweep simulates 12 s, the shortest span in which every
-    // node wakes and transmits (see the ladder below), at fleet sizes whose
-    // serial runs take tens of milliseconds, so the gated speedups time
-    // real work rather than thread start-up.
+    // Both modes sweep fleets of 256, 1024 and 4096 nodes: the 256-node
+    // row carries the baseline comparison, and the larger ones run long
+    // enough for the regression gate (`GATE_MIN_SERIAL_S`). The smoke sweep
+    // simulates 12 s, the shortest span in which every node wakes and
+    // transmits.
     let (sizes, duration_s, reps, sweep): (&[usize], u64, u32, &[usize]) = if args.short {
-        (&[256, 1024], 12, 5, &[2, 4])
+        (&[256, 1024, 4096], 12, 5, &[2, 4])
     } else {
-        (&[16, 64, 256], 30, 7, &[1, 2, 4, 8])
+        (&[256, 1024, 4096], 30, 7, &[1, 2, 4, 8])
     };
+    let ladder_threads = hardware_threads.unwrap_or(4).clamp(2, 16);
     if args.mesh_row {
         println!("{}", mesh_row(args.short, reps));
+        return;
+    }
+    if let Some(nodes) = args.ladder_rung {
+        println!("{}", ladder_rung(nodes, ladder_threads));
         return;
     }
 
@@ -338,64 +384,37 @@ fn main() {
         });
     }
 
-    let child = std::process::Command::new(
-        std::env::current_exe().expect("the bench's own executable path"),
-    )
-    .arg("--mesh-row")
-    .args(args.short.then_some("--short"))
-    .stderr(std::process::Stdio::inherit())
-    .output()
-    .expect("start the mesh row's process");
-    assert!(
-        child.status.success(),
-        "the mesh row failed: {}",
-        child.status
-    );
-    let mesh = Json::parse(&String::from_utf8_lossy(&child.stdout)).expect("mesh row JSON");
+    let mesh = child_row(if args.short {
+        &["--mesh-row", "--short"]
+    } else {
+        &["--mesh-row"]
+    });
 
-    // The streaming ladder: million-node scale at a short simulated span.
-    // A node's first SP12 wake lands at 6 s plus its power-up offset in
-    // [0, 6) s, so 12 s is the shortest span in which every node wakes,
-    // samples and transmits once; nodes/sec here measures the engine's
-    // streaming throughput, not the firmware's duty cycle.
+    // The streaming ladder: million-node scale at a short simulated span,
+    // one child process per rung.
     let ladder_sizes: &[usize] = if args.short {
         &[1_000, 100_000]
     } else {
         &[1_000, 100_000, 1_000_000]
     };
-    let ladder_threads = hardware_threads.unwrap_or(4).clamp(2, 16);
-    let ladder_duration_s = 12u64;
-    println!("\nstreaming ladder: {ladder_duration_s} s simulated, {ladder_threads} threads");
+    println!("\nstreaming ladder: {LADDER_DURATION_S} s simulated, {ladder_threads} threads");
     println!(
         "{:>9} {:>10} {:>13} {:>9} {:>12}",
         "nodes", "wall", "nodes/sec", "offered", "peak RSS"
     );
     let mut ladder = Vec::new();
     for &nodes in ladder_sizes {
-        let config = FleetConfig {
-            nodes,
-            duration: SimDuration::from_secs(ladder_duration_s),
-            seed: SEED,
-            parallelism: Parallelism::Threads(ladder_threads),
-            ..FleetConfig::default()
-        };
-        let reset = reset_peak_rss();
-        let (wall_s, (out, _, _)) = time_once(|| run_fleet_with_stats(&config, &mut NullRecorder));
-        let hwm = max_rss_bytes().filter(|_| reset);
+        let row = child_row(&["--ladder-rung", &nodes.to_string()]);
+        let field = |key: &str| row.get(key).and_then(Json::as_f64).unwrap_or(f64::NAN);
+        let hwm = row.get("max_rss_bytes").and_then(Json::as_u64);
         println!(
-            "{nodes:>9} {wall_s:>9.2}s {:>13.0} {:>9} {:>12}",
-            nodes as f64 / wall_s,
-            out.offered,
+            "{nodes:>9} {:>9.2}s {:>13.0} {:>9} {:>12}",
+            field("wall_s"),
+            field("nodes_per_s"),
+            field("offered"),
             hwm.map_or("n/a".to_string(), fmt_bytes),
         );
-        ladder.push(LadderRow {
-            nodes,
-            threads: ladder_threads,
-            wall_s,
-            nodes_per_s: nodes as f64 / wall_s,
-            offered: out.offered,
-            max_rss_bytes: hwm,
-        });
+        ladder.push(row);
     }
 
     let baseline = rows
@@ -447,12 +466,9 @@ fn main() {
             Json::Obj(vec![
                 (
                     "simulated_duration_s".into(),
-                    (ladder_duration_s as f64).to_json(),
+                    (LADDER_DURATION_S as f64).to_json(),
                 ),
-                (
-                    "rows".into(),
-                    Json::Arr(ladder.iter().map(LadderRow::to_json).collect()),
-                ),
+                ("rows".into(), Json::Arr(ladder.clone())),
             ]),
         ),
     ]);
@@ -487,9 +503,8 @@ fn main() {
     );
     for rung in &ladder {
         assert!(
-            rung.offered > 0,
-            "ladder rung of {} nodes offered no packets in {ladder_duration_s} s",
-            rung.nodes
+            rung.get("offered").and_then(Json::as_u64) > Some(0),
+            "ladder rung {rung} offered no packets in {LADDER_DURATION_S} s"
         );
     }
 
@@ -498,9 +513,18 @@ fn main() {
     // fail. Only rows that the machine can actually parallelize are held
     // to it (2..=hardware threads); oversubscribed rows measure scheduler
     // overhead by design, and 1-thread machines cannot arm the gate. Both
-    // sides are mins over the same interleaved rounds.
+    // sides are mins over the same interleaved rounds, and only rows long
+    // enough to resolve a regression are held (`GATE_MIN_SERIAL_S`).
     if let Some(hw) = hardware_threads.filter(|&hw| hw >= 2) {
-        for row in &rows {
+        let gated: Vec<&SizeRow> = rows
+            .iter()
+            .filter(|row| row.serial.min_s >= GATE_MIN_SERIAL_S)
+            .collect();
+        assert!(
+            !gated.is_empty(),
+            "no sweep row ran {GATE_MIN_SERIAL_S} s serially; the gate needs a larger fleet"
+        );
+        for row in gated {
             for t in &row.sweep {
                 assert!(
                     t.threads < 2 || t.threads > hw || t.speedup >= 1.0,

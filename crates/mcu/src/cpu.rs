@@ -1,10 +1,10 @@
 //! The MSP430-subset CPU: fetch/decode/execute with cycle accounting.
 
 use crate::isa::{Condition, Format1Op, Format2Op};
-use crate::memory::{FlatMemory, Image};
+use crate::memory::{io, FlatMemory, Image};
 use crate::peripherals::{FloatingBus, Irq, Peripherals, SpiDevice};
 use crate::power_model::{McuPowerModel, OperatingMode};
-use crate::uops::CodeSpan;
+use crate::uops::{CodeSpan, Fused, SpiXfer};
 use core::ops::ControlFlow;
 use picocube_sim::CycleLog;
 
@@ -38,6 +38,46 @@ const RUN_LOG_INSNS: u64 = 4096;
 /// What a board can see between instructions: P1 and P2 output pins, the
 /// SPI draw epoch, and the operating mode.
 type Observables = (u8, u8, u32, OperatingMode);
+
+/// A segment's budget: no instruction starts once the clock reaches
+/// `cycles` or the log holds `insns` instructions.
+#[derive(Debug, Clone, Copy)]
+struct Budget {
+    cycles: u64,
+    insns: u64,
+}
+
+impl Budget {
+    #[inline]
+    fn spent(self, now: u64, log: &CycleLog) -> bool {
+        now >= self.cycles || log.insns() >= self.insns
+    }
+}
+
+/// How many calls into an `spi_xfer`-shaped helper the decoded stream ran
+/// as one fused step, and how many it ran instruction by instruction
+/// because a precondition failed. Only test builds count: elsewhere the
+/// tally is empty and counting compiles to nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct XferTally {
+    #[cfg(test)]
+    fused: u64,
+    #[cfg(test)]
+    generic: u64,
+}
+
+impl XferTally {
+    /// Counts one helper call on the path it took.
+    #[inline]
+    fn count(&mut self, _fused: bool) {
+        #[cfg(test)]
+        if _fused {
+            self.fused += 1;
+        } else {
+            self.generic += 1;
+        }
+    }
+}
 
 /// What one [`Mcu::step`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,6 +150,8 @@ pub struct Mcu {
     /// The slave [`Mcu::run`] exchanges bytes with; every other entry
     /// point takes its bus as an argument.
     spi: Option<Box<dyn SpiDevice + Send>>,
+    /// Helper calls by path, for the tests.
+    xfers: XferTally,
 }
 
 impl core::fmt::Debug for Mcu {
@@ -143,6 +185,7 @@ impl Mcu {
             uops_on: false,
             flash_dirty: false,
             spi: None,
+            xfers: XferTally::default(),
         }
     }
 
@@ -427,9 +470,13 @@ impl Mcu {
         log: &mut CycleLog,
         bus: &mut dyn SpiDevice,
     ) -> SegmentStop {
+        let budget = Budget {
+            cycles: limit_cycles,
+            insns: max_insns,
+        };
         let base = self.observables();
         loop {
-            if self.cycles >= limit_cycles || log.insns() >= max_insns {
+            if budget.spent(self.cycles, log) {
                 return SegmentStop::Budget;
             }
             if self.halted_on_fault {
@@ -444,8 +491,7 @@ impl Mcu {
                     if self.pending & irq.mask() != 0 {
                         self.pending &= !irq.mask();
                         let cycles = self.enter_interrupt(irq);
-                        self.tick_peripherals(cycles, bus);
-                        log.push(cycles);
+                        self.retire(cycles, log, bus);
                         break;
                     }
                 }
@@ -468,30 +514,46 @@ impl Mcu {
                     let mut gie = sr & FLAG_GIE != 0;
                     let streamed = 'stream: {
                         let mut advanced = false;
-                        while self.uops_on && self.cycles < limit_cycles && log.insns() < max_insns
-                        {
+                        while self.uops_on && !budget.spent(self.cycles, log) {
                             let Some(u) = cache.lookup(self.regs[PC]) else {
                                 break;
                             };
-                            if u.spin_spi && self.periph.spi_busy() {
-                                break 'stream match self.exec_spi_spin(
-                                    &u,
-                                    limit_cycles,
-                                    max_insns,
-                                    log,
-                                    gie,
-                                    bus,
-                                ) {
-                                    Some(stop) => ControlFlow::Break(stop),
-                                    // Re-check through the outer loop.
-                                    None => ControlFlow::Continue(true),
-                                };
+                            match u.fused {
+                                Fused::No => {}
+                                Fused::SpiSpin => {
+                                    if self.periph.spi_busy() {
+                                        break 'stream match self.exec_spi_spin(
+                                            u.cycles, u.next_pc, budget, log, gie, bus,
+                                        ) {
+                                            Some(stop) => ControlFlow::Break(stop),
+                                            // Re-check through the outer loop.
+                                            None => ControlFlow::Continue(true),
+                                        };
+                                    }
+                                }
+                                Fused::SpiXfer(index) => {
+                                    let xfer = cache.xfer(index);
+                                    if let Some(xfer) = xfer.filter(|_| !gie && self.xfer_fuses()) {
+                                        self.xfers.count(true);
+                                        if let ControlFlow::Break(stop) =
+                                            self.exec_spi_xfer(&u, xfer, budget, log, bus)
+                                        {
+                                            break 'stream ControlFlow::Break(stop);
+                                        }
+                                        advanced = true;
+                                        continue;
+                                    }
+                                    self.xfers.count(false);
+                                }
                             }
                             let cycles = self.exec_uop(u);
-                            self.tick_peripherals(cycles, bus);
-                            log.push(cycles);
+                            self.retire(cycles, log, bus);
                             advanced = true;
-                            if self.observables() != base {
+                            // Only a tick moves the draw epoch, and only a
+                            // flagged micro-op a pin or the mode.
+                            if self.periph.spi_draw_epoch() != base.2
+                                || (u.observe && self.observables() != base)
+                            {
                                 break 'stream ControlFlow::Break(SegmentStop::Observable);
                             }
                             if gie && self.pending != 0 {
@@ -524,8 +586,7 @@ impl Mcu {
             let word = self.fetch16();
             match self.execute(word) {
                 Some(c) => {
-                    self.tick_peripherals(c, bus);
-                    log.push(c);
+                    self.retire(c, log, bus);
                     if self.observables() != base {
                         return SegmentStop::Observable;
                     }
@@ -547,12 +608,14 @@ impl Mcu {
     /// cost; the `jnz` (always taken — Z is clear) jumps back and ticks 2
     /// cycles, the constant [`UOp::Jump`] cost.
     ///
-    /// Called only while the engine is busy. Nothing observable can change
+    /// Called only while the engine is busy, with the PC at the poll, which
+    /// costs `poll_cycles` and is followed by its `jnz` at `jump_pc`.
+    /// Nothing observable can change
     /// mid-spin except through the SPI completion (no memory writes, no SR
     /// mode bits, GPIO untouched). At the completion the fast path ends:
     /// it ends the segment when the draw epoch moved, and otherwise hands
     /// the rest of the loop (the poll that now reads 0, the `jnz` that
-    /// falls through) back to the generic path by returning `None` — as it
+    /// falls through) back to the caller by returning `None` — as it
     /// also does when a freshly latched enabled interrupt needs the outer
     /// dispatch loop. The PC is always left exactly where the unfused loop
     /// would have left it.
@@ -560,9 +623,9 @@ impl Mcu {
     /// [`UOp::Jump`]: crate::uops::UOp::Jump
     fn exec_spi_spin(
         &mut self,
-        u: &crate::uops::UInsn,
-        limit_cycles: u64,
-        max_insns: u64,
+        poll_cycles: u32,
+        jump_pc: u16,
+        budget: Budget,
         log: &mut CycleLog,
         gie: bool,
         bus: &mut dyn SpiDevice,
@@ -573,7 +636,7 @@ impl Mcu {
             |m: &Self| (m.periph.spi_draw_epoch() != epoch).then_some(SegmentStop::Observable);
         loop {
             // --- bit.b #1, &SPISTAT (engine busy: reads 1) ---
-            if self.cycles >= limit_cycles || log.insns() >= max_insns {
+            if budget.spent(self.cycles, log) {
                 return Some(SegmentStop::Budget);
             }
             if !self.periph.spi_busy() {
@@ -592,30 +655,32 @@ impl Mcu {
             // iterations then run stepwise below.
             const LPM4_BITS: u16 = FLAG_CPUOFF | FLAG_OSCOFF;
             let aclk_alive = self.regs[SR] & LPM4_BITS != LPM4_BITS;
-            let per = u64::from(u.cycles) + 2;
-            let mut k = (u64::from(self.periph.spi_busy_remaining()) - 1) / per;
-            k = k.min(limit_cycles.saturating_sub(self.cycles) / per);
-            k = k.min((max_insns - log.insns()) / 2);
+            let per = poll_cycles + 2;
+            // The cycle bounds meet in one `u32` span before a single
+            // division: `⌊a/p⌋ ∧ ⌊b/p⌋ = ⌊(a ∧ b)/p⌋`, and the engine's busy
+            // count, a `u32`, caps the span anyway.
+            let mut span = self.periph.spi_busy_remaining() - 1;
+            let clamp = |c: u64| u32::try_from(c).unwrap_or(u32::MAX);
+            span = span.min(clamp(budget.cycles.saturating_sub(self.cycles)));
             if gie {
                 if let Some(fire) = self.periph.cycles_until_timer_fire(aclk_alive) {
-                    k = k.min(fire.saturating_sub(1) / per);
+                    span = span.min(clamp(fire.saturating_sub(1)));
                 }
             }
+            let k = (span / per).min(clamp((budget.insns - log.insns()) / 2));
             if k > 0 {
                 self.set_flags_logic(1, true, false);
-                let total = k * per;
+                let total = u64::from(k) * u64::from(per);
                 self.cycles += total;
                 if let Some(irq) = self.periph.tick_bulk(total, aclk_alive) {
                     self.raise(irq);
                 }
-                // k < the engine's remaining busy cycles, a u32.
-                log.push_repeated(u.cycles, 2, k as u32);
+                log.push_repeated(poll_cycles, 2, k);
                 continue;
             }
-            self.regs[PC] = u.next_pc;
+            self.regs[PC] = jump_pc;
             self.set_flags_logic(1, true, false);
-            self.tick_peripherals(u.cycles, bus);
-            log.push(u.cycles);
+            self.retire(poll_cycles, log, bus);
             if !self.periph.spi_busy() {
                 return completed(self);
             }
@@ -623,12 +688,11 @@ impl Mcu {
                 return None;
             }
             // --- jnz back to the poll (Z clear: always taken) ---
-            if self.cycles >= limit_cycles || log.insns() >= max_insns {
+            if budget.spent(self.cycles, log) {
                 return Some(SegmentStop::Budget);
             }
             self.regs[PC] = spin_pc;
-            self.tick_peripherals(2, bus);
-            log.push(2);
+            self.retire(2, log, bus);
             if !self.periph.spi_busy() {
                 return completed(self);
             }
@@ -636,6 +700,101 @@ impl Mcu {
                 return None;
             }
         }
+    }
+
+    /// Whether the call at the PC may run as one fused [`SpiXfer`] step:
+    /// the SPI engine is idle, so nothing completes before the helper's
+    /// own transfer, and the return address the call pushes lands outside
+    /// both the peripheral window (where it could move a pin) and the
+    /// decoded span (where it would trip the self-modifying-code guard).
+    /// The caller also requires GIE clear, so no interrupt can enter
+    /// mid-exchange and SR keeps its mode bits throughout.
+    #[inline]
+    fn xfer_fuses(&self) -> bool {
+        let slot = self.regs[SP].wrapping_sub(2);
+        !self.periph.spi_busy() && !Peripherals::owns(slot) && !self.uop_span.covers(slot)
+    }
+
+    /// Runs a call into an [`SpiXfer`] helper as one step: `call`, the
+    /// `mov.b` that starts the transfer, the busy-wait (fused as in
+    /// [`exec_spi_spin`](Self::exec_spi_spin)), the poll that reads 0, the
+    /// `jnz` that falls through, the `mov.b` of the reply and `ret`. Each
+    /// instruction replays its exact effects, flags, cycle cost,
+    /// peripheral tick and log entry, after the budget check the stream
+    /// makes before it, with no dispatch, decode lookup or observable
+    /// comparison in between: under [`xfer_fuses`](Self::xfer_fuses) and
+    /// GIE clear, only the transfer's completion can move an observable.
+    ///
+    /// Returns `Continue` with the PC at the return address, or `Break`
+    /// with the PC exactly where single-stepping stops: before the
+    /// instruction a budget refuses, or after the tick whose completion
+    /// moved the draw epoch, mid-helper. The next segment then resumes
+    /// through the generic path.
+    fn exec_spi_xfer(
+        &mut self,
+        call: &crate::uops::UInsn,
+        xfer: SpiXfer,
+        budget: Budget,
+        log: &mut CycleLog,
+        bus: &mut dyn SpiDevice,
+    ) -> ControlFlow<SegmentStop> {
+        let refuse = |m: &Self, log: &CycleLog| {
+            if budget.spent(m.cycles, log) {
+                ControlFlow::Break(SegmentStop::Budget)
+            } else {
+                ControlFlow::Continue(())
+            }
+        };
+        // call #entry
+        self.regs[PC] = call.next_pc;
+        self.push(call.next_pc);
+        self.regs[PC] = xfer.entry;
+        self.retire(call.cycles, log, bus);
+        // mov.b rTX, &SPITX: starts the transfer, which outlasts this tick
+        refuse(self, log)?;
+        self.regs[PC] = xfer.poll();
+        let byte = self.regs[usize::from(xfer.tx)] as u8;
+        self.periph.write(io::SPITX, byte);
+        self.retire(SpiXfer::TX_CYCLES, log, bus);
+        // The busy-wait, through to the completion.
+        if let Some(stop) =
+            self.exec_spi_spin(SpiXfer::POLL_CYCLES, xfer.jump(), budget, log, false, bus)
+        {
+            return ControlFlow::Break(stop);
+        }
+        // The transfer completed without moving the draw epoch. A poll that
+        // still read 1 left its `jnz` to jump back.
+        if self.regs[PC] == xfer.jump() {
+            refuse(self, log)?;
+            self.regs[PC] = xfer.poll();
+            self.retire(SpiXfer::JUMP_CYCLES, log, bus);
+        }
+        // bit.b #1, &SPISTAT reads 0 ...
+        refuse(self, log)?;
+        self.regs[PC] = xfer.jump();
+        self.set_flags_logic(0, true, false);
+        self.retire(SpiXfer::POLL_CYCLES, log, bus);
+        // ... so the jnz falls through.
+        refuse(self, log)?;
+        self.regs[PC] = xfer.read();
+        self.retire(SpiXfer::JUMP_CYCLES, log, bus);
+        // mov.b &SPIRX, rRX
+        refuse(self, log)?;
+        self.regs[PC] = xfer.ret();
+        self.regs[usize::from(xfer.rx)] = u16::from(self.periph.read(io::SPIRX));
+        self.retire(SpiXfer::RX_CYCLES, log, bus);
+        // ret
+        refuse(self, log)?;
+        self.regs[PC] = self.pop();
+        self.retire(SpiXfer::RET_CYCLES, log, bus);
+        ControlFlow::Continue(())
+    }
+
+    /// Ticks the peripherals by one instruction's `cycles` and logs it.
+    #[inline]
+    fn retire(&mut self, cycles: u32, log: &mut CycleLog, bus: &mut dyn SpiDevice) {
+        self.tick_peripherals(cycles, bus);
+        log.push(cycles);
     }
 
     /// Fast-forwards through a low-power period: advances the clock by up
@@ -1742,6 +1901,122 @@ halt:   jmp halt
         };
         assert_eq!(c1, 1);
         assert_eq!(c2, 2);
+    }
+
+    /// An SP12-like slave: a conversion start and the low-byte read move
+    /// its draw, status polls read ready on the sixth poll.
+    #[derive(Default)]
+    struct Sp12Like {
+        converting: bool,
+        polls: u8,
+    }
+
+    impl SpiDevice for Sp12Like {
+        fn transfer(&mut self, mosi: u8) -> u8 {
+            self.transfer_observed(mosi).0
+        }
+
+        fn transfer_observed(&mut self, mosi: u8) -> (u8, bool) {
+            match mosi {
+                0xA0..=0xA3 => {
+                    let changed = !self.converting;
+                    self.converting = true;
+                    self.polls = 0;
+                    (0x00, changed)
+                }
+                0xF0 => {
+                    self.polls = self.polls.saturating_add(1);
+                    (u8::from(!self.converting || self.polls >= 6), false)
+                }
+                0xF2 => {
+                    let changed = self.converting;
+                    self.converting = false;
+                    (0x5C, changed)
+                }
+                _ => (0x0A, false),
+            }
+        }
+    }
+
+    /// Runs segments until the core sleeps.
+    fn run_to_sleep(mcu: &mut Mcu, bus: &mut dyn SpiDevice) {
+        let mut log = CycleLog::new();
+        loop {
+            log.clear();
+            match mcu.run_segment(u64::MAX, u64::MAX, &mut log, bus) {
+                SegmentStop::Sleeping(_) => return,
+                SegmentStop::Observable => {}
+                other => panic!("stopped on {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn every_tpms_exchange_runs_fused() {
+        let image = crate::firmware::tpms_app(0x42).expect("firmware builds");
+        let mut mcu = Mcu::new();
+        mcu.load(&image);
+        mcu.reset();
+        let mut bus = Sp12Like::default();
+        run_to_sleep(&mut mcu, &mut bus);
+        mcu.xfers = XferTally::default();
+        mcu.drive_p1(0, true); // the SP12's wake line
+        run_to_sleep(&mut mcu, &mut bus);
+        // Four conversions (a start, six status polls, two reads each) and
+        // a 13-byte frame: 49 exchanges, every one a single fused step.
+        assert_eq!(
+            mcu.xfers,
+            XferTally {
+                fused: 49,
+                generic: 0
+            }
+        );
+    }
+
+    #[test]
+    fn helper_calls_fall_back_when_a_precondition_fails() {
+        let cases = [
+            ("preconditions hold", "", 1),
+            ("GIE set", "eint", 0),
+            ("SPI busy", "mov.b #0x11, &0x0040", 0),
+            (
+                "return address in the peripheral window",
+                "mov #0x0023, sp",
+                0,
+            ),
+            ("return address in the decoded span", "mov #0xF0F0, sp", 0),
+        ];
+        for (why, setup, fused) in cases {
+            let mut mcu = boot(&format!(
+                ".org 0xF000\n\
+                 start: mov #0x0A00, sp\n\
+                 {setup}\n\
+                 call #0xF100\n\
+                 mov #1, r9\n\
+                 halt: jmp halt\n\
+                 .org 0xF100\n\
+                 mov.b r4, &0x0040\n\
+                 wait: bit.b #1, &0x0042\n\
+                 jnz wait\n\
+                 mov.b &0x0041, r5\n\
+                 ret\n\
+                 .vector reset, start\n"
+            ));
+            let mut log = CycleLog::new();
+            while mcu.cycles() < 200 {
+                log.clear();
+                mcu.run_segment(200, u64::MAX, &mut log, &mut FloatingBus);
+            }
+            assert_eq!(
+                mcu.xfers,
+                XferTally {
+                    fused,
+                    generic: 1 - fused
+                },
+                "{why}"
+            );
+            assert_eq!((mcu.register(5), mcu.register(9)), (0xFF, 1), "{why}");
+        }
     }
 
     #[test]

@@ -15,7 +15,13 @@
 //!   `reti` and anything that can write SR — between markers the status
 //!   register cannot change, which is what lets
 //!   [`Mcu::run_segment`](crate::cpu::Mcu::run_segment) stream a block
-//!   without re-checking the sleep/fault state per instruction.
+//!   without re-checking the sleep/fault state per instruction;
+//! * an `observe` flag on every micro-op that can move a pin or the
+//!   operating mode (memory writes that may reach the peripheral window,
+//!   SR writes, `reti`), so the stream compares observables only there;
+//! * a [`Fused`] hint on the heads of the two SPI idioms the segment runner
+//!   executes as one step: the busy-wait and a whole call into the shared
+//!   `spi_xfer` helper.
 //!
 //! Decoding reuses [`disasm::decode_one`] as the gatekeeper: an address
 //! gets a micro-op only if the disassembler decodes it, so the decoded
@@ -40,7 +46,8 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use crate::disasm;
 use crate::isa::{Condition, Format1Op, Format2Op};
-use crate::memory::{FlatMemory, Image};
+use crate::memory::{io, FlatMemory, Image};
+use crate::peripherals::Peripherals;
 
 /// A source operand with every static part resolved at decode time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,13 +135,91 @@ pub(crate) struct UInsn {
     /// Basic-block boundary: set on jumps, calls, `reti`, and any form
     /// that can write SR or PC. Between boundaries SR is invariant.
     pub ends_block: bool,
-    /// Head of the two-instruction SPI busy-wait idiom
-    /// (`bit.b #1, &SPISTAT` followed by a `jnz` straight back to it):
-    /// [`Mcu::run_segment`](crate::cpu::Mcu::run_segment) fast-forwards the
-    /// spin without per-iteration dispatch. Purely an execution hint —
-    /// `step` ignores it, and the fused loop replays the exact
-    /// per-instruction flags, cycles, and peripheral ticks.
-    pub spin_spi: bool,
+    /// Can move a segment observable (a GPIO output pin or the operating
+    /// mode): writes memory at a dynamic address or a static one in the
+    /// peripheral window, writes SR, or is `reti`. Every other micro-op
+    /// leaves the pins and the mode alone, so the segment runner skips
+    /// their comparison; the SPI draw epoch moves only in a peripheral
+    /// tick, which the runner checks on its own.
+    pub observe: bool,
+    /// The fused idiom this instruction heads, if any.
+    pub fused: Fused,
+}
+
+/// An idiom [`Mcu::run_segment`](crate::cpu::Mcu::run_segment) runs as one
+/// step. Purely an execution hint: `step` ignores it, and each fused step
+/// replays the exact per-instruction flags, cycles, peripheral ticks and
+/// log entries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Fused {
+    /// Not the head of a fused idiom.
+    No,
+    /// The SPI busy-wait: `bit.b #1, &SPISTAT` followed by a `jnz`
+    /// straight back to it, fast-forwarded without per-iteration dispatch.
+    SpiSpin,
+    /// `call #entry` into an `spi_xfer`-shaped helper: the whole exchange,
+    /// call to `ret`, runs as one step. The payload indexes the helper in
+    /// [`UopCache::xfer`]: stored inline, the helper would widen every
+    /// micro-op from 20 to 24 bytes, and a fleet keeps one decoded table
+    /// per firmware variant.
+    SpiXfer(u8),
+}
+
+/// An `spi_xfer`-shaped helper, resolved once at decode:
+///
+/// ```text
+/// entry:      mov.b rTX, &SPITX
+/// entry + 4:  bit.b #1, &SPISTAT      ; the fused busy-wait
+/// entry + 8:  jnz entry + 4
+/// entry + 10: mov.b &SPIRX, rRX       ; rRX is neither PC, SP nor SR
+/// entry + 14: ret
+/// ```
+///
+/// The layout and every cycle cost follow from the shape (the poll's `#1`
+/// comes from the constant generator), so the helper is the entry and the
+/// two registers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SpiXfer {
+    /// The helper's first instruction.
+    pub entry: u16,
+    /// The register whose low byte goes out on the bus.
+    pub tx: u8,
+    /// The register the reply byte lands in.
+    pub rx: u8,
+}
+
+impl SpiXfer {
+    /// `mov.b rTX, &SPITX`: register source, absolute destination.
+    pub const TX_CYCLES: u32 = 4;
+    /// `bit.b #1, &SPISTAT`: constant-generator source, absolute
+    /// destination.
+    pub const POLL_CYCLES: u32 = 4;
+    /// `jnz`, taken or not.
+    pub const JUMP_CYCLES: u32 = 2;
+    /// `mov.b &SPIRX, rRX`: absolute source, register destination.
+    pub const RX_CYCLES: u32 = 3;
+    /// `ret` (`mov @sp+, pc`).
+    pub const RET_CYCLES: u32 = 3;
+
+    /// The busy-wait's poll.
+    pub fn poll(self) -> u16 {
+        self.entry.wrapping_add(4)
+    }
+
+    /// The busy-wait's `jnz`.
+    pub fn jump(self) -> u16 {
+        self.entry.wrapping_add(8)
+    }
+
+    /// `mov.b &SPIRX, rRX`.
+    pub fn read(self) -> u16 {
+        self.entry.wrapping_add(10)
+    }
+
+    /// `ret`.
+    pub fn ret(self) -> u16 {
+        self.entry.wrapping_add(14)
+    }
 }
 
 /// The bytes a [`UopCache`] was decoded from. A plain copy of the cache's
@@ -163,6 +248,9 @@ pub(crate) struct UopCache {
     base: u16,
     /// One slot per word from `base`; `None` where no instruction decodes.
     slots: Vec<Option<UInsn>>,
+    /// The `spi_xfer`-shaped helpers calls are fused into, in order of
+    /// first call site.
+    xfers: Vec<SpiXfer>,
 }
 
 impl UopCache {
@@ -175,6 +263,12 @@ impl UopCache {
             return None;
         }
         self.slots.get(usize::from(off >> 1)).copied().flatten()
+    }
+
+    /// The helper a [`Fused::SpiXfer`] call indexes.
+    #[inline]
+    pub(crate) fn xfer(&self, index: u8) -> Option<SpiXfer> {
+        self.xfers.get(usize::from(index)).copied()
     }
 
     /// The flash span the table was decoded from.
@@ -197,6 +291,7 @@ impl UopCache {
             return Self {
                 base: 0,
                 slots: Vec::new(),
+                xfers: Vec::new(),
             };
         };
         // Pad the top so `covers` also catches writes to extension words
@@ -242,8 +337,13 @@ impl UopCache {
                 *slot = Some(u);
             }
         }
-        let mut cache = Self { base: lo, slots };
+        let mut cache = Self {
+            base: lo,
+            slots,
+            xfers: Vec::new(),
+        };
         cache.mark_spi_spins();
+        cache.mark_spi_xfers();
         cache
     }
 
@@ -254,8 +354,6 @@ impl UopCache {
     /// own independent slots, so single-stepping and direct jumps into the
     /// `jnz` are unaffected.
     fn mark_spi_spins(&mut self) {
-        use crate::isa::Format1Op;
-        use crate::memory::io;
         for i in 0..self.slots.len() {
             let Some(u) = self.slots[i] else { continue };
             let head = self.base.wrapping_add((i * 2) as u16);
@@ -283,10 +381,96 @@ impl UopCache {
             );
             if loops_back {
                 if let Some(slot) = self.slots.get_mut(i).and_then(|s| s.as_mut()) {
-                    slot.spin_spi = true;
+                    slot.fused = Fused::SpiSpin;
                 }
             }
         }
+    }
+
+    /// Fusion pass, after [`mark_spi_spins`](Self::mark_spi_spins): flags
+    /// each `call #entry` whose target is an [`SpiXfer`]-shaped helper. The
+    /// helpers are matched here, once per image, not on every call.
+    fn mark_spi_xfers(&mut self) {
+        for i in 0..self.slots.len() {
+            let Some(UInsn {
+                op:
+                    UOp::Fmt2 {
+                        op: Format2Op::Call,
+                        src: SrcOp::Const(entry),
+                        ..
+                    },
+                ..
+            }) = self.slots[i]
+            else {
+                continue;
+            };
+            let known = self.xfers.iter().position(|x| x.entry == entry);
+            let Some(index) = known.or_else(|| {
+                let xfer = self.spi_xfer_at(entry)?;
+                self.xfers.push(xfer);
+                Some(self.xfers.len() - 1)
+            }) else {
+                continue;
+            };
+            let (Ok(index), Some(slot)) = (
+                u8::try_from(index),
+                self.slots.get_mut(i).and_then(|s| s.as_mut()),
+            ) else {
+                continue; // past 256 helpers: the call runs unfused
+            };
+            slot.fused = Fused::SpiXfer(index);
+        }
+    }
+
+    /// The helper at `entry`, if the code there has the exact
+    /// [`SpiXfer`] shape.
+    fn spi_xfer_at(&self, entry: u16) -> Option<SpiXfer> {
+        let tx = match self.lookup(entry)? {
+            UInsn {
+                op:
+                    UOp::Fmt1 {
+                        op: Format1Op::Mov,
+                        byte: true,
+                        src: SrcOp::Reg(tx),
+                        dst: DstOp::Mem(io::SPITX),
+                    },
+                next_pc,
+                ..
+            } if next_pc == entry.wrapping_add(4) => tx,
+            _ => return None,
+        };
+        let shape = SpiXfer { entry, tx, rx: 0 };
+        // The spin pass already checked that a `jnz` straight back to the
+        // poll follows it; a 4-byte poll puts that `jnz` at `entry + 8`.
+        let poll = self.lookup(shape.poll())?;
+        if poll.fused != Fused::SpiSpin || poll.next_pc != shape.jump() {
+            return None;
+        }
+        let rx = match self.lookup(shape.read())? {
+            UInsn {
+                op:
+                    UOp::Fmt1 {
+                        op: Format1Op::Mov,
+                        byte: true,
+                        src: SrcOp::Abs(io::SPIRX),
+                        dst: DstOp::Reg(rx),
+                    },
+                next_pc,
+                ..
+            } if next_pc == shape.ret() && rx != 1 && rx != 2 => rx,
+            _ => return None,
+        };
+        let ret = self.lookup(shape.ret())?;
+        let is_ret = matches!(
+            ret.op,
+            UOp::Fmt1 {
+                op: Format1Op::Mov,
+                byte: false,
+                src: SrcOp::AutoInc(1, 2),
+                dst: DstOp::PcReg(_),
+            }
+        );
+        is_ret.then_some(SpiXfer { rx, ..shape })
     }
 }
 
@@ -312,7 +496,8 @@ fn decode_at(mem: &FlatMemory, at: u16) -> Option<UInsn> {
             next_pc: at.wrapping_add(2),
             cycles: 2,
             ends_block: true,
-            spin_spi: false,
+            observe: false,
+            fused: Fused::No,
         });
     }
 
@@ -325,7 +510,8 @@ fn decode_at(mem: &FlatMemory, at: u16) -> Option<UInsn> {
                 next_pc: at.wrapping_add(2),
                 cycles: 5,
                 ends_block: true,
-                spin_spi: false,
+                observe: true, // pops SR
+                fused: Fused::No,
             });
         }
         let byte = (word >> 6) & 1 != 0;
@@ -345,6 +531,13 @@ fn decode_at(mem: &FlatMemory, at: u16) -> Option<UInsn> {
                 Format2Op::Rrc | Format2Op::Rra | Format2Op::Swpb | Format2Op::Sxt
             );
         let ends_block = op == Format2Op::Call || (reg_result && (reg == 0 || reg == 2));
+        // `push` and `call` write the stack; the rest write back to their
+        // operand's address, or to the register field when there is none.
+        let observe = match op {
+            Format2Op::Push | Format2Op::Call => true,
+            _ if reg_result => reg == 2,
+            _ => writes_peripherals(src),
+        };
         debug_assert_eq!(decoded.size, 2 + 2 * ext);
         return Some(UInsn {
             op: UOp::Fmt2 {
@@ -356,7 +549,8 @@ fn decode_at(mem: &FlatMemory, at: u16) -> Option<UInsn> {
             next_pc: at.wrapping_add(2 + 2 * ext),
             cycles: base + src_cycles,
             ends_block,
-            spin_spi: false,
+            observe,
+            fused: Fused::No,
         });
     }
 
@@ -396,14 +590,33 @@ fn decode_at(mem: &FlatMemory, at: u16) -> Option<UInsn> {
         cycles += 1; // writing the PC costs an extra cycle
     }
     let ends_block = op.writes_back() && matches!(dst, DstOp::PcReg(_) | DstOp::Reg(2));
+    let observe = op.writes_back()
+        && match dst {
+            DstOp::Reg(r) => r == 2,
+            DstOp::PcReg(_) => false,
+            DstOp::Mem(a) => Peripherals::owns(a),
+            DstOp::Indexed(..) => true,
+        };
     debug_assert_eq!(decoded.size, 2 + 2 * (src_ext + dst_ext));
     Some(UInsn {
         op: UOp::Fmt1 { op, byte, src, dst },
         next_pc: at.wrapping_add(2 + 2 * (src_ext + dst_ext)),
         cycles,
         ends_block,
-        spin_spi: false,
+        observe,
+        fused: Fused::No,
     })
+}
+
+/// Whether writing back to a format-II operand can reach the peripheral
+/// window: a static address inside it, or any address computed at run
+/// time. Register and constant operands have no address.
+fn writes_peripherals(src: SrcOp) -> bool {
+    match src {
+        SrcOp::Const(_) | SrcOp::Reg(_) => false,
+        SrcOp::Abs(a) => Peripherals::owns(a),
+        SrcOp::Indexed(..) | SrcOp::Indirect(_) | SrcOp::AutoInc(..) => true,
+    }
 }
 
 /// Decodes a source operand. Returns `(op, extension words, extra cycles)`
@@ -627,6 +840,136 @@ mod tests {
         let cc = cache_for(&c);
         assert!(Arc::ptr_eq(&ca, &cb), "identical images share one cache");
         assert!(!Arc::ptr_eq(&ca, &cc), "different images do not");
+    }
+
+    /// A program that calls the helper `body` at `0xF100`.
+    fn helper_image(body: &str) -> Image {
+        image(&format!(
+            ".org 0xF000\n\
+             start: mov #0x0A00, r1\n\
+             call #0xF100\n\
+             jmp start\n\
+             .org 0xF100\n\
+             {body}\n\
+             .vector reset, start\n"
+        ))
+    }
+
+    const HELPER: &str = "mov.b r4, &0x0040\n\
+                          wait: bit.b #1, &0x0042\n\
+                          jnz wait\n\
+                          mov.b &0x0041, r5\n\
+                          ret";
+
+    #[test]
+    fn stock_helper_calls_are_fused_once_per_image() {
+        let img = crate::firmware::tpms_app(0x42).expect("firmware builds");
+        let cache = UopCache::build(&img);
+        let calls: Vec<Fused> = cache
+            .slots
+            .iter()
+            .flatten()
+            .filter(|u| {
+                matches!(
+                    u.op,
+                    UOp::Fmt2 {
+                        op: Format2Op::Call,
+                        ..
+                    }
+                )
+            })
+            .map(|u| u.fused)
+            .collect();
+        // Ten call sites of `spi_xfer` and one of `transmit`.
+        let fused = calls.iter().filter(|f| **f == Fused::SpiXfer(0)).count();
+        assert_eq!(fused, 10, "every helper call site is fused");
+        assert!(calls.contains(&Fused::No), "`call #transmit` stays plain");
+        assert_eq!(cache.xfers.len(), 1, "one helper, resolved once");
+        let xfer = cache.xfer(0).expect("the helper");
+        assert_eq!((xfer.tx, xfer.rx), (4, 5));
+        assert_eq!(
+            cache.lookup(xfer.poll()).map(|u| u.fused),
+            Some(Fused::SpiSpin)
+        );
+    }
+
+    #[test]
+    fn helper_shape_is_matched_exactly() {
+        let fused = |body: &str| {
+            UopCache::build(&helper_image(body))
+                .lookup(0xF004)
+                .map(|u| u.fused)
+        };
+        assert_eq!(fused(HELPER), Some(Fused::SpiXfer(0)));
+        let near_misses = [
+            ("ret becomes reti", HELPER.replace("ret", "reti")),
+            ("reply lands in SR", HELPER.replace("r5", "sr")),
+            ("reply lands in SP", HELPER.replace("r5", "sp")),
+            (
+                "spin does not loop back",
+                HELPER.replace("jnz wait", "jnz 0xF10A"),
+            ),
+            (
+                "spin polls another bit",
+                HELPER.replace("#1, &0x0042", "#2, &0x0042"),
+            ),
+            (
+                "TX byte from a constant",
+                HELPER.replace("r4, &0x0040", "#7, &0x0040"),
+            ),
+            (
+                "word-wide reply",
+                HELPER.replace("mov.b &0x0041", "mov &0x0041"),
+            ),
+        ];
+        for (why, body) in &near_misses {
+            assert_eq!(fused(body), Some(Fused::No), "{why}");
+        }
+    }
+
+    #[test]
+    fn observe_flags_mark_what_can_move_a_pin_or_the_mode() {
+        let img = image(
+            ".org 0xF000\n\
+             mov r4, r5\n\
+             mov.b #1, &0x0021\n\
+             mov #1, &0x0200\n\
+             mov r4, 0(r5)\n\
+             bis #8, sr\n\
+             push r4\n\
+             cmp.b #1, &0x0021\n\
+             rrc &0x0200\n\
+             rrc 0(r4)\n\
+             rrc sr\n\
+             jmp 0xF000\n\
+             reti\n",
+        );
+        let cache = UopCache::build(&img);
+        // Walk the program instruction by instruction.
+        let mut flags = Vec::new();
+        let mut pc = 0xF000;
+        while let Some(u) = cache.lookup(pc) {
+            flags.push(u.observe);
+            if u.op == UOp::Reti {
+                break;
+            }
+            pc = u.next_pc;
+        }
+        let expected = [
+            false, // register move
+            true,  // P1OUT write
+            false, // RAM write at a static address
+            true,  // indexed write
+            true,  // SR write
+            true,  // push
+            false, // compare writes nothing
+            false, // RAM read-modify-write
+            true,  // indexed read-modify-write
+            true,  // rotate SR
+            false, // jump
+            true,  // reti pops SR
+        ];
+        assert_eq!(flags, expected);
     }
 
     #[test]

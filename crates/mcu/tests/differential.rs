@@ -397,15 +397,64 @@ fn reference_segment(
     }
 }
 
+/// Runs one segment on both cores: [`Mcu::run_segment`] on the decoded
+/// core into `log`, the reference loop on the interpreter core. Asserts
+/// that they stop for the same reason with the same per-instruction costs,
+/// registers, clock, mode and draw epoch, and returns the stop.
+fn lockstep_segment(
+    pair: &mut Pair,
+    limit_cycles: u64,
+    max_insns: usize,
+    log: &mut CycleLog,
+    context: &str,
+) -> SegmentStop {
+    log.clear();
+    let mut db = Vec::new();
+    let a = pair
+        .dec
+        .run_segment(limit_cycles, max_insns as u64, log, &mut *pair.dec_bus);
+    let b = reference_segment(
+        &mut pair.int,
+        limit_cycles,
+        max_insns,
+        &mut db,
+        &mut *pair.int_bus,
+    );
+    let da: Vec<u32> = log.iter_insns().collect();
+    assert_eq!(a, b, "{context}: stop reasons diverged");
+    assert_eq!(da, db, "{context}: cycle logs diverged");
+    assert_eq!(
+        log.insns(),
+        db.len() as u64,
+        "{context}: instruction counts"
+    );
+    for r in 0..16 {
+        assert_eq!(
+            pair.dec.register(r),
+            pair.int.register(r),
+            "{context}: r{r} diverged"
+        );
+    }
+    assert_eq!(pair.dec.cycles(), pair.int.cycles(), "{context}: clocks");
+    assert_eq!(pair.dec.mode(), pair.int.mode(), "{context}: modes");
+    assert_eq!(
+        pair.dec.spi_draw_epoch(),
+        pair.int.spi_draw_epoch(),
+        "{context}: draw epochs"
+    );
+    a
+}
+
 #[test]
 fn run_segment_matches_single_stepping() {
     // The decoded core runs whole segments (block streaming plus the fused
-    // SPI spin); the interpreter core single-steps through the reference
-    // loop above. Ragged cycle/instruction budgets force segment splits at
-    // awkward points — including mid-spin — and every stop reason, expanded
-    // cycle log, register file, and memory image must agree. The echo slave
-    // reports every completion as a change; the SP12-like one only some, so
-    // spins also run through completions inside a segment.
+    // SPI spin and exchange); the interpreter core single-steps through the
+    // reference loop above. Ragged cycle/instruction budgets force segment
+    // splits at awkward points — including mid-spin — and every stop
+    // reason, expanded cycle log, register file, and memory image must
+    // agree. The echo slave reports every completion as a change; the
+    // SP12-like one only some, so spins also run through completions
+    // inside a segment.
     let images: Vec<(&str, Image)> = vec![
         ("tpms", firmware::tpms_app(0x42).expect("tpms builds")),
         ("beacon", firmware::beacon_app(3, 2).expect("beacon builds")),
@@ -420,25 +469,13 @@ fn run_segment_matches_single_stepping() {
                 pair.attach_echo_spi();
             }
             let mut log = CycleLog::new();
-            let mut db = Vec::new();
             let mut spun = 0;
             for seg in 0..4_000usize {
                 let limit = pair.dec.cycles() + 23 + (seg % 977) as u64;
                 let max_insns = 1 + seg % 63;
-                log.clear();
-                db.clear();
-                let a = pair
-                    .dec
-                    .run_segment(limit, max_insns as u64, &mut log, &mut *pair.dec_bus);
-                let b =
-                    reference_segment(&mut pair.int, limit, max_insns, &mut db, &mut *pair.int_bus);
-                let da: Vec<u32> = log.iter_insns().collect();
-                assert_eq!(a, b, "{name} segment {seg}: stop reasons diverged");
-                assert_eq!(da, db, "{name} segment {seg}: cycle logs diverged");
-                assert_eq!(log.insns(), db.len() as u64);
+                let context = format!("{name} segment {seg}");
+                let a = lockstep_segment(&mut pair, limit, max_insns, &mut log, &context);
                 spun += log.runs().len();
-                pair.assert_registers(seg);
-                assert_eq!(pair.dec.spi_draw_epoch(), pair.int.spi_draw_epoch());
                 if let SegmentStop::Sleeping(_) = a {
                     pair.sleep(997, seg);
                     if seg % 5 == 0 {
@@ -462,6 +499,228 @@ fn run_segment_matches_single_stepping() {
             pair.assert_memory("after segments");
         }
     }
+}
+
+/// Where the exchange programs below place their helper.
+const HELPER_AT: u16 = 0xF100;
+
+/// The stock firmware's `spi_xfer` helper, for [`HELPER_AT`].
+const HELPER: &str = "
+        mov.b r4, &0x0040       ; SPITX
+wait:   bit.b #1, &0x0042       ; SPISTAT busy?
+        jnz wait
+        mov.b &0x0041, r5       ; SPIRX
+        ret";
+
+/// A program that calls the helper `helper` at [`HELPER_AT`] in a loop,
+/// with the SPI clock divider `1 << div`. `setup` runs once before the
+/// loop and `pre_call` before every call. Timer A's interrupt counts in
+/// r10.
+fn xfer_program(div: u8, setup: &str, pre_call: &str, helper: &str) -> Image {
+    asm::assemble(&format!(
+        "
+        .org 0xF000
+start:  mov #0x0A00, sp
+        mov.b #0x30, &0x0022    ; P1DIR
+        mov.b #{div}, &0x0043   ; SPICTL
+        clr r6
+        {setup}
+loop:   mov r6, r4
+        {pre_call}
+        call #{HELPER_AT:#06x}
+        add r5, r7
+        inc r6
+        jmp loop
+tisr:   inc r10
+        reti
+        .org {HELPER_AT:#06x}
+        {helper}
+        .vector reset, start
+        .vector timera, tisr
+        "
+    ))
+    .expect("exchange program assembles")
+}
+
+#[test]
+fn budget_stops_land_on_every_boundary_of_a_fused_exchange() {
+    // Start each run with the PC on the first `call`, then stop the first
+    // segment after every possible cycle count and every possible
+    // instruction count inside the exchange, and check that the next
+    // segment resumes in lockstep. Divider 1 completes the transfer in the
+    // first poll; divider 32 spins long enough for the bulk fast-forward.
+    for div in [0u8, 5] {
+        let image = xfer_program(div, "", "", HELPER);
+        // `call #imm` encodes as 0x12B0.
+        let at_call = || {
+            let mut pair = Pair::boot(&image);
+            let mut i = 0;
+            while pair.dec.read_mem16(pair.dec.register(0)) != 0x12B0 {
+                pair.step(i);
+                i += 1;
+            }
+            pair
+        };
+        let span = 8u64 << div;
+        let mut log = CycleLog::new();
+        for cycles in 0..=span + 32 {
+            let mut pair = at_call();
+            let start = pair.dec.cycles();
+            let context = format!("divider {div}, {cycles} cycles");
+            lockstep_segment(&mut pair, start + cycles, usize::MAX, &mut log, &context);
+            lockstep_segment(&mut pair, start + 4 * span, usize::MAX, &mut log, &context);
+        }
+        for insns in 1..=span as usize + 16 {
+            let mut pair = at_call();
+            let start = pair.dec.cycles();
+            let context = format!("divider {div}, {insns} instructions");
+            lockstep_segment(&mut pair, u64::MAX, insns, &mut log, &context);
+            lockstep_segment(&mut pair, start + 4 * span, usize::MAX, &mut log, &context);
+            pair.assert_memory(&context);
+        }
+    }
+}
+
+/// Runs ragged lockstep segments over an exchange program and compares
+/// memory at the end.
+fn exchange_program_in_lockstep(pair: &mut Pair, segments: usize, context: &str) {
+    let mut log = CycleLog::new();
+    for seg in 0..segments {
+        let limit = pair.dec.cycles() + 17 + (seg % 331) as u64;
+        let max_insns = 1 + seg % 97;
+        let context = format!("{context}, segment {seg}");
+        if let SegmentStop::Fault { .. } =
+            lockstep_segment(pair, limit, max_insns, &mut log, &context)
+        {
+            break;
+        }
+    }
+    pair.assert_memory(context);
+}
+
+#[test]
+fn exchanges_that_cannot_fuse_run_identically() {
+    // Each case breaks one precondition of the fused exchange, so its calls
+    // take the generic path (the crate's unit tests count which path ran);
+    // the control case keeps them all and latches timer interrupts
+    // mid-exchange with GIE clear.
+    let timer = "mov #3, &0x0062
+ mov.b #3, &0x0060";
+    let cases = [
+        ("timer latching, GIE clear", timer.to_string(), ""),
+        (
+            "GIE set, timer firing mid-helper",
+            format!(
+                "{timer}
+ eint"
+            ),
+            "",
+        ),
+        (
+            "SPI busy at the call",
+            String::new(),
+            "mov.b #0x11, &0x0040",
+        ),
+        (
+            "stack in the peripheral window",
+            "mov #0x0023, sp".into(),
+            "",
+        ),
+        ("stack in the decoded span", "mov #0xF0F0, sp".into(), ""),
+    ];
+    for div in [0u8, 5] {
+        for (why, setup, pre_call) in &cases {
+            let image = xfer_program(div, setup, pre_call, HELPER);
+            for echo in [false, true] {
+                let mut pair = Pair::boot(&image);
+                if echo {
+                    pair.attach_echo_spi();
+                }
+                let context = format!("{why}, divider {div}, echo {echo}");
+                exchange_program_in_lockstep(&mut pair, 1_500, &context);
+            }
+        }
+    }
+}
+
+#[test]
+fn draw_epoch_change_ends_a_segment_mid_helper() {
+    // The echo slave moves the draw epoch on every completion, so every
+    // exchange ends its segment inside the helper, after the tick that
+    // completed the transfer; the next segment must resume exactly there.
+    for div in [0u8, 5] {
+        let image = xfer_program(div, "", "", HELPER);
+        let mut pair = Pair::boot(&image);
+        pair.attach_echo_spi();
+        let mut log = CycleLog::new();
+        let mut mid_helper = 0;
+        for seg in 0..400 {
+            let context = format!("divider {div}, segment {seg}");
+            let stop = lockstep_segment(&mut pair, u64::MAX, usize::MAX, &mut log, &context);
+            assert_eq!(stop, SegmentStop::Observable, "{context}");
+            let pc = pair.dec.register(0);
+            mid_helper += usize::from((HELPER_AT + 4..HELPER_AT + 16).contains(&pc));
+        }
+        assert_eq!(
+            mid_helper, 400,
+            "divider {div}: every stop lands mid-helper"
+        );
+        pair.assert_memory("after mid-helper stops");
+    }
+}
+
+#[test]
+fn near_miss_helpers_run_unfused_in_lockstep() {
+    let near_misses = [
+        ("ret becomes reti", HELPER.replace("ret", "reti")),
+        (
+            "reply lands in SR",
+            HELPER.replace("r5       ;", "sr       ;"),
+        ),
+        (
+            "spin does not loop back",
+            HELPER.replace("jnz wait", "jnz 0xF10A"),
+        ),
+    ];
+    for (why, helper) in &near_misses {
+        assert_ne!(helper, HELPER, "{why}: the variant must differ");
+        let image = xfer_program(5, "", "", helper);
+        for echo in [false, true] {
+            let mut pair = Pair::boot(&image);
+            if echo {
+                pair.attach_echo_spi();
+            }
+            exchange_program_in_lockstep(&mut pair, 1_000, &format!("{why}, echo {echo}"));
+        }
+    }
+}
+
+#[test]
+fn beacon_timer_ticks_through_fused_exchanges() {
+    // The beacon firmware samples and transmits from its Timer A ISR, so
+    // every exchange runs with GIE clear and the timer counting. Period 1:
+    // every fire runs a burst. Sleep each pair to the next fire, then run
+    // the burst in whole segments.
+    let image = firmware::beacon_app(3, 1).expect("beacon builds");
+    let mut pair = Pair::boot(&image);
+    pair.attach_echo_spi();
+    let mut log = CycleLog::new();
+    let mut bursts = 0;
+    for seg in 0..2_000 {
+        let context = format!("beacon segment {seg}");
+        let limit = pair.dec.cycles() + 50_000;
+        if let SegmentStop::Sleeping(_) =
+            lockstep_segment(&mut pair, limit, usize::MAX, &mut log, &context)
+        {
+            bursts += 1;
+            if bursts > 4 {
+                break;
+            }
+            pair.sleep(2_000_000, seg);
+        }
+    }
+    assert!(bursts > 4, "the beacon ran only {bursts} bursts");
+    pair.assert_memory("after beacon bursts");
 }
 
 #[test]

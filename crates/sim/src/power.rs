@@ -314,8 +314,9 @@ impl PowerLedger {
     /// segment (nothing else executes), so each load adds `delta(c) =
     /// watts * dt(c)` per instruction of cost `c`, where `watts = voltage *
     /// current` is exactly the first product `advance_to`'s left-to-right
-    /// `voltage * current * dt` forms. The replay counts the segment's
-    /// instructions per cycle cost, and each load then adds
+    /// `voltage * current * dt` forms. The log counts the segment's
+    /// instructions per cycle cost as it is written (a log holding a cost
+    /// past the counted range is recounted here), and each load then adds
     /// `Σ count(c) · round(delta(c) / ulp)` ulps to its energy in integer
     /// mantissa arithmetic: inside one binade, away from half-ulp ties,
     /// the rounding of an add does not depend on the accumulator, so the
@@ -325,34 +326,42 @@ impl PowerLedger {
     /// records in closed form — again bit-identically. An empty log is a
     /// no-op.
     pub fn advance_log(&mut self, log: &CycleLog) {
-        self.replay(&log.costs, &log.runs);
+        self.replay(&log.costs, &log.runs, log.counts());
     }
 
     /// [`advance_log`](Self::advance_log) over a plain list of
     /// per-instruction cycle costs (a log without repeated records).
     pub fn advance_deltas(&mut self, deltas: &[u32]) {
-        self.replay(deltas, &[]);
+        self.replay(deltas, &[], None);
     }
 
     /// The replay behind [`advance_log`](Self::advance_log): `costs` are
     /// single instructions, and each of `runs` sits before `costs[run.at]`.
-    fn replay(&mut self, costs: &[u32], runs: &[CycleRun]) {
+    /// `counted` tallies them per cycle cost when the log kept that tally;
+    /// otherwise the replay counts them itself.
+    fn replay(&mut self, costs: &[u32], runs: &[CycleRun], counted: Option<&[u64]>) {
         if costs.is_empty() && runs.is_empty() {
             return;
         }
-        let mut counts = core::mem::take(&mut self.scratch_counts);
+        let mut scratch = core::mem::take(&mut self.scratch_counts);
         let mut watts = core::mem::take(&mut self.scratch_watts);
         let mut pattern = core::mem::take(&mut self.scratch_pattern);
-        counts.clear();
-        for &c in costs {
-            count(&mut counts, c, 1);
-        }
-        for run in runs {
-            for c in run.pattern {
-                count(&mut counts, c, u64::from(run.reps));
+        let counts = match counted {
+            Some(counts) => counts,
+            None => {
+                scratch.clear();
+                for &c in costs {
+                    count(&mut scratch, c, 1);
+                }
+                for run in runs {
+                    for c in run.pattern {
+                        count(&mut scratch, c, u64::from(run.reps));
+                    }
+                }
+                &scratch
             }
-        }
-        let cycles: u64 = (0u64..).zip(&counts).map(|(c, &n)| c * n).sum();
+        };
+        let cycles: u64 = (0u64..).zip(counts).map(|(c, &n)| c * n).sum();
         let end = SimTime::from_nanos(self.now.as_nanos() + cycles * 1_000);
         if self.hot_dirty {
             self.rebuild_hot();
@@ -373,7 +382,7 @@ impl PowerLedger {
             };
             let one = core::slice::from_ref(w);
             let (energy, _closed) =
-                replay_one(load.energy.value(), one, &counts, costs, runs, &mut pattern);
+                replay_one(load.energy.value(), one, counts, costs, runs, &mut pattern);
             load.energy = Joules::new(energy);
             #[cfg(test)]
             self.replays.tally(_closed);
@@ -382,11 +391,11 @@ impl PowerLedger {
             // Per instruction the total adds every hot load's delta, in
             // hot-list order.
             let total = self.integrated_total.value();
-            let (total, _) = replay_one(total, &watts, &counts, costs, runs, &mut pattern);
+            let (total, _) = replay_one(total, &watts, counts, costs, runs, &mut pattern);
             self.integrated_total = Joules::new(total);
         }
         self.now = end;
-        self.scratch_counts = counts;
+        self.scratch_counts = scratch;
         self.scratch_watts = watts;
         self.scratch_pattern = pattern;
         self.debug_check_balance();
