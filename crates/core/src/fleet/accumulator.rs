@@ -21,7 +21,7 @@
 //! threaded and checkpoint/resumed runs bit-identical. The accumulator
 //! asserts the discipline instead of trusting its callers.
 
-use super::NodeOnAir;
+use super::{AirSlot, NodeOnAir};
 use picocube_sim::SimTime;
 use picocube_telemetry::TelemetryBuffer;
 use picocube_units::Dbm;
@@ -46,6 +46,19 @@ pub(crate) struct PacketRecord {
     pub bits: u32,
     /// Whether the uncorrupted frame passes the XOR checksum.
     pub decode_ok: bool,
+}
+
+impl PacketRecord {
+    /// The record as the capture sweep reads it.
+    #[inline]
+    pub(crate) fn air(&self) -> AirSlot {
+        AirSlot {
+            node: self.node as usize,
+            start: self.start,
+            end: self.end,
+            rx_dbm: self.rx_dbm,
+        }
+    }
 }
 
 /// The online fold over node results, and what a

@@ -120,6 +120,50 @@ impl FromJson for PacketRecord {
     }
 }
 
+/// Checks decoded records against what the fold could have produced:
+/// each interval ends no earlier than it starts, every node lies below the
+/// fold cursor, nodes never decrease (the fold absorbs them in order), and
+/// a node's starts strictly increase. The merge relies on the last two:
+/// they make `(start, node)` a unique sort key. Each error names `records`
+/// and the offending entry.
+fn check_records(records: &[PacketRecord], nodes_done: usize) -> Result<(), JsonError> {
+    let mut prev: Option<&PacketRecord> = None;
+    for (i, record) in records.iter().enumerate() {
+        let fail = |why: String| Err(JsonError::new(format!("records[{i}]: {why}")));
+        if record.end < record.start {
+            return fail(format!(
+                "end_ns {} is before start_ns {}",
+                record.end.as_nanos(),
+                record.start.as_nanos()
+            ));
+        }
+        if !usize::try_from(record.node).is_ok_and(|node| node < nodes_done) {
+            return fail(format!(
+                "node {} is not below nodes_done {nodes_done}",
+                record.node
+            ));
+        }
+        if let Some(prev) = prev {
+            if record.node < prev.node {
+                return fail(format!(
+                    "node {} follows node {}; records run in node order",
+                    record.node, prev.node
+                ));
+            }
+            if record.node == prev.node && record.start <= prev.start {
+                return fail(format!(
+                    "start_ns {} of node {} does not follow its previous start_ns {}",
+                    record.start.as_nanos(),
+                    record.node,
+                    prev.start.as_nanos()
+                ));
+            }
+        }
+        prev = Some(record);
+    }
+    Ok(())
+}
+
 /// A streaming fleet run cut between two nodes: the fold itself, bound
 /// to the configuration that produced it. Everything
 /// [`run_fleet_resumable`](super::run_fleet_resumable) needs to continue
@@ -207,7 +251,11 @@ impl FromJson for FleetCheckpoint {
     /// Reads a version-1 checkpoint. A `per_node` array, written by
     /// versions that kept per-node tallies in the fold, is ignored: the
     /// merge counts them from the records, and the fingerprint already
-    /// binds `per_node_stats`.
+    /// binds `per_node_stats`. Records the fold could not have produced
+    /// are rejected with an error naming `records`: an interval that ends
+    /// before it starts, a node at or past `nodes_done`, nodes out of
+    /// order, or a node whose starts do not strictly increase. So is a
+    /// `faulted` count above `nodes_done`.
     fn from_json(value: &Json) -> Result<Self, JsonError> {
         let version = u64::from_json(field(value, "version")?)?;
         if version != 1 {
@@ -220,19 +268,27 @@ impl FromJson for FleetCheckpoint {
         if nodes_done > nodes {
             return Err(JsonError::new("checkpoint cursor past the fleet size"));
         }
+        let faulted = usize::from_json(field(value, "faulted")?)?;
+        if faulted > nodes_done {
+            return Err(JsonError::new(format!(
+                "faulted {faulted} exceeds nodes_done {nodes_done}"
+            )));
+        }
         let mut telemetry =
             TelemetryBuffer::with_events(bool::from_json(field(value, "record_events")?)?);
         telemetry.metrics = Metrics::from_json(field(value, "metrics")?)?;
         for event in Vec::<Event>::from_json(field(value, "events")?)? {
             telemetry.record_for(event.node, event.t_ns, event.kind);
         }
+        let records = Vec::from_json(field(value, "records")?)?;
+        check_records(&records, nodes_done)?;
         Ok(Self {
             fingerprint: String::from_json(field(value, "fingerprint")?)?,
             nodes,
             acc: FleetAccumulator {
                 next_node: nodes_done,
-                faulted: usize::from_json(field(value, "faulted")?)?,
-                records: Vec::from_json(field(value, "records")?)?,
+                faulted,
+                records,
                 telemetry,
             },
         })

@@ -657,9 +657,16 @@ pub struct AirSlot {
 /// transmitter does not jam itself, and a node's own back-to-back frames
 /// are adjacent by construction.
 pub fn capture_sweep(slots: &[AirSlot], capture_margin: Db) -> Vec<bool> {
+    capture_sweep_by(slots, capture_margin, |slot| *slot)
+}
+
+/// [`capture_sweep`] over any `(start, node)`-sorted rows, each read as an
+/// [`AirSlot`] through `air`. The merge sweeps its packet records in place
+/// this way instead of copying them into slots first.
+fn capture_sweep_by<T>(slots: &[T], capture_margin: Db, air: impl Fn(&T) -> AirSlot) -> Vec<bool> {
     debug_assert!(
         slots.windows(2).all(|pair| match pair {
-            [a, b] => (a.start, a.node) <= (b.start, b.node),
+            [a, b] => (air(a).start, air(a).node) <= (air(b).start, air(b).node),
             _ => true,
         }),
         "capture_sweep input must be (start, node)-sorted"
@@ -681,7 +688,9 @@ pub fn capture_sweep(slots: &[AirSlot], capture_margin: Db) -> Vec<bool> {
         let Some((slot_i, strong_tail)) = std::mem::take(&mut strong_rest).split_first_mut() else {
             break;
         };
+        let entry_i = air(entry_i);
         for (entry_j, slot_j) in air_tail.iter().zip(strong_tail.iter_mut()) {
+            let entry_j = air(entry_j);
             if entry_j.start >= entry_i.end {
                 break;
             }
@@ -698,7 +707,7 @@ pub fn capture_sweep(slots: &[AirSlot], capture_margin: Db) -> Vec<bool> {
         .iter()
         .zip(&strongest)
         .map(|(entry, interferer)| {
-            interferer.is_some_and(|level| entry.rx_dbm.margin_over(level) < capture_margin)
+            interferer.is_some_and(|level| air(entry).rx_dbm.margin_over(level) < capture_margin)
         })
         .collect()
 }
@@ -768,28 +777,33 @@ fn merge_records(
     faulted_nodes: usize,
     telemetry: &mut TelemetryBuffer,
 ) -> FleetOutcome {
-    // Canonical order. Two packets from the same node cannot share a start
-    // time, so (start, node) is a total order independent of arrival order.
-    records.sort_by_key(|p| (p.start, p.node));
+    // Canonical order, independent of arrival order. The key is unique,
+    // because each node's starts strictly increase (the checkpoint decoder
+    // enforces this for records it reads), so the unstable sort, which
+    // needs no scratch copy of the records, leaves them where a stable one
+    // would.
+    records.sort_unstable_by_key(|p| (p.start, p.node));
+    debug_assert!(
+        records.windows(2).all(|pair| match pair {
+            [a, b] => (a.start, a.node) < (b.start, b.node),
+            _ => true,
+        }),
+        "two packet records share a (start, node) key"
+    );
 
-    let slots: Vec<AirSlot> = records
-        .iter()
-        .map(|p| AirSlot {
-            node: p.node as usize,
-            start: p.start,
-            end: p.end,
-            rx_dbm: p.rx_dbm,
-        })
-        .collect();
-    let mut fates = vec![PacketFate::Delivered; records.len()];
-    for (fate, collided) in fates
-        .iter_mut()
-        .zip(capture_sweep(&slots, config.capture_margin))
-    {
-        if collided {
-            *fate = PacketFate::Collided;
-        }
-    }
+    // The sweep reads the records in place; its flags become the fates in
+    // the same allocation.
+    let mut fates: Vec<PacketFate> =
+        capture_sweep_by(&records, config.capture_margin, PacketRecord::air)
+            .into_iter()
+            .map(|collided| {
+                if collided {
+                    PacketFate::Collided
+                } else {
+                    PacketFate::Delivered
+                }
+            })
+            .collect();
 
     // Channel trials for the survivors, from the dedicated merge stream.
     let receiver = SuperRegenReceiver::bwrc_issc05();
@@ -1601,5 +1615,97 @@ mod tests {
             parallelism: Parallelism::Threads(0),
             ..FleetConfig::default()
         });
+    }
+
+    /// A record on a coarse grid: starts and ends in 10 µs steps, so
+    /// equal starts across nodes and overlaps within one node are common,
+    /// and receive levels in 5 dB steps, so whole-dB capture margins tie
+    /// exactly.
+    fn record(node: u32, start: u64, len: u64, level: u64, bits: u32) -> PacketRecord {
+        PacketRecord {
+            node,
+            start: SimTime::from_micros(10 * start),
+            end: SimTime::from_micros(10 * (start + len)),
+            rx_dbm: Dbm::new(-50.0 - 5.0 * level as f64),
+            bits,
+            decode_ok: bits.is_multiple_of(2),
+        }
+    }
+
+    /// Records as the fold leaves them: nodes ascending, each node's starts
+    /// strictly increasing, every other field drawn freely.
+    fn fold_ordered(raw: Vec<(u32, u64, u64, u64, u32)>) -> Vec<PacketRecord> {
+        let mut node = 0;
+        let mut last_start: Option<u64> = None;
+        raw.into_iter()
+            .map(|(next_node, gap, len, level, bits)| {
+                if next_node == 1 {
+                    node += 1;
+                    last_start = None;
+                }
+                let start = last_start.map_or(gap, |prev| prev + 1 + gap % 8);
+                last_start = Some(start);
+                record(node, start, len, level, bits)
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// The merge's in-place sweep over records is `capture_sweep` over
+        /// their slots, flag for flag.
+        #[test]
+        fn projected_sweep_matches_capture_sweep(
+            raw in proptest::prop::collection::vec(
+                (0u32..4, 0u64..40, 1u64..30, 0u64..8, 0u32..200),
+                0..40,
+            ),
+            margin_db in 0u64..20,
+        ) {
+            let mut records: Vec<PacketRecord> = raw
+                .into_iter()
+                .map(|(node, start, len, level, bits)| record(node, start, len, level, bits))
+                .collect();
+            records.sort_by_key(|p| (p.start, p.node));
+            let slots: Vec<AirSlot> = records.iter().map(PacketRecord::air).collect();
+            let margin = Db::new(margin_db as f64);
+            proptest::prop_assert_eq!(
+                capture_sweep_by(&records, margin, PacketRecord::air),
+                capture_sweep(&slots, margin)
+            );
+        }
+
+        /// On fold-ordered records the `(start, node)` key is unique, so the
+        /// merge's unstable sort puts every record where a stable sort does.
+        #[test]
+        fn unstable_sort_matches_stable_sort_on_fold_order(
+            raw in proptest::prop::collection::vec(
+                (0u32..3, 0u64..40, 1u64..30, 0u64..8, 0u32..200),
+                0..60,
+            ),
+        ) {
+            let records = fold_ordered(raw);
+            let mut stable = records.clone();
+            stable.sort_by_key(|p| (p.start, p.node));
+            let mut unstable = records;
+            unstable.sort_unstable_by_key(|p| (p.start, p.node));
+            proptest::prop_assert_eq!(unstable, stable);
+        }
+    }
+
+    #[test]
+    fn projected_sweep_pins_a_tie_and_a_same_node_overlap() {
+        // The properties above draw these shapes often; pin one of each.
+        let records = [
+            record(0, 0, 10, 0, 8), // -50 dBm
+            record(1, 0, 10, 2, 8), // same start, another node, -60 dBm
+            record(1, 5, 10, 4, 8), // overlaps its own node's frame
+            record(2, 30, 10, 0, 8),
+            record(3, 35, 10, 2, 8), // exactly 10 dB under node 2
+        ];
+        let flags = capture_sweep_by(&records, Db::new(10.0), PacketRecord::air);
+        // Node 0 clears node 1's stronger frame by exactly the margin and
+        // captures; node 1's own frames do not jam each other, but both
+        // lose to node 0. Node 2 clears node 3 by exactly the margin.
+        assert_eq!(flags, [false, true, true, false, true]);
     }
 }

@@ -1985,6 +1985,8 @@ halt:   jmp halt
                 0,
             ),
             ("return address in the decoded span", "mov #0xF0F0, sp", 0),
+            // The vector table is data, outside the decoded span.
+            ("return address in the vector table", "mov #0xFFE2, sp", 1),
         ];
         for (why, setup, fused) in cases {
             let mut mcu = boot(&format!(
@@ -2016,6 +2018,32 @@ halt:   jmp halt
                 "{why}"
             );
             assert_eq!((mcu.register(5), mcu.register(9)), (0xFF, 1), "{why}");
+        }
+    }
+
+    #[test]
+    fn only_writes_into_code_demote_the_core() {
+        let cases = [
+            ("a vector retargeted", "mov #halt, &0xFFE8", true),
+            ("a RAM write", "mov #1, &0x0200", true),
+            (
+                "a code word rewritten with itself",
+                "mov &halt, &halt",
+                false,
+            ),
+        ];
+        for (why, write, decoded) in cases {
+            let mut mcu = boot(&format!(
+                ".org 0xF000\n\
+                 start: mov #0x0A00, sp\n\
+                 {write}\n\
+                 halt: jmp halt\n\
+                 .vector reset, start\n"
+            ));
+            run_steps(&mut mcu, 4);
+            let parked = mcu.read_mem16(mcu.register(PC)) == 0x3FFF; // jmp $
+            assert!(parked, "{why}: the write ran");
+            assert_eq!(mcu.uops_on, decoded, "{why}");
         }
     }
 

@@ -28,14 +28,22 @@
 //! path's coverage is exactly the interpreter's decodable set and
 //! undecodable words fault through the identical interpreter path.
 //!
+//! The table covers the image's bytes from its lowest segment up to, not
+//! into, the interrupt vector table at `0xFFE0`: the vectors are data that
+//! reset and interrupt entry read from memory, so a PC there runs through
+//! the interpreter like any other address without a slot.
+//!
 //! The cache is a pure function of the [`Image`], which makes it shareable:
 //! a process-wide registry deduplicates caches by image content, so a
 //! million-node fleet running 256 distinct firmware variants builds 256
-//! caches, not a million. Self-modifying code is handled in the CPU layer:
-//! any write landing in [`CodeSpan::covers`] permanently drops that core
-//! back to the interpreter (the shared cache itself is immutable). The
-//! CPU keeps a copy of that [`CodeSpan`], so the guard never needs the
-//! shared cache.
+//! caches, not a million. Each spans only its image's code: the TPMS
+//! table holds 113 slots of 20 bytes, about 2.2 KiB. Self-modifying
+//! code is handled in the CPU layer: any write landing in
+//! [`CodeSpan::covers`] permanently drops that core back to the
+//! interpreter (the shared cache itself is immutable), and a write into
+//! the vector table, which no micro-op was decoded from, does not. The CPU
+//! keeps a copy of that [`CodeSpan`], so the guard never needs the shared
+//! cache.
 //!
 //! No JIT, no `unsafe`: this is still the same interpreter, minus the
 //! per-execution fetch/decode — behavior (cycles, flags, interrupt points,
@@ -48,6 +56,10 @@ use crate::disasm;
 use crate::isa::{Condition, Format1Op, Format2Op};
 use crate::memory::{io, FlatMemory, Image};
 use crate::peripherals::Peripherals;
+
+/// First byte of the interrupt vector table (`0xFFE0`–`0xFFFF`), where
+/// decoded tables end.
+const VECTOR_BASE: u16 = 0xFFE0;
 
 /// A source operand with every static part resolved at decode time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -241,7 +253,8 @@ impl CodeSpan {
 }
 
 /// The pre-decoded micro-op table for one image: a PC-indexed slot per
-/// word-aligned address in the covered flash span.
+/// word-aligned address in the covered flash span, which ends below the
+/// vector table.
 #[derive(Debug)]
 pub(crate) struct UopCache {
     /// First byte address covered (even).
@@ -286,46 +299,58 @@ impl UopCache {
     }
 
     /// Builds the table for an image: pure function of the image bytes.
+    ///
+    /// The table spans the image's bytes below [`VECTOR_BASE`], from the
+    /// lowest segment to two words past the highest code byte. The vector
+    /// table above is data: `warm_reset` and interrupt entry read it from
+    /// memory, so an instruction that would reach it is not decoded, and a
+    /// PC there (or anywhere else without a slot) runs through the
+    /// interpreter.
     fn build(image: &Image) -> Self {
-        let Some(lo) = image.segments().iter().map(|(org, _)| *org & !1).min() else {
+        // Each segment's bytes below the vector table, as `[start, end)`.
+        let code = || {
+            image.segments().iter().filter_map(|(org, bytes)| {
+                let start = usize::from(*org);
+                let end = (start + bytes.len()).min(usize::from(VECTOR_BASE));
+                (start < end).then_some((start, end))
+            })
+        };
+        let Some(lo) = code().map(|(start, _)| start & !1).min() else {
             return Self {
                 base: 0,
                 slots: Vec::new(),
                 xfers: Vec::new(),
             };
         };
-        // Pad the top so `covers` also catches writes to extension words
-        // that run past the last segment byte (size ≤ 6 from an in-segment
-        // start keeps them within 4 bytes of the end).
-        let hi = image
-            .segments()
-            .iter()
-            .map(|(org, bytes)| usize::from(*org) + bytes.len())
+        // Two words of margin past the last code byte, never into the
+        // vector table. Every decoded instruction lies wholly inside loaded
+        // bytes, so the margin only widens what the self-modifying-code
+        // guard treats as code.
+        let hi = code()
+            .map(|(_, end)| end)
             .max()
-            .unwrap_or(usize::from(lo))
+            .unwrap_or(lo)
             .saturating_add(4)
-            .min(0x1_0000);
-        let span = hi - usize::from(lo);
+            .min(usize::from(VECTOR_BASE));
+        let span = hi - lo;
         // Which bytes the image actually provides: instructions must lie
         // wholly inside loaded segments, otherwise their extension words
         // would depend on whatever the surrounding memory happens to hold.
         let mut present = vec![false; span];
-        for (org, bytes) in image.segments() {
-            let start = usize::from(*org) - usize::from(lo);
-            for slot in present.iter_mut().skip(start).take(bytes.len()) {
+        for (start, end) in code() {
+            for slot in present.iter_mut().skip(start - lo).take(end - start) {
                 *slot = true;
             }
         }
         let mut mem = FlatMemory::new();
         mem.load(image);
 
+        // Every address below is under `VECTOR_BASE`, so the casts to
+        // `u16` are exact.
         let mut slots = vec![None; span.div_ceil(2)];
         for (word, slot) in slots.iter_mut().enumerate() {
             let off = word * 2;
-            let at = lo.wrapping_add(off as u16);
-            if usize::from(at) + 6 > 0x1_0000 {
-                continue; // an instruction here could wrap the address space
-            }
+            let at = (lo + off) as u16;
             let Some(u) = decode_at(&mem, at) else {
                 continue;
             };
@@ -338,7 +363,7 @@ impl UopCache {
             }
         }
         let mut cache = Self {
-            base: lo,
+            base: lo as u16,
             slots,
             xfers: Vec::new(),
         };
@@ -828,6 +853,146 @@ mod tests {
         assert!(span.covers(0xF003)); // inside the 4-byte pad
         assert!(!span.covers(0xEFFE));
         assert!(!CodeSpan::default().covers(0x0000), "no image, no span");
+
+        // The vector table is data: writes there leave the decoded path
+        // alone, while writes into code still trip the guard.
+        let img =
+            image(".org 0xF000\nstart: mov #1, r4\n.vector reset, start\n.vector port1, start\n");
+        let span = UopCache::build(&img).span();
+        assert!(span.covers(0xF000));
+        for vector in [0xFFE0, 0xFFE8, 0xFFFE, 0xFFFF] {
+            assert!(!span.covers(vector), "{vector:#06x}");
+        }
+        // Code that runs up to the vector table: the pad stops short of it.
+        let img = image(".org 0xFFDC\nstart: mov #0x1234, r4\n.vector reset, start\n");
+        let span = UopCache::build(&img).span();
+        assert!(span.covers(0xFFDF));
+        assert!(!span.covers(0xFFE0));
+        // An image that is only vectors decodes nothing.
+        let img = image(".vector reset, 0xF000\n");
+        assert_eq!(UopCache::build(&img).span(), CodeSpan::default());
+    }
+
+    /// The four stock firmware images.
+    fn stock_images() -> [(&'static str, Image); 4] {
+        use crate::firmware::{beacon_app, motion_app, tpms_alarm_app, tpms_app};
+        [
+            ("tpms", tpms_app(0x42).expect("tpms builds")),
+            (
+                "tpms_alarm",
+                tpms_alarm_app(0x17, 0x0123).expect("alarm builds"),
+            ),
+            ("motion", motion_app(7).expect("motion builds")),
+            ("beacon", beacon_app(3, 2).expect("beacon builds")),
+        ]
+    }
+
+    #[test]
+    fn stock_tables_hold_only_their_code() {
+        for (name, img) in stock_images() {
+            let cache = UopCache::build(&img);
+            let code_words: usize = img
+                .segments()
+                .iter()
+                .filter(|(org, _)| *org < VECTOR_BASE)
+                .map(|(_, bytes)| bytes.len().div_ceil(2))
+                .sum();
+            assert!(
+                cache.slots.len() <= code_words + 2,
+                "{name}: {} slots for {code_words} code words",
+                cache.slots.len()
+            );
+            let span = cache.span();
+            assert!(
+                !span.covers(VECTOR_BASE),
+                "{name}: span reaches the vectors"
+            );
+            if name == "tpms" {
+                assert_eq!(cache.slots.len(), 113, "tpms: 111 code words and the pad");
+            }
+        }
+        // One slot per table word: the size a fleet keeps per firmware
+        // variant.
+        assert_eq!(std::mem::size_of::<Option<UInsn>>(), 20);
+    }
+
+    /// The table as it was built before it ended at the vector table: every
+    /// word from the lowest segment to `0xFFFE` decoded on its own, and kept
+    /// when the instruction lies wholly inside the image's bytes and could
+    /// not wrap the address space. Returns `(address, micro-op)` per word.
+    fn unbounded_reference(img: &Image) -> Vec<(u16, Option<UInsn>)> {
+        let mut mem = FlatMemory::new();
+        mem.load(img);
+        let loaded = |addr: usize| {
+            img.segments().iter().any(|(org, bytes)| {
+                (usize::from(*org)..usize::from(*org) + bytes.len()).contains(&addr)
+            })
+        };
+        let lo = img
+            .segments()
+            .iter()
+            .map(|(org, _)| *org & !1)
+            .min()
+            .unwrap_or(0);
+        (lo..=0xFFFE)
+            .step_by(2)
+            .map(|at| {
+                let u = (usize::from(at) + 6 <= 0x1_0000)
+                    .then(|| decode_at(&mem, at))
+                    .flatten()
+                    .filter(|u| {
+                        let size = usize::from(u.next_pc.wrapping_sub(at).max(2));
+                        (usize::from(at)..usize::from(at) + size).all(loaded)
+                    });
+                (at, u)
+            })
+            .collect()
+    }
+
+    /// Checks `img`'s table against [`unbounded_reference`]: the same
+    /// micro-op (fusion hints aside) at every address below the vector
+    /// table whose instruction ends by it, and no slot anywhere else.
+    /// Returns the reference's instructions that reach into the vectors.
+    fn assert_agrees_with_reference(name: &str, img: &Image) -> Vec<u16> {
+        let cache = UopCache::build(img);
+        let mut straddling = Vec::new();
+        for (at, reference) in unbounded_reference(img) {
+            let got = cache.lookup(at).map(|u| UInsn {
+                fused: Fused::No,
+                ..u
+            });
+            let ends = |u: &UInsn| usize::from(at) + usize::from(u.next_pc.wrapping_sub(at).max(2));
+            let expected = reference.filter(|u| ends(u) <= usize::from(VECTOR_BASE));
+            if at < VECTOR_BASE && reference.is_some() && expected.is_none() {
+                straddling.push(at);
+            }
+            assert_eq!(got, expected, "{name}: slot {at:#06x}");
+        }
+        straddling
+    }
+
+    #[test]
+    fn lookup_agrees_with_an_unbounded_reference_below_the_vectors() {
+        for (name, img) in stock_images() {
+            assert_agrees_with_reference(name, &img);
+        }
+        // Two code segments with a gap between them.
+        let helper = helper_image(HELPER);
+        assert_eq!(helper.segments().len(), 3, "two code segments and a vector");
+        assert_agrees_with_reference("helper", &helper);
+        // `mov #0x5678, r5` at 0xFFDE takes its immediate from 0xFFE0: the
+        // old table decoded it, the bounded one leaves it to the interpreter.
+        let straddle = image(
+            ".org 0xFFDA\n\
+             start: mov #0x1234, r4\n\
+             mov #0x5678, r5\n\
+             .vector reset, start\n",
+        );
+        assert_eq!(
+            assert_agrees_with_reference("straddle", &straddle),
+            [0xFFDE]
+        );
+        assert!(UopCache::build(&straddle).lookup(0xFFDA).is_some());
     }
 
     #[test]

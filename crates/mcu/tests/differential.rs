@@ -242,11 +242,16 @@ fn run_streams_blocks_bit_identically() {
 
 #[test]
 fn self_modifying_code_falls_back_identically() {
-    // The program overwrites an instruction it then executes: the decoded
-    // core must notice the write into cached flash and drop back to the
-    // interpreter, landing on the same result.
-    let image = asm::assemble(
-        r#"
+    // Two writes the decoded core must survive. One overwrites an
+    // instruction the program then executes: the core must notice the
+    // write into decoded code and drop back to the interpreter. The other
+    // retargets the port-1 vector before the interrupt fires: the vector
+    // table is data no micro-op was decoded from, and interrupt entry must
+    // read the new vector from memory.
+    let cases = [
+        (
+            "patched instruction",
+            r#"
         .org 0xF000
 start:  mov #0x0A00, r1
         mov #0x1111, r4
@@ -256,18 +261,89 @@ patch:  mov r4, r6
 halt:   jmp halt
         .vector reset, start
         "#,
-    )
-    .expect("smc program assembles");
-    let mut pair = Pair::boot(&image);
-    for i in 0..8 {
-        pair.step(i);
+            0x2222,
+        ),
+        (
+            "retargeted vector",
+            r#"
+        .org 0xF000
+start:  mov #0x0A00, r1
+        mov #isr2, &0xFFE8    ; the port-1 vector
+        eint
+halt:   jmp halt
+isr1:   mov #0x1111, r6
+        reti
+isr2:   mov #0x2222, r6
+        reti
+        .vector reset, start
+        .vector port1, isr1
+        "#,
+            0x2222,
+        ),
+    ];
+    for (why, source, r6) in cases {
+        let image = asm::assemble(source).expect("smc program assembles");
+        let mut pair = Pair::boot(&image);
+        for i in 0..12 {
+            if i == 4 {
+                // Only the retargeting program enables interrupts.
+                pair.both(|m| m.raise(Irq::Port1));
+            }
+            pair.step(i);
+        }
+        assert_eq!(
+            pair.dec.register(6),
+            r6,
+            "{why}: the written bytes must execute, not a stale decode"
+        );
+        pair.assert_memory(why);
     }
-    assert_eq!(
-        pair.dec.register(6),
-        0x2222,
-        "the patched instruction must execute, not the stale decode"
-    );
-    pair.assert_memory("after smc");
+}
+
+#[test]
+fn jumps_into_the_vector_table_run_identically() {
+    // Decoded tables end below the vector table at 0xFFE0. The program
+    // runs code that straddles that bound (an immediate at 0xFFE0) and
+    // code that lies inside the vector table, so the decoded core must
+    // fall back to the interpreter there, under `run_segment` as under
+    // single steps.
+    let source = r#"
+        .org 0xF000
+start:  mov #0x0A00, r1
+        mov #0, r4
+loop:   br #0xFFDE
+back:   cmp #40, r4
+        jnz loop
+        bis #0x00F0, sr       ; LPM4
+        .org 0xFFDE
+        add #3, r4            ; the immediate sits at 0xFFE0
+        dec r4                ; 0xFFE2, inside the vector table
+        br #back
+        .vector reset, start
+        "#;
+    let image = asm::assemble(source).expect("vector-table program assembles");
+
+    let mut pair = Pair::boot(&image);
+    let mut steps = 0;
+    while let StepResult::Ran { .. } = pair.step(steps) {
+        steps += 1;
+    }
+    assert_eq!(pair.dec.register(4), 40, "twenty trips through the vectors");
+    pair.assert_memory("after single steps");
+
+    let mut pair = Pair::boot(&image);
+    let mut log = CycleLog::new();
+    for seg in 0..200usize {
+        let limit = pair.dec.cycles() + 5 + (seg % 13) as u64;
+        let context = format!("vector-table segment {seg}");
+        if let SegmentStop::Sleeping(_) =
+            lockstep_segment(&mut pair, limit, 1 + seg % 7, &mut log, &context)
+        {
+            break;
+        }
+    }
+    assert_eq!(pair.dec.register(4), 40, "segments reach the same end");
+    pair.assert_memory("after segments");
 }
 
 #[test]

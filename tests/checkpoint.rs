@@ -246,6 +246,109 @@ fn legacy_per_node_array_is_ignored_on_resume() {
     assert_eq!(resumed_events, golden_events);
 }
 
+/// A checkpoint's `records` array, edited by `edit`, then decoded.
+fn decode_edited_records(
+    checkpoint: &FleetCheckpoint,
+    edit: impl FnOnce(&mut Vec<Json>),
+) -> Result<FleetCheckpoint, String> {
+    let mut json = Json::parse(&checkpoint.to_json().to_string()).expect("checkpoint text parses");
+    let Json::Obj(fields) = &mut json else {
+        panic!("a fleet checkpoint is a JSON object");
+    };
+    let Some((_, Json::Arr(records))) = fields.iter_mut().find(|(key, _)| key == "records") else {
+        panic!("a fleet checkpoint holds a records array");
+    };
+    edit(records);
+    FleetCheckpoint::from_json(&json).map_err(|e| e.to_string())
+}
+
+/// Sets `key` of one JSON record to `value`.
+fn set_field(record: &mut Json, key: &str, value: u64) {
+    let Json::Obj(fields) = record else {
+        panic!("a packet record is a JSON object");
+    };
+    let Some((_, slot)) = fields.iter_mut().find(|(k, _)| k == key) else {
+        panic!("a packet record has {key}");
+    };
+    *slot = Json::UInt(value);
+}
+
+#[test]
+fn hostile_checkpoint_records_are_typed_errors() {
+    // Records the fold could not have produced would panic the merge
+    // (an interval ending before it starts) or resume into a silently
+    // wrong result (a node the fleet does not have, or a duplicate), so
+    // the decoder rejects each with an error naming `records`. The same
+    // holds for a fault tally the fold could not have reached.
+    let config = fleet_config(Parallelism::Serial);
+    let leg = run_fleet_partial(&config, None, 4, false).expect("leg runs");
+    assert!(
+        reload_fleet(&leg).nodes_done() == 4,
+        "the unedited leg decodes"
+    );
+
+    // One case per rule, each with the phrase its error must carry.
+    type Edit = fn(&mut Vec<Json>);
+    let cases: [(&str, Edit, &str); 5] = [
+        (
+            "end_ns before start_ns",
+            |records| set_field(&mut records[0], "end_ns", 0),
+            "is before start_ns",
+        ),
+        (
+            "a node at nodes_done",
+            |records| {
+                let last = records.len() - 1;
+                set_field(&mut records[last], "node", 4)
+            },
+            "not below nodes_done",
+        ),
+        (
+            "a duplicate record on a node far past the fleet",
+            |records| {
+                records.push(records[0].clone());
+                let last = records.len() - 1;
+                set_field(&mut records[last], "node", 5_000_000)
+            },
+            "not below nodes_done",
+        ),
+        (
+            "node indices that decrease",
+            |records| records.rotate_right(1),
+            "records run in node order",
+        ),
+        (
+            "a node's start repeated",
+            |records| records.insert(1, records[0].clone()),
+            "does not follow its previous start_ns",
+        ),
+    ];
+    for (why, edit, phrase) in cases {
+        let err = decode_edited_records(&leg, edit).expect_err(why);
+        assert!(
+            err.contains("records[") && err.contains(phrase),
+            "{why}: {err}"
+        );
+    }
+
+    // A fault tally above the fold cursor would resume into a wrong
+    // `faulted` count.
+    let mut json = Json::parse(&leg.to_json().to_string()).expect("checkpoint text parses");
+    let Json::Obj(fields) = &mut json else {
+        panic!("a fleet checkpoint is a JSON object");
+    };
+    for (key, value) in fields.iter_mut() {
+        if key == "faulted" {
+            *value = Json::UInt(5);
+        }
+    }
+    let err = FleetCheckpoint::from_json(&json).expect_err("faulted past nodes_done");
+    assert!(
+        err.to_string().contains("faulted 5 exceeds nodes_done 4"),
+        "{err}"
+    );
+}
+
 #[test]
 fn first_wake_past_the_clock_range_is_a_typed_error() {
     // A checkpoint file whose node config puts the first wake u64::MAX ms
