@@ -27,6 +27,21 @@
 //! to window), two barriers bracket each match phase, and the match phase
 //! itself always runs on one thread over node-indexed data.
 //!
+//! # Quiet stretches
+//!
+//! Most windows have nothing on the air: a TPMS node wakes for about
+//! 14 ms every 6 s. After each match phase the engine asks every node
+//! when it could next put a frame on the air (`Stack::quiet_until`) and
+//! runs, without a match phase in between, every window that ends at or
+//! before the earliest such time on each node's own clock, plus the
+//! first one that does not. A match phase over a window with no new transmissions
+//! changes nothing, so the stretch's one match phase leaves the engine
+//! exactly where one per window would. Every node still settles and
+//! re-solves its rails at every window end. A node that browns out and
+//! recovers inside a stretch may transmit before it ends; the match
+//! phase sees that exactly (a packet put on the air before the matched
+//! window), abandons the run and replays it one window at a time.
+//!
 //! Randomness follows the fleet's stream discipline: node `i` keeps its
 //! fleet streams `2i`/`2i + 1`, false wakes draw from the reserved
 //! per-node streams [`FALSE_WAKE_STREAM_BASE`]` + i`, and the sink's
@@ -297,6 +312,19 @@ impl NodeState {
     }
 }
 
+/// When a node could next put a frame on the air, or `None` if it never
+/// will again: the engine's quiet horizon. Production passes
+/// [`Stack::quiet_until`]; [`lockstep`] is the horizon that never batches.
+trait Horizon: Fn(&Stack) -> Option<SimTime> + Copy + Send + Sync {}
+
+impl<H: Fn(&Stack) -> Option<SimTime> + Copy + Send + Sync> Horizon for H {}
+
+/// The horizon of a node that may transmit at once: every stretch is one
+/// window, as before quiet stretches, and no packet can come early.
+fn lockstep(stack: &Stack) -> Option<SimTime> {
+    Some(stack.now())
+}
+
 /// One node's stack, and what the worker that advanced it last hands the
 /// match phase.
 #[derive(Debug, Default)]
@@ -308,6 +336,14 @@ struct WindowSlot {
     /// Packets of the stack the match phase has already collected; the
     /// next window's new packets start here.
     collected: usize,
+    /// The stack's packet count when it began the stretch's last window.
+    /// The match phase collects only that window, so it must equal
+    /// `collected`.
+    window_from: usize,
+    /// How many windows after the stretch end, on the node's own clock,
+    /// before it could next put a frame on the air (`usize::MAX` for a
+    /// node that never will).
+    quiet_windows: usize,
 }
 
 /// Everything the single-threaded match phase accumulates over the run.
@@ -317,18 +353,23 @@ struct EngineState {
     /// The previous window's transmissions: interference context for
     /// boundary-straddling overlaps in the next match phase.
     prev_txs: Vec<MeshTx>,
+    /// Each node's `alive` flag as the collection pass read it (scratch).
+    alive: Vec<bool>,
     telemetry: TelemetryBuffer,
     receptions: usize,
     duplicates: usize,
     rx_collisions: usize,
     relays_injected: usize,
     relays_on_air: usize,
+    false_wakes: usize,
 }
 
 /// The pairwise/sink link-budget tables, precomputed once.
 struct Geometry {
     /// Receive level between nodes `d` apart, at index `d - 1`.
     neighbor_level: Vec<Dbm>,
+    /// Whether the wakeup detector hears a node `d` away, at index `d - 1`.
+    audible: Vec<bool>,
     /// Receive level at the sink, per node index.
     sink_level: Vec<Dbm>,
 }
@@ -336,11 +377,15 @@ struct Geometry {
 impl Geometry {
     fn new(config: &MeshConfig) -> Self {
         let link = link_for_fleet();
-        let neighbor_level = (1..config.nodes)
+        let neighbor_level: Vec<Dbm> = (1..config.nodes)
             .map(|d| {
                 link.budget(Meters::new(d as f64 * config.spacing_m))
                     .received
             })
+            .collect();
+        let audible = neighbor_level
+            .iter()
+            .map(|&level| config.detector.detects(level))
             .collect();
         let sink_level = (0..config.nodes)
             .map(|i| {
@@ -352,8 +397,15 @@ impl Geometry {
             .collect();
         Self {
             neighbor_level,
+            audible,
             sink_level,
         }
+    }
+
+    /// Whether node `j`'s wakeup detector hears node `i` (never itself).
+    fn hears(&self, i: usize, j: usize) -> bool {
+        let d = i.abs_diff(j);
+        d != 0 && self.audible.get(d - 1) == Some(&true)
     }
 
     /// Receive level at node `j` of node `i`'s transmission (`None` for
@@ -431,6 +483,46 @@ fn claim_nodes(
     }
 }
 
+/// How many windows after the present one end, on `stack`'s own clock,
+/// before `horizon` says it could next put a frame on the air. A node that
+/// sleeps through a window advances its clock by the window rounded up to
+/// whole microseconds (`quiet_step_ns`): the core sleeps in 1 µs cycles.
+fn quiet_windows(stack: &Stack, horizon: impl Horizon, quiet_step_ns: u64) -> usize {
+    match horizon(stack) {
+        None => usize::MAX,
+        Some(at) => {
+            let lead = at.as_nanos().saturating_sub(stack.now().as_nanos());
+            usize::try_from(lead / quiet_step_ns).unwrap_or(usize::MAX)
+        }
+    }
+}
+
+/// Advances one node through a stretch of windows, noting its packet
+/// count before the last one, and asks `horizon` how long it stays quiet
+/// after it.
+fn advance_stretch(
+    slot: &mut WindowSlot,
+    stretch: &[SimDuration],
+    horizon: impl Horizon,
+    quiet_step_ns: u64,
+) {
+    let Some(node) = slot.stack.as_mut() else {
+        slot.alive = false;
+        slot.faulted = true;
+        return;
+    };
+    let last = stretch.len().saturating_sub(1);
+    for (window, step) in stretch.iter().enumerate() {
+        if window == last {
+            slot.window_from = node.packet_count();
+        }
+        let completed = node.run_for(*step).is_completed();
+        slot.alive = completed;
+        slot.faulted |= !completed;
+    }
+    slot.quiet_windows = quiet_windows(node, horizon, quiet_step_ns);
+}
+
 /// Provenance the collection pass attaches to one on-air packet.
 struct Classified {
     origin: u32,
@@ -439,28 +531,50 @@ struct Classified {
     was_relay: bool,
 }
 
-/// The single-threaded match phase for one window: classify the window's
-/// transmissions, gate detection on the wakeup sensitivity, apply
-/// collision/capture and half-duplex at each receiver, dedup, hop-limit,
-/// and inject next-window relays into the receivers' stacks.
+/// The single-threaded match phase for the last window of a stretch:
+/// classify the window's transmissions, gate detection on the wakeup
+/// sensitivity, apply collision/capture and half-duplex at each receiver
+/// that can hear one of them, dedup, hop-limit, and inject next-window
+/// relays into the receivers' stacks. `prev_txs` is the interference
+/// context: the window before's transmissions, empty after a longer
+/// stretch. The window's transmissions become the next one's context.
+///
+/// Returns how many windows after this one end before any node could next
+/// put a frame on the air, or `None`, with the engine state left partly
+/// matched, when a node put a packet on the air before the matched window.
 fn match_window(
     config: &MeshConfig,
     geometry: &Geometry,
     state: &mut EngineState,
     slots: &[Mutex<WindowSlot>],
-    prev_txs: &[MeshTx],
-) -> Vec<MeshTx> {
+    prev_txs: Vec<MeshTx>,
+    horizon: impl Horizon,
+    quiet_step_ns: u64,
+) -> Option<usize> {
     // Collect the window's transmissions with provenance, node-ordered,
-    // reading each stack's new packets in place.
+    // reading each stack's new packets in place, and each slot's liveness
+    // and quiet span under the same lock.
     let mut window_txs: Vec<MeshTx> = Vec::new();
+    let mut quiet = usize::MAX;
+    state.alive.clear();
     for (index, slot) in slots.iter().enumerate() {
         let mut guard = lock(slot);
         let WindowSlot {
-            stack, collected, ..
+            stack,
+            alive,
+            collected,
+            window_from,
+            quiet_windows,
+            ..
         } = &mut *guard;
+        state.alive.push(*alive);
         let Some(stack) = stack.as_ref() else {
             continue;
         };
+        if *window_from != *collected {
+            return None;
+        }
+        quiet = quiet.min(*quiet_windows);
         let packets = stack.packets();
         for packet in packets.get(*collected..).unwrap_or_default() {
             let start = packet
@@ -521,8 +635,9 @@ fn match_window(
     // then this one (transmissions are far shorter than a window, so only
     // boundary-straddlers can interfere across the boundary). With nothing
     // on the air there is nothing to hear.
-    if prev_txs.is_empty() && window_txs.is_empty() {
-        return window_txs;
+    if window_txs.is_empty() {
+        state.prev_txs = window_txs;
+        return Some(quiet);
     }
     // The context, stably sorted once by `(start, node)` and flagged with
     // whether each entry is this window's. A receiver's filtered view of it
@@ -540,8 +655,14 @@ fn match_window(
     let mut air: Vec<AirSlot> = Vec::new();
     let mut own: Vec<(SimTime, SimTime)> = Vec::new();
     for receiver in 0..config.nodes {
-        let receiver_alive = slots.get(receiver).is_some_and(|slot| lock(slot).alive);
-        if !receiver_alive {
+        // A receiver that can detect none of this window's transmissions
+        // changes nothing: every entry below would skip at the
+        // sensitivity gate.
+        if state.alive.get(receiver) != Some(&true)
+            || !window_txs
+                .iter()
+                .any(|tx| geometry.hears(tx.node, receiver))
+        {
             continue;
         }
         heard.clear();
@@ -632,14 +753,32 @@ fn match_window(
                 );
             }
             if let Some(slot) = slots.get(receiver) {
-                if let Some(node) = lock(slot).stack.as_mut() {
+                let mut guard = lock(slot);
+                if let Some(node) = guard.stack.as_mut() {
                     node.inject_relay(relay_at, tx.bytes.clone());
+                    // The queued relay is a board event: the receiver's
+                    // quiet span can only shrink.
+                    guard.quiet_windows = quiet_windows(node, horizon, quiet_step_ns);
+                    quiet = quiet.min(guard.quiet_windows);
                 }
             }
         }
     }
     state.all_txs.extend(window_txs.iter().cloned());
-    window_txs
+    state.prev_txs = window_txs;
+    Some(quiet)
+}
+
+/// What one run of the window loop did.
+struct WindowRun {
+    /// Nodes that faulted, and each node's drained telemetry in node order.
+    faulted: usize,
+    buffers: Vec<TelemetryBuffer>,
+    /// Match phases run: one per stretch.
+    match_phases: usize,
+    /// Whether the run was abandoned because a node put a packet on the
+    /// air before its stretch's last window.
+    early: bool,
 }
 
 /// Runs the mesh scenario, streaming telemetry into `recorder` and
@@ -660,11 +799,40 @@ pub fn run_mesh_with(
     config: &MeshConfig,
     recorder: &mut dyn Recorder,
 ) -> Result<(MeshOutcome, Metrics), MeshConfigError> {
+    run_mesh_at(config, recorder, Stack::quiet_until)
+        .map(|(outcome, metrics, _)| (outcome, metrics))
+}
+
+/// How a mesh run went through its windows: the match phases it ran, and
+/// whether it was replayed one window at a time after its stretches let
+/// a packet on the air early.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct MeshStats {
+    match_phases: usize,
+    replayed: bool,
+}
+
+/// [`run_mesh_with`] under the quiet horizon `horizon`.
+fn run_mesh_at(
+    config: &MeshConfig,
+    recorder: &mut dyn Recorder,
+    horizon: impl Horizon,
+) -> Result<(MeshOutcome, Metrics, MeshStats), MeshConfigError> {
     config.validate()?;
     let record_events = recorder.wants_events();
     // Probe-build node 0 before any worker threads exist, so an invalid
     // base fails here with a typed error instead of inside a worker.
     build_mesh_node(config, 0, record_events).map_err(MeshConfigError::BaseConfig)?;
+
+    let (mut state, mut run) = simulate(config, record_events, horizon);
+    let replayed = run.early;
+    if replayed {
+        (state, run) = simulate(config, record_events, lockstep);
+    }
+    let stats = MeshStats {
+        match_phases: run.match_phases,
+        replayed,
+    };
 
     let duration_ns = config.duration.as_nanos();
     let mut engine = TelemetryBuffer::with_events(record_events);
@@ -674,41 +842,10 @@ pub fn run_mesh_with(
             phase: "simulate".into(),
         },
     );
-
-    let mut state = EngineState {
-        nodes: (0..config.nodes).map(|_| NodeState::default()).collect(),
-        all_txs: Vec::new(),
-        prev_txs: Vec::new(),
-        telemetry: TelemetryBuffer::with_events(record_events),
-        receptions: 0,
-        duplicates: 0,
-        rx_collisions: 0,
-        relays_injected: 0,
-        relays_on_air: 0,
-    };
-
-    // Noise-triggered wakes, from each node's reserved stream: real
-    // detectors pay their `false_rate` whether or not a frame is on the
-    // air. Surfaced as counted (and recorded) events.
-    let mut false_wakes = 0usize;
-    for index in 0..config.nodes {
-        for at in false_wake_times(config, index) {
-            false_wakes += 1;
-            state.telemetry.metrics.inc(keys::MESH_FALSE_WAKES, 1);
-            if record_events {
-                state
-                    .telemetry
-                    .record_for(index as u32, at.as_nanos(), EventKind::FalseWake);
-            }
-        }
-    }
-
-    let (faulted, node_buffers) = run_windows(config, record_events, &mut state);
-
     // Deterministic merge: node buffers in node order, then the engine's
     // own rx/relay events, then canonicalize the interleaving.
     let mut merged = TelemetryBuffer::with_events(record_events);
-    for buffer in node_buffers {
+    for buffer in run.buffers {
         merged.absorb(buffer);
     }
     let engine_events = std::mem::take(&mut state.telemetry);
@@ -728,7 +865,7 @@ pub fn run_mesh_with(
             phase: "sink".into(),
         },
     );
-    let outcome = sink_phase(config, &mut state, faulted, false_wakes, &mut engine);
+    let outcome = sink_phase(config, &mut state, run.faulted, &mut engine);
     engine.record(
         duration_ns,
         EventKind::PhaseEnd {
@@ -737,21 +874,60 @@ pub fn run_mesh_with(
     );
 
     engine.drain_events_into(recorder);
-    Ok((outcome, engine.metrics))
+    Ok((outcome, engine.metrics, stats))
+}
+
+/// Simulates the mesh's nodes under `horizon`: the engine state with its
+/// noise-triggered wakes, then the window loop.
+fn simulate(
+    config: &MeshConfig,
+    record_events: bool,
+    horizon: impl Horizon,
+) -> (EngineState, WindowRun) {
+    let mut state = EngineState {
+        nodes: (0..config.nodes).map(|_| NodeState::default()).collect(),
+        all_txs: Vec::new(),
+        prev_txs: Vec::new(),
+        alive: Vec::with_capacity(config.nodes),
+        telemetry: TelemetryBuffer::with_events(record_events),
+        receptions: 0,
+        duplicates: 0,
+        rx_collisions: 0,
+        relays_injected: 0,
+        relays_on_air: 0,
+        false_wakes: 0,
+    };
+
+    // Noise-triggered wakes, from each node's reserved stream: real
+    // detectors pay their `false_rate` whether or not a frame is on the
+    // air. Surfaced as counted (and recorded) events.
+    for index in 0..config.nodes {
+        for at in false_wake_times(config, index) {
+            state.false_wakes += 1;
+            state.telemetry.metrics.inc(keys::MESH_FALSE_WAKES, 1);
+            if record_events {
+                state
+                    .telemetry
+                    .record_for(index as u32, at.as_nanos(), EventKind::FalseWake);
+            }
+        }
+    }
+
+    let run = run_windows(config, record_events, &mut state, horizon);
+    (state, run)
 }
 
 /// The window loop on `workers` threads. Workers build the nodes, then
-/// advance them one window at a time, claiming node indices from one
-/// shared cursor; two barriers per window bracket the single-threaded
-/// match phase on worker 0, which also rewinds the cursor.
-///
-/// Returns the faulted-node count and each node's drained telemetry, in
-/// node order.
+/// advance them one quiet stretch at a time (see the module docs),
+/// claiming node indices from one shared cursor; two barriers per stretch
+/// bracket the single-threaded match phase on worker 0, which also sizes
+/// the next stretch under `horizon` and rewinds the cursor.
 fn run_windows(
     config: &MeshConfig,
     record_events: bool,
     state: &mut EngineState,
-) -> (usize, Vec<TelemetryBuffer>) {
+    horizon: impl Horizon,
+) -> WindowRun {
     let workers = config.parallelism.workers().min(config.nodes).max(1);
     let geometry = Geometry::new(config);
     let slots: Vec<Mutex<WindowSlot>> = (0..config.nodes)
@@ -759,6 +935,16 @@ fn run_windows(
         .collect();
     let barrier = Barrier::new(workers);
     let cursor = AtomicUsize::new(0);
+    // One past the current stretch's last window; 0 once the run is
+    // abandoned. Worker 0 writes it between the barriers.
+    let stretch_end = AtomicUsize::new(1);
+    let mut match_phases = 0usize;
+    let mut early = false;
+    let quiet_step_ns = config
+        .turnaround
+        .as_nanos()
+        .div_ceil(1_000)
+        .saturating_mul(1_000);
 
     // Window schedule: equal `turnaround` steps with a short tail.
     let mut steps: Vec<SimDuration> = Vec::new();
@@ -769,13 +955,14 @@ fn run_windows(
         remaining = remaining - step;
     }
 
-    let state_cell = Mutex::new(state);
+    let state_cell = Mutex::new((state, &mut match_phases, &mut early));
     let steps = &steps;
     let slots_ref = &slots;
     let barrier = &barrier;
     let geometry = &geometry;
     let state_cell = &state_cell;
     let cursor = &cursor;
+    let stretch_end = &stretch_end;
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|worker| {
@@ -797,25 +984,41 @@ fn run_windows(
                         slot.stack = build_mesh_node(config, index, record_events).ok();
                     });
                     sync(&|| {});
-                    for step in steps {
-                        claim_nodes(cursor, slots_ref, |_, slot| match slot.stack.as_mut() {
-                            Some(node) => {
-                                let completed = node.run_for(*step).is_completed();
-                                slot.alive = completed;
-                                slot.faulted |= !completed;
-                            }
-                            None => {
-                                slot.alive = false;
-                                slot.faulted = true;
-                            }
+                    let mut window = 0usize;
+                    loop {
+                        let end = stretch_end.load(Ordering::Relaxed);
+                        let Some(stretch) = steps.get(window..end).filter(|s| !s.is_empty()) else {
+                            break; // the run is over, or abandoned
+                        };
+                        claim_nodes(cursor, slots_ref, |_, slot| {
+                            advance_stretch(slot, stretch, horizon, quiet_step_ns);
                         });
                         sync(&|| {
-                            let mut engine = lock(state_cell);
+                            let mut guard = lock(state_cell);
+                            let (engine, match_phases, early) = &mut *guard;
+                            **match_phases += 1;
+                            // Windows inside a longer stretch had nothing on
+                            // the air, so nothing straddles into this one.
                             let prev = std::mem::take(&mut engine.prev_txs);
-                            let window =
-                                match_window(config, geometry, &mut engine, slots_ref, &prev);
-                            engine.prev_txs = window;
+                            let prev = if stretch.len() == 1 { prev } else { Vec::new() };
+                            let next = match match_window(
+                                config,
+                                geometry,
+                                engine,
+                                slots_ref,
+                                prev,
+                                horizon,
+                                quiet_step_ns,
+                            ) {
+                                Some(quiet) => end.saturating_add(quiet.saturating_add(1)),
+                                None => {
+                                    **early = true;
+                                    0
+                                }
+                            };
+                            stretch_end.store(next.min(steps.len()), Ordering::Relaxed);
                         });
+                        window = end;
                     }
                 })
             })
@@ -841,7 +1044,12 @@ fn run_windows(
                 }),
         );
     }
-    (faulted, buffers)
+    WindowRun {
+        faulted,
+        buffers,
+        match_phases,
+        early,
+    }
 }
 
 /// The sink phase: every transmission (originals and relayed copies)
@@ -852,7 +1060,6 @@ fn sink_phase(
     config: &MeshConfig,
     state: &mut EngineState,
     faulted: usize,
-    false_wakes: usize,
     engine: &mut TelemetryBuffer,
 ) -> MeshOutcome {
     let geometry = Geometry::new(config);
@@ -980,7 +1187,7 @@ fn sink_phase(
         receptions: state.receptions,
         duplicates: state.duplicates,
         rx_collisions: state.rx_collisions,
-        false_wakes,
+        false_wakes: state.false_wakes,
     }
 }
 
@@ -988,6 +1195,7 @@ fn sink_phase(
 mod tests {
     use super::*;
     use picocube_telemetry::NullRecorder;
+    use picocube_units::json::ToJson;
 
     fn run_mesh(config: &MeshConfig) -> Result<MeshOutcome, MeshConfigError> {
         run_mesh_with(config, &mut NullRecorder).map(|(outcome, _)| outcome)
@@ -1073,14 +1281,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn serial_and_threaded_runs_are_bit_identical() {
-        // The second mesh starts on a nearly flat sliver of a cell with its
-        // harvesters mostly gated off, so the wakeup receivers' listen draw
-        // browns its nodes out mid-run: held nodes, relays injected into
-        // held nodes and uneven per-window cost, with stacks moving between
-        // workers.
-        let flat = MeshConfig {
+    /// A mesh that starts on a nearly flat sliver of a cell with its
+    /// harvesters mostly gated off, so the wakeup receivers' listen draw
+    /// browns its nodes out mid-run: held nodes, relays injected into held
+    /// nodes and uneven per-window cost, with stacks moving between
+    /// workers.
+    fn flat_config() -> MeshConfig {
+        MeshConfig {
             base: NodeConfig {
                 initial_soc: 0.02,
                 battery_capacity_fraction: 0.001,
@@ -1091,8 +1298,12 @@ mod tests {
                 ..NodeConfig::default()
             },
             ..tiny_config(5)
-        };
-        for (config, browns_out) in [(tiny_config(5), false), (flat, true)] {
+        }
+    }
+
+    #[test]
+    fn serial_and_threaded_runs_are_bit_identical() {
+        for (config, browns_out) in [(tiny_config(5), false), (flat_config(), true)] {
             let (serial, metrics) =
                 run_mesh_with(&config, &mut NullRecorder).expect("serial mesh runs");
             let brownouts = metrics.counter(keys::NODE_BROWNOUTS);
@@ -1109,6 +1320,135 @@ mod tests {
                 assert_eq!(serial, threaded, "{workers} workers diverged from serial");
             }
         }
+    }
+
+    /// Runs `config` under `horizon` with events on: the outcome, the
+    /// registry JSON and the event stream as one string, and how the run
+    /// went through its windows.
+    fn capture(config: &MeshConfig, horizon: impl Horizon) -> (String, MeshStats) {
+        let mut events: Vec<picocube_telemetry::Event> = Vec::new();
+        let (outcome, metrics, stats) =
+            run_mesh_at(config, &mut events, horizon).expect("mesh runs");
+        let mut text = format!("{outcome:?}\n{}\n", metrics.to_json());
+        for event in &events {
+            text.push_str(&event.to_json().to_string());
+            text.push('\n');
+        }
+        (text, stats)
+    }
+
+    /// Windows in a run of `config`.
+    fn windows(config: &MeshConfig) -> usize {
+        let (t, w) = (config.duration.as_nanos(), config.turnaround.as_nanos());
+        usize::try_from(t.div_ceil(w)).expect("window count fits")
+    }
+
+    #[test]
+    fn quiet_stretches_match_lockstep_windows() {
+        // The golden mesh of `tests/mesh_determinism.rs`, the browned-out
+        // flat mesh, a dense mesh in which every node hears every other,
+        // and a mesh whose nodes brown out and recover inside a stretch.
+        let golden = MeshConfig {
+            nodes: 8,
+            spacing_m: 2.5,
+            duration: SimDuration::from_secs(60),
+            ..MeshConfig::default()
+        };
+        let dense = MeshConfig {
+            spacing_m: 0.4,
+            ..tiny_config(6)
+        };
+        let geometry = Geometry::new(&dense);
+        assert!(
+            (0..6).all(|i| (0..6).all(|j| i == j || geometry.hears(i, j))),
+            "the dense mesh has a deaf pair"
+        );
+        // A sliver of a cell on a gated shaker browns out when the shaker
+        // stops and recovers within milliseconds of it restarting, inside
+        // one stretch. With wake timers up to 40 % slow, a node's next
+        // wake can lie seconds past the wake its reboot schedules, so
+        // without the reboot bound in `Stack::quiet_until` the reboot's
+        // first packet goes out before the stretch ends.
+        let recovering = MeshConfig {
+            base: NodeConfig {
+                initial_soc: 0.05,
+                battery_capacity_fraction: 1e-5,
+                harvester: crate::node::HarvesterKind::Shaker,
+                harvest_dropout: Some(crate::node::HarvestDropout {
+                    period_s: 3.0,
+                    off_s: 1.5,
+                }),
+                ..NodeConfig::default()
+            },
+            wake_ppm_range: 400_000.0,
+            ..tiny_config(2)
+        };
+        for (name, config) in [
+            ("golden", golden),
+            ("flat", flat_config()),
+            ("dense", dense),
+            ("recovering", recovering),
+        ] {
+            let windows = windows(&config);
+            for parallelism in [
+                Parallelism::Serial,
+                Parallelism::Threads(2),
+                Parallelism::Threads(3),
+            ] {
+                let config = MeshConfig {
+                    parallelism,
+                    ..config.clone()
+                };
+                let (reference, lockstep_stats) = capture(&config, lockstep);
+                assert_eq!(lockstep_stats.match_phases, windows, "{name}");
+                let (quiet, stats) = capture(&config, Stack::quiet_until);
+                assert!(
+                    reference == quiet,
+                    "{name} at {parallelism:?}: quiet stretches diverged from lockstep windows"
+                );
+                assert!(
+                    !stats.replayed,
+                    "{name} at {parallelism:?}: a stretch let a packet on the air early"
+                );
+                assert!(
+                    stats.match_phases < windows,
+                    "{name} at {parallelism:?}: {} match phases in {windows} windows",
+                    stats.match_phases
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_stretch_that_lets_a_packet_out_early_replays_in_lockstep() {
+        // A horizon that calls every node quiet forever runs the whole mesh
+        // as one stretch: the first packet before its last window abandons
+        // the run, and the replay is the lockstep run.
+        let config = tiny_config(4);
+        let (reference, _) = capture(&config, lockstep);
+        let (replayed, stats) = capture(&config, |_| None);
+        assert!(stats.replayed, "the early packet went unnoticed");
+        assert_eq!(stats.match_phases, windows(&config));
+        assert!(
+            reference == replayed,
+            "the replay diverged from lockstep windows"
+        );
+    }
+
+    #[test]
+    fn quiet_stretches_reach_is_pinned() {
+        // The simbench `mesh_relay` workload: a 24-node line for 600 s at
+        // seed 42, 30,000 windows of 20 ms.
+        let spec = r#"{"name": "mesh_relay", "seed": 42, "duration_s": 600.0, "nodes": 24,
+            "mesh": {"sink_offset_m": 2.0, "spacing_m": 2.0, "turnaround_ms": 20, "max_hops": 4}}"#;
+        let config = crate::scenario::Scenario::parse(spec)
+            .and_then(|s| s.mesh_config(Parallelism::Threads(2)))
+            .expect("the workload spec lowers");
+        assert_eq!(windows(&config), 30_000);
+        let (_, _, stats) =
+            run_mesh_at(&config, &mut NullRecorder, Stack::quiet_until).expect("mesh runs");
+        assert!(!stats.replayed);
+        assert_eq!(stats.match_phases, 11_422);
     }
 
     #[test]

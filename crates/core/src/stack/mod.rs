@@ -643,6 +643,33 @@ impl Stack {
             .map_or(sensor, |radio| sensor.min(radio))
     }
 
+    /// The earliest time this node could next put a frame on the air, for
+    /// the mesh engine's quiet horizon (DESIGN.md §12): `None` once a
+    /// fault has latched; the present while the controller is awake, an
+    /// interrupt is latched, the SPI engine is busy or the supervisor
+    /// holds the node; otherwise the next board event (the sensor's, or
+    /// a relay the radio has queued or on the air) or Timer A interrupt,
+    /// whichever is first. A node that browns out and reboots before then
+    /// wakes no earlier than its sensor board's first event after the
+    /// reboot, so that bounds the answer too.
+    pub(crate) fn quiet_until(&self) -> Option<SimTime> {
+        if self.fault.is_some() {
+            return None;
+        }
+        let now = self.now();
+        if self.storage.held() {
+            return Some(now);
+        }
+        let reboot = now.saturating_add(self.sensor.restart_delay());
+        let board = self.next_board_event().min(reboot);
+        Some(match self.mcu.cycles_until_wake() {
+            Some(cycles) => board.min(SimTime::from_micros(
+                self.mcu.cycles().saturating_add(cycles),
+            )),
+            None => board,
+        })
+    }
+
     /// Fires every board whose event is due, sensor before radio, and
     /// recomputes rail currents if anything fired.
     fn fire_due_events(&mut self) -> Result<(), NodeFault> {
@@ -720,9 +747,11 @@ impl Stack {
     /// and runs the supply supervisor.
     fn settle_battery(&mut self) -> Result<(), NodeFault> {
         let now = self.now();
-        let vbat = self.ledger.rail_voltage(self.rail)?;
-        let consumed = self.ledger.total_energy();
-        if !self.storage.settle(now, vbat, consumed, &self.switch) {
+        let (ledger, rail) = (&self.ledger, self.rail);
+        let settled = self.storage.settle(now, &self.switch, || {
+            Ok::<_, NodeFault>((ledger.rail_voltage(rail)?, ledger.total_energy()))
+        })?;
+        if !settled {
             return Ok(());
         }
         if self.traces {

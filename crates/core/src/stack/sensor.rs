@@ -157,18 +157,22 @@ impl SensorBoard {
         }
     }
 
+    /// How long after a reboot the board first needs the scheduler: the
+    /// SP12's wake interval or the SCA3000's check period.
+    pub(super) fn restart_delay(&self) -> SimDuration {
+        match &self.state {
+            SensorState::Tpms { device, .. } => SimDuration::from_seconds(device.wake_interval()),
+            SensorState::Motion { .. } => SimDuration::from_millis(100),
+        }
+    }
+
     /// The supply supervisor restarted the node at `now`: reschedule
     /// relative to the reboot.
     pub(super) fn on_restart(&mut self, now: SimTime) {
+        let next = now + self.restart_delay();
         match &mut self.state {
-            SensorState::Tpms {
-                device, next_wake, ..
-            } => {
-                *next_wake = now + SimDuration::from_seconds(device.wake_interval());
-            }
-            SensorState::Motion { next_check, .. } => {
-                *next_check = now + SimDuration::from_millis(100);
-            }
+            SensorState::Tpms { next_wake, .. } => *next_wake = next,
+            SensorState::Motion { next_check, .. } => *next_check = next,
         }
     }
 

@@ -298,23 +298,24 @@ impl StorageBoard {
     }
 
     /// Settles harvest and consumption into the cell over the span since
-    /// the last settle. Returns `false` (and does nothing) when no time
-    /// has elapsed; the harvest path routes through the switch board's
-    /// rectifier.
-    pub(super) fn settle(
+    /// the last settle, at the rail voltage and lifetime consumption that
+    /// `inputs` reads. Returns `false` (and reads and does nothing) when
+    /// no time has elapsed, as at the tail of every `run_for`; the harvest
+    /// path routes through the switch board's rectifier.
+    pub(super) fn settle<E>(
         &mut self,
         now: SimTime,
-        vbat: Volts,
-        consumed_total: Joules,
         switch: &SwitchBoard,
-    ) -> bool {
+        inputs: impl FnOnce() -> Result<(Volts, Joules), E>,
+    ) -> Result<bool, E> {
         let dt = now
             .checked_duration_since(self.last_update)
             .unwrap_or(SimDuration::ZERO)
             .as_seconds();
         if dt.value() <= 0.0 {
-            return false;
+            return Ok(false);
         }
+        let (vbat, consumed_total) = inputs()?;
         // Harvest: average source power over the interval, through the
         // chain's rectifier.
         let mut charge_current = Amps::ZERO;
@@ -329,7 +330,7 @@ impl StorageBoard {
         let discharge_current = drawn / dt / vbat;
         self.cell.step(charge_current - discharge_current, dt);
         self.last_update = now;
-        true
+        Ok(true)
     }
 
     /// Supply supervision: below 1.05 V the pump can no longer hold the
@@ -366,5 +367,37 @@ impl StorageBoard {
         );
         metrics.add(keys::BOARD_STORAGE_SOC, self.soc());
         metrics.add(keys::BOARD_STORAGE_HARVESTED_UJ, self.harvested.micro());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_settle_at_an_unchanged_time_reads_nothing_and_changes_nothing() {
+        let config = NodeConfig::default();
+        let cell = StorageCell::for_config(&config).expect("default cell builds");
+        let harvester = harvester_for(&config).expect("default harvester builds");
+        let mut board = StorageBoard::new(cell, harvester);
+        let switch = SwitchBoard::new(config.power_chain, config.ungated_rf_ldo);
+        let inputs = || Ok::<_, ()>((Volts::new(1.2), Joules::new(3e-6)));
+        let at = SimTime::from_millis(20);
+        assert_eq!(board.settle(at, &switch, inputs), Ok(true));
+        let soc = board.soc().to_bits();
+        let harvested = board.harvested().value().to_bits();
+        let last = (board.last_update, board.last_consumed);
+        for now in [at, SimTime::from_millis(10)] {
+            let mut read = false;
+            let settled = board.settle(now, &switch, || {
+                read = true;
+                Ok::<_, ()>((Volts::new(1.2), Joules::new(1.0)))
+            });
+            assert_eq!(settled, Ok(false), "settled at {now:?}");
+            assert!(!read, "a settle with no elapsed time read its inputs");
+            assert_eq!(board.soc().to_bits(), soc);
+            assert_eq!(board.harvested().value().to_bits(), harvested);
+            assert_eq!((board.last_update, board.last_consumed), last);
+        }
     }
 }

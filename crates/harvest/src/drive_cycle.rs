@@ -72,56 +72,37 @@ impl DriveCycle {
                 what: "phase durations must be positive",
             });
         }
+        Ok(Self::from_phases(phases))
+    }
+
+    /// Builds a cycle from phases [`DriveCycle::new`] accepts
+    /// (`presets_pass_the_checked_constructor` pins the presets).
+    fn from_phases(phases: Vec<DrivePhase>) -> Self {
         let period = Seconds::new(phases.iter().map(|p| p.duration.value()).sum());
-        Ok(Self { phases, period })
+        Self { phases, period }
     }
 
     /// Urban stop-and-go: accelerate to 50 km/h, cruise, brake, idle at a
     /// light; 2-minute period.
     pub fn urban() -> Self {
-        let kmh = MetersPerSecond::from_kmh;
-        Self::new(vec![
-            DrivePhase::ramp(Seconds::new(10.0), kmh(0.0), kmh(50.0)),
-            DrivePhase::cruise(Seconds::new(60.0), kmh(50.0)),
-            DrivePhase::ramp(Seconds::new(8.0), kmh(50.0), kmh(0.0)),
-            DrivePhase::cruise(Seconds::new(42.0), kmh(0.0)),
-        ])
-        .expect("valid preset parameters")
+        Self::from_phases(urban_phases())
     }
 
     /// Highway: long 110 km/h cruise with a brief slowdown; 10-minute
     /// period.
     pub fn highway() -> Self {
-        let kmh = MetersPerSecond::from_kmh;
-        Self::new(vec![
-            DrivePhase::cruise(Seconds::new(500.0), kmh(110.0)),
-            DrivePhase::ramp(Seconds::new(20.0), kmh(110.0), kmh(80.0)),
-            DrivePhase::cruise(Seconds::new(60.0), kmh(80.0)),
-            DrivePhase::ramp(Seconds::new(20.0), kmh(80.0), kmh(110.0)),
-        ])
-        .expect("valid preset parameters")
+        Self::from_phases(highway_phases())
     }
 
     /// The §6 retreat demo: a bicycle wheel spun to ~20 km/h, coasting
     /// down, with pauses.
     pub fn bicycle() -> Self {
-        let kmh = MetersPerSecond::from_kmh;
-        Self::new(vec![
-            DrivePhase::ramp(Seconds::new(5.0), kmh(0.0), kmh(20.0)),
-            DrivePhase::ramp(Seconds::new(40.0), kmh(20.0), kmh(5.0)),
-            DrivePhase::ramp(Seconds::new(10.0), kmh(5.0), kmh(0.0)),
-            DrivePhase::cruise(Seconds::new(15.0), kmh(0.0)),
-        ])
-        .expect("valid preset parameters")
+        Self::from_phases(bicycle_phases())
     }
 
     /// Parked: permanently stationary (the harvester-outage worst case).
     pub fn parked() -> Self {
-        Self::new(vec![DrivePhase::cruise(
-            Seconds::HOUR,
-            MetersPerSecond::ZERO,
-        )])
-        .expect("valid preset parameters")
+        Self::from_phases(parked_phases())
     }
 
     /// The repeat period of the cycle.
@@ -213,6 +194,40 @@ impl DriveCycle {
     }
 }
 
+fn urban_phases() -> Vec<DrivePhase> {
+    let kmh = MetersPerSecond::from_kmh;
+    vec![
+        DrivePhase::ramp(Seconds::new(10.0), kmh(0.0), kmh(50.0)),
+        DrivePhase::cruise(Seconds::new(60.0), kmh(50.0)),
+        DrivePhase::ramp(Seconds::new(8.0), kmh(50.0), kmh(0.0)),
+        DrivePhase::cruise(Seconds::new(42.0), kmh(0.0)),
+    ]
+}
+
+fn highway_phases() -> Vec<DrivePhase> {
+    let kmh = MetersPerSecond::from_kmh;
+    vec![
+        DrivePhase::cruise(Seconds::new(500.0), kmh(110.0)),
+        DrivePhase::ramp(Seconds::new(20.0), kmh(110.0), kmh(80.0)),
+        DrivePhase::cruise(Seconds::new(60.0), kmh(80.0)),
+        DrivePhase::ramp(Seconds::new(20.0), kmh(80.0), kmh(110.0)),
+    ]
+}
+
+fn bicycle_phases() -> Vec<DrivePhase> {
+    let kmh = MetersPerSecond::from_kmh;
+    vec![
+        DrivePhase::ramp(Seconds::new(5.0), kmh(0.0), kmh(20.0)),
+        DrivePhase::ramp(Seconds::new(40.0), kmh(20.0), kmh(5.0)),
+        DrivePhase::ramp(Seconds::new(10.0), kmh(5.0), kmh(0.0)),
+        DrivePhase::cruise(Seconds::new(15.0), kmh(0.0)),
+    ]
+}
+
+fn parked_phases() -> Vec<DrivePhase> {
+    vec![DrivePhase::cruise(Seconds::HOUR, MetersPerSecond::ZERO)]
+}
+
 impl ToJson for DrivePhase {
     fn to_json(&self) -> Json {
         Json::Obj(vec![
@@ -255,6 +270,18 @@ impl FromJson for DriveCycle {
 mod tests {
     use super::*;
     use crate::{Harvester, WheelHarvester};
+
+    #[test]
+    fn presets_pass_the_checked_constructor() {
+        for (phases, preset) in [
+            (urban_phases(), DriveCycle::urban()),
+            (highway_phases(), DriveCycle::highway()),
+            (bicycle_phases(), DriveCycle::bicycle()),
+            (parked_phases(), DriveCycle::parked()),
+        ] {
+            assert_eq!(DriveCycle::new(phases), Ok(preset));
+        }
+    }
 
     #[test]
     fn urban_cycle_period() {
@@ -309,7 +336,7 @@ mod tests {
             let (t0, t1) = (Seconds::new(t0), Seconds::new(t1));
             for n in [2, 16] {
                 let fast = h.average_power(t0, t1, n);
-                let reference = crate::trapezoid(h, t0, t1, n, |_, _| false);
+                let reference = crate::trapezoid(h, t0, t1, n, |_, _| false, None);
                 assert_eq!(
                     fast.value().to_bits(),
                     reference.value().to_bits(),
@@ -317,12 +344,57 @@ mod tests {
                     h.cycle()
                 );
                 let mut constant = false;
-                crate::trapezoid(h, t0, t1, n, |a, b| {
-                    constant = h.cycle().constant_over(a, b);
-                    constant
-                });
+                crate::trapezoid(
+                    h,
+                    t0,
+                    t1,
+                    n,
+                    |a, b| {
+                        constant = h.cycle().constant_over(a, b);
+                        constant
+                    },
+                    None,
+                );
                 taken[usize::from(constant)] += 1;
             }
+        }
+    }
+
+    /// Walks back-to-back spans of `step` seconds through `periods` periods,
+    /// as a node's settles do, and checks each average against the
+    /// per-sample reference by bits. On the constant path it counts the
+    /// memo's hits (`counts[0]`) and misses (`counts[1]`) and checks what
+    /// the memo then holds; off it, that the memo is left alone. Every
+    /// ninth span takes 2 samples, so a memo keyed on power alone fails.
+    fn check_memo_runs(h: &WheelHarvester, step: f64, periods: f64, counts: &mut [usize; 2]) {
+        let end = periods * h.cycle().period().value();
+        let mut k = 0usize;
+        while (k as f64) * step < end {
+            let t = k as f64 * step;
+            let (t0, t1) = (Seconds::new(t), Seconds::new(t + step));
+            let n = if k % 9 == 8 { 2 } else { 16 };
+            k += 1;
+            let before = h.memo.get();
+            let fast = h.average_power(t0, t1, n);
+            let reference = crate::trapezoid(h, t0, t1, n, |_, _| false, None);
+            assert_eq!(
+                fast.value().to_bits(),
+                reference.value().to_bits(),
+                "{t0:?}..{t1:?} at n = {n} on {:?}",
+                h.cycle()
+            );
+            // The trapezoid's first and last sample times: its last sample
+            // sits at `t0 + ((n - 1) / (n - 1)) * span`, and x / x is
+            // exactly 1.
+            let last = t0.value() + (t1 - t0).value();
+            if !h.cycle().constant_over(t0.value(), last) {
+                assert_eq!(h.memo.get(), before, "the per-sample path wrote the memo");
+                continue;
+            }
+            let key = (h.power_at(t0).value().to_bits(), n);
+            let hit = before.is_some_and(|(bits, samples, _)| (bits, samples) == key);
+            counts[usize::from(!hit)] += 1;
+            assert_eq!(h.memo.get(), Some((key.0, key.1, fast)));
         }
     }
 
@@ -415,6 +487,46 @@ mod tests {
             "per-sample {} and constant {} spans",
             taken[0],
             taken[1]
+        );
+
+        // Runs of same-phase settles with phase changes between them: the
+        // highway returns to its 110 km/h cruise, and the last cycle's two
+        // crawls below the generator's cut-in are different phases of the
+        // same (zero) power, so the memo hits across that phase change.
+        let mps = MetersPerSecond::new;
+        let kmh = MetersPerSecond::from_kmh;
+        let returns = DriveCycle::new(vec![
+            DrivePhase::cruise(Seconds::new(5.0), kmh(30.0)),
+            DrivePhase::cruise(Seconds::new(5.0), kmh(60.0)),
+            DrivePhase::cruise(Seconds::new(5.0), kmh(30.0)),
+            DrivePhase::ramp(Seconds::new(3.0), kmh(30.0), mps(0.2)),
+            DrivePhase::cruise(Seconds::new(4.0), mps(0.2)),
+            DrivePhase::cruise(Seconds::new(4.0), mps(0.4)),
+            DrivePhase::ramp(Seconds::new(3.0), mps(0.4), kmh(30.0)),
+        ])
+        .expect("valid cycle");
+        let mut memo = [0usize; 2];
+        for cycle in [
+            DriveCycle::urban(),
+            DriveCycle::highway(),
+            DriveCycle::bicycle(),
+            DriveCycle::parked(),
+            returns,
+        ] {
+            let step = cycle.period().value() / 240.0;
+            check_memo_runs(
+                &WheelHarvester::automotive(cycle.clone()),
+                step,
+                2.5,
+                &mut memo,
+            );
+            check_memo_runs(&WheelHarvester::bicycle(cycle), 0.02, 0.01, &mut memo);
+        }
+        assert!(
+            memo[0] > 1000 && memo[1] > 100,
+            "memo hits {} and misses {}",
+            memo[0],
+            memo[1]
         );
     }
 

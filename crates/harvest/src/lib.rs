@@ -49,6 +49,7 @@ pub use wheel::WheelHarvester;
 /// `automotive`, …) are infallible.
 pub use picocube_power::PowerError;
 
+use core::cell::Cell;
 use picocube_units::{Seconds, Watts};
 
 /// NaN-rejecting "strictly positive" check for constructor validation:
@@ -83,9 +84,15 @@ pub trait Harvester {
     ///
     /// Panics if `t1 < t0` or `n < 2`.
     fn average_power(&self, t0: Seconds, t1: Seconds, n: usize) -> Watts {
-        trapezoid(self, t0, t1, n, |_, _| false)
+        trapezoid(self, t0, t1, n, |_, _| false, None)
     }
 }
+
+/// The last constant-power average a harvester computed: the power's
+/// bits, the sample count and the average. The trapezoid of a constant is
+/// a pure function of those two keys, so a hit returns the exact bits a
+/// fresh sum would.
+pub(crate) type ConstantAverage = Cell<Option<(u64, usize, Watts)>>;
 
 /// Trapezoidal average of `source`'s power over `[t0, t1]` at `n` samples.
 ///
@@ -94,7 +101,9 @@ pub trait Harvester {
 /// at every time between them, `power_at` is evaluated once; the weighted
 /// sum keeps its order, so the result is bit-identical to evaluating
 /// every sample. A `constant` that always says `false` is the per-sample
-/// reference.
+/// reference. On the constant path, `memo` (when given) returns the last
+/// average it holds for the same power bits and sample count instead of
+/// summing again, and keeps the new one otherwise.
 ///
 /// # Panics
 ///
@@ -105,6 +114,7 @@ pub(crate) fn trapezoid<H: Harvester + ?Sized>(
     t1: Seconds,
     n: usize,
     constant: impl FnOnce(f64, f64) -> bool,
+    memo: Option<&ConstantAverage>,
 ) -> Watts {
     assert!(t1 >= t0, "reversed interval");
     assert!(n >= 2, "need at least two samples");
@@ -115,10 +125,22 @@ pub(crate) fn trapezoid<H: Harvester + ?Sized>(
     let intervals = (n - 1) as f64;
     let at = |i: usize| Seconds::new(t0.value() + i as f64 / intervals * span);
     let same = constant(at(0).value(), at(n - 1).value()).then(|| source.power_at(at(0)));
+    let key = same.map(|p| (p.value().to_bits(), n));
+    if let (Some(key), Some(memo)) = (key, memo) {
+        if let Some((bits, samples, average)) = memo.get() {
+            if (bits, samples) == key {
+                return average;
+            }
+        }
+    }
     let mut acc = 0.0;
     for i in 0..n {
         let w = if i == 0 || i == n - 1 { 0.5 } else { 1.0 };
         acc += w * same.unwrap_or_else(|| source.power_at(at(i))).value();
     }
-    Watts::new(acc / intervals)
+    let average = Watts::new(acc / intervals);
+    if let (Some((bits, samples)), Some(memo)) = (key, memo) {
+        memo.set(Some((bits, samples, average)));
+    }
+    average
 }

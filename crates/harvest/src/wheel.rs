@@ -6,12 +6,12 @@
 //! eccentric proof mass / coil arrangement whose electrical output grows
 //! with the square of wheel speed until magnetic saturation.
 
-use crate::{DriveCycle, Harvester};
+use crate::{ConstantAverage, DriveCycle, Harvester};
 use picocube_power::PowerError;
 use picocube_units::{Meters, Rpm, Seconds, Watts};
 
 /// A wheel-speed-driven electromagnetic generator.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct WheelHarvester {
     cycle: DriveCycle,
     wheel_radius: Meters,
@@ -21,6 +21,44 @@ pub struct WheelHarvester {
     p_max: Watts,
     /// Minimum rotation rate before the generator overcomes cogging.
     cut_in: Rpm,
+    /// The last constant-phase average (DESIGN.md §11): a run of settles
+    /// inside one cruise phase sums its trapezoid once.
+    pub(crate) memo: ConstantAverage,
+}
+
+/// The model's parameters; the memo is a cache, not part of the value.
+impl PartialEq for WheelHarvester {
+    fn eq(&self, other: &Self) -> bool {
+        self.cycle == other.cycle
+            && self.wheel_radius == other.wheel_radius
+            && self.k_w_per_rad2 == other.k_w_per_rad2
+            && self.p_max == other.p_max
+            && self.cut_in == other.cut_in
+    }
+}
+
+/// A preset's wheel radius, power coefficient, saturation and cut-in.
+type Preset = (Meters, f64, Watts, Rpm);
+
+/// The automotive preset: 90 km/h on a 0.3 m wheel is ω = 83.3 rad/s,
+/// and 450 µW / ω² ≈ 6.5e-8.
+fn automotive_preset() -> Preset {
+    (
+        Meters::new(0.3),
+        6.48e-8,
+        Watts::from_milli(2.0),
+        Rpm::new(30.0),
+    )
+}
+
+/// The bicycle preset: a 0.34 m wheel and smaller magnetics.
+fn bicycle_preset() -> Preset {
+    (
+        Meters::new(0.34),
+        2.0e-7,
+        Watts::from_milli(1.0),
+        Rpm::new(15.0),
+    )
 }
 
 impl WheelHarvester {
@@ -47,41 +85,36 @@ impl WheelHarvester {
                 what: "power coefficient must be positive",
             });
         }
-        Ok(Self {
+        Ok(Self::from_preset(
+            cycle,
+            (wheel_radius, k_w_per_rad2, p_max, cut_in),
+        ))
+    }
+
+    /// Builds a harvester from parameters [`WheelHarvester::new`] accepts
+    /// (`presets_pass_the_checked_constructor` pins the presets).
+    fn from_preset(cycle: DriveCycle, (wheel_radius, k_w_per_rad2, p_max, cut_in): Preset) -> Self {
+        Self {
             cycle,
             wheel_radius,
             k_w_per_rad2,
             p_max,
             cut_in,
-        })
+            memo: ConstantAverage::default(),
+        }
     }
 
     /// The automotive TPMS harvester: 0.3 m wheel, calibrated to produce
     /// ≈ 450 µW at 90 km/h (the synchronous rectifier's characterization
     /// point) and saturating at 2 mW.
     pub fn automotive(cycle: DriveCycle) -> Self {
-        // 90 km/h on a 0.3 m wheel is ω = 83.3 rad/s; 450 µW / ω² ≈ 6.5e-8.
-        Self::new(
-            cycle,
-            Meters::new(0.3),
-            6.48e-8,
-            Watts::from_milli(2.0),
-            Rpm::new(30.0),
-        )
-        .expect("valid preset parameters")
+        Self::from_preset(cycle, automotive_preset())
     }
 
     /// The §6 demo harvester on a bicycle wheel (0.34 m radius), smaller
     /// magnetics.
     pub fn bicycle(cycle: DriveCycle) -> Self {
-        Self::new(
-            cycle,
-            Meters::new(0.34),
-            2.0e-7,
-            Watts::from_milli(1.0),
-            Rpm::new(15.0),
-        )
-        .expect("valid preset parameters")
+        Self::from_preset(cycle, bicycle_preset())
     }
 
     /// Wheel rotation rate at time `t`.
@@ -114,9 +147,17 @@ impl Harvester for WheelHarvester {
     }
 
     /// The trapezoid of the trait's default, evaluating `power_at` once
-    /// when every sample falls in one constant-speed phase.
+    /// when every sample falls in one constant-speed phase, and reusing
+    /// the last such average computed for the same power.
     fn average_power(&self, t0: Seconds, t1: Seconds, n: usize) -> Watts {
-        crate::trapezoid(self, t0, t1, n, |a, b| self.cycle.constant_over(a, b))
+        crate::trapezoid(
+            self,
+            t0,
+            t1,
+            n,
+            |a, b| self.cycle.constant_over(a, b),
+            Some(&self.memo),
+        )
     }
 }
 
@@ -131,6 +172,22 @@ mod tests {
             MetersPerSecond::from_kmh(kmh),
         )])
         .expect("valid cycle")
+    }
+
+    #[test]
+    fn presets_pass_the_checked_constructor() {
+        let cycle = DriveCycle::urban();
+        for (preset, built) in [
+            (
+                automotive_preset(),
+                WheelHarvester::automotive(cycle.clone()),
+            ),
+            (bicycle_preset(), WheelHarvester::bicycle(cycle.clone())),
+        ] {
+            let (radius, k, p_max, cut_in) = preset;
+            let checked = WheelHarvester::new(cycle.clone(), radius, k, p_max, cut_in);
+            assert_eq!(checked, Ok(built));
+        }
     }
 
     #[test]

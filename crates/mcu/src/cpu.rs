@@ -349,6 +349,20 @@ impl Mcu {
         self.pending != 0
     }
 
+    /// A lower bound on the cycles the core stays asleep with no external
+    /// pin edge: 0 while it is active, an interrupt is latched or the SPI
+    /// engine is mid-transfer (a completing transfer may raise its
+    /// interrupt), the cycles to the next Timer A interrupt otherwise, and
+    /// `None` when only a pin edge can wake it.
+    pub fn cycles_until_wake(&self) -> Option<u64> {
+        let mode = self.mode();
+        if mode == OperatingMode::Active || self.pending != 0 || self.periph.spi_busy() {
+            return Some(0);
+        }
+        self.periph
+            .cycles_until_timer_fire(mode != OperatingMode::Lpm4)
+    }
+
     /// Executes one instruction, services one interrupt, or reports sleep.
     /// An SPI transfer that completes meanwhile is exchanged with `bus`.
     pub fn step(&mut self, bus: &mut dyn SpiDevice) -> StepResult {
@@ -1763,13 +1777,15 @@ isr:    mov #7, r5
             mcu.step(&mut FloatingBus),
             StepResult::Sleeping(OperatingMode::Lpm3)
         ));
-        // Time passes; nothing happens.
+        // Time passes; nothing happens, and only a pin edge can wake it.
+        assert_eq!(mcu.cycles_until_wake(), None);
         assert_eq!(mcu.sleep(1_000_000, &mut FloatingBus), 1_000_000);
         // External wake (the SP12's 6-second interrupt line).
         mcu.drive_p1(0, true);
         // The pin change has no IE bit set in this minimal program, so
         // raise directly as the board would through a latched line.
         mcu.raise(Irq::Port1);
+        assert_eq!(mcu.cycles_until_wake(), Some(0));
         run_steps(&mut mcu, 10);
         assert_eq!(mcu.register(5), 7);
         assert_eq!(mcu.mode(), OperatingMode::Active);
@@ -2068,9 +2084,13 @@ isr:    mov #5, r5
         );
         run_steps(&mut mcu, 5);
         assert_eq!(mcu.mode(), OperatingMode::Lpm3);
-        // ~32 ACLK ticks ≈ 977 µs ≈ 977 cycles at 1 MHz.
+        // ~32 ACLK ticks ≈ 977 µs ≈ 977 cycles at 1 MHz, and the wake
+        // bound is exactly the sleep the timer allows.
+        let bound = mcu.cycles_until_wake();
         let slept = mcu.sleep(10_000, &mut FloatingBus);
         assert!(slept < 10_000, "timer should cut the sleep short");
+        assert_eq!(bound, Some(slept));
+        assert_eq!(mcu.cycles_until_wake(), Some(0), "the interrupt is latched");
         run_steps(&mut mcu, 10);
         assert_eq!(mcu.register(5), 5);
         assert_eq!(mcu.register(6), 1);
