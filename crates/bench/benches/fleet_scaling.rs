@@ -182,7 +182,6 @@ fn mesh_row(short: bool, reps: u32) -> Json {
         nodes: 24,
         duration: SimDuration::from_secs(duration_s),
         seed: SEED,
-        parallelism: Parallelism::Serial,
         ..MeshConfig::default()
     };
     let (wall, (out, _)) = time_interleaved(reps, 1, |_| {

@@ -6,7 +6,8 @@
 //!
 //! `--nodes` overrides the default density sweep with specific fleet
 //! sizes; `--threads` runs phase 1 of the fleet engine on T worker
-//! threads (results are bit-identical to the serial path); `--duration`
+//! threads (results are bit-identical to the serial path; the mesh
+//! engine always runs on one thread); `--duration`
 //! shortens the simulated span from the default 120 s — the streaming
 //! smoke for 100k–1M-node fleets, whose peak RSS the run reports;
 //! `--telemetry` streams every fleet run's structured event log to PATH
@@ -54,10 +55,6 @@ fn run_mesh_sweep(args: &CommonArgs) {
         "wakeup-RX relay mesh: multi-hop delivery vs fleet size",
         "the §7.3 wakeup receiver turns transmit-only Cubes into a flooding mesh",
     );
-    if let Parallelism::Threads(t) = args.parallelism {
-        println!("\nmesh engine on {t} worker threads (bit-identical to serial)");
-    }
-
     let mut jsonl = args.telemetry.as_deref().map(|path| {
         JsonlRecorder::create(path).unwrap_or_else(|e| panic!("--telemetry {path}: {e}"))
     });
@@ -75,7 +72,6 @@ fn run_mesh_sweep(args: &CommonArgs) {
             duration: SimDuration::from_secs(duration_s),
             spacing_m: 2.5,
             seed: 42,
-            parallelism: args.parallelism,
             ..MeshConfig::default()
         };
         let (out, metrics) = match jsonl.as_mut() {

@@ -9,8 +9,9 @@
 //! output pipes straight into `jq`/plot scripts. Human-oriented chatter
 //! goes to stderr.
 //!
-//! `--threads T` runs node simulation on T worker threads (bit-identical
-//! to serial); `--telemetry PATH` streams every run's structured event
+//! `--threads T` runs a fleet's node simulation on T worker threads
+//! (bit-identical to serial; a mesh always runs on one thread);
+//! `--telemetry PATH` streams every run's structured event
 //! log to PATH as JSON lines.
 //!
 //! Exit status: 0 on success, 1 on a scenario error (parse, validation,

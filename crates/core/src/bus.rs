@@ -23,6 +23,19 @@ pub struct TransmittedPacket {
     pub relayed: bool,
 }
 
+impl TransmittedPacket {
+    /// When the transmission started: `time` less the modeled duration. A
+    /// packet whose duration exceeds its completion timestamp (a
+    /// transmission already in flight at t=0, or a corrupted report
+    /// replayed into a merge) clamps to the simulation origin instead of
+    /// underflowing.
+    pub(crate) fn start(&self) -> SimTime {
+        self.time
+            .checked_sub(SimDuration::from_seconds(self.transmission.duration))
+            .unwrap_or(SimTime::ZERO)
+    }
+}
+
 impl picocube_units::json::ToJson for TransmittedPacket {
     fn to_json(&self) -> picocube_units::json::Json {
         use picocube_units::json::Json;

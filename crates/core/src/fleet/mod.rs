@@ -173,7 +173,7 @@ impl Default for FleetConfig {
             seed: 1,
             parallelism: Parallelism::Serial,
             app: AppBoard::Tpms,
-            wake_ppm_range: 500.0,
+            wake_ppm_range: STOCK_WAKE_PPM,
             per_node_stats: false,
         }
     }
@@ -329,6 +329,10 @@ fn node_setup_rng(master: u64, node: usize) -> SimRng {
     SimRng::stream(master, 2 * node as u64 + 1)
 }
 
+/// The stock half-width of the per-node wake-timer tolerance draw, ppm:
+/// the default of every engine config and of a scenario's chaos plan.
+pub(crate) const STOCK_WAKE_PPM: f64 = 500.0;
+
 /// The concrete [`NodeConfig`] for node `index` of a fleet or mesh seeded
 /// `master`: the shared `base` plus per-node identity, seed stream and
 /// deployment jitter. Also returns the node's setup stream, positioned
@@ -347,9 +351,10 @@ pub(crate) fn derive_node_config(
         seed: node_sim_seed(master, index),
         first_wake_offset_ms: setup.next_u64() % period_ms,
         // Scaled after the draw so the draw count/order is fixed; at the
-        // default 500 ppm the factor is exactly 1.0 and the product is
+        // stock range the factor is exactly 1.0 and the product is
         // bit-identical to the unscaled historical draw.
-        wake_interval_ppm: setup.uniform(-500.0, 500.0) * (wake_ppm_range / 500.0),
+        wake_interval_ppm: setup.uniform(-STOCK_WAKE_PPM, STOCK_WAKE_PPM)
+            * (wake_ppm_range / STOCK_WAKE_PPM),
         ..base.clone()
     };
     (config, setup)
@@ -413,15 +418,7 @@ fn simulate_node_instrumented(
         .iter()
         .map(|packet| PacketRecord {
             node: index as u32,
-            // `time` is the transmission's end; a packet whose modeled
-            // duration exceeds its completion timestamp (a transmission
-            // already in flight at t=0, or a corrupted report replayed
-            // into the merge) clamps to the simulation origin instead of
-            // panicking the whole fleet on u64 underflow.
-            start: packet
-                .time
-                .checked_sub(SimDuration::from_seconds(packet.transmission.duration))
-                .unwrap_or(SimTime::ZERO),
+            start: packet.start(),
             end: packet.time,
             rx_dbm,
             bits: (packet.bytes.len() * 8) as u32,
@@ -1026,9 +1023,8 @@ pub fn run_fleet_resumable(
     Ok(finalize_fleet(config, acc, recorder))
 }
 
-/// The run's tail: canonicalizes the fully-fed accumulator's event
-/// interleaving, frames the stream with phase markers, merges, and drains
-/// events into `recorder`.
+/// The run's tail: frames the fully-fed accumulator's events and merges
+/// its records.
 ///
 /// The telemetry fold here reproduces the materializing engine's order of
 /// operations exactly — empty engine registry, node-order shard fold
@@ -1045,26 +1041,41 @@ fn finalize_fleet(
         config.nodes,
         "fleet fold finalized before every node was absorbed"
     );
-    let record_events = acc.record_events();
-    let duration_ns = config.duration.as_nanos();
     let FleetAccumulator {
         records,
-        telemetry: mut shards,
+        telemetry,
         faulted,
         ..
     } = acc;
+    frame_run(telemetry, config.duration, "merge", recorder, |engine| {
+        merge_records(config, records, faulted, engine)
+    })
+}
 
-    let mut engine = TelemetryBuffer::with_events(record_events);
+/// The event frame both engines share. Emits `phase_start` `"simulate"`
+/// at 0, then `simulated` (every node's telemetry absorbed in node order,
+/// then the engine's own events) in canonical `(t_ns, node)` order, then
+/// `phase_end` at the run's `duration`; runs `tail` (the fleet's
+/// `"merge"`, the mesh's `"sink"`) between that phase's markers, also at
+/// `duration`; and drains the events into `recorder`. Returns the tail's
+/// result and the run's merged metric registry.
+pub(crate) fn frame_run<T>(
+    mut simulated: TelemetryBuffer,
+    duration: SimDuration,
+    tail_phase: &str,
+    recorder: &mut dyn Recorder,
+    tail: impl FnOnce(&mut TelemetryBuffer) -> T,
+) -> (T, Metrics) {
+    let duration_ns = duration.as_nanos();
+    let mut engine = TelemetryBuffer::with_events(simulated.events_enabled());
     engine.record(
         0,
         EventKind::PhaseStart {
             phase: "simulate".into(),
         },
     );
-    // Deterministic shard merge: the accumulator absorbed per-node buffers
-    // in node order; canonicalize the interleaving.
-    shards.sort_events();
-    engine.absorb(shards);
+    simulated.sort_events();
+    engine.absorb(simulated);
     engine.record(
         duration_ns,
         EventKind::PhaseEnd {
@@ -1075,14 +1086,14 @@ fn finalize_fleet(
     engine.record(
         duration_ns,
         EventKind::PhaseStart {
-            phase: "merge".into(),
+            phase: tail_phase.into(),
         },
     );
-    let outcome = merge_records(config, records, faulted, &mut engine);
+    let outcome = tail(&mut engine);
     engine.record(
         duration_ns,
         EventKind::PhaseEnd {
-            phase: "merge".into(),
+            phase: tail_phase.into(),
         },
     );
 

@@ -19,13 +19,13 @@
 //! window `k` ended at some `e > W_{k-1}`, so the earliest relay it can
 //! trigger fires at `e + turnaround > W_{k-1} + W = W_k` — always in the
 //! *next* window or later, never in a stack's simulated past. Every
-//! cross-node interaction therefore happens in the single-threaded match
-//! phase between windows, and the engine is bit-identical across
-//! [`Parallelism::Serial`] and [`Parallelism::Threads`]: each node's
-//! stack lives in its window slot, worker threads claim nodes to advance
-//! from one shared cursor (so a stack may move between threads from window
-//! to window), two barriers bracket each match phase, and the match phase
-//! itself always runs on one thread over node-indexed data.
+//! cross-node interaction therefore happens in the match phase between
+//! windows.
+//!
+//! The engine runs on the calling thread. It owns every node's stack in
+//! a window slot, advances the slots in node order, and runs the match
+//! phase over node-indexed data. [`MeshConfig::parallelism`] is validated
+//! but does not change how a mesh runs.
 //!
 //! # Quiet stretches
 //!
@@ -45,12 +45,12 @@
 //! Randomness follows the fleet's stream discipline: node `i` keeps its
 //! fleet streams `2i`/`2i + 1`, false wakes draw from the reserved
 //! per-node streams [`FALSE_WAKE_STREAM_BASE`]` + i`, and the sink's
-//! channel trials use [`SINK_STREAM`] — no draw ever depends on thread
-//! scheduling.
+//! channel trials use [`SINK_STREAM`] — no draw depends on the order the
+//! nodes are advanced in.
 
 use crate::fleet::{
-    capture_sweep, derive_node_config, link_for_fleet, per_node_delivery, AirSlot, FleetOutcome,
-    Parallelism, RX_DBM_BOUNDS,
+    capture_sweep, derive_node_config, frame_run, link_for_fleet, per_node_delivery, AirSlot,
+    FleetOutcome, Parallelism, RX_DBM_BOUNDS, STOCK_WAKE_PPM,
 };
 use crate::node::{BuildError, NodeConfig};
 use crate::stack::{AppBoard, Stack};
@@ -59,8 +59,6 @@ use picocube_radio::{SuperRegenReceiver, WakeupReceiver};
 use picocube_sim::{SimDuration, SimRng, SimTime};
 use picocube_telemetry::{keys, EventKind, Metrics, Recorder, TelemetryBuffer};
 use picocube_units::{Db, Dbm, Meters, Seconds};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 
 /// Reserved stream index for the sink's channel trials (the fleet merge
 /// uses `u64::MAX`; both are unreachable from any per-node stream).
@@ -105,8 +103,10 @@ pub struct MeshConfig {
     pub capture_margin: Db,
     /// Master seed.
     pub seed: u64,
-    /// Window execution mode. Serial and threaded runs of the same
-    /// configuration produce bit-identical outcomes.
+    /// Accepted for symmetry with [`FleetConfig`](crate::fleet::FleetConfig)
+    /// and validated (`Threads(0)` is [`MeshConfigError::ZeroThreads`]),
+    /// but it does not change how a mesh runs: the window loop always runs
+    /// on the calling thread, so every mode gives the same result.
     pub parallelism: Parallelism,
     /// The wakeup detector every node listens with.
     pub detector: WakeupReceiver,
@@ -141,7 +141,7 @@ impl Default for MeshConfig {
             turnaround: SimDuration::from_millis(20),
             max_hops: 4,
             app: AppBoard::Tpms,
-            wake_ppm_range: 500.0,
+            wake_ppm_range: STOCK_WAKE_PPM,
         }
     }
 }
@@ -315,9 +315,7 @@ impl NodeState {
 /// When a node could next put a frame on the air, or `None` if it never
 /// will again: the engine's quiet horizon. Production passes
 /// [`Stack::quiet_until`]; [`lockstep`] is the horizon that never batches.
-trait Horizon: Fn(&Stack) -> Option<SimTime> + Copy + Send + Sync {}
-
-impl<H: Fn(&Stack) -> Option<SimTime> + Copy + Send + Sync> Horizon for H {}
+type Horizon = fn(&Stack) -> Option<SimTime>;
 
 /// The horizon of a node that may transmit at once: every stretch is one
 /// window, as before quiet stretches, and no packet can come early.
@@ -325,14 +323,10 @@ fn lockstep(stack: &Stack) -> Option<SimTime> {
     Some(stack.now())
 }
 
-/// One node's stack, and what the worker that advanced it last hands the
-/// match phase.
-#[derive(Debug, Default)]
+/// One node's stack, and how far the match phase has read its packets.
+#[derive(Debug)]
 struct WindowSlot {
-    /// `None` when the node failed to build.
-    stack: Option<Stack>,
-    alive: bool,
-    faulted: bool,
+    stack: Stack,
     /// Packets of the stack the match phase has already collected; the
     /// next window's new packets start here.
     collected: usize,
@@ -340,21 +334,15 @@ struct WindowSlot {
     /// The match phase collects only that window, so it must equal
     /// `collected`.
     window_from: usize,
-    /// How many windows after the stretch end, on the node's own clock,
-    /// before it could next put a frame on the air (`usize::MAX` for a
-    /// node that never will).
-    quiet_windows: usize,
 }
 
-/// Everything the single-threaded match phase accumulates over the run.
+/// Everything the match phase accumulates over the run.
 struct EngineState {
     nodes: Vec<NodeState>,
     all_txs: Vec<MeshTx>,
     /// The previous window's transmissions: interference context for
     /// boundary-straddling overlaps in the next match phase.
     prev_txs: Vec<MeshTx>,
-    /// Each node's `alive` flag as the collection pass read it (scratch).
-    alive: Vec<bool>,
     telemetry: TelemetryBuffer,
     receptions: usize,
     duplicates: usize,
@@ -458,36 +446,12 @@ fn false_wake_times(config: &MeshConfig, index: usize) -> Vec<SimTime> {
     times
 }
 
-/// `Mutex` lock with poison recovery: a panicked worker already aborts
-/// the run via `resume_unwind`, so a poisoned lock here only means this
-/// thread is unwinding alongside it.
-fn lock<T>(cell: &Mutex<T>) -> MutexGuard<'_, T> {
-    cell.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Claims node indices from `cursor` until it passes the last slot,
-/// running `work` on each claimed node's slot. `Relaxed` suffices: the
-/// cursor only hands out indices, and the slot mutexes and the window
-/// barriers order the data.
-fn claim_nodes(
-    cursor: &AtomicUsize,
-    slots: &[Mutex<WindowSlot>],
-    work: impl Fn(usize, &mut WindowSlot),
-) {
-    loop {
-        let index = cursor.fetch_add(1, Ordering::Relaxed);
-        let Some(slot) = slots.get(index) else {
-            return;
-        };
-        work(index, &mut lock(slot));
-    }
-}
-
 /// How many windows after the present one end, on `stack`'s own clock,
-/// before `horizon` says it could next put a frame on the air. A node that
-/// sleeps through a window advances its clock by the window rounded up to
-/// whole microseconds (`quiet_step_ns`): the core sleeps in 1 µs cycles.
-fn quiet_windows(stack: &Stack, horizon: impl Horizon, quiet_step_ns: u64) -> usize {
+/// before `horizon` says it could next put a frame on the air
+/// (`usize::MAX` for a node that never will). A node that sleeps through
+/// a window advances its clock by the window rounded up to whole
+/// microseconds (`quiet_step_ns`): the core sleeps in 1 µs cycles.
+fn quiet_windows(stack: &Stack, horizon: Horizon, quiet_step_ns: u64) -> usize {
     match horizon(stack) {
         None => usize::MAX,
         Some(at) => {
@@ -498,29 +462,17 @@ fn quiet_windows(stack: &Stack, horizon: impl Horizon, quiet_step_ns: u64) -> us
 }
 
 /// Advances one node through a stretch of windows, noting its packet
-/// count before the last one, and asks `horizon` how long it stays quiet
-/// after it.
-fn advance_stretch(
-    slot: &mut WindowSlot,
-    stretch: &[SimDuration],
-    horizon: impl Horizon,
-    quiet_step_ns: u64,
-) {
-    let Some(node) = slot.stack.as_mut() else {
-        slot.alive = false;
-        slot.faulted = true;
+/// count before the last one. A fault latches in the stack, where the
+/// match phase and the run's tally read it ([`Stack::fault`]).
+fn advance_stretch(slot: &mut WindowSlot, stretch: &[SimDuration]) {
+    let Some((last, before)) = stretch.split_last() else {
         return;
     };
-    let last = stretch.len().saturating_sub(1);
-    for (window, step) in stretch.iter().enumerate() {
-        if window == last {
-            slot.window_from = node.packet_count();
-        }
-        let completed = node.run_for(*step).is_completed();
-        slot.alive = completed;
-        slot.faulted |= !completed;
+    for step in before {
+        slot.stack.run_for(*step);
     }
-    slot.quiet_windows = quiet_windows(node, horizon, quiet_step_ns);
+    slot.window_from = slot.stack.packet_count();
+    slot.stack.run_for(*last);
 }
 
 /// Provenance the collection pass attaches to one on-air packet.
@@ -531,13 +483,13 @@ struct Classified {
     was_relay: bool,
 }
 
-/// The single-threaded match phase for the last window of a stretch:
-/// classify the window's transmissions, gate detection on the wakeup
-/// sensitivity, apply collision/capture and half-duplex at each receiver
-/// that can hear one of them, dedup, hop-limit, and inject next-window
-/// relays into the receivers' stacks. `prev_txs` is the interference
-/// context: the window before's transmissions, empty after a longer
-/// stretch. The window's transmissions become the next one's context.
+/// The match phase for the last window of a stretch: classify the
+/// window's transmissions, gate detection on the wakeup sensitivity,
+/// apply collision/capture and half-duplex at each live receiver that can
+/// hear one of them, dedup, hop-limit, and inject next-window relays into
+/// the receivers' stacks. `prev_txs` is the interference context: the
+/// window before's transmissions, empty after a longer stretch. The
+/// window's transmissions become the next one's context.
 ///
 /// Returns how many windows after this one end before any node could next
 /// put a frame on the air, or `None`, with the engine state left partly
@@ -546,41 +498,24 @@ fn match_window(
     config: &MeshConfig,
     geometry: &Geometry,
     state: &mut EngineState,
-    slots: &[Mutex<WindowSlot>],
+    slots: &mut [WindowSlot],
     prev_txs: Vec<MeshTx>,
-    horizon: impl Horizon,
+    horizon: Horizon,
     quiet_step_ns: u64,
 ) -> Option<usize> {
     // Collect the window's transmissions with provenance, node-ordered,
-    // reading each stack's new packets in place, and each slot's liveness
-    // and quiet span under the same lock.
+    // reading each stack's new packets in place, and each node's quiet
+    // span in the same pass.
     let mut window_txs: Vec<MeshTx> = Vec::new();
     let mut quiet = usize::MAX;
-    state.alive.clear();
-    for (index, slot) in slots.iter().enumerate() {
-        let mut guard = lock(slot);
-        let WindowSlot {
-            stack,
-            alive,
-            collected,
-            window_from,
-            quiet_windows,
-            ..
-        } = &mut *guard;
-        state.alive.push(*alive);
-        let Some(stack) = stack.as_ref() else {
-            continue;
-        };
-        if *window_from != *collected {
+    for (index, slot) in slots.iter_mut().enumerate() {
+        if slot.window_from != slot.collected {
             return None;
         }
-        quiet = quiet.min(*quiet_windows);
-        let packets = stack.packets();
-        for packet in packets.get(*collected..).unwrap_or_default() {
-            let start = packet
-                .time
-                .checked_sub(SimDuration::from_seconds(packet.transmission.duration))
-                .unwrap_or(SimTime::ZERO);
+        quiet = quiet.min(quiet_windows(&slot.stack, horizon, quiet_step_ns));
+        let packets = slot.stack.packets();
+        for packet in packets.get(slot.collected..).unwrap_or_default() {
+            let start = packet.start();
             let classified = state.nodes.get_mut(index).and_then(|node_state| {
                 if packet.relayed {
                     // Match the copy back to the scheduled rebroadcast it
@@ -628,7 +563,7 @@ fn match_window(
                 hops: classified.hops,
             });
         }
-        *collected = packets.len();
+        slot.collected = packets.len();
     }
 
     // Per-receiver reception: interference context is the previous window
@@ -654,11 +589,11 @@ fn match_window(
     let mut heard: Vec<(AirSlot, Option<&MeshTx>)> = Vec::new();
     let mut air: Vec<AirSlot> = Vec::new();
     let mut own: Vec<(SimTime, SimTime)> = Vec::new();
-    for receiver in 0..config.nodes {
+    for (receiver, listener) in slots.iter_mut().enumerate() {
         // A receiver that can detect none of this window's transmissions
         // changes nothing: every entry below would skip at the
         // sensitivity gate.
-        if state.alive.get(receiver) != Some(&true)
+        if listener.stack.fault().is_some()
             || !window_txs
                 .iter()
                 .any(|tx| geometry.hears(tx.node, receiver))
@@ -752,16 +687,10 @@ fn match_window(
                     },
                 );
             }
-            if let Some(slot) = slots.get(receiver) {
-                let mut guard = lock(slot);
-                if let Some(node) = guard.stack.as_mut() {
-                    node.inject_relay(relay_at, tx.bytes.clone());
-                    // The queued relay is a board event: the receiver's
-                    // quiet span can only shrink.
-                    guard.quiet_windows = quiet_windows(node, horizon, quiet_step_ns);
-                    quiet = quiet.min(guard.quiet_windows);
-                }
-            }
+            listener.stack.inject_relay(relay_at, tx.bytes.clone());
+            // The queued relay is a board event: the receiver's quiet span
+            // can only shrink.
+            quiet = quiet.min(quiet_windows(&listener.stack, horizon, quiet_step_ns));
         }
     }
     state.all_txs.extend(window_txs.iter().cloned());
@@ -771,9 +700,10 @@ fn match_window(
 
 /// What one run of the window loop did.
 struct WindowRun {
-    /// Nodes that faulted, and each node's drained telemetry in node order.
+    /// Nodes that faulted.
     faulted: usize,
-    buffers: Vec<TelemetryBuffer>,
+    /// Every node's drained telemetry, absorbed in node order.
+    telemetry: TelemetryBuffer,
     /// Match phases run: one per stretch.
     match_phases: usize,
     /// Whether the run was abandoned because a node put a packet on the
@@ -788,13 +718,12 @@ struct WindowRun {
 /// for `"simulate"` (node events plus the engine's `rx`/`relay`/
 /// `false_wake` events, canonically `(t_ns, node)`-interleaved), then for
 /// `"sink"` (per-copy [`EventKind::PacketFate`] in `(start, node)`
-/// order). Stream and metrics are bit-identical across [`Parallelism`]
-/// modes.
+/// order). Stream and metrics are the same for every [`Parallelism`].
 ///
 /// # Errors
 ///
 /// Returns [`MeshConfigError`] on a degenerate configuration or a base
-/// config that fails its probe build.
+/// config whose nodes fail to build.
 pub fn run_mesh_with(
     config: &MeshConfig,
     recorder: &mut dyn Recorder,
@@ -816,79 +745,52 @@ struct MeshStats {
 fn run_mesh_at(
     config: &MeshConfig,
     recorder: &mut dyn Recorder,
-    horizon: impl Horizon,
+    horizon: Horizon,
 ) -> Result<(MeshOutcome, Metrics, MeshStats), MeshConfigError> {
     config.validate()?;
     let record_events = recorder.wants_events();
-    // Probe-build node 0 before any worker threads exist, so an invalid
-    // base fails here with a typed error instead of inside a worker.
-    build_mesh_node(config, 0, record_events).map_err(MeshConfigError::BaseConfig)?;
-
-    let (mut state, mut run) = simulate(config, record_events, horizon);
+    let (mut state, mut run) = simulate(config, record_events, horizon)?;
     let replayed = run.early;
     if replayed {
-        (state, run) = simulate(config, record_events, lockstep);
+        (state, run) = simulate(config, record_events, lockstep)?;
     }
     let stats = MeshStats {
         match_phases: run.match_phases,
         replayed,
     };
 
-    let duration_ns = config.duration.as_nanos();
-    let mut engine = TelemetryBuffer::with_events(record_events);
-    engine.record(
-        0,
-        EventKind::PhaseStart {
-            phase: "simulate".into(),
-        },
-    );
-    // Deterministic merge: node buffers in node order, then the engine's
-    // own rx/relay events, then canonicalize the interleaving.
-    let mut merged = TelemetryBuffer::with_events(record_events);
-    for buffer in run.buffers {
-        merged.absorb(buffer);
-    }
-    let engine_events = std::mem::take(&mut state.telemetry);
-    merged.absorb(engine_events);
-    merged.sort_events();
-    engine.absorb(merged);
-    engine.record(
-        duration_ns,
-        EventKind::PhaseEnd {
-            phase: "simulate".into(),
-        },
-    );
-
-    engine.record(
-        duration_ns,
-        EventKind::PhaseStart {
-            phase: "sink".into(),
-        },
-    );
-    let outcome = sink_phase(config, &mut state, run.faulted, &mut engine);
-    engine.record(
-        duration_ns,
-        EventKind::PhaseEnd {
-            phase: "sink".into(),
-        },
-    );
-
-    engine.drain_events_into(recorder);
-    Ok((outcome, engine.metrics, stats))
+    // Node buffers in node order, then the engine's own rx/relay events.
+    let mut simulated = run.telemetry;
+    simulated.absorb(std::mem::take(&mut state.telemetry));
+    let (outcome, metrics) = frame_run(simulated, config.duration, "sink", recorder, |engine| {
+        sink_phase(config, &mut state, run.faulted, engine)
+    });
+    Ok((outcome, metrics, stats))
 }
 
-/// Simulates the mesh's nodes under `horizon`: the engine state with its
-/// noise-triggered wakes, then the window loop.
+/// Simulates the mesh's nodes under `horizon`: builds every node (node
+/// 0's build is the probe, so an invalid base fails there with its typed
+/// error), sets up the engine state with its noise-triggered wakes, then
+/// runs the window loop.
 fn simulate(
     config: &MeshConfig,
     record_events: bool,
-    horizon: impl Horizon,
-) -> (EngineState, WindowRun) {
+    horizon: Horizon,
+) -> Result<(EngineState, WindowRun), MeshConfigError> {
+    let slots = (0..config.nodes)
+        .map(|index| {
+            build_mesh_node(config, index, record_events).map(|stack| WindowSlot {
+                stack,
+                collected: 0,
+                window_from: 0,
+            })
+        })
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(MeshConfigError::BaseConfig)?;
     let mut state = EngineState {
         nodes: (0..config.nodes).map(|_| NodeState::default()).collect(),
         all_txs: Vec::new(),
         prev_txs: Vec::new(),
-        alive: Vec::with_capacity(config.nodes),
         telemetry: TelemetryBuffer::with_events(record_events),
         receptions: 0,
         duplicates: 0,
@@ -913,33 +815,21 @@ fn simulate(
         }
     }
 
-    let run = run_windows(config, record_events, &mut state, horizon);
-    (state, run)
+    let run = run_windows(config, slots, &mut state, horizon, record_events);
+    Ok((state, run))
 }
 
-/// The window loop on `workers` threads. Workers build the nodes, then
-/// advance them one quiet stretch at a time (see the module docs),
-/// claiming node indices from one shared cursor; two barriers per stretch
-/// bracket the single-threaded match phase on worker 0, which also sizes
-/// the next stretch under `horizon` and rewinds the cursor.
+/// The window loop: advances every node, in node order, through one quiet
+/// stretch at a time (see the module docs), then runs the match phase,
+/// which sizes the next stretch under `horizon`.
 fn run_windows(
     config: &MeshConfig,
-    record_events: bool,
+    mut slots: Vec<WindowSlot>,
     state: &mut EngineState,
-    horizon: impl Horizon,
+    horizon: Horizon,
+    record_events: bool,
 ) -> WindowRun {
-    let workers = config.parallelism.workers().min(config.nodes).max(1);
     let geometry = Geometry::new(config);
-    let slots: Vec<Mutex<WindowSlot>> = (0..config.nodes)
-        .map(|_| Mutex::new(WindowSlot::default()))
-        .collect();
-    let barrier = Barrier::new(workers);
-    let cursor = AtomicUsize::new(0);
-    // One past the current stretch's last window; 0 once the run is
-    // abandoned. Worker 0 writes it between the barriers.
-    let stretch_end = AtomicUsize::new(1);
-    let mut match_phases = 0usize;
-    let mut early = false;
     let quiet_step_ns = config
         .turnaround
         .as_nanos()
@@ -955,98 +845,50 @@ fn run_windows(
         remaining = remaining - step;
     }
 
-    let state_cell = Mutex::new((state, &mut match_phases, &mut early));
-    let steps = &steps;
-    let slots_ref = &slots;
-    let barrier = &barrier;
-    let geometry = &geometry;
-    let state_cell = &state_cell;
-    let cursor = &cursor;
-    let stretch_end = &stretch_end;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|worker| {
-                scope.spawn(move || {
-                    // Waits out the phase, lets worker 0 run `between` and
-                    // rewind the cursor, and releases the next phase.
-                    let sync = |between: &dyn Fn()| {
-                        barrier.wait();
-                        if worker == 0 {
-                            between();
-                            cursor.store(0, Ordering::Relaxed);
-                        }
-                        barrier.wait();
-                    };
-                    // A node whose build fails (cannot happen after the
-                    // probe build, but stay total) counts as faulted from
-                    // the start.
-                    claim_nodes(cursor, slots_ref, |index, slot| {
-                        slot.stack = build_mesh_node(config, index, record_events).ok();
-                    });
-                    sync(&|| {});
-                    let mut window = 0usize;
-                    loop {
-                        let end = stretch_end.load(Ordering::Relaxed);
-                        let Some(stretch) = steps.get(window..end).filter(|s| !s.is_empty()) else {
-                            break; // the run is over, or abandoned
-                        };
-                        claim_nodes(cursor, slots_ref, |_, slot| {
-                            advance_stretch(slot, stretch, horizon, quiet_step_ns);
-                        });
-                        sync(&|| {
-                            let mut guard = lock(state_cell);
-                            let (engine, match_phases, early) = &mut *guard;
-                            **match_phases += 1;
-                            // Windows inside a longer stretch had nothing on
-                            // the air, so nothing straddles into this one.
-                            let prev = std::mem::take(&mut engine.prev_txs);
-                            let prev = if stretch.len() == 1 { prev } else { Vec::new() };
-                            let next = match match_window(
-                                config,
-                                geometry,
-                                engine,
-                                slots_ref,
-                                prev,
-                                horizon,
-                                quiet_step_ns,
-                            ) {
-                                Some(quiet) => end.saturating_add(quiet.saturating_add(1)),
-                                None => {
-                                    **early = true;
-                                    0
-                                }
-                            };
-                            stretch_end.store(next.min(steps.len()), Ordering::Relaxed);
-                        });
-                        window = end;
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            if let Err(payload) = handle.join() {
-                std::panic::resume_unwind(payload);
-            }
+    let mut match_phases = 0usize;
+    let mut window = 0usize;
+    // One past the current stretch's last window.
+    let mut end = 1usize;
+    let early = loop {
+        let Some(stretch) = steps.get(window..end).filter(|s| !s.is_empty()) else {
+            break false;
+        };
+        for slot in &mut slots {
+            advance_stretch(slot, stretch);
         }
-    });
+        match_phases += 1;
+        // Windows inside a longer stretch had nothing on the air, so
+        // nothing straddles into this one.
+        let prev = std::mem::take(&mut state.prev_txs);
+        let prev = if stretch.len() == 1 { prev } else { Vec::new() };
+        let Some(quiet) = match_window(
+            config,
+            &geometry,
+            state,
+            &mut slots,
+            prev,
+            horizon,
+            quiet_step_ns,
+        ) else {
+            break true;
+        };
+        window = end;
+        end = end.saturating_add(quiet.saturating_add(1)).min(steps.len());
+    };
 
-    let mut faulted = 0usize;
-    let mut buffers = Vec::with_capacity(config.nodes);
-    for (index, slot) in slots.into_iter().enumerate() {
-        let slot = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
-        faulted += usize::from(slot.faulted);
-        buffers.push(
-            slot.stack
-                .map_or_else(TelemetryBuffer::default, |mut node| {
-                    let mut telemetry = node.drain_telemetry();
-                    telemetry.attribute_to(index as u32);
-                    telemetry
-                }),
-        );
+    let faulted = slots
+        .iter()
+        .filter(|slot| slot.stack.fault().is_some())
+        .count();
+    let mut telemetry = TelemetryBuffer::with_events(record_events);
+    for (index, mut slot) in slots.into_iter().enumerate() {
+        let mut node = slot.stack.drain_telemetry();
+        node.attribute_to(index as u32);
+        telemetry.absorb(node);
     }
     WindowRun {
         faulted,
-        buffers,
+        telemetry,
         match_phases,
         early,
     }
@@ -1283,9 +1125,8 @@ mod tests {
 
     /// A mesh that starts on a nearly flat sliver of a cell with its
     /// harvesters mostly gated off, so the wakeup receivers' listen draw
-    /// browns its nodes out mid-run: held nodes, relays injected into held
-    /// nodes and uneven per-window cost, with stacks moving between
-    /// workers.
+    /// browns its nodes out mid-run: held nodes and relays injected into
+    /// held nodes.
     fn flat_config() -> MeshConfig {
         MeshConfig {
             base: NodeConfig {
@@ -1325,7 +1166,7 @@ mod tests {
     /// Runs `config` under `horizon` with events on: the outcome, the
     /// registry JSON and the event stream as one string, and how the run
     /// went through its windows.
-    fn capture(config: &MeshConfig, horizon: impl Horizon) -> (String, MeshStats) {
+    fn capture(config: &MeshConfig, horizon: Horizon) -> (String, MeshStats) {
         let mut events: Vec<picocube_telemetry::Event> = Vec::new();
         let (outcome, metrics, stats) =
             run_mesh_at(config, &mut events, horizon).expect("mesh runs");

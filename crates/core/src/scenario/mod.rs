@@ -171,7 +171,7 @@ impl Scenario {
     }
 
     fn wake_ppm_range(&self) -> f64 {
-        self.chaos.map_or(500.0, |c| c.wake_ppm_range)
+        self.chaos.unwrap_or_default().wake_ppm_range
     }
 
     fn duration(&self) -> SimDuration {

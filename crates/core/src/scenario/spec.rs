@@ -5,6 +5,8 @@
 //! the parent module; the chaos-plan knobs lower onto the typed
 //! [`NodeConfig`]/fleet fields added for them (see `DESIGN.md` §13).
 
+use crate::fleet::{FleetConfig, STOCK_WAKE_PPM};
+use crate::mesh::MeshConfig;
 use crate::node::{HarvestDropout, NodeConfig};
 use crate::stack::AppBoard;
 use picocube_units::json::{field, FromJson, Json, JsonError, ToJson};
@@ -21,13 +23,14 @@ pub struct FleetSpec {
 }
 
 impl Default for FleetSpec {
+    /// The stock engine defaults, so an omitted "fleet" object lowers onto
+    /// `FleetConfig::default()`.
     fn default() -> Self {
-        // Mirrors `FleetConfig::default()` so an omitted "fleet" object
-        // lowers onto the stock engine defaults.
+        let fleet = FleetConfig::default();
         Self {
-            distance_min_m: 0.5,
-            distance_max_m: 4.0,
-            capture_margin_db: 10.0,
+            distance_min_m: fleet.distance_range.0,
+            distance_max_m: fleet.distance_range.1,
+            capture_margin_db: fleet.capture_margin.value(),
         }
     }
 }
@@ -48,13 +51,15 @@ pub struct MeshSpec {
 }
 
 impl Default for MeshSpec {
+    /// The stock engine defaults, so an omitted mesh field lowers onto
+    /// `MeshConfig::default()`.
     fn default() -> Self {
-        // Mirrors `MeshConfig::default()`.
+        let mesh = MeshConfig::default();
         Self {
-            sink_offset_m: 2.0,
-            spacing_m: 2.0,
-            turnaround_ms: 20,
-            max_hops: 4,
+            sink_offset_m: mesh.sink_offset_m,
+            spacing_m: mesh.spacing_m,
+            turnaround_ms: mesh.turnaround.as_nanos() / 1_000_000,
+            max_hops: mesh.max_hops,
         }
     }
 }
@@ -82,7 +87,7 @@ impl Default for ChaosPlan {
             harvest_dropout: None,
             battery_capacity_fraction: 1.0,
             ambient_celsius: None,
-            wake_ppm_range: 500.0,
+            wake_ppm_range: STOCK_WAKE_PPM,
         }
     }
 }

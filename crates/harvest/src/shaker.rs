@@ -7,6 +7,11 @@ use crate::Harvester;
 use picocube_power::PowerError;
 use picocube_units::{Hertz, Joules, Seconds, Watts};
 
+/// The bench preset's excitation rate, pulse energy and pulse duty.
+fn bench_preset() -> (Hertz, Joules, f64) {
+    (Hertz::new(50.0), Joules::from_micro(9.0), 0.25)
+}
+
 /// A proof-mass/coil generator producing energy pulses at an excitation
 /// rate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,7 +60,13 @@ impl ElectromagneticShaker {
     /// a quarter-period window — 450 µW average, matching the rectifier's
     /// published operating point.
     pub fn bench_450uw() -> Self {
-        Self::new(Hertz::new(50.0), Joules::from_micro(9.0), 0.25).expect("valid preset parameters")
+        // Parameters `new` accepts (`presets_pass_the_checked_constructor`).
+        let (excitation, energy_per_pulse, pulse_duty) = bench_preset();
+        Self {
+            excitation,
+            energy_per_pulse,
+            pulse_duty,
+        }
     }
 
     /// Excitation rate.
@@ -105,6 +116,15 @@ impl Harvester for ElectromagneticShaker {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn presets_pass_the_checked_constructor() {
+        let (excitation, energy_per_pulse, pulse_duty) = bench_preset();
+        assert_eq!(
+            ElectromagneticShaker::new(excitation, energy_per_pulse, pulse_duty),
+            Ok(ElectromagneticShaker::bench_450uw())
+        );
+    }
 
     #[test]
     fn bench_source_averages_450_uw() {

@@ -94,6 +94,12 @@ impl FromJson for Irradiance {
     }
 }
 
+/// The five-face preset's active area, cell efficiency and orientation
+/// factor.
+fn five_faces_preset() -> (SquareMillimeters, f64, f64) {
+    (SquareMillimeters::new(5.0 * 100.0), 0.15, 0.4)
+}
+
 /// Solar cells on the exposed faces of the cube.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolarCladding {
@@ -144,8 +150,14 @@ impl SolarCladding {
     /// Cladding of five faces of the 1 cm cube (the sixth mounts), 15 %
     /// cells, 0.4 average orientation factor.
     pub fn five_faces(light: Irradiance) -> Self {
-        Self::new(SquareMillimeters::new(5.0 * 100.0), 0.15, 0.4, light)
-            .expect("valid preset parameters")
+        // Parameters `new` accepts (`presets_pass_the_checked_constructor`).
+        let (active_area, efficiency, orientation_factor) = five_faces_preset();
+        Self {
+            active_area,
+            efficiency,
+            orientation_factor,
+            light,
+        }
     }
 
     /// Total active cell area.
@@ -168,6 +180,17 @@ impl Harvester for SolarCladding {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn presets_pass_the_checked_constructor() {
+        let (active_area, efficiency, orientation_factor) = five_faces_preset();
+        for light in [Irradiance::office(), Irradiance::outdoor()] {
+            assert_eq!(
+                SolarCladding::new(active_area, efficiency, orientation_factor, light),
+                Ok(SolarCladding::five_faces(light))
+            );
+        }
+    }
 
     #[test]
     fn office_light_covers_the_node_budget() {

@@ -12,6 +12,18 @@ use crate::Harvester;
 use picocube_power::PowerError;
 use picocube_units::{Grams, Hertz, MetersPerSecond2, Seconds, Watts};
 
+/// The Roundy preset's proof mass, natural frequency, Q, drive
+/// acceleration and drive frequency.
+fn roundy_preset() -> (Grams, Hertz, f64, MetersPerSecond2, Hertz) {
+    (
+        Grams::new(1.0),
+        Hertz::new(120.0),
+        30.0,
+        MetersPerSecond2::new(2.5),
+        Hertz::new(120.0),
+    )
+}
+
 /// A resonant cantilever vibration harvester.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VibrationBeam {
@@ -70,14 +82,15 @@ impl VibrationBeam {
     /// machinery vibration at 2.5 m/s², Q = 30 — the ≈ 200 µW/cm³ class of
     /// reference \[4\].
     pub fn roundy_120hz() -> Self {
-        Self::new(
-            Grams::new(1.0),
-            Hertz::new(120.0),
-            30.0,
-            MetersPerSecond2::new(2.5),
-            Hertz::new(120.0),
-        )
-        .expect("valid preset parameters")
+        // Parameters `new` accepts (`presets_pass_the_checked_constructor`).
+        let (proof_mass, natural, q_factor, drive_accel, drive_freq) = roundy_preset();
+        Self {
+            proof_mass,
+            natural,
+            q_factor,
+            drive_accel,
+            drive_freq,
+        }
     }
 
     /// Natural (resonant) frequency.
@@ -124,6 +137,15 @@ impl Harvester for VibrationBeam {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn presets_pass_the_checked_constructor() {
+        let (proof_mass, natural, q_factor, drive_accel, drive_freq) = roundy_preset();
+        assert_eq!(
+            VibrationBeam::new(proof_mass, natural, q_factor, drive_accel, drive_freq),
+            Ok(VibrationBeam::roundy_120hz())
+        );
+    }
 
     #[test]
     fn roundy_benchmark_is_hundreds_of_microwatts() {

@@ -886,9 +886,19 @@ impl<'a> Parser<'a> {
             "use" => Some(self.parse_use()),
             "impl" | "trait" => self.parse_impl_like(in_test),
             "struct" => Some(self.parse_struct()),
-            "enum" | "union" | "type" => {
+            "enum" | "union" => {
                 self.i += 1;
                 self.recover_item();
+                Some(Item::Other)
+            }
+            "type" => {
+                // Skipped as a type up to its `;`: item recovery would stop
+                // at the `fn` of a `type F = fn(…) -> R;` pointer alias.
+                self.i += 1;
+                self.parse_type(&[]);
+                if !self.eat_punct(';') {
+                    self.recover_item();
+                }
                 Some(Item::Other)
             }
             "macro_rules" => {
@@ -2453,6 +2463,18 @@ mod tests {
             vec!["RADIO_TX_PACKETS".to_string(), "NODE_WAKES".to_string()]
         );
         assert_eq!(uses[1].1, vec!["c".to_string()]);
+    }
+
+    #[test]
+    fn type_aliases_of_fn_pointers_parse() {
+        let ast = parse_clean(
+            "type Horizon = fn(&Stack) -> Option<SimTime>;\n\
+             trait T { type Out: Clone; }\n\
+             fn after() {}\n",
+        );
+        let mut names = Vec::new();
+        ast.for_each_fn(&mut |f| names.push(f.name.clone()));
+        assert_eq!(names, vec!["after".to_string()]);
     }
 
     #[test]

@@ -45,9 +45,6 @@ pub struct NimhCell {
     damaged: bool,
     /// Cell temperature: automotive TPMS cells live from −40 to +85 °C.
     temperature: Celsius,
-    /// `self_discharge_factor` at `temperature`, refreshed when the
-    /// temperature changes rather than evaluated on every step.
-    leak_factor: f64,
 }
 
 impl NimhCell {
@@ -70,7 +67,6 @@ impl NimhCell {
             burst_c_rating: 2.0,
             damaged: false,
             temperature: Celsius::new(25.0),
-            leak_factor: self_discharge_factor(Celsius::new(25.0)),
         }
     }
 
@@ -78,10 +74,7 @@ impl NimhCell {
     /// (~2× at −20 °C) and freezes out part of the capacity; heat
     /// accelerates self-discharge (~2× per 10 °C).
     pub fn set_temperature(&mut self, t: Celsius) {
-        if t.value().to_bits() != self.temperature.value().to_bits() {
-            self.temperature = t;
-            self.leak_factor = self_discharge_factor(t);
-        }
+        self.temperature = t;
     }
 
     /// Present cell temperature.
@@ -213,7 +206,10 @@ impl StorageElement for NimhCell {
 
         // Self-discharge first (independent of the external current).
         let leak = Coulombs::new(
-            self.charge.value() * self.self_discharge_rate * self.leak_factor * dt.value(),
+            self.charge.value()
+                * self.self_discharge_rate
+                * self_discharge_factor(self.temperature)
+                * dt.value(),
         );
         self.charge = Coulombs::new((self.charge - leak).value().max(0.0));
         dissipated += Joules::new(leak.value() * self.nominal.value());
@@ -449,62 +445,6 @@ mod tests {
         assert_eq!(cell.temperature(), Celsius::new(25.0));
         assert_eq!(cell.frozen_fraction(), 0.0);
         assert!((cell.internal_resistance().value() - 0.8).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cached_leak_factor_matches_powf_on_every_step() {
-        let temperatures = [-40.0, -20.0, -0.0, 0.0, 25.0, 45.0, 85.0];
-        let mut rng = picocube_sim::SimRng::seed_from(0x1EAC);
-        let mut clamped_cold = 0usize;
-        for run in 0..50 {
-            let mut cell = NimhCell::picocube();
-            cell.set_state_of_charge(rng.uniform(0.0, 1.0));
-            // The reference evaluates `powf` before every step.
-            let mut reference = cell.clone();
-            for _ in 0..400 {
-                if rng.bernoulli(0.3) {
-                    let t = match rng.index(3) {
-                        // A repeat of the present temperature.
-                        0 => cell.temperature().value(),
-                        1 => temperatures[rng.index(temperatures.len())],
-                        _ => rng.uniform(-40.0, 85.0),
-                    };
-                    cell.set_temperature(Celsius::new(t));
-                    reference.set_temperature(Celsius::new(t));
-                }
-                // Charge, discharge hard enough to reach the frozen floor,
-                // or rest, over spans from zero to an hour.
-                let current = match rng.index(3) {
-                    0 => Amps::new(rng.uniform(0.0, 2.0) * cell.c_rate().value()),
-                    1 => Amps::new(-rng.uniform(0.0, 4.0) * cell.c_rate().value()),
-                    _ => Amps::ZERO,
-                };
-                let dt = Seconds::new([0.0, 0.02, 1.0, 60.0, 3600.0][rng.index(5)]);
-                reference.leak_factor = self_discharge_factor(reference.temperature());
-                let got = cell.step(current, dt);
-                let want = reference.step(current, dt);
-                let bits = |o: &StepOutcome| {
-                    (
-                        o.accepted.value().to_bits(),
-                        o.dissipated.value().to_bits(),
-                        o.depleted,
-                    )
-                };
-                assert_eq!(bits(&got), bits(&want), "run {run}");
-                clamped_cold += usize::from(got.depleted && cell.frozen_fraction() > 0.0);
-                assert_eq!(
-                    cell.charge.value().to_bits(),
-                    reference.charge.value().to_bits(),
-                    "run {run}"
-                );
-                assert_eq!(
-                    cell.state_of_charge().to_bits(),
-                    reference.state_of_charge().to_bits(),
-                    "run {run}"
-                );
-            }
-        }
-        assert!(clamped_cold > 0, "no step clamped at a frozen floor");
     }
 
     #[test]

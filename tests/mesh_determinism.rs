@@ -1,17 +1,18 @@
-//! Mesh determinism: the windowed-sync relay engine must be bit-identical
-//! across `Parallelism` modes and pinned to a golden trace.
+//! Mesh determinism: the windowed-sync relay engine is pinned to a golden
+//! trace, whatever `Parallelism` its config names.
 //!
 //! The mesh engine (DESIGN.md §12) extends the fleet's bit-identity
 //! contract to the coupled case: nodes exchange packets mid-run, so the
 //! engine synchronizes on conservative time windows (lookahead = the
-//! relay turnaround) instead of simulating nodes independently. These
-//! tests pin both halves of the promise:
+//! relay turnaround) instead of simulating nodes independently. It runs
+//! on the calling thread, and `MeshConfig::parallelism` does not change
+//! how it runs. These tests pin both halves of the promise:
 //!
-//! 1. serial, threaded (2–3 workers claiming nodes from one cursor) and
-//!    oversubscribed (more workers than nodes) runs produce the *same
-//!    bytes* — outcome, metric registry and event stream; and
-//! 2. the serial trace matches `tests/golden/mesh.json`, so a determinism
-//!    bug that shifts all modes together still fails loudly.
+//! 1. the serial trace matches `tests/golden/mesh.json` — outcome, metric
+//!    registry and event stream; and
+//! 2. configs naming 2, 3 and 16 threads (more threads than nodes)
+//!    produce the *same bytes*, so `parallelism` cannot change a mesh
+//!    result.
 //!
 //! Comparison semantics follow `stack_compat`: every value in the golden
 //! must appear unchanged in the capture (objects may gain keys, arrays
