@@ -68,8 +68,9 @@ pub fn scope_for(path: &str) -> Option<Scope> {
                 || path.starts_with("crates/core/src/fleet/")
                 || path == "crates/core/src/mesh.rs"
                 // The decoder must translate identically on every host:
-                // a nondeterministic micro-op cache would silently fork
-                // the instruction-level goldens.
+                // a nondeterministic decode or micro-op cache would
+                // silently fork the instruction-level goldens.
+                || path == "crates/mcu/src/isa.rs"
                 || path == "crates/mcu/src/uops.rs",
             l4: L4_CRATES.contains(&krate),
             l5: L5_CRATES.contains(&krate),
@@ -124,6 +125,8 @@ mod tests {
     fn mcu_decoder_is_determinism_scoped_but_cpu_is_not() {
         let uops = scope_for("crates/mcu/src/uops.rs").unwrap();
         assert!(uops.l3 && uops.l2);
+        let isa = scope_for("crates/mcu/src/isa.rs").unwrap();
+        assert!(isa.l3 && isa.l2);
         let cpu = scope_for("crates/mcu/src/cpu.rs").unwrap();
         assert!(!cpu.l3 && cpu.l2);
     }

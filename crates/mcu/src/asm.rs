@@ -58,11 +58,11 @@ fn err<T>(line: usize, message: impl Into<String>) -> Result<T> {
 /// directives.
 pub fn assemble(source: &str) -> Result<Image> {
     let lines = parse_lines(source)?;
-    let (symbols, _) = layout(&lines, &HashMap::new())?;
+    let symbols = layout(&lines, &HashMap::new())?;
     // Second layout pass with symbols known lets `.equ` of labels resolve;
     // then emit.
-    let (symbols, segments) = layout(&lines, &symbols)?;
-    emit(&lines, &symbols, segments)
+    let symbols = layout(&lines, &symbols)?;
+    emit(&lines, &symbols)
 }
 
 #[derive(Debug, Clone)]
@@ -427,72 +427,37 @@ fn insn_size(
     err(line, format!("unknown mnemonic `{mnemonic}`"))
 }
 
-type Segments = Vec<(u16, u16)>; // (org, size) per .org region in order
-
-fn layout(
-    lines: &[Line],
-    known: &HashMap<String, u16>,
-) -> Result<(HashMap<String, u16>, Segments)> {
+/// Assigns every label its address.
+fn layout(lines: &[Line], known: &HashMap<String, u16>) -> Result<HashMap<String, u16>> {
     let mut symbols = known.clone();
     let mut pc: u16 = 0;
-    let mut segments: Segments = Vec::new();
-    let mut seg_start: Option<u16> = None;
-    let mut seg_len: u16 = 0;
-    let flush = |segments: &mut Segments, seg_start: &mut Option<u16>, seg_len: &mut u16| {
-        if let Some(s) = seg_start.take() {
-            segments.push((s, *seg_len));
-            *seg_len = 0;
-        }
-    };
     for line in lines {
         if let Some(label) = &line.label {
             symbols.insert(label.clone(), pc);
         }
         match &line.item {
-            None => {}
+            None | Some(Item::Vector(..)) => {}
             Some(Item::Org(expr)) => {
-                flush(&mut segments, &mut seg_start, &mut seg_len);
                 pc = eval(expr, &symbols).map_err(|m| AsmError {
                     line: line.number,
                     message: m,
                 })?;
-                seg_start = Some(pc);
             }
             Some(Item::Equ(name, expr)) => {
                 let v = eval(expr, &symbols).unwrap_or(0);
                 symbols.insert(name.clone(), v);
             }
-            Some(Item::Vector(..)) => {}
-            Some(Item::Word(_)) => {
-                if seg_start.is_none() {
-                    seg_start = Some(pc);
-                }
-                pc = pc.wrapping_add(2);
-                seg_len += 2;
-            }
-            Some(Item::Byte(_)) => {
-                if seg_start.is_none() {
-                    seg_start = Some(pc);
-                }
-                pc = pc.wrapping_add(1);
-                seg_len += 1;
-            }
+            Some(Item::Word(_)) => pc = pc.wrapping_add(2),
+            Some(Item::Byte(_)) => pc = pc.wrapping_add(1),
             Some(Item::Insn {
-                mnemonic,
-                byte_mode: _,
-                operands,
+                mnemonic, operands, ..
             }) => {
-                if seg_start.is_none() {
-                    seg_start = Some(pc);
-                }
                 let size = insn_size(line.number, mnemonic, operands, &symbols)?;
                 pc = pc.wrapping_add(size);
-                seg_len += size;
             }
         }
     }
-    flush(&mut segments, &mut seg_start, &mut seg_len);
-    Ok((symbols, segments))
+    Ok(symbols)
 }
 
 fn vector_address(name: &str, line: usize) -> Result<u16> {
@@ -584,13 +549,14 @@ impl Encoder<'_> {
     }
 }
 
-fn emit(lines: &[Line], symbols: &HashMap<String, u16>, _segments: Segments) -> Result<Image> {
+fn emit(lines: &[Line], symbols: &HashMap<String, u16>) -> Result<Image> {
     let mut image = Image::new();
     let mut pc: u16 = 0;
     let mut current: Vec<u8> = Vec::new();
     let mut current_org: u16 = 0;
-    let mut started = false;
     let mut vectors_out: Vec<(u16, u16)> = Vec::new();
+    // One line's bytes.
+    let mut bytes: Vec<u8> = Vec::new();
 
     let flush = |image: &mut Image, current: &mut Vec<u8>, org: u16| {
         if !current.is_empty() {
@@ -603,49 +569,31 @@ fn emit(lines: &[Line], symbols: &HashMap<String, u16>, _segments: Segments) -> 
             symbols,
             line: line.number,
         };
+        bytes.clear();
         match &line.item {
-            None | Some(Item::Equ(..)) => {}
+            None | Some(Item::Equ(..)) => continue,
             Some(Item::Org(expr)) => {
                 flush(&mut image, &mut current, current_org);
                 pc = enc.ev(expr)?;
                 current_org = pc;
-                started = true;
+                continue;
             }
             Some(Item::Vector(name, target)) => {
                 let addr = vector_address(name, line.number)?;
                 let value = enc.ev(target)?;
                 vectors_out.push((addr, value));
+                continue;
             }
-            Some(Item::Word(expr)) => {
-                if !started {
-                    current_org = pc;
-                    started = true;
-                }
-                let v = enc.ev(expr)?;
-                current.extend_from_slice(&v.to_le_bytes());
-                pc = pc.wrapping_add(2);
-            }
-            Some(Item::Byte(expr)) => {
-                if !started {
-                    current_org = pc;
-                    started = true;
-                }
-                let v = enc.ev(expr)?;
-                current.push(v as u8);
-                pc = pc.wrapping_add(1);
-            }
+            Some(Item::Word(expr)) => bytes.extend_from_slice(&enc.ev(expr)?.to_le_bytes()),
+            Some(Item::Byte(expr)) => bytes.push(enc.ev(expr)? as u8),
             Some(Item::Insn {
                 mnemonic,
                 byte_mode,
                 operands,
             }) => {
-                if !started {
-                    current_org = pc;
-                    started = true;
-                }
                 let (mn, ops) = (mnemonic, operands);
                 let bw = u16::from(*byte_mode);
-                let mut words: Vec<u16> = Vec::new();
+                let mut push = |w: u16| bytes.extend_from_slice(&w.to_le_bytes());
 
                 if let Some(&(_, cond)) = JUMPS.iter().find(|&&(m, _)| m == mn) {
                     let target = enc.ev(ops.first().map(String::as_str).unwrap_or(""))?;
@@ -657,15 +605,15 @@ fn emit(lines: &[Line], symbols: &HashMap<String, u16>, _segments: Segments) -> 
                     if !(-512..=511).contains(&off) {
                         return err(line.number, "jump out of range (±512 words)");
                     }
-                    words.push(0x2000 | (cond << 10) | ((off as u16) & 0x3FF));
+                    push(0x2000 | (cond << 10) | ((off as u16) & 0x3FF));
                 } else if mn == "reti" {
-                    words.push(0x1300);
+                    push(0x1300);
                 } else if let Some(&(_, op2)) = FORMAT2.iter().find(|&&(m, _)| m == mn) {
                     let (reg, as_bits, ext) =
                         enc.source(ops.first().map(String::as_str).unwrap_or(""))?;
-                    words.push(0x1000 | (op2 << 7) | (bw << 6) | (as_bits << 4) | reg);
+                    push(0x1000 | (op2 << 7) | (bw << 6) | (as_bits << 4) | reg);
                     if let Some(x) = ext {
-                        words.push(x);
+                        push(x);
                     }
                 } else if let Some(&(_, op1)) = FORMAT1.iter().find(|&&(m, _)| m == mn) {
                     if ops.len() != 2 {
@@ -673,25 +621,20 @@ fn emit(lines: &[Line], symbols: &HashMap<String, u16>, _segments: Segments) -> 
                     }
                     let (sreg, as_bits, sext) = enc.source(&ops[0])?;
                     let (dreg, ad, dext) = enc.destination(&ops[1])?;
-                    words.push(
-                        (op1 << 12) | (sreg << 8) | (ad << 7) | (bw << 6) | (as_bits << 4) | dreg,
-                    );
-                    if let Some(x) = sext {
-                        words.push(x);
-                    }
-                    if let Some(x) = dext {
-                        words.push(x);
+                    push((op1 << 12) | (sreg << 8) | (ad << 7) | (bw << 6) | (as_bits << 4) | dreg);
+                    for x in sext.into_iter().chain(dext) {
+                        push(x);
                     }
                 } else {
                     return err(line.number, format!("unknown mnemonic `{mnemonic}`"));
                 }
-
-                for w in words {
-                    current.extend_from_slice(&w.to_le_bytes());
-                    pc = pc.wrapping_add(2);
-                }
             }
         }
+        if usize::from(current_org) + current.len() + bytes.len() > 0x1_0000 {
+            return err(line.number, "code runs past 0xFFFF, the top of memory");
+        }
+        current.extend_from_slice(&bytes);
+        pc = pc.wrapping_add(bytes.len() as u16);
     }
     flush(&mut image, &mut current, current_org);
     for (addr, value) in vectors_out {
@@ -805,6 +748,19 @@ mod tests {
     fn indexed_operands_both_sides() {
         let img = assemble(".org 0xF000\nmov 2(r4), 4(r5)\n").unwrap();
         assert_eq!(img.segments()[0].1.len(), 6); // op + two extensions
+    }
+
+    #[test]
+    fn sources_past_the_top_of_memory_fail_typed() {
+        let e = assemble(".org 0xFFFE\nmov #0x1234, r4\n").unwrap_err();
+        assert_eq!(e.line, 2, "{e}");
+        let e = assemble(".org 0xFFFF\n.word 1\n").unwrap_err();
+        assert_eq!(e.line, 2, "{e}");
+        assert!(e.message.contains("0xFFFF"), "{e}");
+        // A full image ends exactly at the top and assembles.
+        let src = format!(".org 0\n{}", ".word 0\n".repeat(32_768));
+        let img = assemble(&src).expect("a full 64 KiB image assembles");
+        assert_eq!(img.len(), 0x1_0000);
     }
 
     #[test]

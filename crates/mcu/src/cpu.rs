@@ -1,10 +1,10 @@
 //! The MSP430-subset CPU: fetch/decode/execute with cycle accounting.
 
-use crate::isa::{Condition, Format1Op, Format2Op};
+use crate::isa::{Dst, Format1Op, Format2Op, Insn, Src};
 use crate::memory::{io, FlatMemory, Image};
 use crate::peripherals::{FloatingBus, Irq, Peripherals, SpiDevice};
 use crate::power_model::{McuPowerModel, OperatingMode};
-use crate::uops::{CodeSpan, Fused, SpiXfer};
+use crate::uops::{CodeSpan, DstOp, Fused, SpiXfer, SrcOp, UInsn, UOp};
 use core::ops::ControlFlow;
 use picocube_sim::CycleLog;
 
@@ -633,8 +633,6 @@ impl Mcu {
     /// also does when a freshly latched enabled interrupt needs the outer
     /// dispatch loop. The PC is always left exactly where the unfused loop
     /// would have left it.
-    ///
-    /// [`UOp::Jump`]: crate::uops::UOp::Jump
     fn exec_spi_spin(
         &mut self,
         poll_cycles: u32,
@@ -746,7 +744,7 @@ impl Mcu {
     /// through the generic path.
     fn exec_spi_xfer(
         &mut self,
-        call: &crate::uops::UInsn,
+        call: &UInsn,
         xfer: SpiXfer,
         budget: Budget,
         log: &mut CycleLog,
@@ -932,68 +930,53 @@ impl Mcu {
         }
     }
 
-    /// Resolves a source operand. Returns `(value, write_back_addr, extra_cycles)`.
-    fn resolve_src(&mut self, reg: usize, as_mode: u16, byte: bool) -> (u16, Option<u16>, u32) {
-        match (reg, as_mode) {
-            // Constant generators.
-            (SR, 0b10) => (4, None, 0),
-            (SR, 0b11) => (8, None, 0),
-            (3, 0b00) => (0, None, 0),
-            (3, 0b01) => (1, None, 0),
-            (3, 0b10) => (2, None, 0),
-            (3, 0b11) => (0xFFFF, None, 0),
-            // Register direct.
-            (r, 0b00) => {
-                let v = self.regs[r];
-                (if byte { v & 0xFF } else { v }, None, 0)
+    /// Resolves a source operand against the live registers, fetching its
+    /// extension word. Returns `(value, write_back_addr)`.
+    fn resolve_src(&mut self, src: Src, byte: bool) -> (u16, Option<u16>) {
+        let addr = match src {
+            // Constant generators are not byte-masked; immediates are.
+            Src::Const(v) => return (v, None),
+            Src::Reg(r) => {
+                let v = self.regs[usize::from(r)];
+                return (if byte { v & 0xFF } else { v }, None);
             }
-            // Absolute &ADDR (SR with indexed mode).
-            (SR, 0b01) => {
-                let addr = self.fetch16();
-                (self.mem_read(addr, byte), Some(addr), 2)
+            Src::Immediate => {
+                let v = self.fetch16();
+                return (if byte { v & 0xFF } else { v }, None);
             }
+            Src::Absolute => self.fetch16(),
             // Indexed X(Rn) — including symbolic X(PC), where the base is
             // the PC at the extension word.
-            (r, 0b01) => {
-                let base = self.regs[r];
-                let x = self.fetch16();
-                let addr = base.wrapping_add(x);
-                (self.mem_read(addr, byte), Some(addr), 2)
+            Src::Indexed(r) => {
+                let base = self.regs[usize::from(r)];
+                base.wrapping_add(self.fetch16())
             }
-            // Indirect @Rn.
-            (r, 0b10) => {
-                let addr = self.regs[r];
-                (self.mem_read(addr, byte), Some(addr), 1)
+            Src::Indirect(r) => self.regs[usize::from(r)],
+            Src::AutoInc(r) => {
+                let a = self.regs[usize::from(r)];
+                self.regs[usize::from(r)] = a.wrapping_add(if byte { 1 } else { 2 });
+                a
             }
-            // Immediate #N (@PC+).
-            (PC, 0b11) => {
-                let v = self.fetch16();
-                (if byte { v & 0xFF } else { v }, None, 1)
-            }
-            // Indirect autoincrement @Rn+.
-            (r, 0b11) => {
-                let addr = self.regs[r];
-                self.regs[r] = self.regs[r].wrapping_add(if byte { 1 } else { 2 });
-                (self.mem_read(addr, byte), Some(addr), 1)
-            }
-            _ => unreachable!("2-bit addressing mode"),
-        }
+        };
+        (self.mem_read(addr, byte), Some(addr))
     }
 
-    /// Resolves a destination operand location: register index or address.
-    fn resolve_dst(&mut self, reg: usize, ad: u16, byte: bool) -> (u16, DstLoc, u32) {
-        if ad == 0 {
-            let v = self.regs[reg];
-            (if byte { v & 0xFF } else { v }, DstLoc::Reg(reg), 0)
-        } else {
-            let x = self.fetch16();
-            let addr = if reg == SR {
-                x
-            } else {
-                self.regs[reg].wrapping_add(x)
-            };
-            (self.mem_read(addr, byte), DstLoc::Mem(addr), 3)
-        }
+    /// Resolves a destination operand, fetching its extension word:
+    /// its current value and where the result goes.
+    fn resolve_dst(&mut self, dst: Dst, byte: bool) -> (u16, DstLoc) {
+        let addr = match dst {
+            Dst::Reg(r) => {
+                let v = self.regs[usize::from(r)];
+                return (if byte { v & 0xFF } else { v }, DstLoc::Reg(usize::from(r)));
+            }
+            Dst::Absolute => self.fetch16(),
+            // Symbolic X(PC): the base is the PC after the extension word.
+            Dst::Indexed(r) => {
+                let x = self.fetch16();
+                self.regs[usize::from(r)].wrapping_add(x)
+            }
+        };
+        (self.mem_read(addr, byte), DstLoc::Mem(addr))
     }
 
     fn write_dst(&mut self, loc: DstLoc, value: u16, byte: bool) {
@@ -1079,42 +1062,34 @@ impl Mcu {
         result
     }
 
+    /// Executes one fetched instruction word, resolving its operands at run
+    /// time; `None` where the word does not decode.
     fn execute(&mut self, word: u16) -> Option<u32> {
-        let top = word >> 12;
-        if top == 0x1 {
-            return self.execute_format2(word);
-        }
-        if top >> 1 == 0x1 {
-            // 0x2000..=0x3FFF: jumps.
-            let cond = Condition::from_bits((word >> 10) & 0x7);
-            let mut offset = i32::from(word & 0x3FF);
-            if offset & 0x200 != 0 {
-                offset -= 0x400;
+        let insn = Insn::decode(word)?;
+        match insn {
+            Insn::Jump { cond, offset } => {
+                if cond.taken(self.regs[SR]) {
+                    self.regs[PC] = self.regs[PC].wrapping_add_signed(2 * offset);
+                }
             }
-            if cond.taken(self.regs[SR]) {
-                self.regs[PC] = self.regs[PC].wrapping_add((2 * offset) as u16);
+            Insn::Reti => {
+                self.regs[SR] = self.pop();
+                self.regs[PC] = self.pop();
             }
-            return Some(2);
+            Insn::Fmt2 { op, byte, reg, src } => {
+                let (value, addr) = self.resolve_src(src, byte);
+                self.format2_apply(op, value, byte, addr, usize::from(reg));
+            }
+            Insn::Fmt1 { op, byte, src, dst } => {
+                let (src, _) = self.resolve_src(src, byte);
+                let (dst, loc) = self.resolve_dst(dst, byte);
+                let result = self.format1_result(op, src, dst, byte);
+                if op.writes_back() {
+                    self.write_dst(loc, result, byte);
+                }
+            }
         }
-        let op = Format1Op::from_opcode(top)?;
-        let src_reg = usize::from((word >> 8) & 0xF);
-        let ad = (word >> 7) & 1;
-        let byte = (word >> 6) & 1 != 0;
-        let as_mode = (word >> 4) & 0x3;
-        let dst_reg = usize::from(word & 0xF);
-
-        let (src, _, src_cycles) = self.resolve_src(src_reg, as_mode, byte);
-        let (dst, loc, dst_cycles) = self.resolve_dst(dst_reg, ad, byte);
-
-        let result = self.format1_result(op, src, dst, byte);
-        if op.writes_back() {
-            self.write_dst(loc, result, byte);
-        }
-        let mut cycles = 1 + src_cycles + dst_cycles;
-        if matches!(loc, DstLoc::Reg(0)) && op.writes_back() {
-            cycles += 1; // writing the PC costs an extra cycle
-        }
-        Some(cycles)
+        Some(insn.cycles())
     }
 
     /// The format-I ALU: computes the result and sets flags. Shared by the
@@ -1152,27 +1127,6 @@ impl Mcu {
                 r
             }
         }
-    }
-
-    fn execute_format2(&mut self, word: u16) -> Option<u32> {
-        let opbits = (word >> 7) & 0x7;
-        let op = Format2Op::from_bits(opbits)?;
-        if op == Format2Op::Reti {
-            self.regs[SR] = self.pop();
-            self.regs[PC] = self.pop();
-            return Some(5);
-        }
-        let byte = (word >> 6) & 1 != 0;
-        let as_mode = (word >> 4) & 0x3;
-        let reg = usize::from(word & 0xF);
-        let (value, addr, src_cycles) = self.resolve_src(reg, as_mode, byte);
-        self.format2_apply(op, value, byte, addr, reg);
-        let base = match op {
-            Format2Op::Push => 3,
-            Format2Op::Call => 4,
-            _ => 1,
-        };
-        Some(base + src_cycles)
     }
 
     /// The format-II operation body: flags, result and writeback. Shared by
@@ -1253,7 +1207,6 @@ impl Mcu {
                 self.push(self.regs[PC]);
                 self.regs[PC] = value;
             }
-            Format2Op::Reti => unreachable!("dispatched before operand resolution"),
         }
     }
 
@@ -1271,12 +1224,11 @@ impl Mcu {
     /// PC-dependent operands were folded at decode time (so the PC can be
     /// bumped up front), memory operands stay dynamic, and the ALU/flag
     /// bodies are the same functions the interpreter calls.
-    fn exec_uop(&mut self, u: crate::uops::UInsn) -> u32 {
-        use crate::uops::UOp;
+    fn exec_uop(&mut self, u: UInsn) -> u32 {
         match u.op {
             UOp::Fmt1 { op, byte, src, dst } => {
                 self.regs[PC] = u.next_pc;
-                let src_val = self.read_src_uop(src, byte);
+                let (src_val, _) = self.read_src_uop(src, byte);
                 let (dst_val, loc) = self.read_dst_uop(dst, byte);
                 let result = self.format1_result(op, src_val, dst_val, byte);
                 if op.writes_back() {
@@ -1286,7 +1238,7 @@ impl Mcu {
             }
             UOp::Fmt2 { op, byte, reg, src } => {
                 self.regs[PC] = u.next_pc;
-                let (value, addr) = self.read_src_addr_uop(src, byte);
+                let (value, addr) = self.read_src_uop(src, byte);
                 self.format2_apply(op, value, byte, addr, usize::from(reg));
                 u.cycles
             }
@@ -1306,39 +1258,10 @@ impl Mcu {
         }
     }
 
-    /// Reads a pre-decoded source operand (value only).
+    /// Reads a pre-decoded source operand: its value and, for the forms
+    /// that address memory, the format-II writeback address.
     #[inline]
-    fn read_src_uop(&mut self, src: crate::uops::SrcOp, byte: bool) -> u16 {
-        use crate::uops::SrcOp;
-        match src {
-            SrcOp::Const(v) => v,
-            SrcOp::Reg(r) => {
-                let v = self.regs[usize::from(r)];
-                if byte {
-                    v & 0xFF
-                } else {
-                    v
-                }
-            }
-            SrcOp::Abs(a) => self.mem_read(a, byte),
-            SrcOp::Indexed(r, x) => {
-                let a = self.regs[usize::from(r)].wrapping_add(x);
-                self.mem_read(a, byte)
-            }
-            SrcOp::Indirect(r) => self.mem_read(self.regs[usize::from(r)], byte),
-            SrcOp::AutoInc(r, bump) => {
-                let a = self.regs[usize::from(r)];
-                self.regs[usize::from(r)] = a.wrapping_add(u16::from(bump));
-                self.mem_read(a, byte)
-            }
-        }
-    }
-
-    /// Reads a pre-decoded source operand plus its writeback address (the
-    /// format-II shape; matches `resolve_src`'s `Option<u16>`).
-    #[inline]
-    fn read_src_addr_uop(&mut self, src: crate::uops::SrcOp, byte: bool) -> (u16, Option<u16>) {
-        use crate::uops::SrcOp;
+    fn read_src_uop(&mut self, src: SrcOp, byte: bool) -> (u16, Option<u16>) {
         match src {
             SrcOp::Const(v) => (v, None),
             SrcOp::Reg(r) => {
@@ -1364,8 +1287,7 @@ impl Mcu {
 
     /// Reads a pre-decoded destination operand: current value + location.
     #[inline]
-    fn read_dst_uop(&mut self, dst: crate::uops::DstOp, byte: bool) -> (u16, DstLoc) {
-        use crate::uops::DstOp;
+    fn read_dst_uop(&mut self, dst: DstOp, byte: bool) -> (u16, DstLoc) {
         match dst {
             DstOp::Reg(r) => {
                 let v = self.regs[usize::from(r)];

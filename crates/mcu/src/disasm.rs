@@ -6,7 +6,7 @@
 //! Used by the firmware tests as a round-trip oracle and handy when
 //! debugging emulated programs.
 
-use crate::isa::{Condition, Format1Op, Format2Op};
+use crate::isa::{Condition, Dst, Format1Op, Format2Op, Insn, Src};
 use crate::memory::FlatMemory;
 
 /// One decoded instruction.
@@ -37,7 +37,7 @@ impl core::fmt::Display for UndecodableWord {
 
 impl std::error::Error for UndecodableWord {}
 
-fn reg_name(r: u16) -> String {
+fn reg_name(r: u8) -> String {
     match r {
         0 => "pc".into(),
         1 => "sp".into(),
@@ -71,7 +71,6 @@ fn mnemonic2(op: Format2Op) -> &'static str {
         Format2Op::Sxt => "sxt",
         Format2Op::Push => "push",
         Format2Op::Call => "call",
-        Format2Op::Reti => "reti",
     }
 }
 
@@ -88,23 +87,17 @@ fn cond_name(c: Condition) -> &'static str {
     }
 }
 
-/// Renders a source operand; returns `(text, extension words consumed)`.
-fn render_src(mem: &FlatMemory, pc_ext: u16, reg: u16, as_mode: u16) -> (String, u16) {
-    match (reg, as_mode) {
+/// Renders a source operand whose extension word, if it has one, is `x`.
+fn render_src(src: Src, x: u16) -> String {
+    match src {
         // Constant generators round-trip through the `#k` syntax.
-        (2, 0b10) => ("#4".into(), 0),
-        (2, 0b11) => ("#8".into(), 0),
-        (3, 0b00) => ("#0".into(), 0),
-        (3, 0b01) => ("#1".into(), 0),
-        (3, 0b10) => ("#2".into(), 0),
-        (3, 0b11) => ("#-1".into(), 0),
-        (r, 0b00) => (reg_name(r), 0),
-        (2, 0b01) => (format!("&{:#06x}", mem.read16(pc_ext)), 1),
-        (r, 0b01) => (format!("{:#06x}({})", mem.read16(pc_ext), reg_name(r)), 1),
-        (r, 0b10) => (format!("@{}", reg_name(r)), 0),
-        (0, 0b11) => (format!("#{:#06x}", mem.read16(pc_ext)), 1),
-        (r, 0b11) => (format!("@{}+", reg_name(r)), 0),
-        _ => unreachable!("2-bit field"),
+        Src::Const(v) => format!("#{}", v as i16),
+        Src::Reg(r) => reg_name(r),
+        Src::Absolute => format!("&{x:#06x}"),
+        Src::Indexed(r) => format!("{x:#06x}({})", reg_name(r)),
+        Src::Indirect(r) => format!("@{}", reg_name(r)),
+        Src::AutoInc(r) => format!("@{}+", reg_name(r)),
+        Src::Immediate => format!("#{x:#06x}"),
     }
 }
 
@@ -115,71 +108,36 @@ fn render_src(mem: &FlatMemory, pc_ext: u16, reg: u16, as_mode: u16) -> (String,
 /// Returns [`UndecodableWord`] for words outside the implemented subset.
 pub fn decode_one(mem: &FlatMemory, addr: u16) -> Result<Decoded, UndecodableWord> {
     let word = mem.read16(addr);
-    let top = word >> 12;
-
-    // Jumps.
-    if top >> 1 == 0x1 {
-        let cond = Condition::from_bits((word >> 10) & 0x7);
-        let mut offset = i32::from(word & 0x3FF);
-        if offset & 0x200 != 0 {
-            offset -= 0x400;
+    let insn = Insn::decode(word).ok_or(UndecodableWord { word, at: addr })?;
+    let next = addr.wrapping_add(2);
+    // The `i`-th extension word.
+    let ext = |i: u16| mem.read16(next.wrapping_add(2 * i));
+    let suffix = |byte: bool| if byte { ".b" } else { "" };
+    let text = match insn {
+        Insn::Jump { cond, offset } => {
+            let target = next.wrapping_add_signed(2 * offset);
+            format!("{} {target:#06x}", cond_name(cond))
         }
-        let target = addr.wrapping_add(2).wrapping_add((2 * offset) as u16);
-        return Ok(Decoded {
-            address: addr,
-            size: 2,
-            text: format!("{} {:#06x}", cond_name(cond), target),
-        });
-    }
-
-    // Format II.
-    if top == 0x1 {
-        let op =
-            Format2Op::from_bits((word >> 7) & 0x7).ok_or(UndecodableWord { word, at: addr })?;
-        if op == Format2Op::Reti {
-            return Ok(Decoded {
-                address: addr,
-                size: 2,
-                text: "reti".into(),
-            });
+        Insn::Reti => "reti".into(),
+        Insn::Fmt2 { op, byte, src, .. } => {
+            let src = render_src(src, ext(0));
+            format!("{}{} {src}", mnemonic2(op), suffix(byte))
         }
-        let byte = (word >> 6) & 1 != 0;
-        let as_mode = (word >> 4) & 0x3;
-        let reg = word & 0xF;
-        let (operand, ext) = render_src(mem, addr.wrapping_add(2), reg, as_mode);
-        let suffix = if byte { ".b" } else { "" };
-        return Ok(Decoded {
-            address: addr,
-            size: 2 + 2 * ext,
-            text: format!("{}{} {}", mnemonic2(op), suffix, operand),
-        });
-    }
-
-    // Format I.
-    let op = Format1Op::from_opcode(top).ok_or(UndecodableWord { word, at: addr })?;
-    let src_reg = (word >> 8) & 0xF;
-    let ad = (word >> 7) & 1;
-    let byte = (word >> 6) & 1 != 0;
-    let as_mode = (word >> 4) & 0x3;
-    let dst_reg = word & 0xF;
-
-    let (src_text, src_ext) = render_src(mem, addr.wrapping_add(2), src_reg, as_mode);
-    let dst_ext_addr = addr.wrapping_add(2).wrapping_add(2 * src_ext);
-    let (dst_text, dst_ext) = if ad == 0 {
-        (reg_name(dst_reg), 0)
-    } else if dst_reg == 2 {
-        (format!("&{:#06x}", mem.read16(dst_ext_addr)), 1)
-    } else {
-        (
-            format!("{:#06x}({})", mem.read16(dst_ext_addr), reg_name(dst_reg)),
-            1,
-        )
+        Insn::Fmt1 { op, byte, src, dst } => {
+            let x = ext(src.ext_words());
+            let dst = match dst {
+                Dst::Reg(r) => reg_name(r),
+                Dst::Absolute => format!("&{x:#06x}"),
+                Dst::Indexed(r) => format!("{x:#06x}({})", reg_name(r)),
+            };
+            let src = render_src(src, ext(0));
+            format!("{}{} {src}, {dst}", mnemonic1(op), suffix(byte))
+        }
     };
-    let suffix = if byte { ".b" } else { "" };
     Ok(Decoded {
         address: addr,
-        size: 2 + 2 * (src_ext + dst_ext),
-        text: format!("{}{} {}, {}", mnemonic1(op), suffix, src_text, dst_text),
+        size: 2 + 2 * insn.ext_words(),
+        text,
     })
 }
 

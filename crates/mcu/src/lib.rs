@@ -64,7 +64,6 @@ mod power_model;
 mod uops;
 
 pub use cpu::{Mcu, SegmentStop, StepResult};
-pub use isa::{Condition, Format1Op, Format2Op};
 pub use memory::{io, vectors, FlatMemory, Image};
 pub use peripherals::{FloatingBus, Irq, SpiDevice};
 pub use power_model::{McuPowerModel, OperatingMode};

@@ -23,10 +23,12 @@
 //!   executes as one step: the busy-wait and a whole call into the shared
 //!   `spi_xfer` helper.
 //!
-//! Decoding reuses [`disasm::decode_one`] as the gatekeeper: an address
-//! gets a micro-op only if the disassembler decodes it, so the decoded
-//! path's coverage is exactly the interpreter's decodable set and
-//! undecodable words fault through the identical interpreter path.
+//! Each slot starts from the one typed decode, [`Insn::decode`], which the
+//! interpreter and the disassembler share: an address gets a micro-op
+//! only where the word decodes, so the decoded path's coverage is exactly
+//! the interpreter's decodable set and undecodable words fault through
+//! the identical interpreter path. The extension-word count and cycle cost
+//! come from the same decode; what this module adds is the folding.
 //!
 //! The table covers the image's bytes from its lowest segment up to, not
 //! into, the interrupt vector table at `0xFFE0`: the vectors are data that
@@ -52,8 +54,7 @@
 
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-use crate::disasm;
-use crate::isa::{Condition, Format1Op, Format2Op};
+use crate::isa::{Condition, Dst, Format1Op, Format2Op, Insn, Src};
 use crate::memory::{io, FlatMemory, Image};
 use crate::peripherals::Peripherals;
 
@@ -111,7 +112,7 @@ pub(crate) enum UOp {
         /// Destination operand.
         dst: DstOp,
     },
-    /// Single-operand format II (except `reti`).
+    /// Single-operand format II.
     Fmt2 {
         /// The operation.
         op: Format2Op,
@@ -500,133 +501,67 @@ impl UopCache {
 }
 
 /// Decodes the instruction at `at` into a micro-op, or `None` where the
-/// interpreter would fault. [`disasm::decode_one`] is the gatekeeper, so
-/// coverage is exactly the disassembler's (= the interpreter's) decodable
-/// set; the field extraction mirrors `Mcu::execute` form by form.
+/// interpreter would fault. [`Insn::decode`] classifies the word, counts
+/// its extension words and prices it, exactly as it does for the
+/// interpreter; this captures the extension words and folds every form
+/// the instruction's location fixes.
 fn decode_at(mem: &FlatMemory, at: u16) -> Option<UInsn> {
-    let decoded = disasm::decode_one(mem, at).ok()?;
-    let word = mem.read16(at);
-    let top = word >> 12;
-
-    // Jumps: target is a static function of the instruction address.
-    if top >> 1 == 0x1 {
-        let cond = Condition::from_bits((word >> 10) & 0x7);
-        let mut offset = i32::from(word & 0x3FF);
-        if offset & 0x200 != 0 {
-            offset -= 0x400;
+    let insn = Insn::decode(mem.read16(at))?;
+    // The PC once the opcode word is fetched: the first extension word.
+    let ext_at = at.wrapping_add(2);
+    let (op, ends_block, observe) = match insn {
+        // Jumps: target is a static function of the instruction address.
+        Insn::Jump { cond, offset } => {
+            let target = ext_at.wrapping_add_signed(2 * offset);
+            (UOp::Jump { cond, target }, true, false)
         }
-        let target = at.wrapping_add(2).wrapping_add((2 * offset) as u16);
-        return Some(UInsn {
-            op: UOp::Jump { cond, target },
-            next_pc: at.wrapping_add(2),
-            cycles: 2,
-            ends_block: true,
-            observe: false,
-            fused: Fused::No,
-        });
-    }
-
-    // Format II.
-    if top == 0x1 {
-        let op = Format2Op::from_bits((word >> 7) & 0x7)?;
-        if op == Format2Op::Reti {
-            return Some(UInsn {
-                op: UOp::Reti,
-                next_pc: at.wrapping_add(2),
-                cycles: 5,
-                ends_block: true,
-                observe: true, // pops SR
-                fused: Fused::No,
-            });
+        Insn::Reti => (UOp::Reti, true, true), // pops SR
+        Insn::Fmt2 { op, byte, reg, src } => {
+            let src = fold_src(mem, ext_at, src, byte);
+            // Register-form results (no writeback address) land in the raw
+            // register field; writing PC or SR ends the block, as does `call`.
+            let reg_result = matches!(src, SrcOp::Const(_) | SrcOp::Reg(_))
+                && !matches!(op, Format2Op::Push | Format2Op::Call);
+            let ends_block = op == Format2Op::Call || (reg_result && (reg == 0 || reg == 2));
+            // `push` and `call` write the stack; the rest write back to their
+            // operand's address, or to the register field when there is none.
+            let observe = match op {
+                Format2Op::Push | Format2Op::Call => true,
+                _ if reg_result => reg == 2,
+                _ => writes_peripherals(src),
+            };
+            (UOp::Fmt2 { op, byte, reg, src }, ends_block, observe)
         }
-        let byte = (word >> 6) & 1 != 0;
-        let as_mode = (word >> 4) & 0x3;
-        let reg = word & 0xF;
-        let (src, ext, src_cycles) = decode_src(mem, at, reg, as_mode, byte);
-        let base = match op {
-            Format2Op::Push => 3,
-            Format2Op::Call => 4,
-            _ => 1,
-        };
-        // Register-form results (no writeback address) land in the raw
-        // register field; writing PC or SR ends the block, as does `call`.
-        let reg_result = matches!(src, SrcOp::Const(_) | SrcOp::Reg(_))
-            && matches!(
-                op,
-                Format2Op::Rrc | Format2Op::Rra | Format2Op::Swpb | Format2Op::Sxt
-            );
-        let ends_block = op == Format2Op::Call || (reg_result && (reg == 0 || reg == 2));
-        // `push` and `call` write the stack; the rest write back to their
-        // operand's address, or to the register field when there is none.
-        let observe = match op {
-            Format2Op::Push | Format2Op::Call => true,
-            _ if reg_result => reg == 2,
-            _ => writes_peripherals(src),
-        };
-        debug_assert_eq!(decoded.size, 2 + 2 * ext);
-        return Some(UInsn {
-            op: UOp::Fmt2 {
-                op,
-                byte,
-                reg: reg as u8,
-                src,
-            },
-            next_pc: at.wrapping_add(2 + 2 * ext),
-            cycles: base + src_cycles,
-            ends_block,
-            observe,
-            fused: Fused::No,
-        });
-    }
-
-    // Format I.
-    let op = Format1Op::from_opcode(top)?;
-    let src_reg = (word >> 8) & 0xF;
-    let ad = (word >> 7) & 1;
-    let byte = (word >> 6) & 1 != 0;
-    let as_mode = (word >> 4) & 0x3;
-    let dst_reg = word & 0xF;
-
-    let (src, src_ext, src_cycles) = decode_src(mem, at, src_reg, as_mode, byte);
-    // PC as seen by the destination resolver: after the opcode word and
-    // the source's extension words.
-    let dst_pc = at.wrapping_add(2 + 2 * src_ext);
-    let (dst, dst_ext, dst_cycles) = if ad == 0 {
-        if dst_reg == 0 {
-            let v = if byte { dst_pc & 0xFF } else { dst_pc };
-            (DstOp::PcReg(v), 0, 0)
-        } else {
-            (DstOp::Reg(dst_reg as u8), 0, 0)
+        Insn::Fmt1 { op, byte, src, dst } => {
+            // PC as seen by the destination resolver: after the opcode word
+            // and the source's extension words.
+            let dst_pc = ext_at.wrapping_add(2 * src.ext_words());
+            let dst = match dst {
+                Dst::Reg(0) => DstOp::PcReg(if byte { dst_pc & 0xFF } else { dst_pc }),
+                Dst::Reg(r) => DstOp::Reg(r),
+                Dst::Absolute => DstOp::Mem(mem.read16(dst_pc)),
+                // Symbolic X(PC): base is the PC after this extension word.
+                Dst::Indexed(0) => {
+                    DstOp::Mem(dst_pc.wrapping_add(2).wrapping_add(mem.read16(dst_pc)))
+                }
+                Dst::Indexed(r) => DstOp::Indexed(r, mem.read16(dst_pc)),
+            };
+            let src = fold_src(mem, ext_at, src, byte);
+            let ends_block = op.writes_back() && matches!(dst, DstOp::PcReg(_) | DstOp::Reg(2));
+            let observe = op.writes_back()
+                && match dst {
+                    DstOp::Reg(r) => r == 2,
+                    DstOp::PcReg(_) => false,
+                    DstOp::Mem(a) => Peripherals::owns(a),
+                    DstOp::Indexed(..) => true,
+                };
+            (UOp::Fmt1 { op, byte, src, dst }, ends_block, observe)
         }
-    } else {
-        let x = mem.read16(dst_pc);
-        let loc = if dst_reg == 2 {
-            DstOp::Mem(x) // absolute &ADDR
-        } else if dst_reg == 0 {
-            // Symbolic X(PC): base is the PC after this extension word.
-            DstOp::Mem(dst_pc.wrapping_add(2).wrapping_add(x))
-        } else {
-            DstOp::Indexed(dst_reg as u8, x)
-        };
-        (loc, 1, 3)
     };
-    let mut cycles = 1 + src_cycles + dst_cycles;
-    if matches!(dst, DstOp::PcReg(_)) && op.writes_back() {
-        cycles += 1; // writing the PC costs an extra cycle
-    }
-    let ends_block = op.writes_back() && matches!(dst, DstOp::PcReg(_) | DstOp::Reg(2));
-    let observe = op.writes_back()
-        && match dst {
-            DstOp::Reg(r) => r == 2,
-            DstOp::PcReg(_) => false,
-            DstOp::Mem(a) => Peripherals::owns(a),
-            DstOp::Indexed(..) => true,
-        };
-    debug_assert_eq!(decoded.size, 2 + 2 * (src_ext + dst_ext));
     Some(UInsn {
-        op: UOp::Fmt1 { op, byte, src, dst },
-        next_pc: at.wrapping_add(2 + 2 * (src_ext + dst_ext)),
-        cycles,
+        op,
+        next_pc: ext_at.wrapping_add(2 * insn.ext_words()),
+        cycles: insn.cycles(),
         ends_block,
         observe,
         fused: Fused::No,
@@ -644,34 +579,27 @@ fn writes_peripherals(src: SrcOp) -> bool {
     }
 }
 
-/// Decodes a source operand. Returns `(op, extension words, extra cycles)`
-/// mirroring `Mcu::resolve_src` case by case, with every PC-dependent form
-/// folded (the PC at the extension word is `at + 2`).
-fn decode_src(mem: &FlatMemory, at: u16, reg: u16, as_mode: u16, byte: bool) -> (SrcOp, u16, u32) {
-    let ext_at = at.wrapping_add(2);
+/// Folds a source operand as `Mcu::resolve_src` would resolve it, with its
+/// extension word captured and every PC-dependent form made constant: the
+/// PC at the extension word is `ext_at`.
+fn fold_src(mem: &FlatMemory, ext_at: u16, src: Src, byte: bool) -> SrcOp {
     let mask = |v: u16| if byte { v & 0xFF } else { v };
-    match (reg, as_mode) {
+    match src {
         // Constant generators: the interpreter does not byte-mask these.
-        (2, 0b10) => (SrcOp::Const(4), 0, 0),
-        (2, 0b11) => (SrcOp::Const(8), 0, 0),
-        (3, 0b00) => (SrcOp::Const(0), 0, 0),
-        (3, 0b01) => (SrcOp::Const(1), 0, 0),
-        (3, 0b10) => (SrcOp::Const(2), 0, 0),
-        (3, 0b11) => (SrcOp::Const(0xFFFF), 0, 0),
+        Src::Const(v) => SrcOp::Const(v),
         // Register direct; reading PC is static (byte ops mask on read).
-        (0, 0b00) => (SrcOp::Const(mask(ext_at)), 0, 0),
-        (r, 0b00) => (SrcOp::Reg(r as u8), 0, 0),
-        // Absolute &ADDR.
-        (2, 0b01) => (SrcOp::Abs(mem.read16(ext_at)), 1, 2),
+        Src::Reg(0) => SrcOp::Const(mask(ext_at)),
+        Src::Reg(r) => SrcOp::Reg(r),
+        Src::Absolute => SrcOp::Abs(mem.read16(ext_at)),
         // Symbolic X(PC): base is the PC at the extension word.
-        (0, 0b01) => (SrcOp::Abs(ext_at.wrapping_add(mem.read16(ext_at))), 1, 2),
-        (r, 0b01) => (SrcOp::Indexed(r as u8, mem.read16(ext_at)), 1, 2),
+        Src::Indexed(0) => SrcOp::Abs(ext_at.wrapping_add(mem.read16(ext_at))),
+        Src::Indexed(r) => SrcOp::Indexed(r, mem.read16(ext_at)),
         // Indirect @PC reads the word after the opcode.
-        (0, 0b10) => (SrcOp::Abs(ext_at), 0, 1),
-        (r, 0b10) => (SrcOp::Indirect(r as u8), 0, 1),
+        Src::Indirect(0) => SrcOp::Abs(ext_at),
+        Src::Indirect(r) => SrcOp::Indirect(r),
+        Src::AutoInc(r) => SrcOp::AutoInc(r, if byte { 1 } else { 2 }),
         // Immediate #N (@PC+); the interpreter byte-masks these.
-        (0, 0b11) => (SrcOp::Const(mask(mem.read16(ext_at))), 1, 1),
-        (r, _) => (SrcOp::AutoInc(r as u8, if byte { 1 } else { 2 }), 0, 1),
+        Src::Immediate => SrcOp::Const(mask(mem.read16(ext_at))),
     }
 }
 
@@ -740,6 +668,7 @@ pub(crate) fn cache_for(image: &Image) -> Arc<UopCache> {
 mod tests {
     use super::*;
     use crate::asm::assemble;
+    use crate::disasm;
 
     fn image(src: &str) -> Image {
         assemble(src).expect("test source assembles")
