@@ -23,7 +23,7 @@
 
 use super::{AirSlot, NodeOnAir};
 use picocube_sim::SimTime;
-use picocube_telemetry::TelemetryBuffer;
+use picocube_telemetry::{MergeConflict, TelemetryBuffer};
 use picocube_units::Dbm;
 
 /// One on-air packet, reduced to the fields the merge phase consumes.
@@ -103,15 +103,19 @@ impl FleetAccumulator {
     }
 
     /// Folds one node's result. The merge law: results arrive in
-    /// ascending node order with no gaps.
-    pub(crate) fn absorb(&mut self, node: NodeOnAir) {
+    /// ascending node order with no gaps. A fold restored from a
+    /// checkpoint may hold a metric whose kind or histogram bounds the
+    /// node's registry contradicts; that conflict is returned, and the
+    /// fold is then unusable.
+    pub(crate) fn absorb(&mut self, node: NodeOnAir) -> Result<(), MergeConflict> {
         assert_eq!(
             node.node, self.next_node,
             "fleet accumulator fed out of node order"
         );
+        self.telemetry.try_absorb(node.telemetry)?;
         self.next_node += 1;
         self.faulted += usize::from(node.fault.is_some());
         self.records.extend(node.records);
-        self.telemetry.absorb(node.telemetry);
+        Ok(())
     }
 }

@@ -255,7 +255,8 @@ impl FromJson for FleetCheckpoint {
     /// are rejected with an error naming `records`: an interval that ends
     /// before it starts, a node at or past `nodes_done`, nodes out of
     /// order, or a node whose starts do not strictly increase. So is a
-    /// `faulted` count above `nodes_done`.
+    /// `faulted` count above `nodes_done`, and a `fleet.*` metric: the
+    /// merge phase writes those after the fold, so no fold holds one.
     fn from_json(value: &Json) -> Result<Self, JsonError> {
         let version = u64::from_json(field(value, "version")?)?;
         if version != 1 {
@@ -277,6 +278,15 @@ impl FromJson for FleetCheckpoint {
         let mut telemetry =
             TelemetryBuffer::with_events(bool::from_json(field(value, "record_events")?)?);
         telemetry.metrics = Metrics::from_json(field(value, "metrics")?)?;
+        if let Some((name, _)) = telemetry
+            .metrics
+            .iter()
+            .find(|(n, _)| n.starts_with("fleet."))
+        {
+            return Err(JsonError::new(format!(
+                "metrics: {name} is a merge-phase metric, which no fold holds"
+            )));
+        }
         for event in Vec::<Event>::from_json(field(value, "events")?)? {
             telemetry.record_for(event.node, event.t_ns, event.kind);
         }

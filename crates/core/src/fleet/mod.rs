@@ -68,7 +68,8 @@ use accumulator::{FleetAccumulator, PacketRecord};
 use picocube_radio::packet::{decode, Checksum};
 use picocube_radio::{Channel, Link, PatchAntenna, SuperRegenReceiver};
 use picocube_sim::{SimDuration, SimRng, SimTime};
-use picocube_telemetry::{keys, EventKind, Metrics, Recorder, TelemetryBuffer};
+use picocube_telemetry::{keys, EventKind, MergeConflict, Metrics, Recorder, TelemetryBuffer};
+use picocube_units::json::JsonError;
 use picocube_units::{Db, Dbm, Hertz, Meters};
 use std::collections::BTreeMap;
 use std::sync::{Condvar, Mutex};
@@ -494,6 +495,8 @@ struct StreamState<'acc> {
     pending: BTreeMap<usize, Vec<NodeOnAir>>,
     /// The run's in-order fold.
     acc: &'acc mut FleetAccumulator,
+    /// The metric conflict that stopped the fold, if any.
+    conflict: Option<MergeConflict>,
 }
 
 /// Runs phase 1 for nodes `[acc.nodes_done(), upto)` on
@@ -502,8 +505,13 @@ struct StreamState<'acc> {
 /// state is O(workers): each worker holds one node stack at a time plus
 /// its in-flight chunk of yields, and the bounded reorder window below
 /// keeps fast workers from buffering unboundedly ahead of the in-order
-/// fold.
-fn stream_nodes(config: &FleetConfig, acc: &mut FleetAccumulator, upto: usize) -> FleetSchedStats {
+/// fold. A metric conflict in the fold (see [`FleetAccumulator::absorb`])
+/// stops every worker's claims and is returned.
+fn stream_nodes(
+    config: &FleetConfig,
+    acc: &mut FleetAccumulator,
+    upto: usize,
+) -> Result<FleetSchedStats, MergeConflict> {
     let record_events = acc.record_events();
     let first = acc.nodes_done();
     let remaining = upto.saturating_sub(first);
@@ -530,6 +538,7 @@ fn stream_nodes(config: &FleetConfig, acc: &mut FleetAccumulator, upto: usize) -
         floor_chunk: 0,
         pending: BTreeMap::new(),
         acc,
+        conflict: None,
     };
     let claims: Vec<u64> = {
         let state = Mutex::new(&mut state);
@@ -579,14 +588,19 @@ fn stream_nodes(config: &FleetConfig, acc: &mut FleetAccumulator, upto: usize) -
                             guard.pending.insert(chunk, yields);
                             // Drain every consecutive chunk at the
                             // frontier so the floor never idles in
-                            // `pending`.
-                            loop {
+                            // `pending`. A conflict ends the claims, so
+                            // waiting workers wake and exit.
+                            while guard.conflict.is_none() {
                                 let floor = guard.floor_chunk;
                                 let Some(folds) = guard.pending.remove(&floor) else {
                                     break;
                                 };
                                 for node in folds {
-                                    guard.acc.absorb(node);
+                                    if let Err(conflict) = guard.acc.absorb(node) {
+                                        guard.conflict = Some(conflict);
+                                        guard.next_chunk = chunks;
+                                        break;
+                                    }
                                 }
                                 guard.floor_chunk += 1;
                             }
@@ -608,16 +622,19 @@ fn stream_nodes(config: &FleetConfig, acc: &mut FleetAccumulator, upto: usize) -
                 .collect()
         })
     };
+    if let Some(conflict) = state.conflict {
+        return Err(conflict);
+    }
     assert!(
         state.pending.is_empty() && state.floor_chunk == chunks,
         "streaming fold must drain every claimed chunk"
     );
-    FleetSchedStats {
+    Ok(FleetSchedStats {
         workers,
         chunk_size: STEAL_CHUNK,
         chunks,
         claims,
-    }
+    })
 }
 
 /// Phase 2: merges per-node packet lists, applies collision/capture and the
@@ -919,7 +936,10 @@ fn stream_fleet(
         }
     };
     let upto = acc.nodes_done().saturating_add(budget).min(config.nodes);
-    let sched_stats = stream_nodes(config, &mut acc, upto);
+    // Only a restored fold can contradict its nodes' metrics, so a
+    // conflict is a malformed checkpoint.
+    let sched_stats = stream_nodes(config, &mut acc, upto)
+        .map_err(|conflict| JsonError::new(format!("metrics: {conflict}")))?;
     Ok((acc, sched_stats))
 }
 

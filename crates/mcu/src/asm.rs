@@ -19,7 +19,17 @@
 //! data contexts). Immediates in the constant-generator set
 //! (0, 1, 2, 4, 8, −1) assemble to single-word instructions, as on the
 //! real part.
+//!
+//! The instruction format lives in `isa.rs`: each line becomes one
+//! `Insn`, whose `ext_words` sizes it and whose `encode` is the word
+//! emitted before its extension words, and mnemonics and register names
+//! come from `isa.rs`'s tables. A source operand is accepted only where the
+//! decoder reads its register field and mode back as the form written, so
+//! the six forms that select a constant generator or an immediate instead
+//! are line-numbered errors: `X(r3)`, `@r2`, `@r2+`, `@r3`, `@r3+` (also
+//! spelled with `sr`) and `@pc+`.
 
+use crate::isa::{register, Condition, Dst, Format1Op, Format2Op, Insn, Src};
 use crate::memory::{vectors, Image};
 use std::collections::HashMap;
 
@@ -54,8 +64,9 @@ fn err<T>(line: usize, message: impl Into<String>) -> Result<T> {
 /// # Errors
 ///
 /// Returns an [`AsmError`] carrying the offending line for syntax errors,
-/// unknown mnemonics or labels, out-of-range jumps, and misuse of
-/// directives.
+/// unknown mnemonics or symbols (in `.equ` too), operand forms with no
+/// encoding, out-of-range jumps, code past the top of memory, and misuse
+/// of directives.
 pub fn assemble(source: &str) -> Result<Image> {
     let lines = parse_lines(source)?;
     let symbols = layout(&lines, &HashMap::new())?;
@@ -71,12 +82,27 @@ enum Item {
     Equ(String, String),
     Word(String),
     Byte(String),
-    Vector(String, String),
-    Insn {
-        mnemonic: String,
-        byte_mode: bool,
-        operands: Vec<String>,
-    },
+    /// A vector's table address and the expression of its handler.
+    Vector(u16, String),
+    Insn(Op),
+}
+
+/// An instruction with its operation looked up and its operands' forms
+/// parsed; only expressions wait for the symbols.
+#[derive(Debug, Clone)]
+enum Op {
+    Jump(Condition, String),
+    Reti,
+    Fmt2(Format2Op, bool, Operand),
+    Fmt1(Format1Op, bool, Operand, (Dst, Option<String>)),
+}
+
+/// A source operand: its form, and the expression of its extension word.
+/// `#expr` is `Src::Immediate` until `expr` resolves.
+#[derive(Debug, Clone)]
+struct Operand {
+    src: Src,
+    expr: Option<String>,
 }
 
 #[derive(Debug, Clone)]
@@ -103,47 +129,43 @@ fn parse_lines(source: &str) -> Result<Vec<Line>> {
         } else if let Some(dir) = rest.strip_prefix('.') {
             let (name, args) = dir.split_once(char::is_whitespace).unwrap_or((dir, ""));
             let args = args.trim();
+            let pair = |what: &str| match args.split_once(',') {
+                Some((n, v)) => Ok((n.trim().to_string(), v.trim().to_string())),
+                None => err(number, format!(".{what} needs NAME, VALUE")),
+            };
             Some(match name.to_ascii_lowercase().as_str() {
                 "org" => Item::Org(args.to_string()),
                 "word" => Item::Word(args.to_string()),
                 "byte" => Item::Byte(args.to_string()),
                 "equ" => {
-                    let (n, v) = args.split_once(',').ok_or_else(|| AsmError {
-                        line: number,
-                        message: ".equ needs NAME, VALUE".into(),
-                    })?;
-                    Item::Equ(n.trim().to_string(), v.trim().to_string())
+                    let (name, value) = pair("equ")?;
+                    Item::Equ(name, value)
                 }
                 "vector" => {
-                    let (n, v) = args.split_once(',').ok_or_else(|| AsmError {
-                        line: number,
-                        message: ".vector needs NAME, LABEL".into(),
-                    })?;
-                    Item::Vector(n.trim().to_ascii_lowercase(), v.trim().to_string())
+                    let (name, target) = pair("vector")?;
+                    Item::Vector(vector_address(&name.to_ascii_lowercase(), number)?, target)
                 }
                 other => return err(number, format!("unknown directive .{other}")),
             })
         } else {
             let (mn, args) = rest.split_once(char::is_whitespace).unwrap_or((rest, ""));
             let mn = mn.to_ascii_lowercase();
-            let (mnemonic, byte_mode) = match mn.strip_suffix(".b") {
-                Some(stem) => (stem.to_string(), true),
-                None => (mn.strip_suffix(".w").unwrap_or(&mn).to_string(), false),
+            let (mnemonic, byte) = match mn.strip_suffix(".b") {
+                Some(stem) => (stem, true),
+                None => (mn.strip_suffix(".w").unwrap_or(&mn), false),
             };
             let operands: Vec<String> = split_operands(args)
                 .into_iter()
                 .map(|s| s.trim().to_string())
                 .collect();
-            // Desugar emulated mnemonics once here, not in every pass:
-            // layout runs twice and emit once, so rewriting at parse time
-            // keeps the per-instruction work out of the hot reassembly path
-            // (every fleet node assembles its own image).
-            let (mnemonic, operands) = desugar(&mnemonic, &operands);
-            Some(Item::Insn {
-                mnemonic,
-                byte_mode,
-                operands,
-            })
+            // Desugar emulated mnemonics and parse the operand forms once
+            // here, not in every pass: layout runs twice and emit once.
+            let (mnemonic, operands) = desugar(mnemonic, &operands);
+            let op = parse_op(&mnemonic, byte, &operands).map_err(|message| AsmError {
+                line: number,
+                message,
+            })?;
+            Some(Item::Insn(op))
         };
         out.push(Line {
             number,
@@ -186,245 +208,207 @@ fn is_ident(s: &str) -> bool {
         && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
 }
 
-/// Register name to index.
-fn register(name: &str) -> Option<usize> {
-    if name.eq_ignore_ascii_case("pc") {
-        return Some(0);
+/// The register field, addressing mode (the As bits) and extension-word
+/// expression an operand's syntax names: `rN` (mode 0), `X(rN)`, `&X` and
+/// a bare label (mode 1; `&X` and labels on R2), `@rN` (2), `@rN+` (3)
+/// and `#X` (3 on PC).
+fn syntax(text: &str) -> Option<(u8, u16, Option<&str>)> {
+    if let Some(reg) = register(text) {
+        return Some((reg, 0, None));
     }
-    if name.eq_ignore_ascii_case("sp") {
-        return Some(1);
+    if let Some(expr) = text.strip_prefix('#') {
+        return Some((0, 3, Some(expr)));
     }
-    if name.eq_ignore_ascii_case("sr") {
-        return Some(2);
+    if let Some(expr) = text.strip_prefix('&') {
+        return Some((2, 1, Some(expr)));
     }
-    let n: usize = name.strip_prefix(['r', 'R'])?.parse().ok()?;
-    (n < 16).then_some(n)
+    if let Some(reg) = text.strip_prefix('@') {
+        return match reg.strip_suffix('+') {
+            Some(reg) => Some((register(reg)?, 3, None)),
+            None => Some((register(reg)?, 2, None)),
+        };
+    }
+    if let Some((expr, reg)) = text.split_once('(') {
+        return Some((register(reg.strip_suffix(')')?)?, 1, Some(expr)));
+    }
+    is_ident(text).then_some((2, 1, Some(text)))
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// Register direct.
-    Reg(usize),
-    /// Indexed / absolute / symbolic: one extension word.
-    Indexed { reg: usize, absolute: bool },
-    /// Indirect @Rn.
-    Indirect(usize),
-    /// Indirect autoincrement @Rn+ (also immediate via @PC+).
-    AutoIncr(usize),
-    /// Immediate handled by a constant generator: zero extension words.
-    Const(u16),
-    /// General immediate: @PC+ with an extension word.
-    Imm,
+/// Parses a source operand into the form the decoder reads its fields as,
+/// refusing a form that reads back as something else: R2 and R3 outside
+/// register mode are constant generators, and `@pc+` is the immediate
+/// form, whose value the operand does not give.
+fn source(text: &str) -> core::result::Result<Operand, String> {
+    let (reg, mode, expr) = syntax(text).ok_or_else(|| format!("bad operand `{text}`"))?;
+    let src = Src::decode(reg, mode);
+    match src {
+        Src::Const(value) if mode != 0 => Err(format!(
+            "`{text}` encodes the constant generator #{}, not the form written",
+            value as i16
+        )),
+        Src::Immediate if expr.is_none() => Err(format!(
+            "`{text}` encodes an immediate; write it as `#value`"
+        )),
+        _ => Ok(Operand {
+            src,
+            expr: expr.map(str::to_string),
+        }),
+    }
 }
 
-impl Mode {
-    fn extension_words(self) -> u16 {
-        match self {
-            Mode::Indexed { .. } | Mode::Imm => 1,
-            _ => 0,
+/// Parses a destination operand: a register, or an indexed form with its
+/// extension-word expression (absolute on R2).
+fn destination(text: &str) -> core::result::Result<(Dst, Option<String>), String> {
+    match syntax(text) {
+        Some((reg, 0, None)) => Ok((Dst::Reg(reg), None)),
+        Some((2, 1, Some(expr))) => Ok((Dst::Absolute, Some(expr.to_string()))),
+        Some((reg, 1, Some(expr))) => Ok((Dst::Indexed(reg), Some(expr.to_string()))),
+        _ => Err(format!(
+            "destination `{text}` must be a register, X(Rn), &abs or label"
+        )),
+    }
+}
+
+/// Looks an instruction's operation up in `isa`'s name tables and parses
+/// its operands.
+fn parse_op(mnemonic: &str, byte: bool, operands: &[String]) -> core::result::Result<Op, String> {
+    if let Some(cond) = Condition::from_name(mnemonic) {
+        if let [target] = operands {
+            return Ok(Op::Jump(cond, target.clone()));
+        }
+    } else if let Some(op) = Format2Op::from_name(mnemonic) {
+        if let [operand] = operands {
+            return Ok(Op::Fmt2(op, byte, source(operand)?));
+        }
+    } else if let Some(op) = Format1Op::from_name(mnemonic) {
+        if let [src, dst] = operands {
+            return Ok(Op::Fmt1(op, byte, source(src)?, destination(dst)?));
+        }
+    } else if mnemonic == "reti" {
+        if operands.is_empty() {
+            return Ok(Op::Reti);
+        }
+    } else {
+        return Err(format!("unknown mnemonic `{mnemonic}`"));
+    }
+    Err(format!("wrong number of operands for {mnemonic}"))
+}
+
+impl Operand {
+    /// The form under `symbols` and the expression of its extension word:
+    /// an immediate whose value a constant generator makes has none.
+    fn resolve(&self, symbols: &HashMap<String, u16>) -> (Src, Option<&str>) {
+        let generated = match (self.src, &self.expr) {
+            (Src::Immediate, Some(expr)) => eval(expr, symbols).ok().and_then(Src::constant),
+            _ => None,
+        };
+        match generated {
+            Some(src) => (src, None),
+            None => (self.src, self.expr.as_deref()),
         }
     }
 }
 
-/// Parses an operand's addressing *shape* without resolving expressions
-/// (expression values are not needed for layout except const-generator
-/// immediates, which need the value).
-fn operand_mode(op: &str, symbols: &HashMap<String, u16>) -> Option<Mode> {
-    let op = op.trim();
-    if let Some(r) = register(op) {
-        return Some(Mode::Reg(r));
-    }
-    if let Some(rest) = op.strip_prefix('#') {
-        // Constant generator if the value is resolvable now and in-set.
-        if let Ok(v) = eval(rest, symbols) {
-            if matches!(v, 0 | 1 | 2 | 4 | 8 | 0xFFFF) {
-                return Some(Mode::Const(v));
+impl Op {
+    /// The instruction under `symbols`, and the expressions of its
+    /// extension words in order. A jump's offset is left 0: it needs the
+    /// jump's final address, which only `emit` knows.
+    fn insn(&self, symbols: &HashMap<String, u16>) -> (Insn, [Option<&str>; 2]) {
+        match self {
+            Op::Jump(cond, _) => (
+                Insn::Jump {
+                    cond: *cond,
+                    offset: 0,
+                },
+                [None, None],
+            ),
+            Op::Reti => (Insn::Reti, [None, None]),
+            Op::Fmt2(op, byte, operand) => {
+                let (src, ext) = operand.resolve(symbols);
+                (Insn::fmt2(*op, *byte, src), [ext, None])
+            }
+            Op::Fmt1(op, byte, operand, (dst, dst_ext)) => {
+                let (src, ext) = operand.resolve(symbols);
+                let insn = Insn::Fmt1 {
+                    op: *op,
+                    byte: *byte,
+                    src,
+                    dst: *dst,
+                };
+                (insn, [ext, dst_ext.as_deref()])
             }
         }
-        return Some(Mode::Imm);
     }
-    if op.strip_prefix('&').is_some() {
-        return Some(Mode::Indexed {
-            reg: 2,
-            absolute: true,
-        });
-    }
-    if let Some(rest) = op.strip_prefix('@') {
-        if let Some(stem) = rest.strip_suffix('+') {
-            return register(stem).map(Mode::AutoIncr);
-        }
-        return register(rest).map(Mode::Indirect);
-    }
-    if let Some(open) = op.find('(') {
-        let close = op.rfind(')')?;
-        let reg = register(&op[open + 1..close])?;
-        return Some(Mode::Indexed {
-            reg,
-            absolute: false,
-        });
-    }
-    // Bare symbol: treat as absolute address (assembler convenience; the
-    // real toolchain would use symbolic mode).
-    is_ident(op).then_some(Mode::Indexed {
-        reg: 2,
-        absolute: true,
-    })
 }
 
-/// Evaluates a constant expression: decimal, hex, char, unary minus,
-/// symbol, with `|` and `+` combinations.
+/// Evaluates a constant expression: parts joined by `|`, each of terms
+/// joined by `+` (an optional leading `+` is a unary plus), each term a
+/// decimal, hex or `'c'` literal or a symbol after any number of unary
+/// minus signs. Iterative, so no expression can exhaust the stack.
 fn eval(expr: &str, symbols: &HashMap<String, u16>) -> core::result::Result<u16, String> {
-    let expr = expr.trim();
-    // Lowest-precedence split on `|` then `+` then leading `-`.
-    if let Some((a, b)) = split_top(expr, '|') {
-        return Ok(eval(a, symbols)? | eval(b, symbols)?);
+    let mut value = 0;
+    for part in expr.split('|') {
+        let part = part.trim();
+        let mut sum = 0u16;
+        for term in part.strip_prefix('+').unwrap_or(part).split('+') {
+            let mut term = term.trim();
+            let mut negate = false;
+            while let Some(rest) = term.strip_prefix('-') {
+                negate = !negate;
+                term = rest.trim_start();
+            }
+            let v = atom(term, symbols)?;
+            sum = sum.wrapping_add(if negate { v.wrapping_neg() } else { v });
+        }
+        value |= sum;
     }
-    if let Some((a, b)) = split_top(expr, '+') {
-        return Ok(eval(a, symbols)?.wrapping_add(eval(b, symbols)?));
-    }
-    if let Some(rest) = expr.strip_prefix('-') {
-        return Ok(eval(rest, symbols)?.wrapping_neg());
-    }
-    if let Some(hex) = expr.strip_prefix("0x").or_else(|| expr.strip_prefix("0X")) {
+    Ok(value)
+}
+
+/// A literal or symbol's value.
+fn atom(text: &str, symbols: &HashMap<String, u16>) -> core::result::Result<u16, String> {
+    if let Some(hex) = text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
         return u16::from_str_radix(hex, 16).map_err(|e| e.to_string());
     }
-    if expr.starts_with('\'') && expr.ends_with('\'') && expr.len() == 3 {
-        return Ok(expr.as_bytes()[1].into());
+    if text.starts_with('\'') && text.ends_with('\'') && text.len() == 3 {
+        return Ok(text.as_bytes()[1].into());
     }
-    if let Ok(v) = expr.parse::<u16>() {
+    if let Ok(v) = text.parse::<u16>() {
         return Ok(v);
     }
     symbols
-        .get(expr)
+        .get(text)
         .copied()
-        .ok_or_else(|| format!("unknown symbol `{expr}`"))
+        .ok_or_else(|| format!("unknown symbol `{text}`"))
 }
-
-fn split_top(expr: &str, sep: char) -> Option<(&str, &str)> {
-    // Split at the last top-level separator, skipping a leading sign.
-    let bytes = expr.as_bytes();
-    for i in (1..expr.len()).rev() {
-        if bytes[i] == sep as u8 {
-            return Some((&expr[..i], &expr[i + 1..]));
-        }
-    }
-    None
-}
-
-const FORMAT1: &[(&str, u16)] = &[
-    ("mov", 0x4),
-    ("add", 0x5),
-    ("addc", 0x6),
-    ("subc", 0x7),
-    ("sub", 0x8),
-    ("cmp", 0x9),
-    ("dadd", 0xA),
-    ("bit", 0xB),
-    ("bic", 0xC),
-    ("bis", 0xD),
-    ("xor", 0xE),
-    ("and", 0xF),
-];
-
-const FORMAT2: &[(&str, u16)] = &[
-    ("rrc", 0),
-    ("swpb", 1),
-    ("rra", 2),
-    ("sxt", 3),
-    ("push", 4),
-    ("call", 5),
-];
-
-const JUMPS: &[(&str, u16)] = &[
-    ("jnz", 0),
-    ("jne", 0),
-    ("jz", 1),
-    ("jeq", 1),
-    ("jnc", 2),
-    ("jlo", 2),
-    ("jc", 3),
-    ("jhs", 3),
-    ("jn", 4),
-    ("jge", 5),
-    ("jl", 6),
-    ("jmp", 7),
-];
 
 /// Rewrites emulated mnemonics into core ones (applied once at parse
 /// time). Returns the core mnemonic and operand list; unknown mnemonics
-/// pass through unchanged so later passes still report them by their
-/// original spelling.
+/// pass through unchanged so they are reported by their original
+/// spelling.
 fn desugar(mnemonic: &str, operands: &[String]) -> (String, Vec<String>) {
-    let one = |s: &str| vec![s.to_string()];
-    match (mnemonic, operands.len()) {
-        ("nop", 0) => ("mov".into(), vec!["r3".into(), "r3".into()]),
-        ("ret", 0) => ("mov".into(), vec!["@sp+".into(), "pc".into()]),
-        ("pop", 1) => ("mov".into(), vec!["@sp+".into(), operands[0].clone()]),
-        ("br", 1) => ("mov".into(), vec![operands[0].clone(), "pc".into()]),
-        ("clr", 1) => ("mov".into(), vec!["#0".into(), operands[0].clone()]),
-        ("inc", 1) => ("add".into(), vec!["#1".into(), operands[0].clone()]),
-        ("incd", 1) => ("add".into(), vec!["#2".into(), operands[0].clone()]),
-        ("dec", 1) => ("sub".into(), vec!["#1".into(), operands[0].clone()]),
-        ("decd", 1) => ("sub".into(), vec!["#2".into(), operands[0].clone()]),
-        ("tst", 1) => ("cmp".into(), vec!["#0".into(), operands[0].clone()]),
-        ("inv", 1) => ("xor".into(), vec!["#-1".into(), operands[0].clone()]),
-        ("rla", 1) => ("add".into(), vec![operands[0].clone(), operands[0].clone()]),
-        ("eint", 0) => ("bis".into(), vec!["#8".into(), "sr".into()]),
-        ("dint", 0) => ("bic".into(), vec!["#8".into(), "sr".into()]),
-        ("setc", 0) => (
-            "bis".into(),
-            one("#1")[..]
-                .to_vec()
-                .into_iter()
-                .chain(one("sr"))
-                .collect(),
-        ),
-        ("clrc", 0) => ("bic".into(), vec!["#1".into(), "sr".into()]),
-        ("setz", 0) => ("bis".into(), vec!["#2".into(), "sr".into()]),
-        ("clrz", 0) => ("bic".into(), vec!["#2".into(), "sr".into()]),
+    let core = |mn: &str, ops: [&str; 2]| (mn.to_string(), ops.map(str::to_string).to_vec());
+    match (mnemonic, operands) {
+        ("nop", []) => core("mov", ["r3", "r3"]),
+        ("ret", []) => core("mov", ["@sp+", "pc"]),
+        ("pop", [dst]) => core("mov", ["@sp+", dst]),
+        ("br", [src]) => core("mov", [src, "pc"]),
+        ("clr", [dst]) => core("mov", ["#0", dst]),
+        ("inc", [dst]) => core("add", ["#1", dst]),
+        ("incd", [dst]) => core("add", ["#2", dst]),
+        ("dec", [dst]) => core("sub", ["#1", dst]),
+        ("decd", [dst]) => core("sub", ["#2", dst]),
+        ("tst", [dst]) => core("cmp", ["#0", dst]),
+        ("inv", [dst]) => core("xor", ["#-1", dst]),
+        ("rla", [dst]) => core("add", [dst, dst]),
+        ("eint", []) => core("bis", ["#8", "sr"]),
+        ("dint", []) => core("bic", ["#8", "sr"]),
+        ("setc", []) => core("bis", ["#1", "sr"]),
+        ("clrc", []) => core("bic", ["#1", "sr"]),
+        ("setz", []) => core("bis", ["#2", "sr"]),
+        ("clrz", []) => core("bic", ["#2", "sr"]),
         _ => (mnemonic.to_string(), operands.to_vec()),
     }
-}
-
-/// Size in bytes of one instruction, given resolvable symbols.
-fn insn_size(
-    line: usize,
-    mnemonic: &str,
-    operands: &[String],
-    symbols: &HashMap<String, u16>,
-) -> Result<u16> {
-    let (mn, ops) = (mnemonic, operands);
-    if JUMPS.iter().any(|&(m, _)| m == mn) {
-        return Ok(2);
-    }
-    if mn == "reti" {
-        return Ok(2);
-    }
-    if FORMAT2.iter().any(|&(m, _)| m == mn) {
-        let m = ops
-            .first()
-            .and_then(|o| operand_mode(o, symbols))
-            .ok_or_else(|| AsmError {
-                line,
-                message: format!("bad operand for {mn}"),
-            })?;
-        return Ok(2 + 2 * m.extension_words());
-    }
-    if FORMAT1.iter().any(|&(m, _)| m == mn) {
-        if ops.len() != 2 {
-            return err(line, format!("{mn} needs two operands"));
-        }
-        let s = operand_mode(&ops[0], symbols).ok_or_else(|| AsmError {
-            line,
-            message: format!("bad source `{}`", ops[0]),
-        })?;
-        let d = operand_mode(&ops[1], symbols).ok_or_else(|| AsmError {
-            line,
-            message: format!("bad destination `{}`", ops[1]),
-        })?;
-        return Ok(2 + 2 * s.extension_words() + 2 * d.extension_words());
-    }
-    err(line, format!("unknown mnemonic `{mnemonic}`"))
 }
 
 /// Assigns every label its address.
@@ -444,16 +428,18 @@ fn layout(lines: &[Line], known: &HashMap<String, u16>) -> Result<HashMap<String
                 })?;
             }
             Some(Item::Equ(name, expr)) => {
-                let v = eval(expr, &symbols).unwrap_or(0);
-                symbols.insert(name.clone(), v);
+                // A forward reference stays undefined until the second
+                // pass, so `#NAME` is sized as a full immediate like a
+                // forward label; `emit` reports one that never resolves.
+                if let Ok(v) = eval(expr, &symbols) {
+                    symbols.insert(name.clone(), v);
+                }
             }
             Some(Item::Word(_)) => pc = pc.wrapping_add(2),
             Some(Item::Byte(_)) => pc = pc.wrapping_add(1),
-            Some(Item::Insn {
-                mnemonic, operands, ..
-            }) => {
-                let size = insn_size(line.number, mnemonic, operands, &symbols)?;
-                pc = pc.wrapping_add(size);
+            Some(Item::Insn(op)) => {
+                let (insn, _) = op.insn(&symbols);
+                pc = pc.wrapping_add(2 + 2 * insn.ext_words());
             }
         }
     }
@@ -471,81 +457,16 @@ fn vector_address(name: &str, line: usize) -> Result<u16> {
     })
 }
 
-struct Encoder<'a> {
-    symbols: &'a HashMap<String, u16>,
-    line: usize,
-}
-
-impl Encoder<'_> {
-    fn ev(&self, expr: &str) -> Result<u16> {
-        eval(expr, self.symbols).map_err(|m| AsmError {
-            line: self.line,
-            message: m,
-        })
+/// The offset of a jump at `pc` to `target`, in words from the word after
+/// the jump.
+fn jump_offset(pc: u16, target: u16) -> core::result::Result<i16, &'static str> {
+    let bytes = i32::from(target) - i32::from(pc) - 2;
+    if bytes % 2 != 0 {
+        return Err("jump target must be word-aligned");
     }
-
-    /// Encodes an operand as (register, as-bits, extension word).
-    fn source(&self, op: &str) -> Result<(u16, u16, Option<u16>)> {
-        let mode = operand_mode(op, self.symbols).ok_or_else(|| AsmError {
-            line: self.line,
-            message: format!("bad operand `{op}`"),
-        })?;
-        Ok(match mode {
-            Mode::Reg(r) => (r as u16, 0b00, None),
-            Mode::Indirect(r) => (r as u16, 0b10, None),
-            Mode::AutoIncr(r) => (r as u16, 0b11, None),
-            Mode::Imm => {
-                let v = self.ev(op.strip_prefix('#').unwrap_or(op))?;
-                (0, 0b11, Some(v))
-            }
-            Mode::Const(v) => match v {
-                0 => (3, 0b00, None),
-                1 => (3, 0b01, None),
-                2 => (3, 0b10, None),
-                4 => (2, 0b10, None),
-                8 => (2, 0b11, None),
-                _ => (3, 0b11, None), // 0xFFFF
-            },
-            Mode::Indexed { reg, absolute } => {
-                let expr = if absolute {
-                    op.trim().strip_prefix('&').unwrap_or(op.trim())
-                } else if let Some(open) = op.find('(') {
-                    &op[..open]
-                } else {
-                    op
-                };
-                let x = self.ev(expr)?;
-                ((if absolute { 2 } else { reg }) as u16, 0b01, Some(x))
-            }
-        })
-    }
-
-    /// Encodes a destination operand as (register, ad-bit, extension word).
-    fn destination(&self, op: &str) -> Result<(u16, u16, Option<u16>)> {
-        let mode = operand_mode(op, self.symbols).ok_or_else(|| AsmError {
-            line: self.line,
-            message: format!("bad operand `{op}`"),
-        })?;
-        Ok(match mode {
-            Mode::Reg(r) => (r as u16, 0, None),
-            Mode::Indexed { reg, absolute } => {
-                let expr = if absolute {
-                    op.trim().strip_prefix('&').unwrap_or(op.trim())
-                } else if let Some(open) = op.find('(') {
-                    &op[..open]
-                } else {
-                    op
-                };
-                let x = self.ev(expr)?;
-                ((if absolute { 2 } else { reg }) as u16, 1, Some(x))
-            }
-            _ => {
-                return err(
-                    self.line,
-                    format!("destination `{op}` must be a register, X(Rn), &abs or label"),
-                )
-            }
-        })
+    match i16::try_from(bytes / 2) {
+        Ok(offset) if (-512..=511).contains(&offset) => Ok(offset),
+        _ => Err("jump out of range (±512 words)"),
     }
 }
 
@@ -565,68 +486,43 @@ fn emit(lines: &[Line], symbols: &HashMap<String, u16>) -> Result<Image> {
     };
 
     for line in lines {
-        let enc = Encoder {
-            symbols,
-            line: line.number,
+        let ev = |expr: &str| {
+            eval(expr, symbols).map_err(|message| AsmError {
+                line: line.number,
+                message,
+            })
         };
         bytes.clear();
         match &line.item {
-            None | Some(Item::Equ(..)) => continue,
+            None => continue,
+            Some(Item::Equ(_, expr)) => {
+                ev(expr)?;
+                continue;
+            }
             Some(Item::Org(expr)) => {
                 flush(&mut image, &mut current, current_org);
-                pc = enc.ev(expr)?;
+                pc = ev(expr)?;
                 current_org = pc;
                 continue;
             }
-            Some(Item::Vector(name, target)) => {
-                let addr = vector_address(name, line.number)?;
-                let value = enc.ev(target)?;
-                vectors_out.push((addr, value));
+            Some(Item::Vector(addr, target)) => {
+                vectors_out.push((*addr, ev(target)?));
                 continue;
             }
-            Some(Item::Word(expr)) => bytes.extend_from_slice(&enc.ev(expr)?.to_le_bytes()),
-            Some(Item::Byte(expr)) => bytes.push(enc.ev(expr)? as u8),
-            Some(Item::Insn {
-                mnemonic,
-                byte_mode,
-                operands,
-            }) => {
-                let (mn, ops) = (mnemonic, operands);
-                let bw = u16::from(*byte_mode);
-                let mut push = |w: u16| bytes.extend_from_slice(&w.to_le_bytes());
-
-                if let Some(&(_, cond)) = JUMPS.iter().find(|&&(m, _)| m == mn) {
-                    let target = enc.ev(ops.first().map(String::as_str).unwrap_or(""))?;
-                    // Work in raw address space to avoid sign confusion.
-                    let off = (i64::from(target) - i64::from(pc) - 2) / 2;
-                    if (i64::from(target) - i64::from(pc) - 2) % 2 != 0 {
-                        return err(line.number, "jump target must be word-aligned");
-                    }
-                    if !(-512..=511).contains(&off) {
-                        return err(line.number, "jump out of range (±512 words)");
-                    }
-                    push(0x2000 | (cond << 10) | ((off as u16) & 0x3FF));
-                } else if mn == "reti" {
-                    push(0x1300);
-                } else if let Some(&(_, op2)) = FORMAT2.iter().find(|&&(m, _)| m == mn) {
-                    let (reg, as_bits, ext) =
-                        enc.source(ops.first().map(String::as_str).unwrap_or(""))?;
-                    push(0x1000 | (op2 << 7) | (bw << 6) | (as_bits << 4) | reg);
-                    if let Some(x) = ext {
-                        push(x);
-                    }
-                } else if let Some(&(_, op1)) = FORMAT1.iter().find(|&&(m, _)| m == mn) {
-                    if ops.len() != 2 {
-                        return err(line.number, format!("{mn} needs two operands"));
-                    }
-                    let (sreg, as_bits, sext) = enc.source(&ops[0])?;
-                    let (dreg, ad, dext) = enc.destination(&ops[1])?;
-                    push((op1 << 12) | (sreg << 8) | (ad << 7) | (bw << 6) | (as_bits << 4) | dreg);
-                    for x in sext.into_iter().chain(dext) {
-                        push(x);
-                    }
-                } else {
-                    return err(line.number, format!("unknown mnemonic `{mnemonic}`"));
+            Some(Item::Word(expr)) => bytes.extend_from_slice(&ev(expr)?.to_le_bytes()),
+            Some(Item::Byte(expr)) => bytes.push(ev(expr)? as u8),
+            Some(Item::Insn(op)) => {
+                let (mut insn, exts) = op.insn(symbols);
+                if let Op::Jump(cond, target) = op {
+                    let offset = jump_offset(pc, ev(target)?).or_else(|m| err(line.number, m))?;
+                    insn = Insn::Jump {
+                        cond: *cond,
+                        offset,
+                    };
+                }
+                bytes.extend_from_slice(&insn.encode().to_le_bytes());
+                for expr in exts.into_iter().flatten() {
+                    bytes.extend_from_slice(&ev(expr)?.to_le_bytes());
                 }
             }
         }
@@ -761,6 +657,193 @@ mod tests {
         let src = format!(".org 0\n{}", ".word 0\n".repeat(32_768));
         let img = assemble(&src).expect("a full 64 KiB image assembles");
         assert_eq!(img.len(), 0x1_0000);
+    }
+
+    /// The words `line` assembles to at 0xF000, after a data word `value`
+    /// at 0x0200.
+    fn words(line: &str) -> Result<Vec<u16>> {
+        let img = assemble(&format!(
+            ".org 0x0200\nvalue: .word 0\n.org 0xF000\n{line}\n"
+        ))?;
+        let (_, code) = img
+            .segments()
+            .iter()
+            .find(|(org, _)| *org == 0xF000)
+            .expect("code segment");
+        Ok(code
+            .chunks(2)
+            .map(|pair| u16::from_le_bytes([pair[0], pair[1]]))
+            .collect())
+    }
+
+    #[test]
+    fn every_accepted_form_decodes_as_written() {
+        use crate::isa::{Condition, Dst, Format1Op, Format2Op, Insn, Src};
+        // Each source form, the `Src` it must decode as, the register
+        // field that carries it and its extension word, if any.
+        #[rustfmt::skip]
+        const SOURCES: [(&str, Src, u8, Option<u16>); 25] = [
+            ("r5",      Src::Reg(5),          5, None),
+            ("pc",      Src::Reg(0),          0, None),
+            ("sp",      Src::Reg(1),          1, None),
+            ("sr",      Src::Reg(2),          2, None),
+            ("r3",      Src::Const(0),        3, None),
+            ("#0",      Src::Const(0),        3, None),
+            ("#1",      Src::Const(1),        3, None),
+            ("#2",      Src::Const(2),        3, None),
+            ("#4",      Src::Const(4),        2, None),
+            ("#8",      Src::Const(8),        2, None),
+            ("#-1",     Src::Const(0xFFFF),   3, None),
+            ("#0xFFFF", Src::Const(0xFFFF),   3, None),
+            ("#0x1234", Src::Immediate,       0, Some(0x1234)),
+            ("#value",  Src::Immediate,       0, Some(0x0200)),
+            ("&0x0204", Src::Absolute,        2, Some(0x0204)),
+            ("value",   Src::Absolute,        2, Some(0x0200)),
+            ("4(r5)",   Src::Indexed(5),      5, Some(4)),
+            ("4(pc)",   Src::Indexed(0),      0, Some(4)),
+            ("4(sp)",   Src::Indexed(1),      1, Some(4)),
+            ("4(sr)",   Src::Absolute,        2, Some(4)),
+            ("@r5",     Src::Indirect(5),     5, None),
+            ("@pc",     Src::Indirect(0),     0, None),
+            ("@r5+",    Src::AutoInc(5),      5, None),
+            ("@sp+",    Src::AutoInc(1),      1, None),
+            ("@r15+",   Src::AutoInc(15),    15, None),
+        ];
+        #[rustfmt::skip]
+        const DESTINATIONS: [(&str, Dst, Option<u16>); 9] = [
+            ("r4",      Dst::Reg(4),     None),
+            ("pc",      Dst::Reg(0),     None),
+            ("sr",      Dst::Reg(2),     None),
+            ("r3",      Dst::Reg(3),     None),
+            ("&0x0206", Dst::Absolute,   Some(0x0206)),
+            ("value",   Dst::Absolute,   Some(0x0200)),
+            ("6(r5)",   Dst::Indexed(5), Some(6)),
+            ("6(pc)",   Dst::Indexed(0), Some(6)),
+            ("6(r3)",   Dst::Indexed(3), Some(6)),
+        ];
+        #[rustfmt::skip]
+        const FORMAT1: [(&str, Format1Op); 12] = [
+            ("mov", Format1Op::Mov), ("add", Format1Op::Add), ("addc", Format1Op::Addc),
+            ("subc", Format1Op::Subc), ("sub", Format1Op::Sub), ("cmp", Format1Op::Cmp),
+            ("dadd", Format1Op::Dadd), ("bit", Format1Op::Bit), ("bic", Format1Op::Bic),
+            ("bis", Format1Op::Bis), ("xor", Format1Op::Xor), ("and", Format1Op::And),
+        ];
+        #[rustfmt::skip]
+        const FORMAT2: [(&str, Format2Op); 6] = [
+            ("rrc", Format2Op::Rrc), ("swpb", Format2Op::Swpb), ("rra", Format2Op::Rra),
+            ("sxt", Format2Op::Sxt), ("push", Format2Op::Push), ("call", Format2Op::Call),
+        ];
+        let check = |line: &str, expected: Insn, ext: Vec<u16>| {
+            let words = words(line).unwrap_or_else(|e| panic!("`{line}`: {e}"));
+            assert_eq!(Insn::decode(words[0]), Some(expected), "`{line}`");
+            assert_eq!(usize::from(expected.ext_words()), ext.len(), "`{line}`");
+            assert_eq!(words[1..], ext, "`{line}` extension words");
+        };
+        for (byte, suffix) in [(false, ""), (true, ".b")] {
+            for (src_text, src, reg, src_ext) in SOURCES {
+                for (name, op) in FORMAT2 {
+                    let expected = Insn::Fmt2 { op, byte, reg, src };
+                    check(
+                        &format!("{name}{suffix} {src_text}"),
+                        expected,
+                        src_ext.into_iter().collect(),
+                    );
+                }
+                for (dst_text, dst, dst_ext) in DESTINATIONS {
+                    for (name, op) in FORMAT1 {
+                        let expected = Insn::Fmt1 { op, byte, src, dst };
+                        let ext = src_ext.into_iter().chain(dst_ext).collect();
+                        check(
+                            &format!("{name}{suffix} {src_text}, {dst_text}"),
+                            expected,
+                            ext,
+                        );
+                    }
+                }
+            }
+        }
+        #[rustfmt::skip]
+        const JUMPS: [(&str, Condition); 12] = [
+            ("jnz", Condition::Jnz), ("jne", Condition::Jnz), ("jz", Condition::Jz),
+            ("jeq", Condition::Jz), ("jnc", Condition::Jnc), ("jlo", Condition::Jnc),
+            ("jc", Condition::Jc), ("jhs", Condition::Jc), ("jn", Condition::Jn),
+            ("jge", Condition::Jge), ("jl", Condition::Jl), ("jmp", Condition::Jmp),
+        ];
+        for (name, cond) in JUMPS {
+            check(
+                &format!("{name} 0xF000"),
+                Insn::Jump { cond, offset: -1 },
+                vec![],
+            );
+            check(
+                &format!("{name} 0xF400"),
+                Insn::Jump { cond, offset: 511 },
+                vec![],
+            );
+        }
+        check("reti", Insn::Reti, vec![]);
+
+        // Forms whose encoding the decoder reads as something else: a
+        // constant generator (R2 and R3 in their other modes) or, for
+        // `@pc+`, an immediate whose extension word the source never gave.
+        for form in [
+            "4(r3)", "@r2", "@sr", "@r2+", "@sr+", "@r3", "@r3+", "@pc+", "@r0+",
+        ] {
+            for line in [format!("mov {form}, r4"), format!("push {form}")] {
+                let e = words(&line).expect_err(&line);
+                assert_eq!(e.line, 4, "`{line}`: {e}");
+                assert!(e.message.contains(form), "`{line}`: {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn equ_of_an_unknown_symbol_fails_on_its_line() {
+        let e = assemble(".equ X, NOPE\n.org 0xF000\nmov #X, r4\n").unwrap_err();
+        assert_eq!(e.line, 1, "{e}");
+        assert!(e.message.contains("unknown symbol `NOPE`"), "{e}");
+        // An unused `.equ` is still checked.
+        let e = assemble(".org 0xF000\nnop\n.equ Y, 1+MISSING\n").unwrap_err();
+        assert_eq!(e.line, 3, "{e}");
+        // A forward reference to a label resolves in the second pass.
+        let img = assemble(".equ X, later\n.org 0xF000\nmov #X, r4\nlater: nop\n").unwrap();
+        let bytes = &img.segments()[0].1;
+        assert_eq!(u16::from_le_bytes([bytes[2], bytes[3]]), 0xF004);
+    }
+
+    #[test]
+    fn long_expressions_evaluate_without_recursion() {
+        // Each operator once cost a stack frame: 10,000 minus signs
+        // overflowed a test thread's stack and aborted the process.
+        let src = format!(".org 0xF000\nmov #{}1, r4\n", "-".repeat(100_000));
+        assert_eq!(assemble(&src).unwrap().segments()[0].1, [0x14, 0x43]);
+        let src = format!(".org 0xF000\nmov #1{}, r4\n", "+1".repeat(100_000));
+        let img = assemble(&src).unwrap();
+        let code = &img.segments()[0].1;
+        assert_eq!(u16::from_le_bytes([code[2], code[3]]), 100_001u32 as u16);
+        let e = assemble(&format!(
+            ".org 0xF000\nmov #1{}|, r4\n",
+            "|2".repeat(100_000)
+        ));
+        assert_eq!(e.unwrap_err().line, 2);
+        // Unary signs and spacing read as before.
+        let img =
+            assemble(".equ A, 0x10\n.org 0xF000\n.word +5\n.word - -A + 1 | 0x100\n").unwrap();
+        assert_eq!(img.segments()[0].1, [5, 0, 0x11, 0x01]);
+    }
+
+    #[test]
+    fn reversed_parentheses_fail_typed() {
+        // Each once sliced its register name out of `)...(` and panicked.
+        for (line, operand) in [
+            ("push )(", ")("),
+            ("mov r4, )1(r5", ")1(r5"),
+            ("mov #1, )(", ")("),
+        ] {
+            let e = assemble(&format!(".org 0xF000\n{line}\n")).expect_err(line);
+            assert_eq!(e.line, 2, "{e}");
+            assert!(e.message.contains(operand), "{e}");
+        }
     }
 
     #[test]

@@ -189,14 +189,15 @@ impl Mcu {
         }
     }
 
-    /// Loads a program image into memory and pre-decodes it into the
-    /// translation cache. Loading a second image replaces the cache, so
-    /// only the most recent image executes through the decoded path.
+    /// Loads a program image into memory and takes its translation
+    /// cache, which the image decodes on its first load and shares with
+    /// its clones. Loading a second image replaces the cache, so only the
+    /// most recent image executes through the decoded path.
     pub fn load(&mut self, image: &Image) {
         self.mem.load(image);
         // Every decoded instruction lies wholly inside the image's segments,
         // which this load just (re)wrote, so any earlier dirtying is moot.
-        let cache = crate::uops::cache_for(image);
+        let cache = image.decoded();
         self.uop_span = cache.span();
         self.uops = Some(cache);
         self.uops_on = true;

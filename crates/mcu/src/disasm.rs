@@ -3,10 +3,11 @@
 //! Renders instructions in exactly the syntax the assembler accepts, so
 //! `assemble(disassemble(code))` reproduces the original bytes for any
 //! image the assembler produced (constant-generator immediates included).
-//! Used by the firmware tests as a round-trip oracle and handy when
-//! debugging emulated programs.
+//! Mnemonics and register names come from `isa.rs`'s tables, which the
+//! assembler reads too. Used by the firmware tests as a round-trip oracle
+//! and handy when debugging emulated programs.
 
-use crate::isa::{Condition, Dst, Format1Op, Format2Op, Insn, Src};
+use crate::isa::{register_name, Dst, Insn, Src};
 use crate::memory::FlatMemory;
 
 /// One decoded instruction.
@@ -37,66 +38,16 @@ impl core::fmt::Display for UndecodableWord {
 
 impl std::error::Error for UndecodableWord {}
 
-fn reg_name(r: u8) -> String {
-    match r {
-        0 => "pc".into(),
-        1 => "sp".into(),
-        2 => "sr".into(),
-        n => format!("r{n}"),
-    }
-}
-
-fn mnemonic1(op: Format1Op) -> &'static str {
-    match op {
-        Format1Op::Mov => "mov",
-        Format1Op::Add => "add",
-        Format1Op::Addc => "addc",
-        Format1Op::Subc => "subc",
-        Format1Op::Sub => "sub",
-        Format1Op::Cmp => "cmp",
-        Format1Op::Dadd => "dadd",
-        Format1Op::Bit => "bit",
-        Format1Op::Bic => "bic",
-        Format1Op::Bis => "bis",
-        Format1Op::Xor => "xor",
-        Format1Op::And => "and",
-    }
-}
-
-fn mnemonic2(op: Format2Op) -> &'static str {
-    match op {
-        Format2Op::Rrc => "rrc",
-        Format2Op::Swpb => "swpb",
-        Format2Op::Rra => "rra",
-        Format2Op::Sxt => "sxt",
-        Format2Op::Push => "push",
-        Format2Op::Call => "call",
-    }
-}
-
-fn cond_name(c: Condition) -> &'static str {
-    match c {
-        Condition::Jnz => "jnz",
-        Condition::Jz => "jz",
-        Condition::Jnc => "jnc",
-        Condition::Jc => "jc",
-        Condition::Jn => "jn",
-        Condition::Jge => "jge",
-        Condition::Jl => "jl",
-        Condition::Jmp => "jmp",
-    }
-}
-
 /// Renders a source operand whose extension word, if it has one, is `x`.
 fn render_src(src: Src, x: u16) -> String {
     match src {
         // Constant generators round-trip through the `#k` syntax.
         Src::Const(v) => format!("#{}", v as i16),
-        Src::Reg(r) => reg_name(r),
+        Src::Reg(r) => register_name(r),
         Src::Absolute => format!("&{x:#06x}"),
-        Src::Indexed(r) => format!("{x:#06x}({})", reg_name(r)),
-        Src::Indirect(r) => format!("@{}", reg_name(r)),
-        Src::AutoInc(r) => format!("@{}+", reg_name(r)),
+        Src::Indexed(r) => format!("{x:#06x}({})", register_name(r)),
+        Src::Indirect(r) => format!("@{}", register_name(r)),
+        Src::AutoInc(r) => format!("@{}+", register_name(r)),
         Src::Immediate => format!("#{x:#06x}"),
     }
 }
@@ -116,22 +67,22 @@ pub fn decode_one(mem: &FlatMemory, addr: u16) -> Result<Decoded, UndecodableWor
     let text = match insn {
         Insn::Jump { cond, offset } => {
             let target = next.wrapping_add_signed(2 * offset);
-            format!("{} {target:#06x}", cond_name(cond))
+            format!("{} {target:#06x}", cond.name())
         }
         Insn::Reti => "reti".into(),
         Insn::Fmt2 { op, byte, src, .. } => {
             let src = render_src(src, ext(0));
-            format!("{}{} {src}", mnemonic2(op), suffix(byte))
+            format!("{}{} {src}", op.name(), suffix(byte))
         }
         Insn::Fmt1 { op, byte, src, dst } => {
             let x = ext(src.ext_words());
             let dst = match dst {
-                Dst::Reg(r) => reg_name(r),
+                Dst::Reg(r) => register_name(r),
                 Dst::Absolute => format!("&{x:#06x}"),
-                Dst::Indexed(r) => format!("{x:#06x}({})", reg_name(r)),
+                Dst::Indexed(r) => format!("{x:#06x}({})", register_name(r)),
             };
             let src = render_src(src, ext(0));
-            format!("{}{} {src}, {dst}", mnemonic1(op), suffix(byte))
+            format!("{}{} {src}, {dst}", op.name(), suffix(byte))
         }
     };
     Ok(Decoded {

@@ -50,8 +50,9 @@ static IMAGES: OnceLock<Mutex<HashMap<ImageKey, Image>>> = OnceLock::new();
 const IMAGE_CACHE_CAP: usize = 4096;
 
 /// Returns the cached image for `key`, assembling (and caching) it on the
-/// first request. Assembly runs outside the lock; a racing duplicate build
-/// is benign because assembly is deterministic.
+/// first request. Every clone shares the stored image's decoded table.
+/// Assembly runs outside the lock; a racing duplicate build keeps the
+/// image stored first, so the clones still share one table.
 fn cached(
     key: ImageKey,
     build: impl FnOnce() -> Result<Image, AsmError>,
@@ -65,7 +66,7 @@ fn cached(
     let image = build()?;
     if let Ok(mut guard) = map.lock() {
         if guard.len() < IMAGE_CACHE_CAP {
-            guard.insert(key, image.clone());
+            return Ok(guard.entry(key).or_insert(image).clone());
         }
     }
     Ok(image)
@@ -670,6 +671,50 @@ mod tests {
         }
         let packets = bus.log.len() / 11; // 2+1+1+6+1 bytes each
         assert_eq!(packets, 3, "expected 3 beacons in 10 s at period 3");
+    }
+
+    /// FNV-1a over every image's segments: origin, length and bytes.
+    fn digest(images: impl IntoIterator<Item = Image>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for image in images {
+            for (org, bytes) in image.segments() {
+                let header = org.to_le_bytes().into_iter();
+                let len = (bytes.len() as u32).to_le_bytes().into_iter();
+                for b in header.chain(len).chain(bytes.iter().copied()) {
+                    h ^= u64::from(b);
+                    h = h.wrapping_mul(0x0000_0100_0000_01B3);
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn stock_images_match_their_digests() {
+        // Every stock image, byte for byte, as the assembler built it
+        // before it moved onto `isa`'s encoder. A mismatch means an
+        // assembler change moved a byte the goldens depend on.
+        let built = |r: Result<Image, AsmError>| r.expect("stock image assembles");
+        let tpms = digest((0..=255).map(|id| built(tpms_app(id))));
+        let motion = digest((0..=255).map(|id| built(motion_app(id))));
+        let ids = [0u8, 1, 0x17, 0x42, 0xFF];
+        let args = [0u16, 1, 3, 0x0123, 0x8000, 0xFFFF];
+        let pairs = || {
+            ids.iter()
+                .flat_map(|&id| args.iter().map(move |&arg| (id, arg)))
+        };
+        let alarm = digest(pairs().map(|(id, code)| built(tpms_alarm_app(id, code))));
+        let beacon = digest(pairs().map(|(id, period)| built(beacon_app(id, period))));
+        assert_eq!(
+            [tpms, motion, alarm, beacon],
+            [
+                0x244a_806f_d2ba_58c1,
+                0x95a9_0349_b59b_8e03,
+                0xad2e_3e71_b013_c2e5,
+                0xa8f4_8b64_f264_7275,
+            ],
+            "{tpms:#018x} {motion:#018x} {alarm:#018x} {beacon:#018x}"
+        );
     }
 
     #[test]

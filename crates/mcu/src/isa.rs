@@ -1,4 +1,5 @@
-//! Instruction-set definitions and the one decoder for the MSP430 subset.
+//! The MSP430 subset's instruction format: the one decoder, its inverse
+//! encoder and the mnemonic and register names.
 //!
 //! [`Insn::decode`] splits an instruction word into its format, operation,
 //! width, registers and addressing forms, and prices it: how many
@@ -6,11 +7,16 @@
 //! interpreter (`Mcu::execute`), the micro-op table (`uops::decode_at`)
 //! and the disassembler ([`decode_one`](crate::disasm::decode_one)) all
 //! start from it; each then reads the extension words its own way.
+//! [`Insn::encode`] packs an instruction back into its word; the
+//! assembler ([`assemble`](crate::asm::assemble)) builds each line's
+//! [`Insn`] and emits that word. Both the assembler and the disassembler
+//! spell operations and registers through the name tables here.
 
 use crate::cpu::{FLAG_C, FLAG_N, FLAG_V, FLAG_Z};
 
-/// Two-operand (format I) operations, by their 4-bit opcode; the names
-/// are the MSP430 mnemonics.
+/// Two-operand (format I) operations in opcode order: the 4-bit opcode
+/// (the word's top nibble) is the discriminant plus 0x4, and the names are
+/// the MSP430 mnemonics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Format1Op {
     Mov,
@@ -47,6 +53,21 @@ impl Format1Op {
         })
     }
 
+    /// Mnemonics in opcode order, `mov` (0x4) to `and` (0xF).
+    const NAMES: [&'static str; 12] = [
+        "mov", "add", "addc", "subc", "sub", "cmp", "dadd", "bit", "bic", "bis", "xor", "and",
+    ];
+
+    /// The operation's mnemonic.
+    pub(crate) fn name(self) -> &'static str {
+        Self::NAMES[self as usize]
+    }
+
+    /// The operation a mnemonic names.
+    pub(crate) fn from_name(name: &str) -> Option<Self> {
+        Self::from_opcode(0x4 + Self::NAMES.iter().position(|&n| n == name)? as u16)
+    }
+
     /// Whether the operation writes its result back to the destination.
     pub(crate) fn writes_back(self) -> bool {
         !matches!(self, Self::Cmp | Self::Bit)
@@ -54,7 +75,8 @@ impl Format1Op {
 }
 
 /// Single-operand (format II) operations other than `reti`, which takes
-/// no operand and is its own [`Insn`].
+/// no operand and is its own [`Insn`]. Each discriminant is the value of
+/// bits 9:7.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Format2Op {
     Rrc,
@@ -79,9 +101,23 @@ impl Format2Op {
             _ => return None,
         })
     }
+
+    /// Mnemonics in the order of bits 9:7.
+    const NAMES: [&'static str; 6] = ["rrc", "swpb", "rra", "sxt", "push", "call"];
+
+    /// The operation's mnemonic.
+    pub(crate) fn name(self) -> &'static str {
+        Self::NAMES[self as usize]
+    }
+
+    /// The operation a mnemonic names.
+    pub(crate) fn from_name(name: &str) -> Option<Self> {
+        Self::from_bits(Self::NAMES.iter().position(|&n| n == name)? as u16)
+    }
 }
 
-/// Jump conditions (bits 12:10 of a jump instruction).
+/// Jump conditions; each discriminant is the value of bits 12:10 of a
+/// jump instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Condition {
     Jnz,
@@ -107,6 +143,25 @@ impl Condition {
             6 => Self::Jl,
             _ => Self::Jmp,
         }
+    }
+
+    /// Mnemonics in the order of the condition field, then the assembler's
+    /// aliases of the first four (`jne`, `jeq`, `jlo`, `jhs`), which
+    /// [`from_bits`](Self::from_bits) folds onto them.
+    const NAMES: [&'static str; 12] = [
+        "jnz", "jz", "jnc", "jc", "jn", "jge", "jl", "jmp", "jne", "jeq", "jlo", "jhs",
+    ];
+
+    /// The condition's mnemonic.
+    pub(crate) fn name(self) -> &'static str {
+        Self::NAMES[self as usize]
+    }
+
+    /// The condition a mnemonic or alias names.
+    pub(crate) fn from_name(name: &str) -> Option<Self> {
+        Some(Self::from_bits(
+            Self::NAMES.iter().position(|&n| n == name)? as u16,
+        ))
     }
 
     /// Evaluates against the status flags.
@@ -148,9 +203,32 @@ pub(crate) enum Src {
     Immediate,
 }
 
+/// Names of R0–R2; every register also answers to `rN`.
+const REGISTER_NAMES: [&str; 3] = ["pc", "sp", "sr"];
+
+/// A register's name: `pc`, `sp`, `sr`, else `rN`.
+pub(crate) fn register_name(reg: u8) -> String {
+    REGISTER_NAMES
+        .get(usize::from(reg))
+        .map_or_else(|| format!("r{reg}"), |name| (*name).to_string())
+}
+
+/// The register a name spells, in any letter case: `pc`, `sp`, `sr` or
+/// `r0`–`r15`.
+pub(crate) fn register(name: &str) -> Option<u8> {
+    let reg = match REGISTER_NAMES
+        .iter()
+        .position(|n| n.eq_ignore_ascii_case(name))
+    {
+        Some(reg) => reg as u8,
+        None => name.strip_prefix(['r', 'R'])?.parse().ok()?,
+    };
+    (reg < 16).then_some(reg)
+}
+
 impl Src {
     /// Decodes register field `reg` in addressing mode `mode` (the As bits).
-    fn decode(reg: u8, mode: u16) -> Self {
+    pub(crate) fn decode(reg: u8, mode: u16) -> Self {
         match (reg, mode & 0x3) {
             (2, 2) => Self::Const(4),
             (2, 3) => Self::Const(8),
@@ -165,6 +243,31 @@ impl Src {
             (0, _) => Self::Immediate,
             (r, _) => Self::AutoInc(r),
         }
+    }
+
+    /// The register field and addressing mode that encode the form: the
+    /// inverse of [`Src::decode`]. `Const` holds only constant-generator
+    /// values (see [`Src::constant`]).
+    fn fields(self) -> (u8, u16) {
+        match self {
+            Self::Const(4) => (2, 2),
+            Self::Const(8) => (2, 3),
+            Self::Const(0) => (3, 0),
+            Self::Const(1) => (3, 1),
+            Self::Const(2) => (3, 2),
+            Self::Const(_) => (3, 3),
+            Self::Reg(r) => (r, 0),
+            Self::Absolute => (2, 1),
+            Self::Indexed(r) => (r, 1),
+            Self::Indirect(r) => (r, 2),
+            Self::AutoInc(r) => (r, 3),
+            Self::Immediate => (0, 3),
+        }
+    }
+
+    /// The constant-generator form of `value`, if R2 or R3 generates it.
+    pub(crate) fn constant(value: u16) -> Option<Self> {
+        matches!(value, 0 | 1 | 2 | 4 | 8 | 0xFFFF).then_some(Self::Const(value))
     }
 
     /// Extension words the form reads after the opcode word.
@@ -260,6 +363,41 @@ impl Insn {
         })
     }
 
+    /// A format-II instruction, its register field taken from `src`.
+    pub(crate) fn fmt2(op: Format2Op, byte: bool, src: Src) -> Self {
+        let reg = src.fields().0;
+        Self::Fmt2 { op, byte, reg, src }
+    }
+
+    /// Packs the instruction word: the inverse of [`Insn::decode`] on every
+    /// instruction it returns. A format-II word's register field comes
+    /// from its `src`; bits 11:10 of a format-II word and bits 6:0 of
+    /// `reti`, which decode ignores, encode as zero.
+    pub(crate) fn encode(self) -> u16 {
+        match self {
+            Self::Jump { cond, offset } => 0x2000 | (cond as u16) << 10 | (offset as u16 & 0x3FF),
+            Self::Reti => 0x1300,
+            Self::Fmt2 { op, byte, src, .. } => {
+                let (reg, mode) = src.fields();
+                0x1000 | (op as u16) << 7 | u16::from(byte) << 6 | mode << 4 | u16::from(reg)
+            }
+            Self::Fmt1 { op, byte, src, dst } => {
+                let (sreg, mode) = src.fields();
+                let (dreg, indexed) = match dst {
+                    Dst::Reg(r) => (r, 0),
+                    Dst::Absolute => (2, 1),
+                    Dst::Indexed(r) => (r, 1),
+                };
+                (op as u16 + 0x4) << 12
+                    | u16::from(sreg) << 8
+                    | indexed << 7
+                    | u16::from(byte) << 6
+                    | mode << 4
+                    | u16::from(dreg)
+            }
+        }
+    }
+
     /// Extension words after the opcode word: the source's, then the
     /// destination's.
     pub(crate) fn ext_words(self) -> u16 {
@@ -338,6 +476,61 @@ mod tests {
         assert_eq!(Format2Op::from_bits(7), None);
         assert_eq!(Insn::decode(0x1300), Some(Insn::Reti));
         assert_eq!(Insn::decode(0x1380), None);
+    }
+
+    #[test]
+    fn encode_inverts_decode() {
+        for word in 0..=u16::MAX {
+            let Some(insn) = Insn::decode(word) else {
+                continue;
+            };
+            assert_eq!(Insn::decode(insn.encode()), Some(insn), "{word:#06x}");
+            // Decode ignores bits 11:10 of a format-II word and bits 6:0 of
+            // `reti`; every other bit of every word comes back.
+            let canonical = match insn {
+                Insn::Reti => 0x1300,
+                Insn::Fmt2 { .. } => word & !0x0C00,
+                _ => word,
+            };
+            assert_eq!(insn.encode(), canonical, "{word:#06x}");
+        }
+    }
+
+    #[test]
+    fn names_and_registers_round_trip() {
+        for opcode in 0x4..=0xF {
+            let op = Format1Op::from_opcode(opcode).expect("format I");
+            assert_eq!(Format1Op::from_name(op.name()), Some(op));
+        }
+        for bits in 0..=5 {
+            let op = Format2Op::from_bits(bits).expect("format II");
+            assert_eq!(Format2Op::from_name(op.name()), Some(op));
+        }
+        for bits in 0..=7 {
+            let cond = Condition::from_bits(bits);
+            assert_eq!(Condition::from_name(cond.name()), Some(cond));
+        }
+        let aliases = [
+            ("jne", Condition::Jnz),
+            ("jeq", Condition::Jz),
+            ("jlo", Condition::Jnc),
+            ("jhs", Condition::Jc),
+        ];
+        for (alias, cond) in aliases {
+            assert_eq!(Condition::from_name(alias), Some(cond));
+        }
+        assert_eq!(Condition::Jnz.name(), "jnz", "aliases are never printed");
+        assert_eq!(Format1Op::from_name("reti"), None);
+        assert_eq!(Format2Op::from_name("mov"), None);
+        assert_eq!(Condition::from_name("jmpx"), None);
+        for reg in 0..16 {
+            assert_eq!(register(&register_name(reg)), Some(reg));
+            assert_eq!(register(&format!("R{reg}")), Some(reg));
+        }
+        assert_eq!(register_name(1), "sp");
+        assert_eq!(register("SR"), Some(2));
+        assert_eq!(register("r16"), None);
+        assert_eq!(register("rx"), None);
     }
 
     /// The decodable set, written out by hand: jumps (top nibble 0x2–0x3),

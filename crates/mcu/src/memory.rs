@@ -1,5 +1,8 @@
 //! The 64 KiB address space, the F1222-like I/O map, and loadable images.
 
+use crate::uops::UopCache;
+use std::sync::{Arc, OnceLock};
+
 /// I/O register addresses (F1222-like layout; all below 0x0200).
 pub mod io {
     /// Port 1 input register (read-only from firmware).
@@ -55,9 +58,31 @@ pub mod vectors {
 }
 
 /// A loadable program image: contiguous byte runs at absolute addresses.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// An image also carries the slot for its decoded micro-op table, which
+/// its clones share: the first [`Mcu::load`](crate::cpu::Mcu::load) of the
+/// image or any clone decodes it, every later load reuses it, and a new
+/// segment empties the slot. Equality and `Debug` read only the segments.
+#[derive(Clone, Default)]
 pub struct Image {
     segments: Vec<(u16, Vec<u8>)>,
+    decoded: Arc<OnceLock<Arc<UopCache>>>,
+}
+
+impl PartialEq for Image {
+    fn eq(&self, other: &Self) -> bool {
+        self.segments == other.segments
+    }
+}
+
+impl Eq for Image {}
+
+impl core::fmt::Debug for Image {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("Image")
+            .field("segments", &self.segments)
+            .finish()
+    }
 }
 
 impl Image {
@@ -77,6 +102,13 @@ impl Image {
             "segment overruns the 64 KiB address space"
         );
         self.segments.push((org, bytes));
+        self.decoded = Arc::default();
+    }
+
+    /// The image's decoded micro-op table, built by the first call on this
+    /// image or any clone of it.
+    pub(crate) fn decoded(&self) -> Arc<UopCache> {
+        Arc::clone(self.decoded.get_or_init(|| Arc::new(UopCache::build(self))))
     }
 
     /// The image's segments in insertion order.

@@ -35,12 +35,13 @@
 //! reset and interrupt entry read from memory, so a PC there runs through
 //! the interpreter like any other address without a slot.
 //!
-//! The cache is a pure function of the [`Image`], which makes it shareable:
-//! a process-wide registry deduplicates caches by image content, so a
-//! million-node fleet running 256 distinct firmware variants builds 256
-//! caches, not a million. Each spans only its image's code: the TPMS
-//! table holds 113 slots of 20 bytes, about 2.2 KiB. Self-modifying
-//! code is handled in the CPU layer: any write landing in
+//! The cache is a pure function of the [`Image`], so it travels with the
+//! image: the first load decodes it into a slot the image's clones share.
+//! The stock firmware cache hands every node a clone of one image per
+//! variant, so a million-node fleet running 256 distinct firmware
+//! variants builds 256 caches, not a million. Each spans only its image's
+//! code: the TPMS table holds 113 slots of 20 bytes, about 2.2 KiB.
+//! Self-modifying code is handled in the CPU layer: any write landing in
 //! [`CodeSpan::covers`] permanently drops that core back to the
 //! interpreter (the shared cache itself is immutable), and a write into
 //! the vector table, which no micro-op was decoded from, does not. The CPU
@@ -51,8 +52,6 @@
 //! per-execution fetch/decode — behavior (cycles, flags, interrupt points,
 //! fault latching) is pinned bit-identical by the differential suite in
 //! `tests/differential.rs` and the golden traces.
-
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use crate::isa::{Condition, Dst, Format1Op, Format2Op, Insn, Src};
 use crate::memory::{io, FlatMemory, Image};
@@ -307,7 +306,7 @@ impl UopCache {
     /// memory, so an instruction that would reach it is not decoded, and a
     /// PC there (or anywhere else without a slot) runs through the
     /// interpreter.
-    fn build(image: &Image) -> Self {
+    pub(crate) fn build(image: &Image) -> Self {
         // Each segment's bytes below the vector table, as `[start, end)`.
         let code = || {
             image.segments().iter().filter_map(|(org, bytes)| {
@@ -603,72 +602,12 @@ fn fold_src(mem: &FlatMemory, ext_at: u16, src: Src, byte: bool) -> SrcOp {
     }
 }
 
-/// Registry entry: content fingerprint, the image itself (for exact
-/// equality on fingerprint collisions), and the shared cache.
-type RegistryEntry = (u64, Image, Arc<UopCache>);
-
-/// Caches are shared process-wide by image content: fleets load the same
-/// few firmware variants into thousands of cores. Bounded so pathological
-/// workloads (e.g. property tests generating endless distinct images)
-/// cannot grow it without limit — past the cap, caches are built uncached.
-const REGISTRY_CAP: usize = 4096;
-
-fn registry() -> &'static Mutex<Vec<RegistryEntry>> {
-    static REGISTRY: OnceLock<Mutex<Vec<RegistryEntry>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// FNV-1a over the segment layout and bytes. Collisions are survivable:
-/// the registry compares full image equality before sharing.
-fn fingerprint(image: &Image) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |b: u8| {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    };
-    for (org, bytes) in image.segments() {
-        eat(*org as u8);
-        eat((*org >> 8) as u8);
-        eat(bytes.len() as u8);
-        eat((bytes.len() >> 8) as u8);
-        for b in bytes {
-            eat(*b);
-        }
-    }
-    h
-}
-
-/// The shared translation cache for an image: returns the registry's copy
-/// when an identical image was decoded before, else builds (outside the
-/// lock) and publishes it.
-pub(crate) fn cache_for(image: &Image) -> Arc<UopCache> {
-    let fp = fingerprint(image);
-    {
-        let guard = registry().lock().unwrap_or_else(PoisonError::into_inner);
-        for (f, img, cache) in guard.iter() {
-            if *f == fp && img == image {
-                return Arc::clone(cache);
-            }
-        }
-    }
-    let built = Arc::new(UopCache::build(image));
-    let mut guard = registry().lock().unwrap_or_else(PoisonError::into_inner);
-    for (f, img, cache) in guard.iter() {
-        if *f == fp && img == image {
-            return Arc::clone(cache); // another thread won the build race
-        }
-    }
-    if guard.len() < REGISTRY_CAP {
-        guard.push((fp, image.clone(), Arc::clone(&built)));
-    }
-    built
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::asm::assemble;
     use crate::disasm;
+    use std::sync::Arc;
 
     fn image(src: &str) -> Image {
         assemble(src).expect("test source assembles")
@@ -925,15 +864,33 @@ mod tests {
     }
 
     #[test]
-    fn registry_shares_identical_images() {
-        let a = image(".org 0xF000\nmov #0x5A5A, r4\nmov #0x5A5A, r5\n");
-        let b = image(".org 0xF000\nmov #0x5A5A, r4\nmov #0x5A5A, r5\n");
-        let c = image(".org 0xF000\nmov #0x5A5B, r4\nmov #0x5A5B, r5\n");
-        let ca = cache_for(&a);
-        let cb = cache_for(&b);
-        let cc = cache_for(&c);
-        assert!(Arc::ptr_eq(&ca, &cb), "identical images share one cache");
-        assert!(!Arc::ptr_eq(&ca, &cc), "different images do not");
+    fn image_clones_share_one_table() {
+        let src = ".org 0xF000\nmov #0x5A5A, r4\nmov #0x5A5A, r5\n";
+        let a = image(src);
+        let table = a.decoded();
+        assert!(
+            Arc::ptr_eq(&table, &a.clone().decoded()),
+            "clones share one table"
+        );
+        let twin = image(src);
+        assert_eq!(twin, a);
+        assert!(
+            !Arc::ptr_eq(&table, &twin.decoded()),
+            "a separately assembled identical image decodes its own"
+        );
+        let mut grown = a.clone();
+        grown.push_segment(0xF100, vec![0x03, 0x43]);
+        assert!(
+            grown.decoded().lookup(0xF100).is_some(),
+            "a new segment redecodes"
+        );
+        assert!(
+            Arc::ptr_eq(&table, &a.decoded()),
+            "the original keeps its table"
+        );
+        // Every node's copy of a stock image comes out of one cache entry.
+        let tpms = |id| crate::firmware::tpms_app(id).expect("firmware builds");
+        assert!(Arc::ptr_eq(&tpms(0x42).decoded(), &tpms(0x42).decoded()));
     }
 
     /// A program that calls the helper `body` at `0xF100`.

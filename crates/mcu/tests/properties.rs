@@ -49,6 +49,77 @@ fn instruction() -> impl Strategy<Value = String> {
     ]
 }
 
+/// Strategy for one line of hostile assembler source: a mnemonic,
+/// directive or label, then a run of operand fragments with unbalanced
+/// parentheses, unknown registers, out-of-range numbers and stray
+/// punctuation.
+fn hostile_line() -> impl Strategy<Value = String> {
+    let head = prop_oneof![
+        Just("mov"),
+        Just("add.b"),
+        Just("push"),
+        Just("call"),
+        Just("jnz"),
+        Just("reti"),
+        Just("pop"),
+        Just("bogus"),
+        Just("lbl:"),
+        Just(".org"),
+        Just(".word"),
+        Just(".byte"),
+        Just(".equ"),
+        Just(".vector"),
+        Just(".org 0xFFFF\n.word"),
+        Just(".org 0xFFFF\nmov"),
+        Just(".org 0xFFFE\n.byte"),
+    ];
+    let fragment = prop_oneof![
+        Just("r4"),
+        Just("r16"),
+        Just("rx"),
+        Just("pc"),
+        Just("sr"),
+        Just("@r3+"),
+        Just("@pc+"),
+        Just("@"),
+        Just("&"),
+        Just("#"),
+        Just("#65536"),
+        Just("#0x10000"),
+        Just("-99999"),
+        Just("0x"),
+        Just("'"),
+        Just("("),
+        Just(")"),
+        Just(")("),
+        Just("4(r5"),
+        Just("+"),
+        Just("|"),
+        Just(","),
+        Just(" "),
+        Just("lbl"),
+        Just("NOPE"),
+        Just("reset"),
+    ];
+    (head, prop::collection::vec(fragment, 0..7))
+        .prop_map(|(head, fragments)| format!("{head} {}", fragments.concat()))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    #[test]
+    fn hostile_sources_assemble_or_fail_on_a_line(
+        lines in prop::collection::vec(hostile_line(), 1..6)
+    ) {
+        let src = lines.join("\n");
+        if let Err(e) = asm::assemble(&src) {
+            let count = src.lines().count();
+            prop_assert!((1..=count).contains(&e.line), "{e} for {src:?}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

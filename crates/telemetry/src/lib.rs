@@ -41,7 +41,7 @@ mod metrics;
 mod recorder;
 
 pub use event::{Event, EventKind, NO_NODE};
-pub use metrics::{Histogram, Metric, Metrics, DEFAULT_BOUNDS};
+pub use metrics::{Histogram, MergeConflict, Metric, Metrics, DEFAULT_BOUNDS};
 pub use recorder::{JsonlRecorder, NullRecorder, Recorder};
 
 /// Per-shard telemetry accumulator: a [`Metrics`] registry plus an
@@ -127,6 +127,18 @@ impl TelemetryBuffer {
     pub fn absorb(&mut self, other: TelemetryBuffer) {
         self.metrics.merge_from(&other.metrics);
         self.events.extend(other.events);
+    }
+
+    /// [`absorb`](Self::absorb), returning a metric conflict instead of
+    /// panicking; on a conflict no event moves.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`MergeConflict`] of [`Metrics::try_merge_from`].
+    pub fn try_absorb(&mut self, other: TelemetryBuffer) -> Result<(), MergeConflict> {
+        self.metrics.try_merge_from(&other.metrics)?;
+        self.events.extend(other.events);
+        Ok(())
     }
 
     /// Stable-sorts buffered events by `(t_ns, node)`. Within one node the

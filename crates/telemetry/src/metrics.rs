@@ -137,6 +137,11 @@ impl Histogram {
             self.bounds, other.bounds,
             "cannot merge histograms with different bounds"
         );
+        self.add(other);
+    }
+
+    /// Adds another histogram's observations; the bounds must be equal.
+    fn add(&mut self, other: &Histogram) {
         for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
             *mine += theirs;
         }
@@ -243,6 +248,24 @@ impl FromJson for Metric {
         }
     }
 }
+
+/// A metric two registries hold in shapes that cannot merge: different
+/// kinds, or histograms with different bucket bounds.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MergeConflict {
+    /// The metric's name.
+    pub name: String,
+    /// How the two sides differ.
+    pub detail: String,
+}
+
+impl core::fmt::Display for MergeConflict {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(f, "metric {} {}", self.name, self.detail)
+    }
+}
+
+impl std::error::Error for MergeConflict {}
 
 /// Insertion-ordered registry of named metrics.
 ///
@@ -368,24 +391,45 @@ impl Metrics {
     ///
     /// # Panics
     ///
-    /// Panics if a name is registered with different kinds (or histogram
-    /// bounds) on the two sides.
+    /// Panics with the [`MergeConflict`] that
+    /// [`try_merge_from`](Self::try_merge_from) returns.
     pub fn merge_from(&mut self, other: &Metrics) {
+        if let Err(conflict) = self.try_merge_from(other) {
+            panic!("{conflict}");
+        }
+    }
+
+    /// [`merge_from`](Self::merge_from), returning the first name
+    /// registered with different kinds (or histogram bounds) on the two
+    /// sides instead of panicking. The metrics before it stay merged.
+    ///
+    /// # Errors
+    ///
+    /// Returns the conflicting metric as a [`MergeConflict`].
+    pub fn try_merge_from(&mut self, other: &Metrics) -> Result<(), MergeConflict> {
         for (name, theirs) in &other.entries {
             match self.entries.iter_mut().find(|(n, _)| n == name) {
                 None => self.entries.push((name.clone(), theirs.clone())),
                 Some((_, mine)) => match (mine, theirs) {
                     (Metric::Counter(a), Metric::Counter(b)) => *a += b,
                     (Metric::Gauge(a), Metric::Gauge(b)) => *a += b,
-                    (Metric::Histogram(a), Metric::Histogram(b)) => a.merge_from(b),
-                    (mine, theirs) => panic!(
-                        "metric {name} is a {} on one side and a {} on the other",
-                        mine.kind(),
-                        theirs.kind()
-                    ),
+                    (Metric::Histogram(a), Metric::Histogram(b)) if a.bounds == b.bounds => {
+                        a.add(b)
+                    }
+                    (mine, theirs) => {
+                        let detail = match (mine.kind(), theirs.kind()) {
+                            (a, b) if a == b => format!("is a {a} with different bounds"),
+                            (a, b) => format!("is a {a} on one side and a {b} on the other"),
+                        };
+                        return Err(MergeConflict {
+                            name: name.clone(),
+                            detail,
+                        });
+                    }
                 },
             }
         }
+        Ok(())
     }
 
     fn entry(&mut self, name: &str, default: impl FnOnce() -> Metric) -> &mut Metric {
@@ -520,6 +564,34 @@ mod tests {
     #[should_panic(expected = "must ascend")]
     fn unsorted_bounds_rejected() {
         Histogram::new(&[10.0, 1.0]);
+    }
+
+    #[test]
+    fn conflicting_registries_fail_typed() {
+        let mut counter = Metrics::new();
+        counter.inc("a", 1);
+        counter.inc("x", 1);
+        let mut gauge = Metrics::new();
+        gauge.add("a", 2.0);
+        let mut wide = Metrics::new();
+        wide.register_histogram("h", &[1.0, 2.0]);
+        let mut narrow = Metrics::new();
+        narrow.register_histogram("h", &[1.0]);
+        let conflict = counter.clone().try_merge_from(&gauge).unwrap_err();
+        assert_eq!(
+            conflict.to_string(),
+            "metric a is a counter on one side and a gauge on the other"
+        );
+        let conflict = wide.try_merge_from(&narrow).unwrap_err();
+        assert_eq!(
+            conflict.to_string(),
+            "metric h is a histogram with different bounds"
+        );
+        // A clean merge still adds.
+        counter
+            .try_merge_from(&counter.clone())
+            .expect("same shapes merge");
+        assert_eq!(counter.counter("x"), 2);
     }
 
     #[test]

@@ -349,6 +349,88 @@ fn hostile_checkpoint_records_are_typed_errors() {
     );
 }
 
+/// A checkpoint's `metrics` object, edited by `edit`, then decoded.
+fn decode_edited_metrics(
+    checkpoint: &FleetCheckpoint,
+    edit: impl FnOnce(&mut Vec<(String, Json)>),
+) -> Result<FleetCheckpoint, String> {
+    let mut json = Json::parse(&checkpoint.to_json().to_string()).expect("checkpoint text parses");
+    let Json::Obj(fields) = &mut json else {
+        panic!("a fleet checkpoint is a JSON object");
+    };
+    let Some((_, Json::Obj(metrics))) = fields.iter_mut().find(|(key, _)| key == "metrics") else {
+        panic!("a fleet checkpoint holds a metrics object");
+    };
+    edit(metrics);
+    FleetCheckpoint::from_json(&json).map_err(|e| e.to_string())
+}
+
+/// The JSON value of metric `key`.
+fn metric<'a>(metrics: &'a mut [(String, Json)], key: &str) -> &'a mut Json {
+    let Some((_, value)) = metrics.iter_mut().find(|(k, _)| k == key) else {
+        panic!("the fold holds {key}");
+    };
+    value
+}
+
+#[test]
+fn hostile_checkpoint_metrics_are_typed_errors() {
+    // A fold whose metrics contradict what the resumed nodes record once
+    // panicked the fold's merge (inside a worker, which re-raised it) or
+    // the merge phase. Each now fails typed, naming `metrics` and the key,
+    // from the decoder or from the resume.
+    type Edit = fn(&mut Vec<(String, Json)>);
+    let cases: [(&str, bool, Edit, &str); 3] = [
+        (
+            "a counter rewritten as a gauge",
+            false,
+            |metrics| *metric(metrics, keys::NODE_WAKES) = Json::Num(1.5),
+            keys::NODE_WAKES,
+        ),
+        (
+            "a histogram's first bound changed",
+            false,
+            |metrics| {
+                let Json::Obj(histogram) = metric(metrics, keys::RADIO_TX_AIRTIME_US) else {
+                    panic!("a histogram is a JSON object");
+                };
+                let Some((_, Json::Arr(bounds))) =
+                    histogram.iter_mut().find(|(k, _)| k == "bounds")
+                else {
+                    panic!("a histogram has bounds");
+                };
+                bounds[0] = Json::Num(0.0005);
+            },
+            keys::RADIO_TX_AIRTIME_US,
+        ),
+        (
+            "a merge-phase metric in a complete fold",
+            true,
+            |metrics| metrics.push((keys::FLEET_OFFERED.into(), Json::Num(2.5))),
+            keys::FLEET_OFFERED,
+        ),
+    ];
+    for parallelism in [Parallelism::Serial, Parallelism::Threads(3)] {
+        let config = fleet_config(parallelism);
+        for (why, complete, edit, key) in cases {
+            let budget = if complete { config.nodes } else { 3 };
+            let leg = run_fleet_partial(&config, None, budget, false).expect("leg runs");
+            let err = match decode_edited_metrics(&leg, edit) {
+                Err(e) => e,
+                Ok(hostile) => {
+                    let resumed = run_fleet_resumable(
+                        &config,
+                        Some(&hostile),
+                        &mut picocube::telemetry::NullRecorder,
+                    );
+                    resumed.map(|_| ()).expect_err(why).to_string()
+                }
+            };
+            assert!(err.contains("metrics") && err.contains(key), "{why}: {err}");
+        }
+    }
+}
+
 #[test]
 fn first_wake_past_the_clock_range_is_a_typed_error() {
     // A checkpoint file whose node config puts the first wake u64::MAX ms
