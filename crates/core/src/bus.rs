@@ -4,7 +4,7 @@
 use crate::stack::SensorBoard;
 use picocube_mcu::firmware::{PIN_RADIO_PA, PIN_RADIO_SPI, PIN_SENSOR_CS};
 use picocube_mcu::SpiDevice;
-use picocube_radio::packet::{self, Checksum};
+use picocube_radio::packet::{self, Checksum, PREAMBLE, PREAMBLE_LEN, SYNC};
 use picocube_radio::{OokTransmitter, Transmission};
 use picocube_sim::{SimDuration, SimTime};
 
@@ -69,9 +69,13 @@ impl picocube_units::json::FromJson for TransmittedPacket {
     }
 }
 
-/// The on-air frame header every application firmware emits: two
-/// preamble bytes and the start symbol (see `picocube_radio::packet`).
-const FRAME_HEADER: [u8; 3] = [0xAA, 0xAA, 0xD3];
+/// The on-air frame header every application firmware emits: the
+/// preamble bytes and the start symbol of `picocube_radio::packet`.
+const FRAME_HEADER: [u8; PREAMBLE_LEN + 1] = {
+    let mut header = [PREAMBLE; PREAMBLE_LEN + 1];
+    header[PREAMBLE_LEN] = SYNC;
+    header
+};
 
 /// Splits a PA-window buffer into consecutive well-formed frames.
 ///
@@ -286,6 +290,12 @@ mod tests {
         mux.transfer(0xAA);
         mux.transfer(0xD3);
         assert!(boards.radio.window_open());
+    }
+
+    #[test]
+    fn the_frame_header_is_what_the_encoder_writes() {
+        assert_eq!(FRAME_HEADER, [0xAA, 0xAA, 0xD3]);
+        assert!(packet::encode(7, &[1, 2], Checksum::Xor).starts_with(&FRAME_HEADER));
     }
 
     #[test]

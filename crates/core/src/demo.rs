@@ -4,6 +4,7 @@
 //! display of sensor values" (Figs 7–8).
 
 use crate::bus::TransmittedPacket;
+use crate::fleet::demo_link;
 use picocube_radio::packet::{self, Checksum};
 use picocube_radio::{Link, SuperRegenReceiver};
 use picocube_sensors::Sca3000;
@@ -57,17 +58,9 @@ impl DemoStation {
     /// Station at the demo-table distance (1 m) with the reference-\[12\]
     /// receiver and the as-built antenna link.
     pub fn demo_table(seed: u64) -> Self {
-        let link = Link {
-            tx_power: picocube_units::Dbm::new(0.8),
-            tx_gain: picocube_radio::PatchAntenna::as_built()
-                .gain_dbi(picocube_units::Hertz::new(1.863e9)),
-            rx_gain: picocube_units::Db::new(0.0),
-            orientation_loss: picocube_units::Db::new(2.0),
-            channel: picocube_radio::Channel::demo_room(),
-        };
         Self::new(
             SuperRegenReceiver::bwrc_issc05(),
-            link,
+            demo_link(),
             Meters::new(1.0),
             seed,
         )

@@ -277,7 +277,8 @@ impl FromJson for FleetCheckpoint {
         }
         let mut telemetry =
             TelemetryBuffer::with_events(bool::from_json(field(value, "record_events")?)?);
-        telemetry.metrics = Metrics::from_json(field(value, "metrics")?)?;
+        telemetry.metrics = Metrics::from_json(field(value, "metrics")?)
+            .map_err(|e| JsonError::new(format!("metrics: {}", e.message)))?;
         if let Some((name, _)) = telemetry
             .metrics
             .iter()

@@ -365,7 +365,10 @@ pub(crate) fn derive_node_config(
 /// unreachable from `2 * i + 1` for any realistic fleet size.
 const MERGE_STREAM: u64 = u64::MAX;
 
-pub(crate) fn link_for_fleet() -> Link {
+/// The §6 demo-table link: the 0.8 dBm transmitter through the as-built
+/// patch antenna at 1.863 GHz, 2 dB of orientation loss, into the demo
+/// room. The fleet and mesh channel trials and the demo station all use it.
+pub(crate) fn demo_link() -> Link {
     Link {
         tx_power: Dbm::new(0.8),
         tx_gain: PatchAntenna::as_built().gain_dbi(Hertz::new(1.863e9)),
@@ -412,7 +415,7 @@ fn simulate_node_instrumented(
     // The setup stream's post-run draw: its order is part of the RNG
     // contract.
     let distance = setup.uniform(config.distance_range.0, config.distance_range.1);
-    let link = link_for_fleet();
+    let link = demo_link();
     let rx_dbm = link.budget(Meters::new(distance)).received;
     let records = node
         .packets()

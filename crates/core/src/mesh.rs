@@ -49,7 +49,7 @@
 //! nodes are advanced in.
 
 use crate::fleet::{
-    capture_sweep, derive_node_config, frame_run, link_for_fleet, per_node_delivery, AirSlot,
+    capture_sweep, demo_link, derive_node_config, frame_run, per_node_delivery, AirSlot,
     FleetOutcome, Parallelism, RX_DBM_BOUNDS, STOCK_WAKE_PPM,
 };
 use crate::node::{BuildError, NodeConfig};
@@ -364,7 +364,7 @@ struct Geometry {
 
 impl Geometry {
     fn new(config: &MeshConfig) -> Self {
-        let link = link_for_fleet();
+        let link = demo_link();
         let neighbor_level: Vec<Dbm> = (1..config.nodes)
             .map(|d| {
                 link.budget(Meters::new(d as f64 * config.spacing_m))

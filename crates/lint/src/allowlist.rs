@@ -10,8 +10,8 @@
 //! budget must be tightened in the same change). Both directions fail the
 //! lint, which is what makes the allowlist shrink-only in practice.
 
+use crate::lints::panics::SiteKind;
 use crate::report::{Finding, Lint};
-use crate::source::SiteKind;
 use std::collections::BTreeMap;
 
 /// One `path kind count -- justification` entry.

@@ -6,7 +6,7 @@
 //! from the token stream but doc comments and `picocube-lint:` markers
 //! retained as side tables. Nested block comments, raw strings, byte
 //! strings, char literals and lifetimes are all handled so that quotes and
-//! braces inside them can never desynchronize the structural scan.
+//! braces inside them can never desynchronize the parser.
 
 use std::collections::BTreeMap;
 
@@ -103,6 +103,37 @@ pub struct Lexed {
     /// Lint names allowed by a `picocube-lint: allow(...)` marker, by the
     /// 1-based line the marker's comment starts on.
     pub allow_markers: BTreeMap<u32, Vec<String>>,
+}
+
+impl Lexed {
+    /// Whether a `picocube-lint: allow(code)` marker covers `line`: the
+    /// marker sits on the line itself or on the line directly above.
+    pub fn allows(&self, code: &str, line: u32) -> bool {
+        [line, line.saturating_sub(1)].iter().any(|l| {
+            self.allow_markers
+                .get(l)
+                .is_some_and(|names| names.iter().any(|n| n == code))
+        })
+    }
+
+    /// Doc text attached to an item starting at `line`: the contiguous run
+    /// of doc-comment lines ending directly above it (attribute lines in
+    /// between are tolerated by scanning a few lines further up).
+    pub fn doc_above(&self, line: u32) -> String {
+        let mut doc = String::new();
+        let mut l = line.saturating_sub(1);
+        let mut gap = 0u32;
+        while l > 0 && gap <= 3 {
+            if let Some(text) = self.doc_lines.get(&l) {
+                doc.insert_str(0, text);
+                gap = 0;
+            } else {
+                gap += 1;
+            }
+            l -= 1;
+        }
+        doc
+    }
 }
 
 /// The marker prefix recognized inside comments. A comment containing
@@ -337,7 +368,13 @@ fn lex_string(b: &[u8], mut i: usize, line: &mut u32) -> usize {
     i += 1;
     while i < b.len() {
         match b[i] {
-            b'\\' => i += 2,
+            b'\\' => {
+                // A `\` line continuation still ends a source line.
+                if b.get(i + 1) == Some(&b'\n') {
+                    *line += 1;
+                }
+                i += 2;
+            }
             b'"' => return i + 1,
             b'\n' => {
                 *line += 1;
@@ -421,6 +458,13 @@ mod tests {
                 .count(),
             3
         );
+    }
+
+    #[test]
+    fn line_continuations_in_strings_count_their_lines() {
+        let l = lex("let s = \"one \\\n     two\";\nx.unwrap();\n");
+        let unwrap = l.tokens.iter().find(|t| t.is_ident("unwrap")).unwrap();
+        assert_eq!(unwrap.line, 3);
     }
 
     #[test]

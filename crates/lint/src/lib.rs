@@ -22,13 +22,15 @@
 //!   registered keys.
 //!
 //! The workspace builds fully offline, so there is no `syn`: the crate
-//! carries its own minimal lexer ([`lexer`]), structural scanner
-//! ([`source`]) and recursive-descent parser ([`parser`]) — L1–L4 run on
-//! tokens, L5–L7 on the AST. Individual sites opt out with an inline
+//! carries its own minimal lexer ([`lexer`]) and recursive-descent parser
+//! ([`parser`]), and each file is lexed and parsed once. All seven lints
+//! read that one AST: L1 and L4 its items, L5–L7 its expressions, and L2
+//! and L3 its token stream, with test code and fn bodies taken from the
+//! spans the parser records. Individual sites opt out with an inline
 //! `picocube-lint: allow(L1)`-style marker, which applies to its own line
-//! and the next. Constructs the parser cannot understand degrade into
-//! structured parse gaps that surface in the report rather than hiding
-//! violations silently.
+//! and the next. Constructs the parser cannot understand become structured
+//! parse gaps, and a gap fails the run like a finding: every lint is blind
+//! past it.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -39,7 +41,6 @@ pub mod lints;
 pub mod parser;
 pub mod report;
 pub mod scope;
-pub mod source;
 
 use allowlist::Allowlist;
 use lints::{GoldenKeys, KeyFacts, StreamFacts};
@@ -68,50 +69,47 @@ pub struct FileAnalysis {
     pub parse_gaps: Vec<ReportGap>,
 }
 
-/// Analyzes one file's contents under the scope its path implies. Files
-/// outside every scope yield an empty analysis.
+/// Analyzes one file's contents under the scope its path implies: the file
+/// is lexed and parsed once, and every lint in scope reads that parse.
+/// Files outside every scope yield an empty analysis.
 pub fn analyze_file(rel_path: &str, src: &str) -> FileAnalysis {
     let mut out = FileAnalysis::default();
     let Some(scope) = scope_for(rel_path) else {
         return out;
     };
-    let scanned = source::scan(src);
+    let ast = parser::parse(src);
+    out.parse_gaps.extend(ast.gaps.iter().map(|g| ReportGap {
+        file: rel_path.to_string(),
+        line: g.line,
+        context: g.context.to_string(),
+        found: g.found.clone(),
+    }));
     if scope.l1 {
-        out.findings.extend(lints::check_units(&scanned, rel_path));
+        out.findings.extend(lints::check_units(&ast, rel_path));
     }
     if scope.l2 {
         out.findings
-            .extend(lints::check_panics(&scanned, rel_path, scope.l2_index));
+            .extend(lints::check_panics(&ast, rel_path, scope.l2_index));
     }
     if scope.l3 {
         out.findings
-            .extend(lints::check_determinism(&scanned, rel_path));
+            .extend(lints::check_determinism(&ast, rel_path));
     }
     if scope.l4 {
-        out.findings
-            .extend(lints::check_provenance(&scanned, rel_path));
+        out.findings.extend(lints::check_provenance(&ast, rel_path));
     }
-    if scope.l5 || scope.l6 || scope.l7 {
-        let ast = parser::parse(src);
-        out.parse_gaps.extend(ast.gaps.iter().map(|g| ReportGap {
-            file: rel_path.to_string(),
-            line: g.line,
-            context: g.context.to_string(),
-            found: g.found.clone(),
-        }));
-        if scope.l5 {
-            out.findings.extend(lints::check_dimflow(&ast, rel_path));
-        }
-        if scope.l6 {
-            let (facts, findings) = lints::collect_streams(&ast, rel_path);
-            out.findings.extend(findings);
-            out.stream_facts = Some(facts);
-        }
-        if scope.l7 {
-            let (facts, findings) = lints::collect_keys(&ast, rel_path);
-            out.findings.extend(findings);
-            out.key_facts = Some(facts);
-        }
+    if scope.l5 {
+        out.findings.extend(lints::check_dimflow(&ast, rel_path));
+    }
+    if scope.l6 {
+        let (facts, findings) = lints::collect_streams(&ast, rel_path);
+        out.findings.extend(findings);
+        out.stream_facts = Some(facts);
+    }
+    if scope.l7 {
+        let (facts, findings) = lints::collect_keys(&ast, rel_path);
+        out.findings.extend(findings);
+        out.key_facts = Some(facts);
     }
     out
 }
@@ -344,6 +342,42 @@ mod tests {
     fn analyze_reports_parse_gaps() {
         let analysis = analyze_file("crates/sim/src/fake.rs", "fn f() { let x = @!; }\n");
         assert!(!analysis.parse_gaps.is_empty());
+    }
+
+    #[test]
+    fn a_parse_gap_fails_a_workspace_run() {
+        let root = std::env::temp_dir().join(format!("picocube-lint-gap-{}", std::process::id()));
+        let src_dir = root.join("crates/sim/src");
+        std::fs::create_dir_all(&src_dir).unwrap();
+        std::fs::write(src_dir.join("bad.rs"), "fn f() { let x = @!; }\n").unwrap();
+        let run = run_workspace(&root);
+        std::fs::remove_dir_all(&root).unwrap();
+        let report = run.unwrap().report;
+        assert!(report.findings.is_empty());
+        assert!(!report.parse_gaps.is_empty());
+        assert!(
+            !report.is_clean(),
+            "a gap blinds every lint, so it fails the run"
+        );
+        assert!(report.render_table().contains("crates/sim/src/bad.rs:1"));
+    }
+
+    #[test]
+    fn cfg_not_test_is_library_code_for_every_lint() {
+        let items = "pub fn set(rail_voltage: f64) { x.unwrap(); }\n\
+                     fn emit(m: &mut Metrics) { m.inc(\"ad.hoc\", 1); }\n";
+        let lints = |attr: &str| -> Vec<(Lint, u32)> {
+            let src = format!("#[{attr}]\nmod m {{\n{items}}}\n");
+            lint_file_contents("crates/power/src/fake.rs", &src)
+                .iter()
+                .map(|f| (f.lint, f.line))
+                .collect()
+        };
+        assert_eq!(
+            lints("cfg(not(test))"),
+            [(Lint::L1, 3), (Lint::L2, 3), (Lint::L7, 4)]
+        );
+        assert_eq!(lints("cfg(test)"), []);
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! the event queue), and ambient RNG (`thread_rng`, the `rand` crate —
 //! randomness must flow from `SimRng` seed streams).
 
+use crate::lexer::TokenKind;
+use crate::parser::Ast;
 use crate::report::{Finding, Lint};
-use crate::source::ScannedFile;
 
 /// Forbidden identifiers and what to use instead.
 const FORBIDDEN: &[(&str, &str)] = &[
@@ -28,26 +29,29 @@ const FORBIDDEN: &[(&str, &str)] = &[
     ("rand", "external RNG; draw from a SimRng seed stream"),
 ];
 
-/// Runs L3 over a scanned file (the caller restricts this to the
-/// determinism-scoped paths).
-pub fn check_determinism(file: &ScannedFile, path: &str) -> Vec<Finding> {
+/// Runs L3 over a parsed file's tokens (the caller restricts this to the
+/// determinism-scoped paths). The check is lexical: a forbidden name
+/// counts wherever it appears outside test code and attributes, also in
+/// places the parser does not keep (enum variant fields, impl headers).
+pub fn check_determinism(ast: &Ast, path: &str) -> Vec<Finding> {
     let mut out = Vec::new();
-    for u in &file.idents {
-        if u.in_test {
+    for i in ast.code_tokens() {
+        let t = &ast.lexed.tokens[i];
+        if t.kind != TokenKind::Ident {
             continue;
         }
-        let Some((_, why)) = FORBIDDEN.iter().find(|(name, _)| *name == u.ident) else {
+        let Some((_, why)) = FORBIDDEN.iter().find(|(name, _)| *name == t.text) else {
             continue;
         };
-        if file.allows(Lint::L3.code(), u.line) {
+        if ast.in_test(i) || ast.lexed.allows(Lint::L3.code(), t.line) {
             continue;
         }
         out.push(Finding {
             lint: Lint::L3,
             file: path.to_string(),
-            line: u.line,
-            kind: u.ident.clone(),
-            message: format!("`{}` in a determinism-scoped path: {why}", u.ident),
+            line: t.line,
+            kind: t.text.clone(),
+            message: format!("`{}` in a determinism-scoped path: {why}", t.text),
         });
     }
     out
@@ -56,11 +60,11 @@ pub fn check_determinism(file: &ScannedFile, path: &str) -> Vec<Finding> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::scan;
+    use crate::parser::parse;
 
     #[test]
     fn hashmap_is_flagged_with_alternative() {
-        let s = scan("use std::collections::HashMap;\nfn f() { let m: HashMap<u32, u32> = HashMap::new(); }\n");
+        let s = parse("use std::collections::HashMap;\nfn f() { let m: HashMap<u32, u32> = HashMap::new(); }\n");
         let f = check_determinism(&s, "x.rs");
         assert_eq!(f.len(), 3, "use + type + constructor");
         assert!(f[0].message.contains("BTreeMap"));
@@ -68,21 +72,38 @@ mod tests {
 
     #[test]
     fn wall_clock_is_flagged() {
-        let s = scan("fn f() { let t = Instant::now(); }\n");
+        let s = parse("fn f() { let t = Instant::now(); }\n");
         assert_eq!(check_determinism(&s, "x.rs").len(), 1);
     }
 
     #[test]
     fn test_code_and_btree_are_fine() {
-        let s = scan(
+        let s = parse(
             "use std::collections::BTreeMap;\n#[cfg(test)]\nmod t { fn g() { Instant::now(); } }\n",
         );
         assert!(check_determinism(&s, "x.rs").is_empty());
     }
 
     #[test]
+    fn names_outside_the_parsed_skeleton_are_flagged() {
+        let s = parse(
+            "enum E { Map(HashMap<u8, u8>) }\nimpl From<HashSet<u8>> for E {}\n\
+             #[derive(Instant)]\nstruct S;\n",
+        );
+        let lines: Vec<u32> = check_determinism(&s, "x.rs")
+            .iter()
+            .map(|f| f.line)
+            .collect();
+        assert_eq!(
+            lines,
+            [1, 2],
+            "variant fields and impl headers, not attributes"
+        );
+    }
+
+    #[test]
     fn allow_marker_suppresses() {
-        let s = scan("// picocube-lint: allow(L3) scratch map, drained in sorted order\nfn f() { let m = HashMap::new(); }\n");
+        let s = parse("// picocube-lint: allow(L3) scratch map, drained in sorted order\nfn f() { let m = HashMap::new(); }\n");
         assert!(check_determinism(&s, "x.rs").is_empty());
     }
 }

@@ -21,6 +21,7 @@
 //! `SimDuration` participate as time-dimensioned pseudo-quantities (their
 //! tick fields are integers, so the launder rule does not apply to them).
 
+use crate::lexer::Lexed;
 use crate::parser::{Ast, BinOp, Block, Expr, FnItem, Param, Stmt, TypeRef};
 use crate::report::{Finding, Lint};
 use std::collections::BTreeMap;
@@ -179,22 +180,14 @@ struct FileCtx<'a> {
     fields: BTreeMap<String, Dim>,
     /// Function name → return dimension, for same-file calls.
     fn_rets: BTreeMap<String, Dim>,
-    /// Allow-marker lines (from the lexer side table).
-    allows: &'a std::collections::BTreeMap<u32, Vec<String>>,
+    /// The file's lex, for its allow markers.
+    lexed: &'a Lexed,
     findings: Vec<Finding>,
 }
 
 impl FileCtx<'_> {
-    fn allowed(&self, line: u32) -> bool {
-        [line, line.saturating_sub(1)].iter().any(|l| {
-            self.allows
-                .get(l)
-                .is_some_and(|v| v.iter().any(|n| n == "L5"))
-        })
-    }
-
     fn push(&mut self, line: u32, kind: &str, message: String) {
-        if self.allowed(line) {
+        if self.lexed.allows(Lint::L5.code(), line) {
             return;
         }
         // One finding per (line, kind): chained expressions otherwise
@@ -224,7 +217,7 @@ pub fn check_dimflow(ast: &Ast, path: &str) -> Vec<Finding> {
         path,
         fields: BTreeMap::new(),
         fn_rets: BTreeMap::new(),
-        allows: &ast.lexed.allow_markers,
+        lexed: &ast.lexed,
         findings: Vec::new(),
     };
     ast.for_each_struct(&mut |_, fields| {

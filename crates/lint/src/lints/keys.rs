@@ -152,12 +152,7 @@ pub fn collect_keys(ast: &Ast, path: &str) -> (KeyFacts, Vec<Finding>) {
     };
     let mut findings = Vec::new();
     let in_keys_home = path == KEYS_HOME;
-    let allows = &ast.lexed.allow_markers;
-    let allowed = |line: u32| {
-        [line.saturating_sub(1), line]
-            .iter()
-            .any(|l| allows.get(l).is_some_and(|v| v.iter().any(|n| n == "L7")))
-    };
+    let allowed = |line: u32| ast.lexed.allows(Lint::L7.code(), line);
 
     if in_keys_home {
         ast.for_each_const(&mut |c| {

@@ -1,9 +1,9 @@
 //! The seven lint passes.
 //!
-//! The structural passes (L1–L4) are pure functions from a
-//! [`crate::source::ScannedFile`] (plus the file's workspace-relative
-//! path, which decides scope) to findings. The syntactic passes (L5–L7)
-//! run over the [`crate::parser`] AST instead; L6 and L7 additionally
+//! Every pass reads the one [`crate::parser::Ast`] of a file (plus the
+//! file's workspace-relative path, which decides scope): L1 and L4 its
+//! items, L5–L7 its expressions, and L2 and L3 its token stream with the
+//! test-code and fn-body spans the parser records. L6 and L7 additionally
 //! split into per-file fact collection and a workspace-level registry
 //! check. Scope rules live in [`crate::scope`] so the passes themselves
 //! stay path-agnostic and fixture-testable.

@@ -180,12 +180,7 @@ pub fn collect_streams(ast: &Ast, path: &str) -> (StreamFacts, Vec<Finding>) {
     };
     let mut findings = Vec::new();
     let in_rng_home = path == RNG_HOME;
-    let allows = &ast.lexed.allow_markers;
-    let allowed = |line: u32| {
-        [line.saturating_sub(1), line]
-            .iter()
-            .any(|l| allows.get(l).is_some_and(|v| v.iter().any(|n| n == "L6")))
-    };
+    let allowed = |line: u32| ast.lexed.allows(Lint::L6.code(), line);
     let push = |findings: &mut Vec<Finding>, line: u32, kind: &str, message: String| {
         if !allowed(line) {
             findings.push(Finding {

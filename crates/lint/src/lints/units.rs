@@ -10,9 +10,8 @@
 //! `picocube-lint: allow(L1)` marker documents deliberate boundary
 //! crossings (FFI, datasheet-shaped constructors).
 
-use crate::lexer::{Token, TokenKind};
+use crate::parser::{Ast, FnItem, TypeRef};
 use crate::report::{Finding, Lint};
-use crate::source::{FnSig, ScannedFile};
 
 /// Name suffixes that imply a unit (after the final `_`).
 const UNIT_SUFFIXES: &[&str] = &[
@@ -60,60 +59,22 @@ fn has_unit_name(name: &str) -> bool {
     })
 }
 
-/// Splits a parameter list at top-level commas into `(name, type tokens)`.
-fn split_params(params: &[Token]) -> Vec<(String, Vec<Token>)> {
-    let mut out = Vec::new();
-    let mut depth = 0i32;
-    let mut current: Vec<Token> = Vec::new();
-    let mut flush = |current: &mut Vec<Token>| {
-        // `name : type…` — skip `self`, `&self`, `mut name`.
-        let colon = current.iter().position(|t| t.is_punct(':'));
-        if let Some(c) = colon {
-            let name = current[..c]
-                .iter()
-                .rev()
-                .find(|t| t.kind == TokenKind::Ident && t.text != "mut")
-                .map(|t| t.text.clone());
-            if let Some(name) = name {
-                out.push((name, current[c + 1..].to_vec()));
-            }
-        }
-        current.clear();
-    };
-    for t in params {
-        match t.text.as_str() {
-            "<" | "(" | "[" => depth += 1,
-            ">" | ")" | "]" => depth -= 1,
-            "," if depth == 0 => {
-                flush(&mut current);
-                continue;
-            }
-            _ => {}
-        }
-        current.push(t.clone());
-    }
-    flush(&mut current);
-    out
+/// Whether a type is bare `f64` (`&f64` counts; `&mut f64`, `Option<f64>`
+/// and `impl Into<f64>` deliberately do not — only the direct scalar type
+/// is flagged).
+fn is_bare_f64(ty: &TypeRef) -> bool {
+    ty.idents == ["f64"]
 }
 
-/// Whether a type token sequence is bare `f64` (possibly `&f64` or
-/// `Option<f64>`/`impl Into<f64>` are deliberately NOT flagged — only the
-/// direct scalar type is).
-fn is_bare_f64(ty: &[Token]) -> bool {
-    let idents: Vec<&str> = ty
-        .iter()
-        .filter(|t| t.kind == TokenKind::Ident)
-        .map(|t| t.text.as_str())
-        .collect();
-    idents == ["f64"]
-}
-
-fn check_fn(file: &ScannedFile, path: &str, f: &FnSig, out: &mut Vec<Finding>) {
-    if !f.is_pub || f.in_test || file.allows(Lint::L1.code(), f.line) {
+fn check_fn(ast: &Ast, path: &str, f: &FnItem, out: &mut Vec<Finding>) {
+    if !f.is_pub || f.in_test || f.nested || ast.lexed.allows(Lint::L1.code(), f.line) {
         return;
     }
-    for (name, ty) in split_params(&f.params) {
-        if is_bare_f64(&ty) && has_unit_name(&name) {
+    for p in &f.params {
+        let (Some(name), Some(ty)) = (&p.name, &p.ty) else {
+            continue;
+        };
+        if is_bare_f64(ty) && has_unit_name(name) {
             out.push(Finding {
                 lint: Lint::L1,
                 file: path.to_string(),
@@ -127,7 +88,7 @@ fn check_fn(file: &ScannedFile, path: &str, f: &FnSig, out: &mut Vec<Finding>) {
             });
         }
     }
-    if is_bare_f64(&f.ret) && has_unit_name(&f.name) {
+    if f.ret.as_ref().is_some_and(is_bare_f64) && has_unit_name(&f.name) {
         out.push(Finding {
             lint: Lint::L1,
             file: path.to_string(),
@@ -142,31 +103,81 @@ fn check_fn(file: &ScannedFile, path: &str, f: &FnSig, out: &mut Vec<Finding>) {
     }
 }
 
-/// Runs L1 over a scanned file.
-pub fn check_units(file: &ScannedFile, path: &str) -> Vec<Finding> {
+/// Runs L1 over the item-level fns of a parsed file (fns nested in bodies
+/// are not API).
+pub fn check_units(ast: &Ast, path: &str) -> Vec<Finding> {
     let mut out = Vec::new();
-    for f in &file.fns {
-        check_fn(file, path, f, &mut out);
-    }
+    ast.for_each_fn(&mut |f| check_fn(ast, path, f, &mut out));
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::scan;
+    use crate::parser::parse;
 
     #[test]
     fn unit_suffixed_f64_param_is_flagged() {
-        let s = scan("pub fn path_loss(&self, distance_m: f64) -> Db { Db::ZERO }\n");
+        let s = parse("pub fn path_loss(&self, distance_m: f64) -> Db { Db::ZERO }\n");
         let f = check_units(&s, "x.rs");
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].kind, "param");
     }
 
     #[test]
+    fn finds_pub_fn_signature() {
+        let s = parse("pub fn path_loss(&self, distance_m: f64) -> Db { Db::ZERO }\n");
+        let mut sigs = Vec::new();
+        s.for_each_fn(&mut |f| {
+            let params: Vec<_> = f
+                .params
+                .iter()
+                .filter_map(|p| Some((p.name.clone()?, p.ty.as_ref()?.idents.clone())))
+                .collect();
+            let ret = f.ret.as_ref().map(|t| t.idents.clone());
+            sigs.push((f.name.clone(), f.is_pub, f.in_test, params, ret));
+        });
+        let expected = (
+            "path_loss".to_string(),
+            true,
+            false,
+            vec![("distance_m".to_string(), vec!["f64".to_string()])],
+            Some(vec!["Db".to_string()]),
+        );
+        assert_eq!(sigs, [expected]);
+        let f = check_units(&s, "x.rs");
+        assert_eq!(f.len(), 1, "the typed `Db` return passes: {f:?}");
+        assert!(f[0].message.contains("`path_loss` takes `distance_m: f64`"));
+    }
+
+    #[test]
+    fn restricted_visibility_and_nested_fns_are_not_api() {
+        let s = parse(
+            "pub(crate) fn a(distance_m: f64) {}\n\
+             pub(super) fn b(distance_m: f64) {}\n\
+             pub fn outer() { pub fn inner(distance_m: f64) {} }\n\
+             pub const fn c(distance_m: f64) -> f64 { distance_m }\n",
+        );
+        let f = check_units(&s, "x.rs");
+        let lines: Vec<u32> = f.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [4], "only the unrestricted item-level fn: {f:?}");
+    }
+
+    #[test]
+    fn test_fns_are_skipped_but_not_cfg_not_test() {
+        let s = parse(
+            "#[should_panic(expected = \"x\")]\npub fn t(distance_m: f64) {}\n\
+             #[test]\npub fn u(distance_m: f64) {}\n\
+             #[cfg(not(test))]\npub fn v(distance_m: f64) {}\n",
+        );
+        let f = check_units(&s, "x.rs");
+        let lines: Vec<u32> = f.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [6], "{f:?}");
+    }
+
+    #[test]
     fn dimensionless_f64_is_fine() {
-        let s = scan(
+        let s = parse(
             "pub fn set_duty(&mut self, duty: f64) {}\npub fn efficiency(&self) -> f64 { 0.9 }\n",
         );
         assert!(check_units(&s, "x.rs").is_empty());
@@ -174,7 +185,7 @@ mod tests {
 
     #[test]
     fn unit_named_return_is_flagged() {
-        let s = scan("pub fn thickness_um(&self) -> f64 { 0.0 }\n");
+        let s = parse("pub fn thickness_um(&self) -> f64 { 0.0 }\n");
         let f = check_units(&s, "x.rs");
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].kind, "return");
@@ -182,25 +193,25 @@ mod tests {
 
     #[test]
     fn private_and_test_fns_are_skipped() {
-        let s = scan("fn helper(distance_m: f64) {}\n#[cfg(test)]\nmod t { pub fn capacity_mah() -> f64 { 1.0 } }\n");
+        let s = parse("fn helper(distance_m: f64) {}\n#[cfg(test)]\nmod t { pub fn capacity_mah() -> f64 { 1.0 } }\n");
         assert!(check_units(&s, "x.rs").is_empty());
     }
 
     #[test]
     fn allow_marker_suppresses() {
-        let s = scan("// picocube-lint: allow(L1) datasheet-shaped constructor\npub fn from_mah(capacity_mah: f64) {}\n");
+        let s = parse("// picocube-lint: allow(L1) datasheet-shaped constructor\npub fn from_mah(capacity_mah: f64) {}\n");
         assert!(check_units(&s, "x.rs").is_empty());
     }
 
     #[test]
     fn typed_quantities_pass() {
-        let s = scan("pub fn budget(&self, distance: Meters) -> LinkBudget { todo() }\n");
+        let s = parse("pub fn budget(&self, distance: Meters) -> LinkBudget { todo() }\n");
         assert!(check_units(&s, "x.rs").is_empty());
     }
 
     #[test]
     fn unit_word_components_are_flagged() {
-        let s = scan("pub fn set_supply(&mut self, rail_voltage: f64) {}\n");
+        let s = parse("pub fn set_supply(&mut self, rail_voltage: f64) {}\n");
         assert_eq!(check_units(&s, "x.rs").len(), 1);
     }
 }

@@ -1,14 +1,23 @@
-//! A small recursive-descent Rust parser for the dataflow lints.
+//! The linter's one front end: a small recursive-descent Rust parser.
 //!
 //! Built directly on [`crate::lexer`] — no `syn`, no rustc internals. The
 //! goal is not fidelity to the full grammar but a *recoverable* syntactic
 //! skeleton: items with bodies, statements, and a Pratt-parsed expression
 //! tree precise enough to flow unit types (L5), stream-id expressions (L6)
-//! and key strings (L7) through function bodies. Anything the parser does
-//! not understand is recorded as a structured [`ParseGap`] and skipped to a
-//! safe synchronization point (`;` or a balanced `}`) — the parser never
-//! panics and never silently drops tokens without a gap record, which is
-//! what the workspace round-trip property test pins.
+//! and key strings (L7) through function bodies. Every lint reads the one
+//! [`Ast`] of a file: L1 and L4 its items, L5–L7 its expressions, and the
+//! lexical lints L2 and L3 its token stream, with the test-code and
+//! fn-body spans the parser records ([`Ast::in_test`],
+//! [`Ast::in_fn_body`]). Anything the parser does not understand is
+//! recorded as a structured [`ParseGap`] and skipped to a safe
+//! synchronization point (`;` or a balanced `}`) — the parser never panics
+//! and never silently drops tokens without a gap record, and a gap fails
+//! the lint run.
+//!
+//! Test code has one rule: an item is test code when it or an enclosing
+//! item carries `#[cfg(test)]`, or when it is a fn carrying `#[test]` or
+//! `#[should_panic]`. `#[cfg(not(test))]` and `#[cfg(any(test, …))]` items
+//! are library code.
 //!
 //! Deliberate simplifications (all recorded in DESIGN.md §14):
 //!
@@ -21,9 +30,11 @@
 //! - Macro invocations are parsed speculatively as expression lists; when
 //!   the body is not expression-shaped (e.g. `matches!` patterns) the
 //!   arguments fall back to the string literals found inside, so `format!`
-//!   keys stay visible to L7 without a gap.
+//!   keys stay visible to L7 without a gap. An item-position macro's
+//!   `{ … }` body is parsed speculatively as items the same way.
 
 use crate::lexer::{lex, Lexed, Token, TokenKind};
+use std::ops::Range;
 
 /// A construct the parser could not understand at `line`; the surrounding
 /// analysis degrades gracefully instead of failing.
@@ -74,13 +85,17 @@ pub struct Param {
 pub struct FnItem {
     /// Function name.
     pub name: String,
-    /// 1-based line of the `fn` keyword.
+    /// 1-based line of the fn's name.
     pub line: u32,
-    /// Whether the item carries any `pub` visibility.
+    /// Whether the item is unrestricted `pub` (`pub(crate)` and
+    /// `pub(super)` are not public API).
     pub is_pub: bool,
-    /// Whether the item lives under `#[cfg(test)]` or carries `#[test]`.
+    /// Whether the item is test code (see the module docs).
     pub in_test: bool,
-    /// Parameters in order (receiver `self` omitted).
+    /// Whether the fn is declared inside another fn's body.
+    pub nested: bool,
+    /// Parameters in order; a receiver (`self`, `&mut self`) is an entry
+    /// with neither name nor type.
     pub params: Vec<Param>,
     /// Return type, when present.
     pub ret: Option<TypeRef>,
@@ -93,11 +108,11 @@ pub struct FnItem {
 pub struct ConstItem {
     /// Item name.
     pub name: String,
-    /// 1-based line.
+    /// 1-based line of the item's name.
     pub line: u32,
-    /// Whether the item carries any `pub` visibility.
-    pub is_pub: bool,
-    /// Whether the item lives under `#[cfg(test)]`.
+    /// Whether the item is a `static` rather than a `const`.
+    pub is_static: bool,
+    /// Whether the item is test code (see the module docs).
     pub in_test: bool,
     /// Declared type.
     pub ty: Option<TypeRef>,
@@ -128,12 +143,11 @@ pub enum Item {
     Mod {
         /// Module name.
         name: String,
-        /// Whether the module is `#[cfg(test)]`.
-        cfg_test: bool,
         /// Contained items.
         items: Vec<Item>,
     },
-    /// An `impl` or `trait` block's items (the self type is not resolved).
+    /// An `impl` or `trait` block's items (the self type is not resolved),
+    /// or the items of an item-position macro whose body parses as items.
     ImplLike {
         /// Contained items.
         items: Vec<Item>,
@@ -394,11 +408,53 @@ pub struct Ast {
     pub items: Vec<Item>,
     /// Constructs the parser could not understand.
     pub gaps: Vec<ParseGap>,
-    /// The underlying lex (doc lines, allow markers).
+    /// The underlying lex: the token stream the spans index, doc lines and
+    /// allow markers.
     pub lexed: Lexed,
+    /// Token spans of the outermost test-code items, attributes included,
+    /// in source order (so sorted and disjoint, as [`covers`] needs).
+    test_spans: Vec<Range<usize>>,
+    /// Token spans of the outermost fn bodies, braces included, in source
+    /// order.
+    fn_bodies: Vec<Range<usize>>,
+}
+
+/// Whether one of `spans` (sorted, disjoint) contains token `i`.
+fn covers(spans: &[Range<usize>], i: usize) -> bool {
+    let k = spans.partition_point(|s| s.end <= i);
+    spans.get(k).is_some_and(|s| s.contains(&i))
 }
 
 impl Ast {
+    /// Whether token `i` lies in test code.
+    pub fn in_test(&self, i: usize) -> bool {
+        covers(&self.test_spans, i)
+    }
+
+    /// Whether token `i` lies in a fn body.
+    pub fn in_fn_body(&self, i: usize) -> bool {
+        covers(&self.fn_bodies, i)
+    }
+
+    /// Indices of the tokens outside attributes (`#[…]`, `#![…]`), in
+    /// source order: the code the lexical lints read.
+    pub fn code_tokens(&self) -> impl Iterator<Item = usize> + '_ {
+        let toks = &self.lexed.tokens;
+        let mut i = 0;
+        std::iter::from_fn(move || loop {
+            let t = toks.get(i)?;
+            i += 1;
+            if t.is_punct('#') {
+                let open = i + usize::from(toks.get(i).is_some_and(|n| n.is_punct('!')));
+                if toks.get(open).is_some_and(|n| n.is_punct('[')) {
+                    i = balanced_end(toks, open);
+                    continue;
+                }
+            }
+            return Some(i - 1);
+        })
+    }
+
     /// Walks every function item (at any nesting depth) in source order.
     pub fn for_each_fn(&self, f: &mut impl FnMut(&FnItem)) {
         fn walk(items: &[Item], f: &mut impl FnMut(&FnItem)) {
@@ -565,13 +621,58 @@ pub fn parse(src: &str) -> Ast {
         i: 0,
         gaps: Vec::new(),
         no_struct: 0,
+        in_test: false,
+        in_body: false,
+        test_spans: Vec::new(),
+        fn_bodies: Vec::new(),
     };
-    let items = p.parse_items(false, None);
+    let items = p.parse_items(None);
+    let (gaps, test_spans, fn_bodies) = (p.gaps, p.test_spans, p.fn_bodies);
     Ast {
         items,
-        gaps: p.gaps,
+        gaps,
         lexed,
+        test_spans,
+        fn_bodies,
     }
+}
+
+/// The one test-code rule, for one outer attribute's tokens (brackets
+/// excluded): `#[cfg(test)]` marks any item, and `#[test]` or
+/// `#[should_panic…]` a fn, as test code. `cfg(not(test))` and
+/// `cfg(any(test, …))` do not.
+fn is_test_attr(attr: &[Token]) -> bool {
+    let text: Vec<&str> = attr.iter().map(|t| t.text.as_str()).collect();
+    matches!(
+        text.as_slice(),
+        ["cfg", "(", "test", ")"] | ["test"] | ["should_panic", ..]
+    )
+}
+
+/// Index just past the group that opens at `toks[open]` (`(`, `[` or `{`),
+/// counting only that bracket kind; the end of input when it never closes.
+fn balanced_end(toks: &[Token], open: usize) -> usize {
+    let Some(opener) = toks.get(open) else {
+        return open;
+    };
+    let (open_c, close_c) = match opener.text.as_str() {
+        "(" => ('(', ')'),
+        "[" => ('[', ']'),
+        "{" => ('{', '}'),
+        _ => return open + 1,
+    };
+    let mut depth = 0u32;
+    for (j, t) in toks.iter().enumerate().skip(open) {
+        if t.is_punct(open_c) {
+            depth += 1;
+        } else if t.is_punct(close_c) {
+            depth -= 1;
+            if depth == 0 {
+                return j + 1;
+            }
+        }
+    }
+    toks.len()
 }
 
 struct Parser<'a> {
@@ -581,6 +682,14 @@ struct Parser<'a> {
     /// Depth counter: while > 0, `path {` is not a struct literal (we are
     /// in an `if`/`while`/`match`/`for` header).
     no_struct: u32,
+    /// Whether the item being parsed is test code.
+    in_test: bool,
+    /// Whether the parser is inside a fn body.
+    in_body: bool,
+    /// The test-code spans recorded so far.
+    test_spans: Vec<Range<usize>>,
+    /// The fn-body spans recorded so far.
+    fn_bodies: Vec<Range<usize>>,
 }
 
 const EOF_LINE: u32 = 0;
@@ -651,25 +760,7 @@ impl<'a> Parser<'a> {
 
     /// Skips one balanced group assuming the opener is the current token.
     fn skip_balanced(&mut self) {
-        let Some(open) = self.bump() else { return };
-        let close = match open.text.as_str() {
-            "(" => ')',
-            "[" => ']',
-            "{" => '}',
-            _ => return,
-        };
-        let open_c = open.text.chars().next().unwrap_or('(');
-        let mut depth = 1u32;
-        while let Some(t) = self.bump() {
-            if t.is_punct(open_c) {
-                depth += 1;
-            } else if t.is_punct(close) {
-                depth -= 1;
-                if depth == 0 {
-                    return;
-                }
-            }
-        }
+        self.i = balanced_end(self.toks, self.i);
     }
 
     /// Recovery: skip to the next `;` or balanced `}` at the current depth.
@@ -691,27 +782,21 @@ impl<'a> Parser<'a> {
     }
 
     /// Skips outer attributes `#[…]` and inner attributes `#![…]`,
-    /// returning whether any of them was `#[cfg(test)]` / `#[test]`.
+    /// returning whether an outer one marks test code ([`is_test_attr`]).
     fn skip_attrs(&mut self) -> bool {
         let mut test = false;
         while self.at_punct('#') {
             let start = self.i;
             self.i += 1;
-            self.eat_punct('!');
-            if self.at_punct('[') {
-                let attr_start = self.i;
-                self.skip_balanced();
-                let text: Vec<&str> = self.toks[attr_start..self.i]
-                    .iter()
-                    .map(|t| t.text.as_str())
-                    .collect();
-                if text.contains(&"test") && !text.contains(&"doctest") {
-                    test = true;
-                }
-            } else {
+            let inner = self.eat_punct('!');
+            if !self.at_punct('[') {
                 self.i = start;
-                return test;
+                break;
             }
+            let open = self.i;
+            self.skip_balanced();
+            let body = self.toks.get(open + 1..self.i - 1).unwrap_or_default();
+            test |= !inner && is_test_attr(body);
         }
         test
     }
@@ -786,7 +871,7 @@ impl<'a> Parser<'a> {
     // ----- items ---------------------------------------------------------
 
     /// Parses items until EOF (top level) or a closing `}`.
-    fn parse_items(&mut self, in_test: bool, close: Option<char>) -> Vec<Item> {
+    fn parse_items(&mut self, close: Option<char>) -> Vec<Item> {
         let mut items = Vec::new();
         loop {
             if let Some(c) = close {
@@ -799,7 +884,7 @@ impl<'a> Parser<'a> {
                 return items;
             }
             let before = self.i;
-            match self.parse_item(in_test) {
+            match self.parse_item() {
                 Some(item) => items.push(item),
                 None => {
                     // Unknown item: record and resynchronize.
@@ -848,15 +933,28 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_item(&mut self, in_test: bool) -> Option<Item> {
-        let attr_test = self.skip_attrs();
-        let in_test = in_test || attr_test;
+    /// Parses one item with its attributes, recording its span when it is
+    /// the outermost test-code item.
+    fn parse_item(&mut self) -> Option<Item> {
+        let start = self.i;
+        let outer = self.in_test;
+        self.in_test |= self.skip_attrs();
+        let item = self.parse_unattributed_item();
+        if self.in_test && !outer {
+            self.test_spans.push(start..self.i);
+        }
+        self.in_test = outer;
+        item
+    }
+
+    fn parse_unattributed_item(&mut self) -> Option<Item> {
         let mut is_pub = false;
         if self.eat_ident("pub") {
-            if self.at_punct('(') {
-                self.skip_balanced(); // pub(crate), pub(super), …
+            // `pub(crate)`, `pub(super)`, … are not public API.
+            is_pub = !self.at_punct('(');
+            if !is_pub {
+                self.skip_balanced();
             }
-            is_pub = true;
         }
         // Leading qualifiers.
         let mut is_unsafe = false;
@@ -880,11 +978,11 @@ impl<'a> Parser<'a> {
         }
         let t = self.peek()?;
         match t.text.as_str() {
-            "fn" => self.parse_fn(is_pub, in_test).map(Item::Fn),
-            "const" | "static" => self.parse_const(is_pub, in_test).map(Item::Const),
-            "mod" => self.parse_mod(in_test, attr_test),
+            "fn" => self.parse_fn(is_pub).map(Item::Fn),
+            "const" | "static" => self.parse_const().map(Item::Const),
+            "mod" => self.parse_mod(),
             "use" => Some(self.parse_use()),
-            "impl" | "trait" => self.parse_impl_like(in_test),
+            "impl" | "trait" => self.parse_impl_like(),
             "struct" => Some(self.parse_struct()),
             "enum" | "union" => {
                 self.i += 1;
@@ -921,7 +1019,7 @@ impl<'a> Parser<'a> {
             _ => {
                 // Item-position macro invocation (`proptest! { … }`,
                 // `relate! { … }`): an ident (path) followed by `!` and a
-                // balanced body. Consumed opaquely.
+                // balanced body.
                 if t.kind == TokenKind::Ident {
                     let mut j = self.i + 1;
                     while self.toks.get(j).is_some_and(|n| n.is_punct(':'))
@@ -935,11 +1033,16 @@ impl<'a> Parser<'a> {
                     }
                     if self.toks.get(j).is_some_and(|n| n.is_punct('!')) {
                         self.i = j + 1;
-                        if self.at_punct('{') || self.at_punct('(') || self.at_punct('[') {
-                            self.skip_balanced();
-                        }
+                        let item = if self.at_punct('{') {
+                            self.parse_macro_items()
+                        } else {
+                            if self.at_punct('(') || self.at_punct('[') {
+                                self.skip_balanced();
+                            }
+                            Item::Other
+                        };
                         self.eat_punct(';');
-                        return Some(Item::Other);
+                        return Some(item);
                     }
                 }
                 None
@@ -947,7 +1050,36 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_fn(&mut self, is_pub: bool, in_test: bool) -> Option<FnItem> {
+    /// Parses an item-position macro's `{ … }` body as items when it is
+    /// item-shaped (`proptest! { #[test] fn … }`), so its fns are test code
+    /// and fn bodies like any other; any other body is consumed opaquely,
+    /// leaving no gap or span behind.
+    fn parse_macro_items(&mut self) -> Item {
+        let end = balanced_end(self.toks, self.i);
+        let mark = self.mark();
+        self.i += 1;
+        let items = self.parse_items(Some('}'));
+        if self.gaps.len() > mark[0] || self.i != end {
+            self.roll_back(mark);
+            self.i = end;
+            return Item::Other;
+        }
+        Item::ImplLike { items }
+    }
+
+    /// How many gaps and spans are recorded, for [`Self::roll_back`].
+    fn mark(&self) -> [usize; 3] {
+        [self.gaps.len(), self.test_spans.len(), self.fn_bodies.len()]
+    }
+
+    /// Drops the gaps and spans a failed speculative parse recorded.
+    fn roll_back(&mut self, mark: [usize; 3]) {
+        self.gaps.truncate(mark[0]);
+        self.test_spans.truncate(mark[1]);
+        self.fn_bodies.truncate(mark[2]);
+    }
+
+    fn parse_fn(&mut self, is_pub: bool) -> Option<FnItem> {
         debug_assert!(self.at_ident("fn"));
         self.i += 1;
         let name_tok = self.peek()?;
@@ -971,8 +1103,16 @@ impl<'a> Parser<'a> {
             // Skip the where clause up to the body or `;`.
             let _ = self.parse_type(&[]);
         }
+        let nested = self.in_body;
         let body = if self.at_punct('{') {
-            Some(self.parse_block())
+            let open = self.i;
+            self.in_body = true;
+            let body = self.parse_block();
+            self.in_body = nested;
+            if !nested {
+                self.fn_bodies.push(open..self.i);
+            }
+            Some(body)
         } else {
             self.eat_punct(';');
             None
@@ -981,14 +1121,16 @@ impl<'a> Parser<'a> {
             name,
             line,
             is_pub,
-            in_test,
+            in_test: self.in_test,
+            nested,
             params,
             ret,
             body,
         })
     }
 
-    /// Parses `( pattern: Type, … )`; receiver `self` forms are skipped.
+    /// Parses `( pattern: Type, … )`; receiver `self` forms keep no name or
+    /// type.
     fn parse_params(&mut self) -> Vec<Param> {
         let mut params = Vec::new();
         debug_assert!(self.at_punct('('));
@@ -1033,7 +1175,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_const(&mut self, is_pub: bool, in_test: bool) -> Option<ConstItem> {
+    fn parse_const(&mut self) -> Option<ConstItem> {
+        let is_static = self.at_ident("static");
         self.i += 1; // const | static
         self.eat_ident("mut");
         if self.at_punct('_') {
@@ -1042,8 +1185,8 @@ impl<'a> Parser<'a> {
             return Some(ConstItem {
                 name: "_".into(),
                 line: self.line(),
-                is_pub,
-                in_test,
+                is_static,
+                in_test: self.in_test,
                 ty: None,
                 init: None,
             });
@@ -1069,8 +1212,8 @@ impl<'a> Parser<'a> {
         Some(ConstItem {
             name,
             line,
-            is_pub,
-            in_test,
+            is_static,
+            in_test: self.in_test,
             ty,
             init,
         })
@@ -1129,7 +1272,7 @@ impl<'a> Parser<'a> {
         Item::Struct { name, fields }
     }
 
-    fn parse_mod(&mut self, in_test: bool, cfg_test: bool) -> Option<Item> {
+    fn parse_mod(&mut self) -> Option<Item> {
         self.i += 1; // mod
         let name = self.bump().map(|t| t.text.clone())?;
         if self.eat_punct(';') {
@@ -1138,12 +1281,8 @@ impl<'a> Parser<'a> {
         if !self.eat_punct('{') {
             return None;
         }
-        let items = self.parse_items(in_test || cfg_test, Some('}'));
-        Some(Item::Mod {
-            name,
-            cfg_test,
-            items,
-        })
+        let items = self.parse_items(Some('}'));
+        Some(Item::Mod { name, items })
     }
 
     fn parse_use(&mut self) -> Item {
@@ -1209,7 +1348,7 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn parse_impl_like(&mut self, in_test: bool) -> Option<Item> {
+    fn parse_impl_like(&mut self) -> Option<Item> {
         self.i += 1; // impl | trait
         self.skip_generics();
         // Skip the type / trait-for-type header up to the body.
@@ -1234,7 +1373,7 @@ impl<'a> Parser<'a> {
         if !self.eat_punct('{') {
             return None;
         }
-        let items = self.parse_items(in_test, Some('}'));
+        let items = self.parse_items(Some('}'));
         Some(Item::ImplLike { items })
     }
 
@@ -1284,7 +1423,7 @@ impl<'a> Parser<'a> {
                     .is_some_and(|t| t.kind == TokenKind::Ident && t.text != "fn"))
             || self.at_ident("static")
         {
-            return self.parse_item(false).map(Stmt::Item);
+            return self.parse_item().map(Stmt::Item);
         }
         if self.at_ident("let") {
             return self.parse_let();
@@ -2139,7 +2278,7 @@ impl<'a> Parser<'a> {
         self.skip_balanced();
         let end = self.i;
         // Attempt: re-parse the interior as `expr, expr, …`.
-        let gaps_before = self.gaps.len();
+        let mark = self.mark();
         self.i = start + 1;
         let mut args = Vec::new();
         let mut ok = true;
@@ -2159,9 +2298,9 @@ impl<'a> Parser<'a> {
             }
         }
         self.no_struct = saved;
-        if !ok || self.gaps.len() > gaps_before || self.i > end.saturating_sub(1) {
+        if !ok || self.gaps.len() > mark[0] || self.i > end.saturating_sub(1) {
             // Not expression-shaped: keep only the string literals.
-            self.gaps.truncate(gaps_before);
+            self.roll_back(mark);
             args = self.toks[start..end]
                 .iter()
                 .filter(|t| t.kind == TokenKind::Literal)
@@ -2495,6 +2634,87 @@ mod tests {
             flags,
             vec![("t".to_string(), true), ("lib_fn".to_string(), false)]
         );
+    }
+
+    #[test]
+    fn one_test_code_rule() {
+        let ast = parse_clean(
+            "#[test]\nfn a() { fn inner() {} }\n\
+             #[should_panic(expected = \"x\")]\nfn b() {}\n\
+             #[cfg(test)]\nfn c() {}\n\
+             #[cfg(not(test))]\nfn d() {}\n\
+             #[cfg(any(test, feature = \"x\"))]\nfn e() {}\n\
+             #[cfg(doctest)]\nfn f() {}\n\
+             #[inline]\nfn g() {}\n",
+        );
+        let mut test_fns = Vec::new();
+        ast.for_each_fn(&mut |f| {
+            if f.in_test {
+                test_fns.push(f.name.clone());
+            }
+        });
+        assert_eq!(test_fns, ["a", "inner", "b", "c"]);
+    }
+
+    #[test]
+    fn spans_mark_test_code_and_fn_bodies() {
+        let ast = parse_clean(
+            "fn f() { a }\n#[test]\nfn t() { b }\nconst C: u8 = c;\n\
+             #[cfg(test)]\nmod m { const D: u8 = d; }\n",
+        );
+        let at = |name: &str| {
+            let i = ast
+                .lexed
+                .tokens
+                .iter()
+                .position(|t| t.is_ident(name))
+                .unwrap();
+            (ast.in_test(i), ast.in_fn_body(i))
+        };
+        assert_eq!(at("a"), (false, true));
+        assert_eq!(at("b"), (true, true));
+        assert_eq!(at("c"), (false, false));
+        assert_eq!(at("d"), (true, false));
+        assert_eq!(at("f"), (false, false), "a signature is not its body");
+    }
+
+    #[test]
+    fn item_shaped_macro_bodies_parse_as_items() {
+        let ast = parse_clean(
+            "proptest! {\n    #![proptest_config(ProptestConfig::with_cases(4))]\n    \
+             #[test]\n    fn p(x in 0u8..4, v in prop::collection::vec(0u8..2, 1..3)) { a }\n}\n\
+             relate! { Volts * Amps = Watts }\nfn f() { b }\n",
+        );
+        let mut fns = Vec::new();
+        ast.for_each_fn(&mut |f| fns.push((f.name.clone(), f.in_test)));
+        assert_eq!(fns, [("p".to_string(), true), ("f".to_string(), false)]);
+        let at = |name: &str| {
+            let i = ast
+                .lexed
+                .tokens
+                .iter()
+                .position(|t| t.is_ident(name))
+                .unwrap();
+            (ast.in_test(i), ast.in_fn_body(i))
+        };
+        assert_eq!(at("a"), (true, true));
+        assert_eq!(
+            at("Amps"),
+            (false, false),
+            "a body that is not items stays opaque"
+        );
+        assert_eq!(at("b"), (false, true));
+    }
+
+    #[test]
+    fn code_tokens_skip_attributes() {
+        let ast = parse_clean("#![allow(x)]\n#[derive(Debug)]\nstruct S { a: [u8; 2] }\n");
+        let code: Vec<&str> = ast
+            .code_tokens()
+            .map(|i| ast.lexed.tokens[i].text.as_str())
+            .collect();
+        assert_eq!(code.first(), Some(&"struct"));
+        assert!(!code.contains(&"derive") && !code.contains(&"allow"));
     }
 
     #[test]

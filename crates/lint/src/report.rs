@@ -103,16 +103,15 @@ impl ToJson for Finding {
     }
 }
 
-/// A construct the parser could not understand; the syntactic lints
-/// degraded gracefully around it. Reported so that gaps cannot silently
-/// hide violations.
+/// A construct the parser could not understand. Every lint reads the one
+/// parse, so a gap fails the run: it cannot silently hide violations.
 #[derive(Debug, Clone)]
 pub struct ReportGap {
     /// Workspace-relative file path.
     pub file: String,
     /// 1-based line.
     pub line: u32,
-    /// What the parser was trying to parse.
+    /// What the parser expected: the construct it was trying to parse.
     pub context: String,
     /// The token that stopped it.
     pub found: String,
@@ -138,7 +137,7 @@ pub struct Report {
     pub files_scanned: usize,
     /// Number of sites suppressed by the allowlist (all layers).
     pub allowlisted: usize,
-    /// Parser gaps encountered while building the syntactic lints' ASTs.
+    /// Parser gaps: constructs no lint could see.
     pub parse_gaps: Vec<ReportGap>,
 }
 
@@ -149,9 +148,9 @@ impl Report {
             .sort_by(|a, b| (&a.file, a.line, a.lint).cmp(&(&b.file, b.line, b.lint)));
     }
 
-    /// Whether the run is clean (no findings).
+    /// Whether the run is clean: no findings and no parse gaps.
     pub fn is_clean(&self) -> bool {
-        self.findings.is_empty()
+        self.findings.is_empty() && self.parse_gaps.is_empty()
     }
 
     /// Count of findings for one lint.
@@ -183,7 +182,7 @@ impl Report {
     /// The human-readable diagnostic table.
     pub fn render_table(&self) -> String {
         let mut out = String::new();
-        if self.findings.is_empty() {
+        if self.is_clean() {
             let _ = writeln!(
                 out,
                 "picocube-lint: clean ({} files scanned, {} allowlisted sites, {} parse gaps)",
@@ -196,7 +195,9 @@ impl Report {
         let loc_width = self
             .findings
             .iter()
-            .map(|f| f.file.len() + 1 + f.line.to_string().len())
+            .map(|f| (&f.file, f.line))
+            .chain(self.parse_gaps.iter().map(|g| (&g.file, g.line)))
+            .map(|(file, line)| file.len() + 1 + line.to_string().len())
             .max()
             .unwrap_or(8)
             .max("location".len());
@@ -223,6 +224,14 @@ impl Report {
                 f.message
             );
         }
+        for g in &self.parse_gaps {
+            let loc = format!("{}:{}", g.file, g.line);
+            let _ = writeln!(
+                out,
+                "GAP   {loc:loc_width$}  expected {}, found `{}`",
+                g.context, g.found
+            );
+        }
         let _ = writeln!(out);
         for l in Lint::ALL {
             let n = self.count(l);
@@ -232,8 +241,9 @@ impl Report {
         }
         let _ = writeln!(
             out,
-            "total: {} finding(s) in {} file(s) scanned",
+            "total: {} finding(s) and {} parse gap(s) in {} file(s) scanned",
             self.findings.len(),
+            self.parse_gaps.len(),
             self.files_scanned
         );
         out
@@ -302,6 +312,27 @@ mod tests {
         let table = sample().render_table();
         assert!(table.contains("crates/sim/src/queue.rs:10"));
         assert!(table.contains("total: 2 finding(s)"));
+    }
+
+    #[test]
+    fn a_parse_gap_fails_the_run_and_is_listed() {
+        let r = Report {
+            files_scanned: 1,
+            parse_gaps: vec![ReportGap {
+                file: "crates/sim/src/bad.rs".into(),
+                line: 7,
+                context: "expr".into(),
+                found: "@".into(),
+            }],
+            ..Report::default()
+        };
+        assert!(!r.is_clean(), "no lint saw past the gap");
+        let table = r.render_table();
+        assert!(
+            table.contains("crates/sim/src/bad.rs:7  expected expr, found `@`"),
+            "{table}"
+        );
+        assert!(table.contains("total: 0 finding(s) and 1 parse gap(s)"));
     }
 
     #[test]

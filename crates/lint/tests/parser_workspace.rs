@@ -1,8 +1,8 @@
 //! Parser totality over the real workspace: every checked-in library
-//! source must parse without panicking, and with zero parse gaps — the
-//! syntactic lints only see what the parser understands, so a gap in real
-//! code is silent lint blindness. A deliberate gap fixture keeps the
-//! structured-gap path honest.
+//! source must parse without panicking, and with zero parse gaps — every
+//! lint reads the parse, so a gap in real code blinds all seven (and fails
+//! `cargo xtask lint`). A deliberate gap fixture keeps the structured-gap
+//! path honest.
 
 use picocube_lint::parser::parse;
 use picocube_lint::workspace_files;

@@ -131,26 +131,35 @@ impl Histogram {
     /// # Panics
     ///
     /// Panics if the bucket bounds differ — merging histograms of different
-    /// shapes silently would corrupt every percentile read from them.
+    /// shapes silently would corrupt every percentile read from them — or
+    /// if the merged count overflows `u64`.
     pub fn merge_from(&mut self, other: &Histogram) {
         assert_eq!(
             self.bounds, other.bounds,
             "cannot merge histograms with different bounds"
         );
-        self.add(other);
+        let merged = self.add(other);
+        assert!(merged.is_some(), "histogram count overflows u64");
     }
 
     /// Adds another histogram's observations; the bounds must be equal.
-    fn add(&mut self, other: &Histogram) {
+    /// Returns `None`, leaving `self` as it was, when a count would
+    /// overflow. Every histogram keeps `count` = Σ`counts` ≥ `finite_count`
+    /// (observation keeps it, the decoder rejects any other), so a merged
+    /// `count` that fits bounds every bucket and the finite count.
+    fn add(&mut self, other: &Histogram) -> Option<()> {
+        let count = self.count.checked_add(other.count)?;
+        let nan_count = self.nan_count.checked_add(other.nan_count)?;
         for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
             *mine += theirs;
         }
         self.sum += other.sum;
-        self.count += other.count;
+        self.count = count;
         self.finite_count += other.finite_count;
-        self.nan_count += other.nan_count;
+        self.nan_count = nan_count;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
+        Some(())
     }
 }
 
@@ -173,7 +182,10 @@ impl FromJson for Histogram {
     /// Rebuilds a histogram from its [`ToJson`] form, bit-exactly: every
     /// field round-trips (`units::json` preserves `f64` bits), and the
     /// `min`/`max` sentinels for an empty histogram are restored from the
-    /// serialized `null`s — the checkpoint/resume contract.
+    /// serialized `null`s — the checkpoint/resume contract. A `count` that
+    /// is not the sum of `counts`, or a `finite_count` above it, is
+    /// rejected: no observation sequence produces one, and a merge relies
+    /// on it.
     fn from_json(value: &Json) -> Result<Self, JsonError> {
         let bounds: Vec<f64> = FromJson::from_json(field(value, "bounds")?)?;
         if bounds.is_empty() || !bounds.iter().all(|b| b.is_finite()) {
@@ -188,14 +200,27 @@ impl FromJson for Histogram {
                 "histogram needs one count per bound plus the overflow bucket",
             ));
         }
+        let count: u64 = FromJson::from_json(field(value, "count")?)?;
+        let total = counts.iter().try_fold(0u64, |sum, c| sum.checked_add(*c));
+        if total != Some(count) {
+            return Err(JsonError::new(format!(
+                "histogram count {count} is not the sum of its counts"
+            )));
+        }
+        let finite_count: u64 = FromJson::from_json(field(value, "finite_count")?)?;
+        if finite_count > count {
+            return Err(JsonError::new(format!(
+                "histogram finite_count {finite_count} exceeds its count {count}"
+            )));
+        }
         let min: Option<f64> = FromJson::from_json(field(value, "min")?)?;
         let max: Option<f64> = FromJson::from_json(field(value, "max")?)?;
         Ok(Self {
             bounds,
             counts,
             sum: FromJson::from_json(field(value, "sum")?)?,
-            count: FromJson::from_json(field(value, "count")?)?,
-            finite_count: FromJson::from_json(field(value, "finite_count")?)?,
+            count,
+            finite_count,
             nan_count: FromJson::from_json(field(value, "nan_count")?)?,
             min: min.unwrap_or(f64::INFINITY),
             max: max.unwrap_or(f64::NEG_INFINITY),
@@ -250,7 +275,8 @@ impl FromJson for Metric {
 }
 
 /// A metric two registries hold in shapes that cannot merge: different
-/// kinds, or histograms with different bucket bounds.
+/// kinds, histograms with different bucket bounds, or counts whose sum
+/// overflows `u64`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MergeConflict {
     /// The metric's name.
@@ -266,6 +292,15 @@ impl core::fmt::Display for MergeConflict {
 }
 
 impl std::error::Error for MergeConflict {}
+
+impl MergeConflict {
+    fn overflow(name: &str) -> Self {
+        Self {
+            name: name.to_string(),
+            detail: "overflows u64 when merged".into(),
+        }
+    }
+}
 
 /// Insertion-ordered registry of named metrics.
 ///
@@ -401,7 +436,8 @@ impl Metrics {
 
     /// [`merge_from`](Self::merge_from), returning the first name
     /// registered with different kinds (or histogram bounds) on the two
-    /// sides instead of panicking. The metrics before it stay merged.
+    /// sides, or whose counts would overflow `u64`, instead of panicking.
+    /// The metrics before it stay merged; it keeps its value.
     ///
     /// # Errors
     ///
@@ -411,10 +447,15 @@ impl Metrics {
             match self.entries.iter_mut().find(|(n, _)| n == name) {
                 None => self.entries.push((name.clone(), theirs.clone())),
                 Some((_, mine)) => match (mine, theirs) {
-                    (Metric::Counter(a), Metric::Counter(b)) => *a += b,
+                    (Metric::Counter(a), Metric::Counter(b)) => match a.checked_add(*b) {
+                        Some(sum) => *a = sum,
+                        None => return Err(MergeConflict::overflow(name)),
+                    },
                     (Metric::Gauge(a), Metric::Gauge(b)) => *a += b,
                     (Metric::Histogram(a), Metric::Histogram(b)) if a.bounds == b.bounds => {
-                        a.add(b)
+                        if a.add(b).is_none() {
+                            return Err(MergeConflict::overflow(name));
+                        }
                     }
                     (mine, theirs) => {
                         let detail = match (mine.kind(), theirs.kind()) {
@@ -467,7 +508,9 @@ impl FromJson for Metrics {
             if out.get(name).is_some() {
                 return Err(JsonError::new(format!("duplicate metric {name:?}")));
             }
-            out.entries.push((name.clone(), FromJson::from_json(raw)?));
+            let metric = Metric::from_json(raw)
+                .map_err(|e| JsonError::new(format!("metric {name}: {}", e.message)))?;
+            out.entries.push((name.clone(), metric));
         }
         Ok(out)
     }
@@ -600,6 +643,64 @@ mod tests {
         let mut a = Histogram::new(&[1.0]);
         let b = Histogram::new(&[2.0]);
         a.merge_from(&b);
+    }
+
+    #[test]
+    fn overflowing_counts_are_merge_conflicts() {
+        let mut a = Metrics::new();
+        a.inc("wakes", u64::MAX);
+        a.observe("airtime", 1.0);
+        let mut b = Metrics::new();
+        b.inc("wakes", 1);
+        let err = a.try_merge_from(&b).expect_err("u64::MAX + 1");
+        assert_eq!(err.name, "wakes");
+        assert!(err.to_string().contains("overflows u64"), "{err}");
+        assert_eq!(a.counter("wakes"), u64::MAX, "the conflict keeps its value");
+
+        // A histogram whose count sits at u64::MAX, as a checkpoint may
+        // carry it, fails the same way and stays as it was.
+        let text = a.to_json().to_string().replace(
+            r#""counts":[0,0,0,1,0,0,0,0,0,0,0,0,0],"count":1"#,
+            r#""counts":[0,0,0,18446744073709551615,0,0,0,0,0,0,0,0,0],"count":18446744073709551615"#,
+        );
+        let mut full = Metrics::from_json(&Json::parse(&text).unwrap()).unwrap();
+        let before = full.clone();
+        let mut one = Metrics::new();
+        one.observe("airtime", 1.0);
+        let err = full
+            .try_merge_from(&one)
+            .expect_err("histogram count overflows");
+        assert_eq!(err.name, "airtime");
+        assert_eq!(full.histogram("airtime"), before.histogram("airtime"));
+    }
+
+    #[test]
+    fn inconsistent_histograms_are_rejected_naming_the_metric() {
+        let mut m = Metrics::new();
+        m.observe("airtime", 1.0);
+        m.observe("airtime", f64::INFINITY);
+        let text = m.to_json().to_string();
+        assert!(Metrics::from_json(&Json::parse(&text).unwrap()).is_ok());
+        for (from, to, phrase) in [
+            (
+                r#""count":2"#,
+                r#""count":3"#,
+                "is not the sum of its counts",
+            ),
+            (
+                r#""finite_count":1"#,
+                r#""finite_count":3"#,
+                "exceeds its count",
+            ),
+        ] {
+            let hostile = text.replace(from, to);
+            assert_ne!(hostile, text);
+            let err = Metrics::from_json(&Json::parse(&hostile).unwrap()).expect_err(phrase);
+            assert!(
+                err.message.starts_with("metric airtime:") && err.message.contains(phrase),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -398,9 +398,14 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
             return Ok(Json::Int(i));
         }
     }
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| JsonError::new(format!("invalid number {text:?}")))
+    // A literal past the f64 range (`1e309`) would parse as infinity, which
+    // the encoder writes as `null`: reject it, so every decoded number
+    // encodes back to one.
+    match text.parse::<f64>() {
+        Ok(x) if x.is_finite() => Ok(Json::Num(x)),
+        Ok(_) => Err(JsonError::new(format!("number {text:?} is out of range"))),
+        Err(_) => Err(JsonError::new(format!("invalid number {text:?}"))),
+    }
 }
 
 /// Conversion into the JSON document model.
@@ -585,6 +590,17 @@ mod tests {
             let back = Json::parse(&v.to_string()).unwrap();
             assert_eq!(back.as_f64(), Some(x), "{x}");
         }
+    }
+
+    #[test]
+    fn numbers_past_the_f64_range_are_rejected() {
+        for text in ["1e309", "-1e309", "[1.0,1e400]"] {
+            let err = Json::parse(text).expect_err(text);
+            assert!(err.message.contains("out of range"), "{text}: {err}");
+        }
+        // An integer past u64 stays a finite float, as before.
+        let v = Json::parse("18446744073709551616").unwrap();
+        assert_eq!(v.as_f64(), Some(18446744073709551616.0));
     }
 
     #[test]

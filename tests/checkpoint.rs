@@ -22,7 +22,11 @@ use picocube::node::{
 };
 use picocube::sim::SimDuration;
 use picocube::telemetry::{keys, Event, EventKind, Metrics};
-use picocube::units::json::{FromJson, Json, ToJson};
+use picocube::units::json::{FromJson, Json, JsonError, ToJson};
+use proptest::prelude::*;
+use std::sync::OnceLock;
+
+mod garbage;
 
 /// Everything observable about one node run, comparable bit-for-bit.
 /// The report goes through JSON so floats compare in shortest-round-trip
@@ -265,10 +269,10 @@ fn decode_edited_records(
 /// Sets `key` of one JSON record to `value`.
 fn set_field(record: &mut Json, key: &str, value: u64) {
     let Json::Obj(fields) = record else {
-        panic!("a packet record is a JSON object");
+        panic!("a record is a JSON object");
     };
     let Some((_, slot)) = fields.iter_mut().find(|(k, _)| k == key) else {
-        panic!("a packet record has {key}");
+        panic!("the record has {key}");
     };
     *slot = Json::UInt(value);
 }
@@ -373,14 +377,26 @@ fn metric<'a>(metrics: &'a mut [(String, Json)], key: &str) -> &'a mut Json {
     value
 }
 
+/// Sets the field `key` of the airtime histogram to one more than its
+/// `count`.
+fn overcount_airtime(metrics: &mut [(String, Json)], key: &str) {
+    let histogram = metric(metrics, keys::RADIO_TX_AIRTIME_US);
+    let count = histogram
+        .get("count")
+        .and_then(Json::as_u64)
+        .expect("a histogram count");
+    set_field(histogram, key, count + 1);
+}
+
 #[test]
 fn hostile_checkpoint_metrics_are_typed_errors() {
     // A fold whose metrics contradict what the resumed nodes record once
     // panicked the fold's merge (inside a worker, which re-raised it) or
-    // the merge phase. Each now fails typed, naming `metrics` and the key,
-    // from the decoder or from the resume.
+    // the merge phase, or wrapped a counter in a release build. Each now
+    // fails typed, naming `metrics` and the key, from the decoder or from
+    // the resume.
     type Edit = fn(&mut Vec<(String, Json)>);
-    let cases: [(&str, bool, Edit, &str); 3] = [
+    let cases: [(&str, bool, Edit, &str); 6] = [
         (
             "a counter rewritten as a gauge",
             false,
@@ -409,6 +425,24 @@ fn hostile_checkpoint_metrics_are_typed_errors() {
             |metrics| metrics.push((keys::FLEET_OFFERED.into(), Json::Num(2.5))),
             keys::FLEET_OFFERED,
         ),
+        (
+            "a counter at u64::MAX that the next node's wakes overflow",
+            false,
+            |metrics| *metric(metrics, keys::NODE_WAKES) = Json::UInt(u64::MAX),
+            keys::NODE_WAKES,
+        ),
+        (
+            "a histogram count that is not the sum of its buckets",
+            false,
+            |metrics| overcount_airtime(metrics, "count"),
+            keys::RADIO_TX_AIRTIME_US,
+        ),
+        (
+            "a histogram with more finite observations than observations",
+            false,
+            |metrics| overcount_airtime(metrics, "finite_count"),
+            keys::RADIO_TX_AIRTIME_US,
+        ),
     ];
     for parallelism in [Parallelism::Serial, Parallelism::Threads(3)] {
         let config = fleet_config(parallelism);
@@ -427,6 +461,55 @@ fn hostile_checkpoint_metrics_are_typed_errors() {
                 }
             };
             assert!(err.contains("metrics") && err.contains(key), "{why}: {err}");
+        }
+    }
+}
+
+/// The checkpoint texts the garbage property damages: a 6-node fleet with
+/// 3 nodes folded, and its fourth node cut 10 s in.
+fn checkpoint_texts() -> &'static [String; 2] {
+    static TEXTS: OnceLock<[String; 2]> = OnceLock::new();
+    TEXTS.get_or_init(|| {
+        let config = fleet_config(Parallelism::Serial);
+        let fleet = run_fleet_partial(&config, None, 3, false).expect("leg runs");
+        let node = StackCheckpoint::for_fleet_node(&config, 3, SimDuration::from_secs(10), true);
+        [fleet.to_json().to_string(), node.to_json().to_string()]
+    })
+}
+
+fn decode<T: FromJson>(text: &str) -> Result<T, JsonError> {
+    T::from_json(&Json::parse(text)?)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A damaged checkpoint file never panics its decoder: it fails with a
+    /// typed error, or decodes into a checkpoint whose JSON round-trips.
+    /// Nothing decoded here is resumed.
+    #[test]
+    fn damaged_checkpoints_fail_typed_or_round_trip(
+        node in prop::bool::ANY,
+        op in 0u8..6,
+        at in 0.0f64..1.0,
+        len in 0.0f64..1.0,
+        pick in 0usize..64,
+    ) {
+        let [fleet_text, node_text] = checkpoint_texts();
+        if node {
+            let text = garbage::mutate(node_text, op, at, len, pick);
+            garbage::assert_fails_typed_or_round_trips(
+                &text,
+                decode::<StackCheckpoint>,
+                |c| c.to_json().to_string(),
+            );
+        } else {
+            let text = garbage::mutate(fleet_text, op, at, len, pick);
+            garbage::assert_fails_typed_or_round_trips(
+                &text,
+                decode::<FleetCheckpoint>,
+                |c| c.to_json().to_string(),
+            );
         }
     }
 }

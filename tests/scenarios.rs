@@ -26,6 +26,9 @@ use picocube::telemetry::Event;
 use picocube::units::json::{Json, ToJson};
 use proptest::prelude::*;
 use std::path::PathBuf;
+use std::sync::OnceLock;
+
+mod garbage;
 
 fn repo_path(rel: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(rel)
@@ -337,6 +340,49 @@ proptest! {
         let back = Scenario::parse(&text).expect("serialized spec re-parses");
         prop_assert_eq!(back, spec);
     }
+}
+
+/// The text of every checked-in spec under `scenarios/`, in name order.
+fn spec_files() -> &'static [String] {
+    static FILES: OnceLock<Vec<String>> = OnceLock::new();
+    FILES.get_or_init(|| {
+        let mut paths: Vec<PathBuf> = std::fs::read_dir(repo_path("scenarios"))
+            .expect("scenarios/ lists")
+            .map(|e| e.expect("a directory entry").path())
+            .filter(|p| p.extension().is_some_and(|e| e == "json"))
+            .collect();
+        paths.sort();
+        paths
+            .iter()
+            .map(|p| std::fs::read_to_string(p).expect("a spec file reads"))
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A damaged spec file never panics the parser: it fails with a typed
+    /// `ScenarioError`, or parses into a spec whose JSON round-trips.
+    #[test]
+    fn damaged_spec_files_fail_typed_or_round_trip(
+        file in 0usize..64,
+        op in 0u8..6,
+        at in 0.0f64..1.0,
+        len in 0.0f64..1.0,
+        pick in 0usize..64,
+    ) {
+        let files = spec_files();
+        let text = garbage::mutate(&files[file % files.len()], op, at, len, pick);
+        garbage::assert_fails_typed_or_round_trips(&text, Scenario::parse, |spec| {
+            spec.to_json().to_string()
+        });
+    }
+}
+
+#[test]
+fn every_spec_file_is_a_garbage_input() {
+    assert_eq!(spec_files().len(), 4, "the property damages each spec file");
 }
 
 // ------------------------------------------------------------- error paths
